@@ -16,9 +16,12 @@ normalization, rendering) is graded lexicographic with x > y > z > p > q > t.
 
 Algorithms
 ----------
-* gcd: recursive subresultant polynomial-remainder-sequence.  The
-  recursion variable is the one appearing in the most terms; monomial
-  content and content/primitive-part splitting are pulled out first.
+* gcd: monomial content is pulled out first and the recursion variable
+  is the one appearing in the most terms.  Over the rationals in at most
+  two variables, a heuristic integer gcd (GCDHEU) confirmed by trial
+  division; otherwise, or when the heuristic gives up, the recursive
+  subresultant polynomial-remainder-sequence with content/primitive-part
+  splitting.
 * determinant: cofactor expansion along the first row with memoization
   on the active column set (matrices here never exceed 6x6).
 * `cubic_resultant` is the fixed 5x5 determinant deciding whether a cubic
@@ -546,290 +549,189 @@ def _content(coeffs: dict) -> MPoly:
     return acc
 
 
-# -- integer fast lane -------------------------------------------------------
+# -- heuristic integer gcd (GCDHEU) ----------------------------------------
 #
-# The recursion bottoms out in (at most) bivariate polynomials over the
-# rationals for every hot path in the curvature pipeline.  Running the
-# same subresultant remainder sequence on denominator-cleared integer
-# coefficient lists avoids Fraction construction entirely, which is
-# worth two orders of magnitude on the R^2 reductions.
-
-def _ip_trim(a: list) -> list:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _ip_neg(a: list) -> list:
-    return [-c for c in a]
-
-
-def _ip_sub(a: list, b: list) -> list:
-    if len(b) > len(a):
-        out = list(a) + [0] * (len(b) - len(a))
-    else:
-        out = list(a)
-    for i, c in enumerate(b):
-        out[i] -= c
-    return _ip_trim(out)
-
-
-def _ip_mul(a: list, b: list) -> list:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return _ip_trim(out)
-
-
-def _ip_pow(a: list, e: int) -> list:
-    out = [1]
-    for _ in range(e):
-        out = _ip_mul(out, a)
-    return out
-
-
-def _ip_content(a: list) -> int:
-    g = 0
-    for c in a:
-        g = math.gcd(g, c)
-    return g
-
-
-def _ip_divexact(a: list, b: list) -> list:
-    """Exact division of integer polynomials (exactness guaranteed by the
-    subresultant theory; verified anyway to keep bugs loud)."""
-    if not a:
-        return []
-    if len(b) == 1:
-        d = b[0]
-        out = []
-        for c in a:
-            q, r = divmod(c, d)
-            if r:
-                raise ValueError("inexact integer polynomial division")
-            out.append(q)
-        return out
-    out = [0] * (len(a) - len(b) + 1)
-    rest = list(a)
-    for k in range(len(out) - 1, -1, -1):
-        q, r = divmod(rest[k + len(b) - 1], b[-1])
-        if r:
-            raise ValueError("inexact integer polynomial division")
-        out[k] = q
-        if q:
-            for j, cb in enumerate(b):
-                rest[k + j] -= q * cb
-    if any(rest):
-        raise ValueError("inexact integer polynomial division")
-    return _ip_trim(out)
-
-
-def _ip_prem(a: list, b: list) -> list:
-    db = len(b) - 1
-    d = b[-1]
-    e = len(a) - len(b) + 1
-    r = list(a)
-    while r and len(r) - 1 >= db:
-        lr = r[-1]
-        offset = len(r) - 1 - db
-        r = [c * d for c in r]
-        for j, cb in enumerate(b):
-            r[offset + j] -= lr * cb
-        r = _ip_trim(r)
-        e -= 1
-    if e > 0 and r:
-        s = d ** e
-        r = [c * s for c in r]
-    return r
-
-
-def _ip_gcd(a: list, b: list) -> list:
-    """Subresultant gcd of univariate integer polynomials, up to sign."""
-    a = _ip_trim(list(a))
-    b = _ip_trim(list(b))
-    if not a:
-        return b
-    if not b:
-        return a
-    ca, cb = _ip_content(a), _ip_content(b)
-    c = math.gcd(ca, cb)
-    a = [v // ca for v in a]
-    b = [v // cb for v in b]
-    if len(a) < len(b):
-        a, b = b, a
-    if len(b) == 1:
-        return [c]
-    g, h = 1, 1
-    while True:
-        delta = len(a) - len(b)
-        r = _ip_prem(a, b)
-        if not r:
-            part = b
-            break
-        if len(r) == 1:
-            part = None
-            break
-        divisor = g * h ** delta
-        a, b = b, ([v // divisor for v in r] if divisor != 1 else r)
-        g = a[-1]
-        if delta == 1:
-            h = g
-        elif delta > 1:
-            h = g ** delta // h ** (delta - 1)
-    if part is None:
-        return [c]
-    pc = _ip_content(part)
-    return [v // pc * c for v in part]
-
-
-def _to_int_uni(f: MPoly, vi: int, wi: int) -> dict:
-    """{degree in v: integer w-coefficient list}, denominators cleared."""
-    scale = 1
-    for coeff in f.terms.values():
-        d = coeff.a.denominator
-        scale = scale * d // math.gcd(scale, d)
-    rows = {}
-    for exponent, coeff in f.terms.items():
-        rows.setdefault(exponent[vi], {})[exponent[wi]] = int(coeff.a * scale)
-    out = {}
-    for k, row in rows.items():
-        coeffs = [0] * (max(row) + 1)
-        for j, value in row.items():
-            coeffs[j] = value
-        out[k] = _ip_trim(coeffs)
-    return {k: v for k, v in out.items() if v}
-
-
-def _from_int_uni(uni: dict, vi: int, wi: int, spec: FieldSpec) -> MPoly:
-    terms = {}
-    base = [0] * NVARS
-    for k, coeffs in uni.items():
-        for j, value in enumerate(coeffs):
-            if value:
-                exponent = list(base)
-                exponent[vi] = k
-                exponent[wi] = j
-                terms[tuple(exponent)] = FieldScalar._fast(Fraction(value), _FRACTION_ZERO, spec)
-    return MPoly._raw(terms, spec)
-
+# Over the rationals, every gcd in at most two variables (the hot path of
+# the curvature pipeline) is taken on integer term maps {exponent tuple:
+# int} by the heuristic gcd of Char, Geddes and Gonnet (J. Symb. Comp.
+# 1989).  It evaluates the last variable at a large integer xi, recurses
+# down to one integer gcd, and reads the polynomial back off the balanced
+# base-xi digits.  The result is exact for two reasons:
+#
+# * no candidate is accepted unless trial division in Z[...] shows that it
+#   divides both inputs.  xi starts above 2 * min(|f|, |g|) + 2 (max
+#   norms) and only grows, and above that bound a primitive common divisor
+#   read off the digits is the gcd itself, never a proper factor of it;
+# * the content over the second variable w is split off first and its gcd
+#   taken on its own, as a gcd in w alone.  The heuristic then runs on
+#   primitive parts, so a factor in w alone (such as 2*w + 1, which the
+#   evaluation w = xi turns into an integer) never has to be told apart
+#   from integer content.
+#
+# When six evaluation points give no confirmed candidate, `_gcd_raw` falls
+# back to the subresultant remainder sequence.
 
 _FRACTION_ZERO = Fraction(0)
 
 
-def _biv_content(uni: dict) -> list:
-    acc = []
-    for coeffs in sorted(uni.values(), key=len):
-        acc = _ip_gcd(acc, coeffs)
-        if len(acc) == 1 and acc[0] == 1:
+def _int_content(f: dict) -> int:
+    return math.gcd(*f.values())
+
+
+def _int_divide(f: dict, h: dict):
+    """f / h when it has integer coefficients, else None; for a primitive
+    h that is exact divisibility over Q (Gauss's lemma).  Terms are taken
+    in lexicographic exponent order."""
+    lm = max(h)
+    lc = h[lm]
+    if lc == 1 and len(h) == 1 and not any(lm):
+        return f
+    quotient = {}
+    rest = dict(f)
+    while rest:
+        m = max(rest)
+        shift = tuple(a - b for a, b in zip(m, lm))
+        if min(shift) < 0:
+            return None
+        c, r = divmod(rest[m], lc)
+        if r:
+            return None
+        quotient[shift] = c
+        for e, d in h.items():
+            k = tuple(a + b for a, b in zip(shift, e))
+            value = rest.get(k, 0) - c * d
+            if value:
+                rest[k] = value
+            else:
+                rest.pop(k, None)
+    return quotient
+
+
+def _heu_evaluate(f: dict, xi: int) -> dict:
+    """Substitute xi for the last variable."""
+    powers = [1]
+    out = {}
+    for e, c in f.items():
+        while len(powers) <= e[-1]:
+            powers.append(powers[-1] * xi)
+        head = e[:-1]
+        out[head] = out.get(head, 0) + c * powers[e[-1]]
+    return {e: c for e, c in out.items() if c}
+
+
+def _heu_interpolate(h: dict, xi: int) -> dict:
+    """Read each coefficient's balanced base-xi digits back as the powers of
+    a new last variable; the result is made primitive with a positive
+    leading coefficient."""
+    out = {}
+    half = xi // 2
+    for e, c in h.items():
+        j = 0
+        while c:
+            digit = c % xi
+            if digit > half:
+                digit -= xi
+            if digit:
+                out[e + (j,)] = digit
+            c = (c - digit) // xi
+            j += 1
+    content = _int_content(out)
+    if out[max(out)] < 0:
+        content = -content
+    return {e: c // content for e, c in out.items()}
+
+
+def _heu_gcd(f: dict, g: dict):
+    """gcd in Z[...] of two nonzero integer term maps by GCDHEU, or None
+    when no evaluation point gives a candidate that divides both."""
+    c = math.gcd(_int_content(f), _int_content(g))
+    constant = (0,) * len(next(iter(f)))
+    if f.keys() == {constant} or g.keys() == {constant}:
+        return {constant: c}
+    f = {e: v // c for e, v in f.items()}
+    g = {e: v // c for e, v in g.items()}
+    xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 29
+    for _ in range(6):
+        ff = _heu_evaluate(f, xi)
+        gg = _heu_evaluate(g, xi)
+        if ff and gg:
+            h = _heu_gcd(ff, gg)
+            if h is None:
+                return None
+            h = _heu_interpolate(h, xi)
+            if _int_divide(f, h) is not None and _int_divide(g, h) is not None:
+                return {e: v * c for e, v in h.items()}
+        xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
+    return None
+
+
+def _to_int(f: MPoly, vi: int, wi: int) -> dict:
+    """{(degree in v, degree in w): int}, denominators cleared."""
+    scale = 1
+    for coeff in f.terms.values():
+        d = coeff.a.denominator
+        scale = scale * d // math.gcd(scale, d)
+    return {
+        (e[vi], e[wi]): c.a.numerator * (scale // c.a.denominator)
+        for e, c in f.terms.items()
+    }
+
+
+def _from_int(h: dict, vi: int, wi: int, spec: FieldSpec) -> MPoly:
+    terms = {}
+    for (i, j), value in h.items():
+        exponent = [0] * NVARS
+        exponent[vi] = i
+        exponent[wi] = j
+        terms[tuple(exponent)] = FieldScalar._fast(Fraction(value), _FRACTION_ZERO, spec)
+    return MPoly._raw(terms, spec)
+
+
+def _content_in_w(f: dict):
+    """gcd over Z[w] of the v-coefficients of f, as a term map in
+    (0, degree in w); None when the heuristic fails."""
+    rows = {}
+    for (i, j), c in f.items():
+        rows.setdefault(i, {})[(0, j)] = c
+    rows = sorted(rows.values(), key=len)
+    acc = rows[0]
+    for row in rows[1:]:
+        if acc == {(0, 0): 1}:
             break
+        acc = _heu_gcd(acc, row)
+        if acc is None:
+            return None
     return acc
 
 
-def _biv_prem(a: dict, b: dict) -> dict:
-    da, db = max(a), max(b)
-    d = b[db]
-    e = da - db + 1
-    r = a
-    while r:
-        dr = max(r)
-        if dr < db:
-            break
-        lr = r[dr]
-        shifted = {k: _ip_mul(v, d) for k, v in r.items()}
-        for k, cb in b.items():
-            kk = k + dr - db
-            value = _ip_mul(lr, cb)
-            have = shifted.get(kk)
-            diff = _ip_sub(have, value) if have else _ip_neg(value)
-            if diff:
-                shifted[kk] = diff
-            else:
-                shifted.pop(kk, None)
-        r = shifted
-        e -= 1
-    if e > 0 and r:
-        s = _ip_pow(d, e)
-        r = {k: _ip_mul(v, s) for k, v in r.items()}
-    return r
+def _gcd_heuristic(f: MPoly, g: MPoly, vi: int):
+    """gcd of two rational polynomials in v = VARIABLES[vi] and at most one
+    other variable w, up to a unit; None when the heuristic runs out of
+    evaluation points."""
+    others = (f.variables() | g.variables()) - {VARIABLES[vi]}
+    wi = VARIABLE_INDEX[min(others)] if others else (vi + 1) % NVARS
+    fi = _to_int(f, vi, wi)
+    gi = _to_int(g, vi, wi)
+    content_f = _content_in_w(fi)
+    content_g = _content_in_w(gi)
+    if content_f is None or content_g is None:
+        return None
+    content = _heu_gcd(content_f, content_g)
+    part = _heu_gcd(_int_divide(fi, content_f), _int_divide(gi, content_g))
+    if content is None or part is None:
+        return None
+    h = _from_int(part, vi, wi, f.spec)
+    if content.keys() != {(0, 0)}:  # a factor in w alone
+        h = _from_int(content, vi, wi, f.spec) * h
+    return h
 
 
-def _gcd_bivariate_fast(f: MPoly, g: MPoly, vi: int, wi: int) -> MPoly:
-    """Subresultant PRS in variable vi over integer w-coefficient lists."""
-    fu = _to_int_uni(f, vi, wi)
-    gu = _to_int_uni(g, vi, wi)
-    content_f = _biv_content(fu)
-    content_g = _biv_content(gu)
-    fu = {k: _ip_divexact(v, content_f) for k, v in fu.items()}
-    gu = {k: _ip_divexact(v, content_g) for k, v in gu.items()}
-    content = _ip_gcd(content_f, content_g)
-    a, b = (fu, gu) if max(fu) >= max(gu) else (gu, fu)
-    g_scale, h_scale = [1], [1]
-    while True:
-        delta = max(a) - max(b)
-        r = _biv_prem(a, b)
-        if not r:
-            part = b
-            break
-        if max(r) == 0:
-            part = None
-            break
-        divisor = _ip_mul(g_scale, _ip_pow(h_scale, delta))
-        a = b
-        if divisor == [1]:
-            b = r
-        else:
-            b = {k: _ip_divexact(v, divisor) for k, v in r.items()}
-        g_scale = a[max(a)]
-        if delta == 1:
-            h_scale = g_scale
-        elif delta > 1:
-            h_scale = _ip_divexact(_ip_pow(g_scale, delta), _ip_pow(h_scale, delta - 1))
-    if part is None:
-        uni = {0: content}
-    else:
-        part_content = _biv_content(part)
-        uni = {k: _ip_mul(_ip_divexact(v, part_content), content) for k, v in part.items()}
-    return _from_int_uni(uni, vi, wi, f.spec)
-
-
-def _gcd_raw(f: MPoly, g: MPoly) -> MPoly:
-    """gcd of two nonzero polynomials, up to a scalar unit."""
+def _gcd_subresultant(f: MPoly, g: MPoly, vi: int) -> MPoly:
+    """gcd of two nonzero polynomials, up to a unit, by the subresultant
+    remainder sequence in variable VARIABLES[vi] after splitting off the
+    content.  Quadratic fields and three variables take this path, and it
+    is the fallback (and the test oracle) of the heuristic gcd."""
     spec = f.spec
-    shift_f = _monomial_content(f)
-    shift_g = _monomial_content(g)
-    common = tuple(min(a, b) for a, b in zip(shift_f, shift_g))
-    f = _shift_down(f, shift_f)
-    g = _shift_down(g, shift_g)
-    mono = MPoly.monomial(common, 1, spec)
-    if f.is_constant() or g.is_constant():
-        return mono
-    shared = f.variables() & g.variables()
-    if not shared:
-        return mono
-    # cheap wins first: equal, or one divides the other
-    if f.terms == g.terms:
-        return mono * f
-    if len(f.terms) <= len(g.terms):
-        if try_exact_divide(g, f) is not None:
-            return mono * f
-    elif try_exact_divide(f, g) is not None:
-        return mono * g
-    # recurse on the variable appearing in the most terms
-    def frequency(name):
-        i = VARIABLE_INDEX[name]
-        return sum(1 for e in f.terms if e[i]) + sum(1 for e in g.terms if e[i])
-
-    var = max(sorted(shared), key=frequency)
-    vi = VARIABLE_INDEX[var]
-    all_vars = f.variables() | g.variables()
-    if not spec.is_quadratic and len(all_vars) <= 2:
-        others = all_vars - {var}
-        wi = VARIABLE_INDEX[next(iter(others))] if others else (vi + 1) % NVARS
-        return mono * _gcd_bivariate_fast(f, g, vi, wi)
     fu = _univariate(f, vi)
     gu = _univariate(g, vi)
     content_f = _content(fu)
@@ -859,9 +761,44 @@ def _gcd_raw(f: MPoly, g: MPoly) -> MPoly:
         elif delta > 1:
             h_scale = exact_divide(g_scale ** delta, h_scale ** (delta - 1))
     if part is None:
-        return mono * content
+        return content
     part = _uni_exact_divide(part, _content(part))
-    return mono * content * _from_univariate(part, vi, spec)
+    return content * _from_univariate(part, vi, spec)
+
+
+def _gcd_raw(f: MPoly, g: MPoly) -> MPoly:
+    """gcd of two nonzero polynomials, up to a scalar unit."""
+    spec = f.spec
+    shift_f = _monomial_content(f)
+    shift_g = _monomial_content(g)
+    common = tuple(min(a, b) for a, b in zip(shift_f, shift_g))
+    f = _shift_down(f, shift_f)
+    g = _shift_down(g, shift_g)
+    mono = MPoly.monomial(common, 1, spec)
+    if f.is_constant() or g.is_constant():
+        return mono
+    shared = f.variables() & g.variables()
+    if not shared:
+        return mono
+    # cheap wins first: equal, or one divides the other
+    if f.terms == g.terms:
+        return mono * f
+    if len(f.terms) <= len(g.terms):
+        if try_exact_divide(g, f) is not None:
+            return mono * f
+    elif try_exact_divide(f, g) is not None:
+        return mono * g
+    # recurse on the variable appearing in the most terms
+    def frequency(name):
+        i = VARIABLE_INDEX[name]
+        return sum(1 for e in f.terms if e[i]) + sum(1 for e in g.terms if e[i])
+
+    vi = VARIABLE_INDEX[max(sorted(shared), key=frequency)]
+    if not spec.is_quadratic and len(f.variables() | g.variables()) <= 2:
+        h = _gcd_heuristic(f, g, vi)
+        if h is not None:
+            return mono * h
+    return mono * _gcd_subresultant(f, g, vi)
 
 
 def poly_gcd(f: MPoly, g: MPoly) -> MPoly:
@@ -985,8 +922,8 @@ class RatFn:
     """Reduced quotient of two polynomials.
 
     gcd(num, den) is constant and den is monic under the monomial order,
-    so equal fractions have equal (num, den) pairs; equality still
-    compares by cross-multiplication to stay representation-agnostic.
+    so equal fractions have equal (num, den) pairs, and equality compares
+    those pairs directly.
     """
 
     __slots__ = ("num", "den")
@@ -1076,7 +1013,7 @@ class RatFn:
     def __eq__(self, other):
         if not isinstance(other, RatFn):
             return NotImplemented
-        return self.num * other.den == other.num * self.den
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
         return hash((self.num, self.den))

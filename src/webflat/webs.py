@@ -24,6 +24,7 @@ import math
 from fractions import Fraction
 
 from .errors import (
+    DegenerateParameter,
     DegenerateWeb,
     DegreeExceeded,
     DegreeTooLow,
@@ -49,7 +50,7 @@ from .poly import (
 def _require_vars(f: MPoly, allowed, label):
     extra = f.variables() - set(allowed)
     if extra:
-        raise ValueError(
+        raise InvariantViolated(
             "%s may only involve %s (found %s)" % (label, ", ".join(allowed), ", ".join(sorted(extra)))
         )
 
@@ -223,7 +224,7 @@ class EtaWebSpec:
         for h in (h1, h2, h3):
             _require_vars(h, ("x", "y"), "slope function")
         if a < 0:
-            raise ValueError("order a must be nonnegative")
+            raise DegenerateParameter("order a must be nonnegative")
         y = MPoly.variable("y", h1.spec)
         for left, right, label in ((h1, h2, "h1 - h2"), (h2, h3, "h2 - h3"), (h3, h1, "h3 - h1")):
             diff = left - right
@@ -278,6 +279,33 @@ def web_curvature(web: CubicWebEquation) -> CurvatureForm:
 
     assembled as one fraction over R^2 and then reduced.
     """
+    numerator, big_r = _curvature_fraction(web)
+    # reduce the single fraction numerator / R^2.  Every common factor
+    # divides R, so two gcds against R suffice: a factor of multiplicity a
+    # in the numerator and b in R loses min(a, b) in the first round and
+    # min(a - min(a, b), b) in the second, min(a, 2b) in all.
+    if numerator.is_zero():
+        coeff = RatFn(numerator, big_r)
+    else:
+        stage_one = poly_gcd(numerator, big_r)
+        if stage_one.is_one():
+            coeff = RatFn._reduced(numerator, big_r * big_r)
+        else:
+            numerator = exact_divide(numerator, stage_one)
+            den = exact_divide(big_r, stage_one)
+            stage_two = poly_gcd(numerator, big_r)
+            if stage_two.is_one():
+                den = den * big_r
+            else:
+                numerator = exact_divide(numerator, stage_two)
+                den = den * exact_divide(big_r, stage_two)
+            coeff = RatFn._reduced(numerator, den)
+    return CurvatureForm(coeff, web.base_vars)
+
+
+def _curvature_fraction(web: CubicWebEquation):
+    """(numerator, R): the curvature coefficient is numerator / R^2,
+    unreduced."""
     u, v = web.base_vars
     a0, a1, a2, a3 = web.a0, web.a1, web.a2, web.a3
     spec = web.spec
@@ -308,20 +336,7 @@ def web_curvature(web: CubicWebEquation) -> CurvatureForm:
         - alpha2 * big_r.derivative(u)
         - alpha1 * big_r.derivative(v)
     )
-    # reduce the single fraction numerator / R^2; every common factor
-    # divides R, so gcd against R first and square up only on a hit
-    if numerator.is_zero():
-        coeff = RatFn(numerator, big_r)
-    else:
-        stage_one = poly_gcd(numerator, big_r)
-        if stage_one.is_one():
-            coeff = RatFn._reduced(numerator, big_r * big_r)
-        else:
-            coeff = RatFn(
-                exact_divide(numerator, stage_one),
-                exact_divide(big_r, stage_one) * big_r,
-            )
-    return CurvatureForm(coeff, web.base_vars)
+    return numerator, big_r
 
 
 def dual_curvature(vf: AffineVectorField) -> CurvatureForm:

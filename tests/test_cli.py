@@ -269,11 +269,27 @@ def test_domain_errors_exit_2():
         (["sing", "--vf", "x^3 ; y^3-1", "--at", "1,1"], "NotSingular"),
         (["inflection", "--vf", "x ; x + x^2 ; 0"], "NonHomogeneous"),
         (["eta", "y ; 0 ; 1", "1"], "InvariantViolated"),
+        (["flat", "--vf", "z ; y"], "InvariantViolated"),
+        (["eta", "0 ; 1 ; x", "-1"], "DegenerateParameter"),
     ]
     for argv, name in cases:
         _, err, code = run_line(argv)
         assert code == 2, argv
         assert name in err, argv
+        assert "Traceback" not in err, argv
+
+
+def test_batch_survives_invalid_operands(tmp_path, capsys):
+    batch = tmp_path / "jobs.txt"
+    batch.write_text(
+        'flat --vf "z ; y"\neta "0 ; 1 ; x" -1\ndiscriminant --web "p^3 - p"\n'
+    )
+    code = main(["--batch", str(batch)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out.splitlines() == ["-4"]
+    assert "InvariantViolated" in captured.err
+    assert "DegenerateParameter" in captured.err
 
 
 def test_output_determinism():

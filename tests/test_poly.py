@@ -20,7 +20,9 @@ from webflat import (
     quadratic_field,
     squarefree_part,
 )
+import webflat.poly as poly_module
 from webflat.cli import parse_poly
+from webflat.poly import VARIABLE_INDEX, _gcd_subresultant, _int_divide
 from webflat.errors import (
     BadEmbedding,
     DivisionByZero,
@@ -180,6 +182,92 @@ def test_gcd_over_quadratic_field():
     assert poly_gcd(f, g) == (x - t * y).monic()
 
 
+# -- heuristic gcd against the subresultant oracle ------------------------------
+
+
+def _swap_xy(f):
+    return f.substitute({"x": Y, "y": X})
+
+
+def _heuristic_gcd_pairs():
+    """Seeded bivariate pairs over Q: a planted common factor, content in one
+    variable alone (2*y + 1), coprime draws, one input dividing the other,
+    and coefficients of 60 bits and more.  Every pair also appears with x
+    and y swapped, so both recursion variables and both content variables
+    occur."""
+    rng = random.Random(1989)
+    wide = P("x*y") * (2**61 + 15) - P("y") * Fraction(3**41, 2**7) + MPoly.constant(2**67 - 1)
+    pairs = []
+    for _ in range(6):
+        a = random_poly(rng, ("x", "y"), 3, 4, nonzero=True)
+        b = random_poly(rng, ("x", "y"), 3, 4, nonzero=True)
+        h = random_poly(rng, ("x", "y"), 2, 3, nonzero=True)
+        pairs.append((h * a, h * b))
+        pairs.append((P("2*y + 1") * h * a, P("(2*y + 1)^2") * b))
+        pairs.append((a, b))
+        pairs.append((h, h * a))
+        pairs.append((wide * h * a, wide * b * (2**64 + 1)))
+    return pairs + [(_swap_xy(f), _swap_xy(g)) for f, g in pairs]
+
+
+@pytest.fixture
+def subresultant_gcd(monkeypatch):
+    """The oracle: the subresultant path in a chosen recursion variable,
+    with the heuristic switched off in its content gcds too."""
+
+    def oracle(f, g, var):
+        with monkeypatch.context() as patch:
+            patch.setattr(poly_module, "_gcd_heuristic", lambda f, g, vi: None)
+            return _gcd_subresultant(f, g, VARIABLE_INDEX[var]).monic()
+
+    return oracle
+
+
+def test_heuristic_gcd_matches_subresultant_oracle(monkeypatch, subresultant_gcd):
+    heuristic = poly_module._gcd_heuristic
+    calls = []
+
+    def recording(f, g, vi):
+        h = heuristic(f, g, vi)
+        calls.append((vi, h is not None))
+        return h
+
+    pairs = _heuristic_gcd_pairs()
+    with monkeypatch.context() as patch:
+        patch.setattr(poly_module, "_gcd_heuristic", recording)
+        fast = [poly_gcd(f, g) for f, g in pairs]
+    for (f, g), d in zip(pairs, fast):
+        assert d == subresultant_gcd(f, g, "x")
+        assert d == subresultant_gcd(f, g, "y")
+    # the heuristic answered every call itself, in both recursion variables
+    assert all(ok for _, ok in calls)
+    assert {vi for vi, _ in calls} >= {VARIABLE_INDEX["x"], VARIABLE_INDEX["y"]}
+
+
+def test_integer_trial_division():
+    f = {(2, 1): 3, (0, 0): -3}  # 3*v^2*w - 3
+    assert _int_divide(f, {(0, 0): 1}) == f
+    assert _int_divide(f, {(0, 0): 3}) == {(2, 1): 1, (0, 0): -1}
+    assert _int_divide(f, {(1, 0): 1}) is None
+    assert _int_divide(f, {(0, 0): 2}) is None
+    assert _int_divide({(2, 2): 6, (1, 1): 3}, {(1, 1): 1}) == {(1, 1): 6, (0, 0): 3}
+    assert _int_divide({(2, 0): 1, (0, 0): -1}, {(1, 0): 1, (0, 0): 1}) == {(1, 0): 1, (0, 0): -1}
+
+
+def test_heuristic_gcd_failure_falls_back(monkeypatch, subresultant_gcd):
+    pairs = _heuristic_gcd_pairs()
+    expected = [subresultant_gcd(f, g, "x") for f, g in pairs]
+    failures = []
+
+    def failing(f, g, vi):
+        failures.append(vi)
+        return None
+
+    monkeypatch.setattr(poly_module, "_gcd_heuristic", failing)
+    assert [poly_gcd(f, g) for f, g in pairs] == expected
+    assert failures
+
+
 def test_exact_divide_errors():
     with pytest.raises(DivisionByZero):
         exact_divide(X, MPoly.zero())
@@ -332,10 +420,25 @@ def test_ratfn_reduction_and_monic_denominator():
 
 
 def test_ratfn_equality_cross_multiplied():
+    def cross_equal(a, b):
+        return a.num * b.den == b.num * a.den
+
     a = RatFn(P("x^2 - y^2"), P("x - y"))
     b = RatFn(P("x + y"), MPoly.one())
-    assert a == b
-    assert RatFn(P("x"), P("y")) != RatFn(P("y"), P("x"))
+    assert a == b and cross_equal(a, b)
+    c, d = RatFn(P("x"), P("y")), RatFn(P("y"), P("x"))
+    assert c != d and not cross_equal(c, d)
+    # (num, den) comparison agrees with cross-multiplication, also for
+    # equal fractions built from different representatives
+    rng = random.Random(5)
+    for _ in range(20):
+        f = random_poly(rng, ("x", "y"), 2, 3, nonzero=True)
+        g = random_poly(rng, ("x", "y"), 2, 3, nonzero=True)
+        h = random_poly(rng, ("x", "y"), 1, 2, nonzero=True)
+        left, right = RatFn(f, g), RatFn(h * f * 3, h * g * 3)
+        assert left == right and cross_equal(left, right)
+        other = RatFn(f + MPoly.one(), g)
+        assert (left == other) == cross_equal(left, other)
 
 
 def test_ratfn_zero_denominator():

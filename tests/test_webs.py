@@ -19,6 +19,7 @@ from webflat import (
     dual_line,
     eta_criterion,
     evaluate_float,
+    exact_divide,
     gauss_map_point,
     holomorphic_along,
     homogenize,
@@ -42,6 +43,7 @@ from webflat.errors import (
 )
 from webflat.cli import parse_poly
 from webflat.singular import classification_field
+from webflat.webs import _curvature_fraction
 
 import floatkw
 from helpers import random_homogeneous, random_poly, random_poly_td
@@ -216,6 +218,24 @@ def test_scaling_covariance():
             k.num.substitute(scale) * (lam * mu), k.den.substitute(scale)
         )
         assert lhs == rhs
+
+
+def test_two_stage_reduction_matches_full_reduction():
+    """web_curvature reduces numerator / R^2 by two gcds against R.  The
+    covariance webs include factors of R with higher multiplicity in the
+    numerator than in R, where the second gcd is not 1."""
+    rng = random.Random(5150)
+    deeper = 0
+    for _ in range(10):
+        web = _random_cubic_web(rng)
+        numerator, big_r = _curvature_fraction(web)
+        coeff = web_curvature(web).coeff
+        full = RatFn(numerator, big_r * big_r)
+        assert (coeff.num, coeff.den) == (full.num, full.den)
+        reduced_once = exact_divide(numerator, poly_gcd(numerator, big_r))
+        if not poly_gcd(reduced_once, big_r).is_one():
+            deeper += 1
+    assert deeper
 
 
 # -- pole containment -------------------------------------------------------------------
