@@ -17,11 +17,14 @@ normalization, rendering) is graded lexicographic with x > y > z > p > q > t.
 Algorithms
 ----------
 * gcd: monomial content is pulled out first and the recursion variable
-  is the one appearing in the most terms.  Over the rationals in at most
-  two variables, a heuristic integer gcd (GCDHEU) confirmed by trial
-  division; otherwise, or when the heuristic gives up, the recursive
-  subresultant polynomial-remainder-sequence with content/primitive-part
-  splitting.
+  is the one appearing in the most terms.  In at most two variables, the
+  path follows the coefficients: when all are rational (under any field
+  spec), a heuristic integer gcd (GCDHEU); when some carry theta, a
+  split-prime modular gcd (Brown's evaluation and interpolation mod p,
+  Chinese remaindering and rational reconstruction).  Both are confirmed
+  by trial division.  In three variables, or when a fast path gives up,
+  the recursive subresultant polynomial-remainder-sequence with
+  content/primitive-part splitting.
 * determinant: cofactor expansion along the first row with memoization
   on the active column set (matrices here never exceed 6x6).
 * `cubic_resultant` is the fixed 5x5 determinant deciding whether a cubic
@@ -43,6 +46,7 @@ from .errors import (
     NotSquare,
     ZeroPolynomial,
 )
+from . import modular
 from .field import RATIONALS, FieldScalar, FieldSpec
 
 VARIABLES = ("x", "y", "z", "p", "q", "t")
@@ -726,11 +730,146 @@ def _gcd_heuristic(f: MPoly, g: MPoly, vi: int):
     return h
 
 
+# -- split-prime modular gcd over Q(theta) ------------------------------------
+#
+# Over a quadratic field, a gcd in at most two variables whose inputs carry
+# theta is taken modulo primes that split in Q(theta), in the style of
+# Langemyr and McCallum (J. Symb. Comp. 1989).  For such a prime p, u^2 + 4v
+# is a nonzero square mod p, so theta has two images r1 != r2 in F_p, and
+# each maps the inputs into F_p[v, w].  There the gcd comes from Brown's
+# dense evaluation in w and interpolation (JACM 1971), with univariate
+# Euclid in v, and is confirmed by trial division mod p.  Made monic at its
+# grlex leading monomial, the two images of the monic gcd h0 + h1*theta give
+# h0 and h1 mod p; the primes are combined by the Chinese remainder theorem
+# and rational reconstruction.  The result is exact:
+#
+# * a prime is used only when it divides no denominator (of the inputs, u
+#   or v) and keeps the leading monomial and the degree in v and in w of
+#   both inputs under both images.  By Gauss's lemma at each prime above p,
+#   the monic gcd then maps to a monic divisor of the image gcd with the
+#   same leading monomial.  So an image gcd whose leading monomial is
+#   grlex-larger than another prime's marks an unlucky prime, and a constant
+#   one proves that the gcd is 1;
+# * a candidate is accepted only when it divides both inputs over Q(theta).
+#   It then divides the gcd, and its leading monomial, that of an image
+#   gcd, is at least the gcd's, so it is the gcd.
+#
+# After _MODULAR_PRIMES usable primes give no accepted candidate,
+# `_gcd_raw` falls back to the subresultant remainder sequence.
+
+_MODULAR_PRIMES = 12
+
+
+def _gcd_modular(f: MPoly, g: MPoly, vi: int):
+    """gcd of two polynomials over Q(theta) in v = VARIABLES[vi] and at most
+    one other variable w, made monic; None when _MODULAR_PRIMES usable
+    primes give no certified candidate."""
+    spec = f.spec
+    others = (f.variables() | g.variables()) - {VARIABLES[vi]}
+    wi = VARIABLE_INDEX[min(others)] if others else (vi + 1) % NVARS
+
+    def lift(i, j):
+        exponent = [0] * NVARS
+        exponent[vi] = i
+        exponent[wi] = j
+        return tuple(exponent)
+
+    def key(ij):
+        return _grlex_key(lift(*ij))
+
+    denominator = 1
+    inputs = []
+    for poly in (f, g):
+        terms = [(e[vi], e[wi], c.a, c.b) for e, c in poly.terms.items()]
+        for _, _, a, b in terms:
+            denominator = math.lcm(denominator, a.denominator, b.denominator)
+        lm = poly.leading_monomial()
+        shape = (max(t[0] for t in terms), max(t[1] for t in terms), lm[vi], lm[wi])
+        inputs.append((terms, shape))
+
+    def image(terms, shape, r, p):
+        """The rows of one input under theta -> r, or None when the image
+        loses the leading monomial or a degree."""
+        dv, dw, li, lj = shape
+        rows = [[0] * (dw + 1) for _ in range(dv + 1)]
+        for i, j, a, b in terms:
+            rows[i][j] = (a + b * r) % p
+        if not (rows[li][lj] and any(rows[dv]) and any(row[dw] for row in rows)):
+            return None
+        return [modular.trim(row) for row in rows]
+
+    best = None  # leading monomial of the images kept
+    modulus, residues, candidate, tested = 1, {}, None, None
+    used = 0
+    for p, *roots in modular.split_primes(spec.u, spec.v):
+        if used == _MODULAR_PRIMES:
+            return None
+        if denominator % p == 0:
+            continue
+        used += 1
+        reduced = [
+            ([(i, j, modular.fraction_mod(a, p), modular.fraction_mod(b, p))
+              for i, j, a, b in terms], shape)
+            for terms, shape in inputs
+        ]
+        images = [[image(terms, shape, r, p) for terms, shape in reduced] for r in roots]
+        if any(rows is None for pair in images for rows in pair):
+            continue
+        gcds = []
+        for fr, gr in images:
+            rows = modular.bivariate_gcd(fr, gr, p)
+            if len(rows) == 1 and len(rows[0]) == 1:
+                return MPoly.one(spec)
+            h = {(i, j): c for i, row in enumerate(rows) for j, c in enumerate(row) if c}
+            lm = max(h, key=key)
+            inv = pow(h[lm], -1, p)
+            gcds.append((lm, {ij: c * inv % p for ij, c in h.items()}))
+        if gcds[0][0] != gcds[1][0]:
+            continue
+        lm = gcds[0][0]
+        if best is not None and key(lm) > key(best):
+            continue
+        if best is None or key(lm) < key(best):
+            best, modulus, residues, candidate = lm, 1, {}, None
+        h1, h2 = gcds[0][1], gcds[1][1]
+        inv_diff = pow(roots[0] - roots[1], -1, p)
+        inv_modulus = pow(modulus, -1, p)
+        for ij in residues.keys() | h1.keys() | h2.keys():
+            c1, c2 = h1.get(ij, 0), h2.get(ij, 0)
+            b = (c1 - c2) * inv_diff % p
+            a = (c1 - b * roots[0]) % p
+            old = residues.get(ij, (0, 0))
+            residues[ij] = tuple(
+                x + modulus * ((y - x) * inv_modulus % p) for x, y in zip(old, (a, b))
+            )
+        modulus *= p
+        previous = candidate
+        candidate = {}
+        for ij, (a, b) in residues.items():
+            a = modular.rational_reconstruction(a, modulus)
+            b = modular.rational_reconstruction(b, modulus)
+            if a is None or b is None:
+                candidate = None
+                break
+            if a or b:
+                candidate[ij] = (a, b)
+        if candidate is None or candidate != previous or candidate == tested:
+            continue
+        tested = candidate
+        h = MPoly._raw(
+            {lift(*ij): FieldScalar._fast(a, b, spec) for ij, (a, b) in candidate.items()},
+            spec,
+        )
+        if try_exact_divide(f, h) is not None and try_exact_divide(g, h) is not None:
+            return h
+    return None
+
+
 def _gcd_subresultant(f: MPoly, g: MPoly, vi: int) -> MPoly:
     """gcd of two nonzero polynomials, up to a unit, by the subresultant
     remainder sequence in variable VARIABLES[vi] after splitting off the
-    content.  Quadratic fields and three variables take this path, and it
-    is the fallback (and the test oracle) of the heuristic gcd."""
+    content.  Three variables take this path, and it is the fallback (and
+    the test oracle) of the heuristic and the modular gcd."""
     spec = f.spec
     fu = _univariate(f, vi)
     gu = _univariate(g, vi)
@@ -794,8 +933,11 @@ def _gcd_raw(f: MPoly, g: MPoly) -> MPoly:
         return sum(1 for e in f.terms if e[i]) + sum(1 for e in g.terms if e[i])
 
     vi = VARIABLE_INDEX[max(sorted(shared), key=frequency)]
-    if not spec.is_quadratic and len(f.variables() | g.variables()) <= 2:
-        h = _gcd_heuristic(f, g, vi)
+    if len(f.variables() | g.variables()) <= 2:
+        if spec.is_quadratic and any(c.b for h in (f, g) for c in h.terms.values()):
+            h = _gcd_modular(f, g, vi)
+        else:
+            h = _gcd_heuristic(f, g, vi)
         if h is not None:
             return mono * h
     return mono * _gcd_subresultant(f, g, vi)

@@ -438,7 +438,7 @@ class ProjectivePoint:
 
     def __init__(self, c0: FieldScalar, c1: FieldScalar, c2: FieldScalar):
         if c0.is_zero() and c1.is_zero() and c2.is_zero():
-            raise ValueError("projective point needs a nonzero coordinate")
+            raise DegenerateParameter("projective point needs a nonzero coordinate")
         self.coords = (c0, c1, c2)
 
     def same_point(self, other: "ProjectivePoint") -> bool:

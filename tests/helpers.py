@@ -4,8 +4,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
+
+import webflat.poly as poly_module
 from webflat import MPoly, RATIONALS, FieldScalar
-from webflat.poly import VARIABLES
+from webflat.poly import VARIABLE_INDEX, VARIABLES
 
 
 def random_scalar(rng, spec=RATIONALS, quadratic=False):
@@ -118,3 +121,13 @@ def cofactor_determinant(rows):
         term = entry * cofactor_determinant(minor)
         total = total + term if j % 2 == 0 else total - term
     return total
+
+
+def subresultant_oracle(f, g, var):
+    """gcd by the subresultant remainder sequence in a chosen recursion
+    variable, made monic, with both fast paths (heuristic and modular)
+    switched off in its content gcds too."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(poly_module, "_gcd_heuristic", lambda f, g, vi: None)
+        patch.setattr(poly_module, "_gcd_modular", lambda f, g, vi: None)
+        return poly_module._gcd_subresultant(f, g, VARIABLE_INDEX[var]).monic()

@@ -1,5 +1,6 @@
 """CLI: grammar, rendering round-trips, exit codes, JSON schema, batch."""
 
+import hashlib
 import json
 import random
 import subprocess
@@ -271,6 +272,7 @@ def test_domain_errors_exit_2():
         (["eta", "y ; 0 ; 1", "1"], "InvariantViolated"),
         (["flat", "--vf", "z ; y"], "InvariantViolated"),
         (["eta", "0 ; 1 ; x", "-1"], "DegenerateParameter"),
+        (["gauss", "--vf", "x^3 ; y^3 - z^3 ; 0", "--at", "0,0,0"], "DegenerateParameter"),
     ]
     for argv, name in cases:
         _, err, code = run_line(argv)
@@ -283,13 +285,30 @@ def test_batch_survives_invalid_operands(tmp_path, capsys):
     batch = tmp_path / "jobs.txt"
     batch.write_text(
         'flat --vf "z ; y"\neta "0 ; 1 ; x" -1\ndiscriminant --web "p^3 - p"\n'
+        'gauss --vf "x^3 ; y^3 - z^3 ; 0" --at 0,0,0\n'
     )
     code = main(["--batch", str(batch)])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out.splitlines() == ["-4"]
     assert "InvariantViolated" in captured.err
-    assert "DegenerateParameter" in captured.err
+    assert captured.err.count("DegenerateParameter") == 2
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "vf, digest",
+    [
+        ("x^3+t*y ; y^3-t", "87a527956033ad269a5052fee286e63f"),
+        ("x^3+t*x*y^2 ; y^3+x-t", "87351206235a2e038f9ae9157d71b417"),
+    ],
+)
+def test_quadratic_field_curvature_pinned(capsys, vf, digest):
+    """Two Q(theta) fields of the ROADMAP corpus; the digests are of the
+    stdout bytes recorded before the modular gcd existed."""
+    argv = ["dual-curvature", "--vf", vf, "--format", "json", "--field", "t^2=t+1"]
+    assert main(argv) == 0
+    assert hashlib.md5(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_output_determinism():

@@ -1,5 +1,6 @@
 """Polynomial kernel: arithmetic, calculus, gcd, determinants, resultants."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -20,9 +21,10 @@ from webflat import (
     quadratic_field,
     squarefree_part,
 )
+import webflat.modular as modular
 import webflat.poly as poly_module
-from webflat.cli import parse_poly
-from webflat.poly import VARIABLE_INDEX, _gcd_subresultant, _int_divide
+from webflat.cli import parse_field, parse_poly
+from webflat.poly import VARIABLE_INDEX, _int_divide
 from webflat.errors import (
     BadEmbedding,
     DivisionByZero,
@@ -31,7 +33,7 @@ from webflat.errors import (
     ZeroPolynomial,
 )
 
-from helpers import brute_force_power, cofactor_determinant, random_poly
+from helpers import brute_force_power, cofactor_determinant, random_poly, subresultant_oracle
 
 P = parse_poly
 X = MPoly.variable("x")
@@ -186,7 +188,7 @@ def test_gcd_over_quadratic_field():
 
 
 def _swap_xy(f):
-    return f.substitute({"x": Y, "y": X})
+    return f.substitute({"x": MPoly.variable("y", f.spec), "y": MPoly.variable("x", f.spec)})
 
 
 def _heuristic_gcd_pairs():
@@ -211,16 +213,9 @@ def _heuristic_gcd_pairs():
 
 
 @pytest.fixture
-def subresultant_gcd(monkeypatch):
-    """The oracle: the subresultant path in a chosen recursion variable,
-    with the heuristic switched off in its content gcds too."""
-
-    def oracle(f, g, var):
-        with monkeypatch.context() as patch:
-            patch.setattr(poly_module, "_gcd_heuristic", lambda f, g, vi: None)
-            return _gcd_subresultant(f, g, VARIABLE_INDEX[var]).monic()
-
-    return oracle
+def subresultant_gcd():
+    """The oracle: the subresultant path with both fast paths off."""
+    return subresultant_oracle
 
 
 def test_heuristic_gcd_matches_subresultant_oracle(monkeypatch, subresultant_gcd):
@@ -266,6 +261,160 @@ def test_heuristic_gcd_failure_falls_back(monkeypatch, subresultant_gcd):
     monkeypatch.setattr(poly_module, "_gcd_heuristic", failing)
     assert [poly_gcd(f, g) for f, g in pairs] == expected
     assert failures
+
+
+# -- modular gcd over Q(theta) against the subresultant oracle ----------------------
+
+
+MODULAR_FIELDS = ("t^2=t+1", "t^2=t-1", "t^2=2*t+3/4")  # the last: theta not integral
+
+
+def _modular_gcd_pairs(field):
+    """Seeded pairs over one quadratic field: planted common factors with
+    theta in their coefficients, factors in one variable alone (y + t,
+    2*y + 1), coprime draws, one input dividing the other, and pairs with
+    rational coefficients only.  Every pair also appears with x and y
+    swapped."""
+    spec = parse_field(field)
+    rng = random.Random(1971)
+    x, y = MPoly.variable("x", spec), MPoly.variable("y", spec)
+    one = MPoly.one(spec)
+    t = MPoly.constant(FieldScalar.theta(spec), spec)
+    pairs = []
+    for _ in range(2):
+        a, b, h = (
+            random_poly(rng, ("x", "y"), d, n, spec, nonzero=True, quadratic=True)
+            for d, n in ((3, 4), (3, 4), (2, 3))
+        )
+        pairs.append((h * a, h * b))
+        pairs.append(((y + t) * h * a, (y + t) * (y + t) * b))
+        pairs.append((((2 * y + one) * a, (2 * y + one) * (x - t) * b)))
+        pairs.append((a, b))
+        pairs.append((h, h * a))
+        q, r, k = (
+            random_poly(rng, ("x", "y"), d, n, spec, nonzero=True)
+            for d, n in ((3, 4), (3, 4), (2, 3))
+        )
+        pairs.append((k * q, k * r))
+    # x in most terms, so y + t is content over the second variable, next
+    # to a common factor of positive degree in x
+    cubic, common = x * x * x, (y + t) * (x - t * y + one)
+    pairs.append(
+        (common * (cubic + x * x * y + x + one), common * (y + t) * (cubic - t * x + 2 * one))
+    )
+    return pairs + [(_swap_xy(f), _swap_xy(g)) for f, g in pairs]
+
+
+def _recording(monkeypatch, name, calls):
+    inner = getattr(poly_module, name)
+
+    def recording(f, g, vi):
+        h = inner(f, g, vi)
+        calls.append((name, vi, h is not None))
+        return h
+
+    monkeypatch.setattr(poly_module, name, recording)
+
+
+@pytest.mark.parametrize("field", MODULAR_FIELDS)
+def test_modular_gcd_matches_subresultant_oracle(monkeypatch, subresultant_gcd, field):
+    pairs = _modular_gcd_pairs(field)
+    calls = []
+    with monkeypatch.context() as patch:
+        _recording(patch, "_gcd_modular", calls)
+        _recording(patch, "_gcd_heuristic", calls)
+        fast = [poly_gcd(f, g) for f, g in pairs]
+    # the swapped copies run the oracle in the other recursion variable
+    assert fast == [subresultant_gcd(f, g, "x") for f, g in pairs]
+    # the modular path answered every call itself, in both recursion
+    # variables, and the rational pairs went to the heuristic
+    assert all(ok for _, _, ok in calls)
+    answered = {vi for name, vi, _ in calls if name == "_gcd_modular"}
+    assert answered >= {VARIABLE_INDEX["x"], VARIABLE_INDEX["y"]}
+    assert any(name == "_gcd_heuristic" for name, _, _ in calls)
+
+
+def test_modular_gcd_failure_falls_back(monkeypatch, subresultant_gcd):
+    pairs = _modular_gcd_pairs("t^2=t+1")[:6]
+    expected = [subresultant_gcd(f, g, "x") for f, g in pairs]
+    failures = []
+
+    def failing(f, g, vi):
+        failures.append(vi)
+        return None
+
+    monkeypatch.setattr(poly_module, "_gcd_modular", failing)
+    assert [poly_gcd(f, g) for f, g in pairs] == expected
+    assert failures
+
+
+def test_modular_gcd_skips_unlucky_prime(monkeypatch, subresultant_gcd):
+    spec = parse_field("t^2=t+1")
+    (p, r, _), (p2, _, _) = itertools.islice(modular.split_primes(spec.u, spec.v), 2)
+    h = parse_poly("x^2*y - t*y + 3", spec)
+    cases = [
+        # leading coefficients that vanish mod p under both images of
+        # theta, and under one image only: p is skipped
+        (h * parse_poly("%d*x^3 + t*y + 1" % p, spec), h * parse_poly("x*y - 2*t", spec), p),
+        (h * parse_poly("(t - %d)*x^3 + t*y + 1" % r, spec), h * parse_poly("x*y - 2*t", spec), p),
+        # coprime cofactors that agree mod p2: the image gcd there has a
+        # larger leading monomial than at p, and p2 must be dropped
+        (h * parse_poly("x + y + %d" % p2, spec), h * parse_poly("x + y", spec), None),
+    ]
+    for f, g, skipped in cases:
+        primes = []
+        inner = modular.bivariate_gcd
+
+        def recording(a, b, q):
+            primes.append(q)
+            return inner(a, b, q)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(modular, "bivariate_gcd", recording)
+            calls = []
+            _recording(patch, "_gcd_modular", calls)
+            d = poly_gcd(f, g)
+        assert calls and all(ok for _, _, ok in calls)
+        assert primes and skipped not in primes
+        assert d == h.monic() == subresultant_gcd(f, g, "x")
+
+
+def test_modular_arithmetic_helpers():
+    p = 1000003
+    assert modular.divide([6, 5, 1], [2, 1], p) == ([3, 1], [])
+    assert modular.gcd([p - 1, 0, 1], [1, 1], p) == [1, 1]
+    assert modular.gcd([], [], p) == []
+    for a in (4, 2, p - 1, 12345):
+        if pow(a, (p - 1) // 2, p) == 1:
+            root = modular.sqrt_mod(a, p)
+            assert root * root % p == a
+    m = p * 1000033
+    x = Fraction(-355, 113)
+    residue = x.numerator * pow(x.denominator, -1, m) % m
+    assert modular.rational_reconstruction(residue, m) == x
+    assert all(modular.is_prime(q) for q in (2, 3, 1000003, 2**61 - 1))
+    assert not any(modular.is_prime(q) for q in (1, 561, 2**62 - 1, 1000003 * 1000033))
+
+
+def test_modular_bivariate_gcd_skips_unlucky_points():
+    """v + (w - 1)...(w - 12) and v*(v + w) are coprime, but every
+    evaluation point w = 1..12 gives the common factor v; the degree bound
+    alone would stop after one point, so the candidate v must be refused
+    by trial division mod p."""
+    p = 1000003
+    lowest = [1]
+    for k in range(1, 13):
+        lowest = modular.multiply(lowest, [p - k, 1], p)
+    a = [lowest, [1]]  # rows: coefficients of v^0, v^1 as polynomials in w
+    b = [[], [0, 1], [1]]
+    assert modular.bivariate_gcd(a, b, p) == [[1]]
+    c = [[p - 1, 1], [1]]  # v + w - 1
+    h = modular.bivariate_gcd(
+        [modular.multiply(row, [3, 1], p) for row in a], [[0, 3, 1], [3, 1]], p
+    )
+    assert h == [[3, 1]]  # the factor w + 3 in w alone
+    assert modular.divides(c, [[p - 1, 1], [p - 1, 1], [1]], p) is False
+    assert modular.divides(c, [[0, p - 1, 1], [p - 1, 2], [1]], p)
 
 
 def test_exact_divide_errors():
