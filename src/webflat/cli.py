@@ -20,9 +20,9 @@ from __future__ import annotations
 import json
 import shlex
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .errors import (
     DomainError,
@@ -38,7 +38,6 @@ from .singular import classify_singularity, verify_classification
 from .webs import (
     AffineVectorField,
     CubicWebEquation,
-    CurvatureForm,
     EtaWebSpec,
     HomogeneousVectorField,
     ProjectivePoint,
@@ -53,21 +52,6 @@ from .webs import (
     web_curvature,
     web_discriminant,
 )
-
-VERBS = (
-    "legendre",
-    "curvature",
-    "dual-curvature",
-    "flat",
-    "inflection",
-    "discriminant",
-    "tangent-cone",
-    "sing",
-    "eta",
-    "classify",
-    "gauss",
-)
-
 
 # -- lexer / parser -----------------------------------------------------------
 
@@ -273,9 +257,10 @@ def parse_components(text: str, spec: FieldSpec | None, counts) -> list:
 
 @dataclass
 class Command:
+    """A parsed command line: the payload holds the verb's run arguments."""
+
     verb: str
-    payload: dict = dataclass_field(default_factory=dict)
-    field: FieldSpec | None = None
+    payload: tuple = ()
     field_text: str | None = None
     format: str = "text"
 
@@ -303,6 +288,197 @@ def _split_flags(argv):
     return flags, positionals
 
 
+class _Operands:
+    """The flags and positional operands of one command line, parsed on
+    demand over its field."""
+
+    def __init__(self, verb, flags, positionals, spec):
+        self.verb = verb
+        self.flags = flags
+        self.positionals = positionals
+        self.spec = spec
+
+    def need(self, flag):
+        if flag not in self.flags:
+            raise UsageError("verb %s needs %s" % (self.verb, flag))
+        return self.flags[flag]
+
+    def affine(self) -> AffineVectorField:
+        return AffineVectorField(*parse_components(self.need("--vf"), self.spec, (2,)))
+
+    def homogeneous(self) -> HomogeneousVectorField:
+        return HomogeneousVectorField(*parse_components(self.need("--vf"), self.spec, (3,)))
+
+    def web(self, text) -> CubicWebEquation:
+        return CubicWebEquation.from_polynomial(parse_poly(text, self.spec), "p", ("x", "y"))
+
+    def point(self, arity):
+        return parse_point(self.need("--at"), self.spec, arity)
+
+
+def _build_curvature(ops):
+    along = ops.flags.get("--along")
+    return ops.web(ops.need("--web")), None if along is None else parse_poly(along, ops.spec)
+
+
+def _build_discriminant(ops):
+    return (ops.web(ops.flags["--web"]) if "--web" in ops.flags else ops.affine(),)
+
+
+def _build_eta(ops):
+    if len(ops.positionals) != 2:
+        raise UsageError('usage: webflat eta "h1 ; h2 ; h3" <a>')
+    h1, h2, h3 = parse_components(ops.positionals[0], ops.spec, (3,))
+    try:
+        order = int(ops.positionals[1])
+    except ValueError:
+        raise UsageError("eta order must be an integer") from None
+    return h1, h2, h3, order
+
+
+def _build_classify(ops):
+    if len(ops.positionals) != 1:
+        raise UsageError("usage: webflat classify <nu>")
+    return (parse_scalar(ops.positionals[0], ops.spec),)
+
+
+# -- running ------------------------------------------------------------------
+#
+# The run functions look the library functions up in this module when they
+# are called, so a wrapper installed on a name here (a tracer, a test
+# double) sees every call.
+
+
+def _run_legendre(vf):
+    web = legendre_transform(vf)
+    return {
+        "slope": web.slope_var,
+        "chart": "".join(web.base_vars),
+        "a0": render_poly(web.a0),
+        "a1": render_poly(web.a1),
+        "a2": render_poly(web.a2),
+        "a3": render_poly(web.a3),
+    }
+
+
+def _run_curvature(web, along):
+    form = web_curvature(web)
+    return form if along is None else holomorphic_along(form, along)
+
+
+def _run_discriminant(source):
+    if not isinstance(source, CubicWebEquation):
+        source = legendre_transform(source)
+    return web_discriminant(source)
+
+
+def _run_eta(h1, h2, h3, order):
+    return eta_criterion(EtaWebSpec(h1, h2, h3, order))
+
+
+def _run_sing(vf, at):
+    report = classify_singularity(vf, at)
+    return {
+        "point": "(%s, %s)" % tuple(map(str, report.point)),
+        "nu": report.nu,
+        "tau": "infinity" if report.tau == float("inf") else int(report.tau),
+        "radial": report.radial,
+        "special": report.special,
+    }
+
+
+def _run_gauss(hvf, at):
+    return [str(c) for c in gauss_map_point(hvf, ProjectivePoint(*at)).coords]
+
+
+# -- rendering ----------------------------------------------------------------
+
+
+def _render(cmd: Command, kind: str, data: dict, text: str) -> str:
+    if cmd.format == "json":
+        result = {"kind": kind, **data}
+        return json.dumps({"command": cmd.verb, "field": cmd.field_text, "result": result})
+    return text
+
+
+def _bool_text(value: bool) -> str:
+    return "true" if value else "false"
+
+
+def _lines(data: dict) -> str:
+    return "\n".join(
+        "%s: %s" % (key, _bool_text(value) if isinstance(value, bool) else value)
+        for key, value in data.items()
+    )
+
+
+def _render_report(cmd, data):
+    return _render(cmd, "report", data, _lines(data))
+
+
+def _render_point(cmd, coords):
+    return _render(cmd, "report", {"point": coords}, "(%s : %s : %s)" % tuple(coords))
+
+
+def _render_bool(label):
+    def render(cmd, value):
+        return _render(cmd, "bool", {"value": value}, "%s: %s" % (label, _bool_text(value)))
+
+    return render
+
+
+def _render_poly(cmd, poly):
+    text = render_poly(poly)
+    return _render(cmd, "poly", {"text": text}, text)
+
+
+def _render_ratfn(cmd, form):
+    data = {
+        "numerator": render_poly(form.coeff.num),
+        "denominator": render_poly(form.coeff.den),
+        "chart": "".join(form.chart),
+    }
+    return _render(cmd, "ratfn", data, _lines(data))
+
+
+_render_holomorphic = _render_bool("holomorphic")
+
+
+def _render_curvature(cmd, result):
+    if isinstance(result, bool):  # --along
+        return _render_holomorphic(cmd, result)
+    return _render_ratfn(cmd, result)
+
+
+class _Verb(NamedTuple):
+    build: Callable  # _Operands -> the run function's arguments
+    run: Callable
+    render: Callable  # (Command, result) -> stdout text
+    positional: bool = False  # takes positional operands
+
+
+# in the order the usage message lists them
+VERBS = {
+    "legendre": _Verb(lambda ops: (ops.affine(),), _run_legendre, _render_report),
+    "curvature": _Verb(_build_curvature, _run_curvature, _render_curvature),
+    "dual-curvature": _Verb(
+        lambda ops: (ops.affine(),), lambda vf: dual_curvature(vf), _render_ratfn
+    ),
+    "flat": _Verb(lambda ops: (ops.affine(),), lambda vf: is_flat(vf), _render_bool("flat")),
+    "inflection": _Verb(
+        lambda ops: (ops.homogeneous(),), lambda hvf: inflection_divisor(hvf), _render_poly
+    ),
+    "discriminant": _Verb(_build_discriminant, _run_discriminant, _render_poly),
+    "tangent-cone": _Verb(lambda ops: (ops.affine(),), lambda vf: tangent_cone(vf), _render_poly),
+    "sing": _Verb(lambda ops: (ops.affine(), ops.point(2)), _run_sing, _render_report),
+    "eta": _Verb(_build_eta, _run_eta, _render_bool("eta"), positional=True),
+    "classify": _Verb(
+        _build_classify, lambda nu: verify_classification(nu), _render_bool("flat"), positional=True
+    ),
+    "gauss": _Verb(lambda ops: (ops.homogeneous(), ops.point(3)), _run_gauss, _render_point),
+}
+
+
 def build_command(argv) -> Command:
     argv = list(argv)
     if not argv:
@@ -315,7 +491,6 @@ def build_command(argv) -> Command:
         raise UsageError(
             "unknown verb %r (expected one of %s)" % (verb, ", ".join(VERBS))
         )
-    operands = positionals[1:]
     spec = None
     field_text = flags.get("--field")
     if field_text is not None:
@@ -323,185 +498,16 @@ def build_command(argv) -> Command:
     fmt = flags.get("--format", "text")
     if fmt not in ("text", "json"):
         raise UsageError("--format must be text or json")
-    cmd = Command(verb=verb, field=spec, field_text=field_text, format=fmt)
-    payload = cmd.payload
-
-    def need(flag):
-        if flag not in flags:
-            raise UsageError("verb %s needs %s" % (verb, flag))
-        return flags[flag]
-
-    if verb in ("legendre", "dual-curvature", "flat", "tangent-cone"):
-        a, b = parse_components(need("--vf"), spec, (2,))
-        payload["vf"] = AffineVectorField(a, b)
-    elif verb == "curvature":
-        payload["web"] = CubicWebEquation.from_polynomial(
-            parse_poly(need("--web"), spec), "p", ("x", "y")
-        )
-        if "--along" in flags:
-            payload["along"] = parse_poly(flags["--along"], spec)
-    elif verb == "inflection":
-        a, b, c = parse_components(need("--vf"), spec, (3,))
-        payload["hvf"] = HomogeneousVectorField(a, b, c)
-    elif verb == "discriminant":
-        if "--web" in flags:
-            payload["web"] = CubicWebEquation.from_polynomial(
-                parse_poly(flags["--web"], spec), "p", ("x", "y")
-            )
-        else:
-            a, b = parse_components(need("--vf"), spec, (2,))
-            payload["vf"] = AffineVectorField(a, b)
-    elif verb == "sing":
-        a, b = parse_components(need("--vf"), spec, (2,))
-        payload["vf"] = AffineVectorField(a, b)
-        payload["at"] = parse_point(need("--at"), spec, 2)
-    elif verb == "eta":
-        if len(operands) != 2:
-            raise UsageError('usage: webflat eta "h1 ; h2 ; h3" <a>')
-        h1, h2, h3 = parse_components(operands[0], spec, (3,))
-        try:
-            order = int(operands[1])
-        except ValueError:
-            raise UsageError("eta order must be an integer") from None
-        payload["eta"] = (h1, h2, h3, order)
-    elif verb == "classify":
-        if len(operands) != 1:
-            raise UsageError("usage: webflat classify <nu>")
-        payload["nu"] = parse_scalar(operands[0], spec)
-    elif verb == "gauss":
-        a, b, c = parse_components(need("--vf"), spec, (3,))
-        payload["hvf"] = HomogeneousVectorField(a, b, c)
-        payload["at"] = parse_point(need("--at"), spec, 3)
-    if verb != "eta" and verb != "classify" and operands:
+    entry = VERBS[verb]
+    payload = entry.build(_Operands(verb, flags, positionals[1:], spec))
+    if positionals[1:] and not entry.positional:
         raise UsageError("verb %s takes no positional operands" % verb)
-    return cmd
-
-
-# -- rendering ----------------------------------------------------------------
-
-
-def _chart_name(chart) -> str:
-    return "".join(chart)
-
-
-def _bool_text(value: bool) -> str:
-    return "true" if value else "false"
-
-
-def _tau_json(value):
-    return "infinity" if value == float("inf") else int(value)
-
-
-def _scalar_text(value: FieldScalar) -> str:
-    return str(value)
-
-
-def _render_result(cmd: Command, kind: str, payload: dict):
-    if cmd.format == "json":
-        result = {"kind": kind}
-        result.update(payload)
-        return json.dumps(
-            {"command": cmd.verb, "field": cmd.field_text, "result": result}
-        )
-    lines = []
-    for key, value in payload.items():
-        lines.append("%s: %s" % (key, value))
-    return "\n".join(lines)
+    return Command(verb=verb, payload=payload, field_text=field_text, format=fmt)
 
 
 def execute(cmd: Command) -> str:
-    verb = cmd.verb
-    payload = cmd.payload
-    if verb == "legendre":
-        web = legendre_transform(payload["vf"])
-        return _render_result(
-            cmd,
-            "report",
-            {
-                "slope": web.slope_var,
-                "chart": _chart_name(web.base_vars),
-                "a0": render_poly(web.a0),
-                "a1": render_poly(web.a1),
-                "a2": render_poly(web.a2),
-                "a3": render_poly(web.a3),
-            },
-        )
-    if verb == "curvature":
-        form = web_curvature(payload["web"])
-        if "along" in payload:
-            ok = holomorphic_along(form, payload["along"])
-            if cmd.format == "json":
-                return _render_result(cmd, "bool", {"value": ok})
-            return "holomorphic: %s" % _bool_text(ok)
-        return _render_curvature(cmd, form)
-    if verb == "dual-curvature":
-        return _render_curvature(cmd, dual_curvature(payload["vf"]))
-    if verb == "flat":
-        flat = is_flat(payload["vf"])
-        if cmd.format == "json":
-            return _render_result(cmd, "bool", {"value": flat})
-        return "flat: %s" % _bool_text(flat)
-    if verb == "inflection":
-        poly = inflection_divisor(payload["hvf"])
-        return _render_poly_result(cmd, poly)
-    if verb == "discriminant":
-        web = payload.get("web")
-        if web is None:
-            web = legendre_transform(payload["vf"])
-        return _render_poly_result(cmd, web_discriminant(web))
-    if verb == "tangent-cone":
-        return _render_poly_result(cmd, tangent_cone(payload["vf"]))
-    if verb == "sing":
-        report = classify_singularity(payload["vf"], payload["at"])
-        data = {
-            "point": "(%s, %s)" % tuple(map(_scalar_text, report.point)),
-            "nu": report.nu,
-            "tau": _tau_json(report.tau),
-            "radial": report.radial,
-            "special": report.special,
-        }
-        if cmd.format == "json":
-            return _render_result(cmd, "report", data)
-        data["radial"] = _bool_text(report.radial)
-        data["special"] = _bool_text(report.special)
-        return _render_result(cmd, "report", data)
-    if verb == "eta":
-        h1, h2, h3, order = payload["eta"]
-        ok = eta_criterion(EtaWebSpec(h1, h2, h3, order))
-        if cmd.format == "json":
-            return _render_result(cmd, "bool", {"value": ok})
-        return "eta: %s" % _bool_text(ok)
-    if verb == "classify":
-        flat = verify_classification(payload["nu"])
-        if cmd.format == "json":
-            return _render_result(cmd, "bool", {"value": flat})
-        return "flat: %s" % _bool_text(flat)
-    if verb == "gauss":
-        point = ProjectivePoint(*payload["at"])
-        image = gauss_map_point(payload["hvf"], point)
-        coords = [_scalar_text(c) for c in image.coords]
-        if cmd.format == "json":
-            return _render_result(cmd, "report", {"point": coords})
-        return "(%s : %s : %s)" % tuple(coords)
-    raise UsageError("unknown verb %r" % verb)
-
-
-def _render_curvature(cmd: Command, form: CurvatureForm) -> str:
-    return _render_result(
-        cmd,
-        "ratfn",
-        {
-            "numerator": render_poly(form.coeff.num),
-            "denominator": render_poly(form.coeff.den),
-            "chart": _chart_name(form.chart),
-        },
-    )
-
-
-def _render_poly_result(cmd: Command, poly: MPoly) -> str:
-    if cmd.format == "json":
-        return _render_result(cmd, "poly", {"text": render_poly(poly)})
-    return render_poly(poly)
+    entry = VERBS[cmd.verb]
+    return entry.render(cmd, entry.run(*cmd.payload))
 
 
 # -- entry points --------------------------------------------------------------
@@ -524,20 +530,17 @@ def run_line(argv):
 
 
 def run_batch(path: str):
-    """Run each nonblank line of the file in parallel, print in order."""
+    """Run each nonblank, non-comment line of the file in order."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = [line.strip() for line in handle]
     except OSError as err:
         return "", "error: UsageError: cannot read batch file: %s" % err, 1
     jobs = [shlex.split(line) for line in lines if line and not line.startswith("#")]
-    if not jobs:
-        return "", "", 0
-    with ThreadPoolExecutor(max_workers=min(8, len(jobs))) as pool:
-        results = list(pool.map(run_line, jobs))
+    results = [run_line(argv) for argv in jobs]
     out = "\n".join(text for text, _, _ in results if text)
     err = "\n".join(text for _, text, _ in results if text)
-    code = max(code for _, _, code in results)
+    code = max((code for _, _, code in results), default=0)
     return out, err, code
 
 

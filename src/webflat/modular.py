@@ -45,8 +45,7 @@ def is_prime(n: int) -> bool:
 @functools.cache
 def nth_prime(k: int) -> int:
     """The k-th prime below 2**62, largest first (k = 0, 1, ...).  Cached,
-    as every gcd starts from the same primes; a value is the same whichever
-    thread computes it first."""
+    as every gcd starts from the same primes."""
     n = (2**62 + 1 if k == 0 else nth_prime(k - 1)) - 2
     while not is_prime(n):
         n -= 2

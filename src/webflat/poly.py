@@ -481,15 +481,6 @@ def _shift_down(f: MPoly, shift) -> MPoly:
     )
 
 
-def _univariate(f: MPoly, var_index: int) -> dict:
-    split = {}
-    for exponent, coeff in f.terms.items():
-        e = exponent[var_index]
-        stripped = exponent[:var_index] + (0,) + exponent[var_index + 1 :]
-        split.setdefault(e, {})[stripped] = coeff
-    return {e: MPoly._raw(terms, f.spec) for e, terms in split.items()}
-
-
 def _from_univariate(coeffs: dict, var_index: int, spec: FieldSpec) -> MPoly:
     out = {}
     for e, poly in coeffs.items():
@@ -499,10 +490,6 @@ def _from_univariate(coeffs: dict, var_index: int, spec: FieldSpec) -> MPoly:
             )
             out[lifted] = coeff
     return MPoly._raw(out, spec)
-
-
-def _uni_scale(coeffs: dict, factor: MPoly) -> dict:
-    return {e: c * factor for e, c in coeffs.items()}
 
 
 def _uni_exact_divide(coeffs: dict, divisor: MPoly) -> dict:
@@ -708,12 +695,10 @@ def _content_in_w(f: dict):
     return acc
 
 
-def _gcd_heuristic(f: MPoly, g: MPoly, vi: int):
+def _gcd_heuristic(f: MPoly, g: MPoly, vi: int, wi: int):
     """gcd of two rational polynomials in v = VARIABLES[vi] and at most one
-    other variable w, up to a unit; None when the heuristic runs out of
-    evaluation points."""
-    others = (f.variables() | g.variables()) - {VARIABLES[vi]}
-    wi = VARIABLE_INDEX[min(others)] if others else (vi + 1) % NVARS
+    other variable w = VARIABLES[wi], up to a unit; None when the heuristic
+    runs out of evaluation points."""
     fi = _to_int(f, vi, wi)
     gi = _to_int(g, vi, wi)
     content_f = _content_in_w(fi)
@@ -760,13 +745,11 @@ def _gcd_heuristic(f: MPoly, g: MPoly, vi: int):
 _MODULAR_PRIMES = 12
 
 
-def _gcd_modular(f: MPoly, g: MPoly, vi: int):
+def _gcd_modular(f: MPoly, g: MPoly, vi: int, wi: int):
     """gcd of two polynomials over Q(theta) in v = VARIABLES[vi] and at most
-    one other variable w, made monic; None when _MODULAR_PRIMES usable
-    primes give no certified candidate."""
+    one other variable w = VARIABLES[wi], made monic; None when
+    _MODULAR_PRIMES usable primes give no certified candidate."""
     spec = f.spec
-    others = (f.variables() | g.variables()) - {VARIABLES[vi]}
-    wi = VARIABLE_INDEX[min(others)] if others else (vi + 1) % NVARS
 
     def lift(i, j):
         exponent = [0] * NVARS
@@ -871,8 +854,8 @@ def _gcd_subresultant(f: MPoly, g: MPoly, vi: int) -> MPoly:
     content.  Three variables take this path, and it is the fallback (and
     the test oracle) of the heuristic and the modular gcd."""
     spec = f.spec
-    fu = _univariate(f, vi)
-    gu = _univariate(g, vi)
+    fu = f.coefficients_in(VARIABLES[vi])
+    gu = g.coefficients_in(VARIABLES[vi])
     content_f = _content(fu)
     content_g = _content(gu)
     fu = _uni_exact_divide(fu, content_f)
@@ -933,11 +916,15 @@ def _gcd_raw(f: MPoly, g: MPoly) -> MPoly:
         return sum(1 for e in f.terms if e[i]) + sum(1 for e in g.terms if e[i])
 
     vi = VARIABLE_INDEX[max(sorted(shared), key=frequency)]
-    if len(f.variables() | g.variables()) <= 2:
+    names = f.variables() | g.variables()
+    if len(names) <= 2:
+        # w is the other variable, or any index but vi when there is none
+        others = names - {VARIABLES[vi]}
+        wi = VARIABLE_INDEX[min(others)] if others else (vi + 1) % NVARS
         if spec.is_quadratic and any(c.b for h in (f, g) for c in h.terms.values()):
-            h = _gcd_modular(f, g, vi)
+            h = _gcd_modular(f, g, vi, wi)
         else:
-            h = _gcd_heuristic(f, g, vi)
+            h = _gcd_heuristic(f, g, vi, wi)
         if h is not None:
             return mono * h
     return mono * _gcd_subresultant(f, g, vi)

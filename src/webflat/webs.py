@@ -12,10 +12,10 @@ The central objects:
 `web_curvature` is the determinant algorithm: eliminate the slope with
 the fixed 5x5 resultant R, build two auxiliary 5x5 determinants from the
 coefficient derivatives, and read the curvature off as a single fraction
-over R^2.  `dual_curvature` routes a vector field through the slope
-substitution y -> p*x + q and a simultaneous chart swap before running
-the same algorithm, landing in dual coordinates (p, q) where p is the
-line slope and q the intercept.
+over R^2.  `dual_curvature` runs the same algorithm on the Legendre web
+of a vector field (`legendre_transform`, the substitution y -> p*x + q),
+with the slope read as dq/dp = -x, in the dual coordinates (p, q) where
+p is the line slope and q the intercept.
 """
 
 from __future__ import annotations
@@ -342,37 +342,18 @@ def _curvature_fraction(web: CubicWebEquation):
 def dual_curvature(vf: AffineVectorField) -> CurvatureForm:
     """Curvature of the dual web, in the dual chart (p, q).
 
-    Pipeline: form B - p*A, substitute y -> p*x + q, then apply the
-    simultaneous chart swap {p -> x, q -> y, x -> -p} (the sign encodes
-    x = -dq/dp on the dual side), run the curvature algorithm in the
-    (x, y) chart, and rename the result back to (p, q).
+    The dual web is the Legendre web, a cubic in x over the chart (p, q)
+    whose slope is dq/dp = -x.  With x = -s it is, up to sign, the slope
+    cubic a0*s^3 - a1*s^2 + a2*s - a3, and its curvature is
+    `web_curvature` of that cubic.
     """
-    spec = vf.spec
-    x = MPoly.variable("x", spec)
-    y = MPoly.variable("y", spec)
-    p = MPoly.variable("p", spec)
-    q = MPoly.variable("q", spec)
-    implicit = vf.b - p * vf.a
-    implicit = implicit.substitute({"y": p * x + q})
-    implicit = implicit.substitute({"p": x, "q": y, "x": -p})
-    degree = implicit.degree_in("p")
-    if degree > 3:
-        raise DegreeExceeded("dual equation has slope degree %d > 3" % degree)
-    if degree < 3:
-        raise DegreeTooLow("dual equation has slope degree %d < 3" % degree)
-    web = CubicWebEquation.from_polynomial(implicit, "p", ("x", "y"))
-    form = web_curvature(web)
-    coeff = form.coeff
-    renamed = object.__new__(RatFn)
-    renamed.num = coeff.num.substitute({"x": p, "y": q})
-    renamed.den = coeff.den.substitute({"x": p, "y": q})
-    # renaming preserves reducedness but can move the leading monomial
-    lc = renamed.den.leading_coefficient()
-    if not lc.is_one():
-        inv = lc.inverse()
-        renamed.num = renamed.num * inv
-        renamed.den = renamed.den * inv
-    return CurvatureForm(renamed, ("p", "q"))
+    legendre = legendre_transform(vf)
+    a0, a1, a2, a3 = legendre.a0, legendre.a1, legendre.a2, legendre.a3
+    web = CubicWebEquation("x", legendre.base_vars, a0, -a1, a2, -a3)
+    # the flip turns the resultant matrix M into D_r*M*D_c, with diagonal
+    # sign matrices of determinant +1, so R is exactly the Legendre web's
+    web._discriminant = legendre.discriminant()
+    return web_curvature(web)
 
 
 def is_flat(vf: AffineVectorField) -> bool:

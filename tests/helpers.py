@@ -128,6 +128,6 @@ def subresultant_oracle(f, g, var):
     variable, made monic, with both fast paths (heuristic and modular)
     switched off in its content gcds too."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(poly_module, "_gcd_heuristic", lambda f, g, vi: None)
-        patch.setattr(poly_module, "_gcd_modular", lambda f, g, vi: None)
+        patch.setattr(poly_module, "_gcd_heuristic", lambda f, g, vi, wi: None)
+        patch.setattr(poly_module, "_gcd_modular", lambda f, g, vi, wi: None)
         return poly_module._gcd_subresultant(f, g, VARIABLE_INDEX[var]).monic()

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -236,6 +237,81 @@ def test_theta_point_coordinates():
     assert "nu: 2" in out
 
 
+# One valid line per verb, with the stdout bytes of its text and its JSON form.
+VERB_GOLDEN = [
+    (
+        ["legendre", "--vf", "x^3 ; y^3-1"],
+        "slope: x\nchart: pq\na0: p^3 - p\na1: 3*p^2*q\na2: 3*p*q^2\na3: q^3 - 1\n",
+        '{"command": "legendre", "field": null, "result": {"kind": "report", "slope": "x", '
+        '"chart": "pq", "a0": "p^3 - p", "a1": "3*p^2*q", "a2": "3*p*q^2", "a3": "q^3 - 1"}}\n',
+    ),
+    (
+        ["curvature", "--web", "p^3 - p", "--along", "x + y"],
+        "holomorphic: true\n",
+        '{"command": "curvature", "field": null, "result": {"kind": "bool", "value": true}}\n',
+    ),
+    (
+        ["dual-curvature", "--vf", "y^3 ; x"],
+        "numerator: -40/243*p*q\ndenominator: p^4*q^4 - 8/27*p^2*q^2 + 16/729\nchart: pq\n",
+        '{"command": "dual-curvature", "field": null, "result": {"kind": "ratfn", '
+        '"numerator": "-40/243*p*q", "denominator": "p^4*q^4 - 8/27*p^2*q^2 + 16/729", '
+        '"chart": "pq"}}\n',
+    ),
+    (
+        ["flat", "--vf", "x^3 ; y^3-1"],
+        "flat: false\n",
+        '{"command": "flat", "field": null, "result": {"kind": "bool", "value": false}}\n',
+    ),
+    (
+        ["inflection", "--vf", "x^3 ; y^3 - z^3 ; 0"],
+        "-3*x^5*y^3*z + 3*x^5*z^4 + 3*x^3*y^5*z - 3*x^3*y^2*z^4\n",
+        '{"command": "inflection", "field": null, "result": {"kind": "poly", '
+        '"text": "-3*x^5*y^3*z + 3*x^5*z^4 + 3*x^3*y^5*z - 3*x^3*y^2*z^4"}}\n',
+    ),
+    (
+        ["discriminant", "--web", "p^3 - x*p + t*y", "--field", "t^2=t+1"],
+        "-4*x^3 + (27 + 27*t)*y^2\n",
+        '{"command": "discriminant", "field": "t^2=t+1", "result": {"kind": "poly", '
+        '"text": "-4*x^3 + (27 + 27*t)*y^2"}}\n',
+    ),
+    (
+        ["tangent-cone", "--vf", "y ; x"],
+        "-x^2 + y^2\n",
+        '{"command": "tangent-cone", "field": null, "result": {"kind": "poly", '
+        '"text": "-x^2 + y^2"}}\n',
+    ),
+    (
+        ["sing", "--vf", "x^3*x ; x^3*y", "--at", "0,0"],
+        "point: (0, 0)\nnu: 1\ntau: infinity\nradial: true\nspecial: true\n",
+        '{"command": "sing", "field": null, "result": {"kind": "report", "point": "(0, 0)", '
+        '"nu": 1, "tau": "infinity", "radial": true, "special": true}}\n',
+    ),
+    (
+        ["eta", "0 ; 1 ; x", "1"],
+        "eta: false\n",
+        '{"command": "eta", "field": null, "result": {"kind": "bool", "value": false}}\n',
+    ),
+    (
+        ["classify", "t", "--field", "t^2=t-1"],
+        "flat: true\n",
+        '{"command": "classify", "field": "t^2=t-1", "result": {"kind": "bool", "value": true}}\n',
+    ),
+    (
+        ["gauss", "--vf", "x^3 ; y^3 - t*z^3 ; 0", "--at", "1,2,1", "--field", "t^2=t+1"],
+        "(8 - t : -1 : -6 + t)\n",
+        '{"command": "gauss", "field": "t^2=t+1", "result": {"kind": "report", '
+        '"point": ["8 - t", "-1", "-6 + t"]}}\n',
+    ),
+]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv, text, json_text", VERB_GOLDEN, ids=[c[0][0] for c in VERB_GOLDEN])
+def test_every_verb_output_pinned(capsys, argv, text, json_text, fmt):
+    assert main(argv + ["--format", fmt]) == 0
+    assert capsys.readouterr().out == (text if fmt == "text" else json_text)
+
+
 # -- exit code taxonomy -----------------------------------------------------------
 
 
@@ -296,17 +372,25 @@ def test_batch_survives_invalid_operands(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+PINNED_CURVATURE = [
+    # (vf, --field or None, md5 of stdout)
+    ("x^3+t*y ; y^3-t", "t^2=t+1", "87a527956033ad269a5052fee286e63f"),
+    ("x^3+t*x*y^2 ; y^3+x-t", "t^2=t+1", "87351206235a2e038f9ae9157d71b417"),
+    ("x^3+x*y^2+y ; x*y^2+y^3+x-3", None, "f507fb71fd9935e9c802cc91de683417"),
+    ("x^3+2*x*y^2 ; y^3-3", None, "bf55b545b0a35670a9108f695385e9f8"),
+]
+
+
 @pytest.mark.parametrize(
-    "vf, digest",
-    [
-        ("x^3+t*y ; y^3-t", "87a527956033ad269a5052fee286e63f"),
-        ("x^3+t*x*y^2 ; y^3+x-t", "87351206235a2e038f9ae9157d71b417"),
-    ],
+    "vf, field, digest", PINNED_CURVATURE, ids=["%s-%s" % (vf, d) for vf, _, d in PINNED_CURVATURE]
 )
-def test_quadratic_field_curvature_pinned(capsys, vf, digest):
-    """Two Q(theta) fields of the ROADMAP corpus; the digests are of the
-    stdout bytes recorded before the modular gcd existed."""
-    argv = ["dual-curvature", "--vf", vf, "--format", "json", "--field", "t^2=t+1"]
+def test_quadratic_field_curvature_pinned(capsys, vf, field, digest):
+    """Fields of the ROADMAP corpus over Q(theta) and over Q; the digests
+    are of the stdout bytes recorded before the modular gcd (Q(theta)) and
+    the one-route dual curvature (Q)."""
+    argv = ["dual-curvature", "--vf", vf, "--format", "json"]
+    if field is not None:
+        argv += ["--field", field]
     assert main(argv) == 0
     assert hashlib.md5(capsys.readouterr().out.encode()).hexdigest() == digest
 
@@ -338,6 +422,8 @@ def test_batch_mode_order_and_exit(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert captured.out.splitlines() == ["flat: false", "-4", "-x^2 + y^2"]
+    jobs = [line for line in batch.read_text().splitlines() if not line.startswith("#")]
+    assert captured.out == "\n".join(run_line(shlex.split(line))[0] for line in jobs) + "\n"
 
 
 def test_batch_mode_propagates_worst_exit(tmp_path, capsys):
@@ -354,10 +440,14 @@ def test_batch_mode_propagates_worst_exit(tmp_path, capsys):
 
 
 def test_module_invocation_subprocess():
-    proc = subprocess.run(
-        [sys.executable, "-m", "webflat.cli", "flat", "--vf", "x^3 ; y^3-1"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0
-    assert proc.stdout.strip() == "flat: false"
+    for module in ("webflat.cli", "webflat"):
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "flat", "--vf", "x^3 ; y^3-1"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, module
+        assert proc.stdout.strip() == "flat: false", module
+        # runpy warns on `-m webflat.cli`, which the package imports first
+        if module == "webflat":
+            assert proc.stderr == ""

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from webflat import (
+    RATIONALS,
     FieldScalar,
     MPoly,
     PolyMatrix,
@@ -222,8 +223,8 @@ def test_heuristic_gcd_matches_subresultant_oracle(monkeypatch, subresultant_gcd
     heuristic = poly_module._gcd_heuristic
     calls = []
 
-    def recording(f, g, vi):
-        h = heuristic(f, g, vi)
+    def recording(f, g, vi, wi):
+        h = heuristic(f, g, vi, wi)
         calls.append((vi, h is not None))
         return h
 
@@ -254,7 +255,7 @@ def test_heuristic_gcd_failure_falls_back(monkeypatch, subresultant_gcd):
     expected = [subresultant_gcd(f, g, "x") for f, g in pairs]
     failures = []
 
-    def failing(f, g, vi):
+    def failing(f, g, vi, wi):
         failures.append(vi)
         return None
 
@@ -308,8 +309,8 @@ def _modular_gcd_pairs(field):
 def _recording(monkeypatch, name, calls):
     inner = getattr(poly_module, name)
 
-    def recording(f, g, vi):
-        h = inner(f, g, vi)
+    def recording(f, g, vi, wi):
+        h = inner(f, g, vi, wi)
         calls.append((name, vi, h is not None))
         return h
 
@@ -339,7 +340,7 @@ def test_modular_gcd_failure_falls_back(monkeypatch, subresultant_gcd):
     expected = [subresultant_gcd(f, g, "x") for f, g in pairs]
     failures = []
 
-    def failing(f, g, vi):
+    def failing(f, g, vi, wi):
         failures.append(vi)
         return None
 
@@ -554,6 +555,19 @@ def test_cubic_resultant_with_polynomial_coefficients():
     for _ in range(10):
         coeffs = [random_poly(rng, ("p", "q"), 1, 2) for _ in range(4)]
         assert cubic_resultant(*coeffs) == _resultant_oracle(*coeffs)
+
+
+@pytest.mark.parametrize("field", [None, "t^2=t+1"])
+def test_cubic_resultant_unchanged_by_slope_sign(field):
+    """R(a0, -a1, a2, -a3) == R(a0, a1, a2, a3): `dual_curvature` reuses the
+    Legendre web's discriminant for the sign-flipped web."""
+    spec = parse_field(field) if field else RATIONALS
+    rng = random.Random(2015)
+    for _ in range(10):
+        a0, a1, a2, a3 = (
+            random_poly(rng, ("p", "q"), 2, 3, spec, quadratic=True) for _ in range(4)
+        )
+        assert cubic_resultant(a0, -a1, a2, -a3) == cubic_resultant(a0, a1, a2, a3)
 
 
 # -- rational functions ---------------------------------------------------------
