@@ -534,10 +534,18 @@ def run_batch(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = [line.strip() for line in handle]
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         return "", "error: UsageError: cannot read batch file: %s" % err, 1
-    jobs = [shlex.split(line) for line in lines if line and not line.startswith("#")]
-    results = [run_line(argv) for argv in jobs]
+    results = []
+    for line in lines:
+        if not line or line.startswith("#"):
+            continue
+        try:
+            argv = shlex.split(line)
+        except ValueError as err:  # unbalanced quotes or a trailing backslash
+            results.append(("", "error: UsageError: cannot split batch line: %s" % err, 1))
+        else:
+            results.append(run_line(argv))
     out = "\n".join(text for text, _, _ in results if text)
     err = "\n".join(text for _, text, _ in results if text)
     code = max((code for _, _, code in results), default=0)

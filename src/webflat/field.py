@@ -261,6 +261,7 @@ def field_sqrt(x: FieldScalar) -> FieldScalar | None:
             Fraction(math.isqrt(q.numerator), math.isqrt(q.denominator)), 0, spec
         )
     u, v = spec.u, spec.v
+    aa = u * u + 4 * v  # nonzero: FieldSpec rejects every rational square
     d0, d1 = x.a, x.b
     candidates = []
     if d1 == 0:
@@ -268,29 +269,20 @@ def field_sqrt(x: FieldScalar) -> FieldScalar | None:
         if is_rational_square(d0):
             r = Fraction(math.isqrt(d0.numerator), math.isqrt(d0.denominator))
             candidates.append(FieldScalar(r, 0, spec))
-        denom = u * u + 4 * v
-        if denom != 0:
-            s = 4 * d0 / denom
-            if is_rational_square(s):
-                b = Fraction(math.isqrt(s.numerator), math.isqrt(s.denominator))
-                candidates.append(FieldScalar(-b * u / 2, b, spec))
+        s = 4 * d0 / aa
+        if is_rational_square(s):
+            b = Fraction(math.isqrt(s.numerator), math.isqrt(s.denominator))
+            candidates.append(FieldScalar(-b * u / 2, b, spec))
     else:
         # b != 0; s = b^2 satisfies s^2 (u^2+4v) - s (2*d1*u + 4*d0) + d1^2 = 0
-        aa = u * u + 4 * v
         bb = -(2 * d1 * u + 4 * d0)
         cc = d1 * d1
-        if aa == 0:
-            if bb != 0:
-                candidates_s = [-cc / bb]
-            else:
-                candidates_s = []
+        disc = bb * bb - 4 * aa * cc
+        if not is_rational_square(disc):
+            candidates_s = []
         else:
-            disc = bb * bb - 4 * aa * cc
-            if not is_rational_square(disc):
-                candidates_s = []
-            else:
-                rd = Fraction(math.isqrt(disc.numerator), math.isqrt(disc.denominator))
-                candidates_s = [(-bb + rd) / (2 * aa), (-bb - rd) / (2 * aa)]
+            rd = Fraction(math.isqrt(disc.numerator), math.isqrt(disc.denominator))
+            candidates_s = [(-bb + rd) / (2 * aa), (-bb - rd) / (2 * aa)]
         for s in candidates_s:
             if s <= 0 or not is_rational_square(s):
                 continue

@@ -1,4 +1,4 @@
-"""Arithmetic modulo a prime for the modular gcd over Q(theta).
+"""Arithmetic modulo a prime for the modular gcd over Q and Q(theta).
 
 Word-size primes and their square roots, rational reconstruction, and
 dense polynomials over F_p: coefficient lists, lowest degree first, with
@@ -52,13 +52,17 @@ def nth_prime(k: int) -> int:
     return n
 
 
+def primes():
+    """The primes below 2**62, largest first."""
+    return map(nth_prime, itertools.count())
+
+
 def split_primes(u: Fraction, v: Fraction):
     """Yield (p, r1, r2) for the primes p below 2**62, largest first, at
     which theta^2 = u*theta + v has two distinct roots r1, r2 mod p; primes
     dividing a denominator of u or v are skipped."""
     disc = u * u + 4 * v
-    for k in itertools.count():
-        p = nth_prime(k)
+    for p in primes():
         if u.denominator % p == 0 or v.denominator % p == 0:
             continue
         d = fraction_mod(disc, p)

@@ -17,14 +17,13 @@ normalization, rendering) is graded lexicographic with x > y > z > p > q > t.
 Algorithms
 ----------
 * gcd: monomial content is pulled out first and the recursion variable
-  is the one appearing in the most terms.  In at most two variables, the
-  path follows the coefficients: when all are rational (under any field
-  spec), a heuristic integer gcd (GCDHEU); when some carry theta, a
-  split-prime modular gcd (Brown's evaluation and interpolation mod p,
-  Chinese remaindering and rational reconstruction).  Both are confirmed
-  by trial division.  In three variables, or when a fast path gives up,
-  the recursive subresultant polynomial-remainder-sequence with
-  content/primitive-part splitting.
+  is the one appearing in the most terms.  In at most two variables, over
+  Q and Q(theta) alike, a modular gcd (Brown's evaluation and
+  interpolation mod p, at primes that split in Q(theta) when a
+  coefficient carries theta; Chinese remaindering and rational
+  reconstruction), confirmed by trial division.  In three variables, or
+  when the modular gcd gives up, the recursive subresultant
+  polynomial-remainder-sequence with content/primitive-part splitting.
 * determinant: cofactor expansion along the first row with memoization
   on the active column set (matrices here never exceed 6x6).
 * `cubic_resultant` is the fixed 5x5 determinant deciding whether a cubic
@@ -428,12 +427,14 @@ def try_exact_divide(f: MPoly, g: MPoly):
     if f.is_zero():
         return MPoly.zero(f.spec)
     f._check(g)
-    lm_g = g.leading_monomial()
+    # leading terms in lex order, which compares exponent tuples without a
+    # key function; any monomial order decides divisibility
+    lm_g = max(g.terms)
     lc_g_inv = g.terms[lm_g].inverse()
     quotient = {}
     rest = dict(f.terms)
     while rest:
-        lm_r = max(rest, key=_grlex_key)
+        lm_r = max(rest)
         if not _monomial_divides(lm_g, lm_r):
             return None
         exponent = tuple(a - b for a, b in zip(lm_r, lm_g))
@@ -540,204 +541,33 @@ def _content(coeffs: dict) -> MPoly:
     return acc
 
 
-# -- heuristic integer gcd (GCDHEU) ----------------------------------------
+# -- modular gcd over Q and Q(theta) -----------------------------------------
 #
-# Over the rationals, every gcd in at most two variables (the hot path of
-# the curvature pipeline) is taken on integer term maps {exponent tuple:
-# int} by the heuristic gcd of Char, Geddes and Gonnet (J. Symb. Comp.
-# 1989).  It evaluates the last variable at a large integer xi, recurses
-# down to one integer gcd, and reads the polynomial back off the balanced
-# base-xi digits.  The result is exact for two reasons:
+# Every gcd in at most two variables is taken modulo word-size primes.  When
+# no input coefficient carries theta (always so over Q), theta plays no
+# part: a prime serves when it divides no input denominator, and maps the
+# inputs into F_p[v, w] once.  When some coefficient carries theta, only
+# primes that split in Q(theta) serve, in the style of Langemyr and McCallum
+# (J. Symb. Comp. 1989): for such a prime p, u^2 + 4v is a nonzero square
+# mod p, so theta has two images r1 != r2 in F_p, and each maps the inputs
+# into F_p[v, w].  There the gcd comes from Brown's dense evaluation in w
+# and interpolation (JACM 1971), with univariate Euclid in v, and is
+# confirmed by trial division mod p.  Made monic at its grlex leading
+# monomial, the images of the monic gcd h0 + h1*theta give h0 and h1 mod p
+# (with no theta, the one image is h0 and h1 = 0); the primes are combined
+# by the Chinese remainder theorem and rational reconstruction.  The result
+# is exact:
 #
-# * no candidate is accepted unless trial division in Z[...] shows that it
-#   divides both inputs.  xi starts above 2 * min(|f|, |g|) + 2 (max
-#   norms) and only grows, and above that bound a primitive common divisor
-#   read off the digits is the gcd itself, never a proper factor of it;
-# * the content over the second variable w is split off first and its gcd
-#   taken on its own, as a gcd in w alone.  The heuristic then runs on
-#   primitive parts, so a factor in w alone (such as 2*w + 1, which the
-#   evaluation w = xi turns into an integer) never has to be told apart
-#   from integer content.
-#
-# When six evaluation points give no confirmed candidate, `_gcd_raw` falls
-# back to the subresultant remainder sequence.
-
-_FRACTION_ZERO = Fraction(0)
-
-
-def _int_content(f: dict) -> int:
-    return math.gcd(*f.values())
-
-
-def _int_divide(f: dict, h: dict):
-    """f / h when it has integer coefficients, else None; for a primitive
-    h that is exact divisibility over Q (Gauss's lemma).  Terms are taken
-    in lexicographic exponent order."""
-    lm = max(h)
-    lc = h[lm]
-    if lc == 1 and len(h) == 1 and not any(lm):
-        return f
-    quotient = {}
-    rest = dict(f)
-    while rest:
-        m = max(rest)
-        shift = tuple(a - b for a, b in zip(m, lm))
-        if min(shift) < 0:
-            return None
-        c, r = divmod(rest[m], lc)
-        if r:
-            return None
-        quotient[shift] = c
-        for e, d in h.items():
-            k = tuple(a + b for a, b in zip(shift, e))
-            value = rest.get(k, 0) - c * d
-            if value:
-                rest[k] = value
-            else:
-                rest.pop(k, None)
-    return quotient
-
-
-def _heu_evaluate(f: dict, xi: int) -> dict:
-    """Substitute xi for the last variable."""
-    powers = [1]
-    out = {}
-    for e, c in f.items():
-        while len(powers) <= e[-1]:
-            powers.append(powers[-1] * xi)
-        head = e[:-1]
-        out[head] = out.get(head, 0) + c * powers[e[-1]]
-    return {e: c for e, c in out.items() if c}
-
-
-def _heu_interpolate(h: dict, xi: int) -> dict:
-    """Read each coefficient's balanced base-xi digits back as the powers of
-    a new last variable; the result is made primitive with a positive
-    leading coefficient."""
-    out = {}
-    half = xi // 2
-    for e, c in h.items():
-        j = 0
-        while c:
-            digit = c % xi
-            if digit > half:
-                digit -= xi
-            if digit:
-                out[e + (j,)] = digit
-            c = (c - digit) // xi
-            j += 1
-    content = _int_content(out)
-    if out[max(out)] < 0:
-        content = -content
-    return {e: c // content for e, c in out.items()}
-
-
-def _heu_gcd(f: dict, g: dict):
-    """gcd in Z[...] of two nonzero integer term maps by GCDHEU, or None
-    when no evaluation point gives a candidate that divides both."""
-    c = math.gcd(_int_content(f), _int_content(g))
-    constant = (0,) * len(next(iter(f)))
-    if f.keys() == {constant} or g.keys() == {constant}:
-        return {constant: c}
-    f = {e: v // c for e, v in f.items()}
-    g = {e: v // c for e, v in g.items()}
-    xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 29
-    for _ in range(6):
-        ff = _heu_evaluate(f, xi)
-        gg = _heu_evaluate(g, xi)
-        if ff and gg:
-            h = _heu_gcd(ff, gg)
-            if h is None:
-                return None
-            h = _heu_interpolate(h, xi)
-            if _int_divide(f, h) is not None and _int_divide(g, h) is not None:
-                return {e: v * c for e, v in h.items()}
-        xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
-    return None
-
-
-def _to_int(f: MPoly, vi: int, wi: int) -> dict:
-    """{(degree in v, degree in w): int}, denominators cleared."""
-    scale = 1
-    for coeff in f.terms.values():
-        d = coeff.a.denominator
-        scale = scale * d // math.gcd(scale, d)
-    return {
-        (e[vi], e[wi]): c.a.numerator * (scale // c.a.denominator)
-        for e, c in f.terms.items()
-    }
-
-
-def _from_int(h: dict, vi: int, wi: int, spec: FieldSpec) -> MPoly:
-    terms = {}
-    for (i, j), value in h.items():
-        exponent = [0] * NVARS
-        exponent[vi] = i
-        exponent[wi] = j
-        terms[tuple(exponent)] = FieldScalar._fast(Fraction(value), _FRACTION_ZERO, spec)
-    return MPoly._raw(terms, spec)
-
-
-def _content_in_w(f: dict):
-    """gcd over Z[w] of the v-coefficients of f, as a term map in
-    (0, degree in w); None when the heuristic fails."""
-    rows = {}
-    for (i, j), c in f.items():
-        rows.setdefault(i, {})[(0, j)] = c
-    rows = sorted(rows.values(), key=len)
-    acc = rows[0]
-    for row in rows[1:]:
-        if acc == {(0, 0): 1}:
-            break
-        acc = _heu_gcd(acc, row)
-        if acc is None:
-            return None
-    return acc
-
-
-def _gcd_heuristic(f: MPoly, g: MPoly, vi: int, wi: int):
-    """gcd of two rational polynomials in v = VARIABLES[vi] and at most one
-    other variable w = VARIABLES[wi], up to a unit; None when the heuristic
-    runs out of evaluation points."""
-    fi = _to_int(f, vi, wi)
-    gi = _to_int(g, vi, wi)
-    content_f = _content_in_w(fi)
-    content_g = _content_in_w(gi)
-    if content_f is None or content_g is None:
-        return None
-    content = _heu_gcd(content_f, content_g)
-    part = _heu_gcd(_int_divide(fi, content_f), _int_divide(gi, content_g))
-    if content is None or part is None:
-        return None
-    h = _from_int(part, vi, wi, f.spec)
-    if content.keys() != {(0, 0)}:  # a factor in w alone
-        h = _from_int(content, vi, wi, f.spec) * h
-    return h
-
-
-# -- split-prime modular gcd over Q(theta) ------------------------------------
-#
-# Over a quadratic field, a gcd in at most two variables whose inputs carry
-# theta is taken modulo primes that split in Q(theta), in the style of
-# Langemyr and McCallum (J. Symb. Comp. 1989).  For such a prime p, u^2 + 4v
-# is a nonzero square mod p, so theta has two images r1 != r2 in F_p, and
-# each maps the inputs into F_p[v, w].  There the gcd comes from Brown's
-# dense evaluation in w and interpolation (JACM 1971), with univariate
-# Euclid in v, and is confirmed by trial division mod p.  Made monic at its
-# grlex leading monomial, the two images of the monic gcd h0 + h1*theta give
-# h0 and h1 mod p; the primes are combined by the Chinese remainder theorem
-# and rational reconstruction.  The result is exact:
-#
-# * a prime is used only when it divides no denominator (of the inputs, u
-#   or v) and keeps the leading monomial and the degree in v and in w of
-#   both inputs under both images.  By Gauss's lemma at each prime above p,
-#   the monic gcd then maps to a monic divisor of the image gcd with the
-#   same leading monomial.  So an image gcd whose leading monomial is
-#   grlex-larger than another prime's marks an unlucky prime, and a constant
-#   one proves that the gcd is 1;
-# * a candidate is accepted only when it divides both inputs over Q(theta).
-#   It then divides the gcd, and its leading monomial, that of an image
-#   gcd, is at least the gcd's, so it is the gcd.
+# * a prime is used only when it divides no denominator (of the inputs, and
+#   of u or v when theta occurs) and keeps the leading monomial and the
+#   degree in v and in w of both inputs under every image.  By Gauss's lemma
+#   at each prime above p, the monic gcd then maps to a monic divisor of the
+#   image gcd with the same leading monomial.  So an image gcd whose leading
+#   monomial is grlex-larger than another prime's marks an unlucky prime,
+#   and a constant one proves that the gcd is 1;
+# * a candidate is accepted as soon as it divides both inputs over the
+#   field.  It then divides the gcd, and its leading monomial, that of an
+#   image gcd, is at least the gcd's, so it is the gcd.
 #
 # After _MODULAR_PRIMES usable primes give no accepted candidate,
 # `_gcd_raw` falls back to the subresultant remainder sequence.
@@ -746,8 +576,8 @@ _MODULAR_PRIMES = 12
 
 
 def _gcd_modular(f: MPoly, g: MPoly, vi: int, wi: int):
-    """gcd of two polynomials over Q(theta) in v = VARIABLES[vi] and at most
-    one other variable w = VARIABLES[wi], made monic; None when
+    """gcd of two polynomials over Q or Q(theta) in v = VARIABLES[vi] and at
+    most one other variable w = VARIABLES[wi], made monic; None when
     _MODULAR_PRIMES usable primes give no certified candidate."""
     spec = f.spec
 
@@ -769,6 +599,10 @@ def _gcd_modular(f: MPoly, g: MPoly, vi: int, wi: int):
         lm = poly.leading_monomial()
         shape = (max(t[0] for t in terms), max(t[1] for t in terms), lm[vi], lm[wi])
         inputs.append((terms, shape))
+    if any(b for terms, _ in inputs for *_, b in terms):
+        primes = modular.split_primes(spec.u, spec.v)
+    else:  # one image per prime, at theta -> 0
+        primes = ((p, 0) for p in modular.primes())
 
     def image(terms, shape, r, p):
         """The rows of one input under theta -> r, or None when the image
@@ -782,9 +616,9 @@ def _gcd_modular(f: MPoly, g: MPoly, vi: int, wi: int):
         return [modular.trim(row) for row in rows]
 
     best = None  # leading monomial of the images kept
-    modulus, residues, candidate, tested = 1, {}, None, None
+    modulus, residues, tested = 1, {}, None
     used = 0
-    for p, *roots in modular.split_primes(spec.u, spec.v):
+    for p, *roots in primes:
         if used == _MODULAR_PRIMES:
             return None
         if denominator % p == 0:
@@ -807,26 +641,30 @@ def _gcd_modular(f: MPoly, g: MPoly, vi: int, wi: int):
             lm = max(h, key=key)
             inv = pow(h[lm], -1, p)
             gcds.append((lm, {ij: c * inv % p for ij, c in h.items()}))
-        if gcds[0][0] != gcds[1][0]:
-            continue
         lm = gcds[0][0]
+        if any(other != lm for other, _ in gcds):
+            continue
         if best is not None and key(lm) > key(best):
             continue
         if best is None or key(lm) < key(best):
-            best, modulus, residues, candidate = lm, 1, {}, None
-        h1, h2 = gcds[0][1], gcds[1][1]
-        inv_diff = pow(roots[0] - roots[1], -1, p)
+            best, modulus, residues = lm, 1, {}
+        if len(roots) == 1:
+            solved = {ij: (c, 0) for ij, c in gcds[0][1].items()}
+        else:
+            h1, h2 = gcds[0][1], gcds[1][1]
+            inv_diff = pow(roots[0] - roots[1], -1, p)
+            solved = {}
+            for ij in h1.keys() | h2.keys():
+                c1, c2 = h1.get(ij, 0), h2.get(ij, 0)
+                b = (c1 - c2) * inv_diff % p
+                solved[ij] = ((c1 - b * roots[0]) % p, b)
         inv_modulus = pow(modulus, -1, p)
-        for ij in residues.keys() | h1.keys() | h2.keys():
-            c1, c2 = h1.get(ij, 0), h2.get(ij, 0)
-            b = (c1 - c2) * inv_diff % p
-            a = (c1 - b * roots[0]) % p
-            old = residues.get(ij, (0, 0))
+        for ij in residues.keys() | solved.keys():
+            old, new = residues.get(ij, (0, 0)), solved.get(ij, (0, 0))
             residues[ij] = tuple(
-                x + modulus * ((y - x) * inv_modulus % p) for x, y in zip(old, (a, b))
+                x + modulus * ((y - x) * inv_modulus % p) for x, y in zip(old, new)
             )
         modulus *= p
-        previous = candidate
         candidate = {}
         for ij, (a, b) in residues.items():
             a = modular.rational_reconstruction(a, modulus)
@@ -836,7 +674,7 @@ def _gcd_modular(f: MPoly, g: MPoly, vi: int, wi: int):
                 break
             if a or b:
                 candidate[ij] = (a, b)
-        if candidate is None or candidate != previous or candidate == tested:
+        if candidate is None or candidate == tested:
             continue
         tested = candidate
         h = MPoly._raw(
@@ -852,7 +690,7 @@ def _gcd_subresultant(f: MPoly, g: MPoly, vi: int) -> MPoly:
     """gcd of two nonzero polynomials, up to a unit, by the subresultant
     remainder sequence in variable VARIABLES[vi] after splitting off the
     content.  Three variables take this path, and it is the fallback (and
-    the test oracle) of the heuristic and the modular gcd."""
+    the test oracle) of the modular gcd."""
     spec = f.spec
     fu = f.coefficients_in(VARIABLES[vi])
     gu = g.coefficients_in(VARIABLES[vi])
@@ -902,14 +740,8 @@ def _gcd_raw(f: MPoly, g: MPoly) -> MPoly:
     shared = f.variables() & g.variables()
     if not shared:
         return mono
-    # cheap wins first: equal, or one divides the other
-    if f.terms == g.terms:
+    if f.terms == g.terms:  # the cheap win first
         return mono * f
-    if len(f.terms) <= len(g.terms):
-        if try_exact_divide(g, f) is not None:
-            return mono * f
-    elif try_exact_divide(f, g) is not None:
-        return mono * g
     # recurse on the variable appearing in the most terms
     def frequency(name):
         i = VARIABLE_INDEX[name]
@@ -921,12 +753,15 @@ def _gcd_raw(f: MPoly, g: MPoly) -> MPoly:
         # w is the other variable, or any index but vi when there is none
         others = names - {VARIABLES[vi]}
         wi = VARIABLE_INDEX[min(others)] if others else (vi + 1) % NVARS
-        if spec.is_quadratic and any(c.b for h in (f, g) for c in h.terms.values()):
-            h = _gcd_modular(f, g, vi, wi)
-        else:
-            h = _gcd_heuristic(f, g, vi, wi)
+        h = _gcd_modular(f, g, vi, wi)
         if h is not None:
             return mono * h
+    # before the remainder sequence, the cheap win: one divides the other
+    if len(f.terms) <= len(g.terms):
+        if try_exact_divide(g, f) is not None:
+            return mono * f
+    elif try_exact_divide(f, g) is not None:
+        return mono * g
     return mono * _gcd_subresultant(f, g, vi)
 
 
@@ -1076,13 +911,6 @@ class RatFn:
                 den = den * inv
         self.num = num
         self.den = den
-
-    @classmethod
-    def from_poly(cls, f: MPoly) -> "RatFn":
-        ratfn = object.__new__(cls)
-        ratfn.num = f
-        ratfn.den = MPoly.one(f.spec)
-        return ratfn
 
     @classmethod
     def _reduced(cls, num: MPoly, den: MPoly) -> "RatFn":

@@ -125,9 +125,8 @@ def cofactor_determinant(rows):
 
 def subresultant_oracle(f, g, var):
     """gcd by the subresultant remainder sequence in a chosen recursion
-    variable, made monic, with both fast paths (heuristic and modular)
-    switched off in its content gcds too."""
+    variable, made monic, with the modular gcd switched off in its content
+    gcds too."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(poly_module, "_gcd_heuristic", lambda f, g, vi, wi: None)
         patch.setattr(poly_module, "_gcd_modular", lambda f, g, vi, wi: None)
         return poly_module._gcd_subresultant(f, g, VARIABLE_INDEX[var]).monic()

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import random
 import shlex
 import subprocess
@@ -10,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+import webflat
 from webflat import FieldScalar, MPoly, RatFn, quadratic_field
 from webflat.cli import main, parse_field, parse_poly, run_line
 from webflat.errors import (
@@ -370,6 +372,21 @@ def test_batch_survives_invalid_operands(tmp_path, capsys):
     assert "InvariantViolated" in captured.err
     assert captured.err.count("DegenerateParameter") == 2
     assert "Traceback" not in captured.err
+    # an unbalanced quote fails its own line only
+    batch.write_text('flat --vf "x^3 ; y^3-1\ndiscriminant --web "p^3 - p"\n')
+    code = main(["--batch", str(batch)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out.splitlines() == ["-4"]
+    assert captured.err.startswith("error: UsageError: ")
+    assert "Traceback" not in captured.err
+    # a file that is not UTF-8 cannot be read at all
+    batch.write_bytes(b"\xff\xfe" + 'discriminant --web "p^3 - p"\n'.encode("utf-16-le"))
+    code = main(["--batch", str(batch)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: UsageError: cannot read batch file")
 
 
 PINNED_CURVATURE = [
@@ -440,11 +457,15 @@ def test_batch_mode_propagates_worst_exit(tmp_path, capsys):
 
 
 def test_module_invocation_subprocess():
+    # the child finds the package where this process found it
+    src = os.path.dirname(os.path.dirname(webflat.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     for module in ("webflat.cli", "webflat"):
         proc = subprocess.run(
             [sys.executable, "-m", module, "flat", "--vf", "x^3 ; y^3-1"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0, module
         assert proc.stdout.strip() == "flat: false", module

@@ -25,7 +25,7 @@ from webflat import (
 import webflat.modular as modular
 import webflat.poly as poly_module
 from webflat.cli import parse_field, parse_poly
-from webflat.poly import VARIABLE_INDEX, _int_divide
+from webflat.poly import VARIABLE_INDEX
 from webflat.errors import (
     BadEmbedding,
     DivisionByZero,
@@ -185,14 +185,14 @@ def test_gcd_over_quadratic_field():
     assert poly_gcd(f, g) == (x - t * y).monic()
 
 
-# -- heuristic gcd against the subresultant oracle ------------------------------
+# -- modular gcd against the subresultant oracle -----------------------------------
 
 
 def _swap_xy(f):
     return f.substitute({"x": MPoly.variable("y", f.spec), "y": MPoly.variable("x", f.spec)})
 
 
-def _heuristic_gcd_pairs():
+def _rational_gcd_pairs():
     """Seeded bivariate pairs over Q: a planted common factor, content in one
     variable alone (2*y + 1), coprime draws, one input dividing the other,
     and coefficients of 60 bits and more.  Every pair also appears with x
@@ -215,56 +215,8 @@ def _heuristic_gcd_pairs():
 
 @pytest.fixture
 def subresultant_gcd():
-    """The oracle: the subresultant path with both fast paths off."""
+    """The oracle: the subresultant path with the modular gcd off."""
     return subresultant_oracle
-
-
-def test_heuristic_gcd_matches_subresultant_oracle(monkeypatch, subresultant_gcd):
-    heuristic = poly_module._gcd_heuristic
-    calls = []
-
-    def recording(f, g, vi, wi):
-        h = heuristic(f, g, vi, wi)
-        calls.append((vi, h is not None))
-        return h
-
-    pairs = _heuristic_gcd_pairs()
-    with monkeypatch.context() as patch:
-        patch.setattr(poly_module, "_gcd_heuristic", recording)
-        fast = [poly_gcd(f, g) for f, g in pairs]
-    for (f, g), d in zip(pairs, fast):
-        assert d == subresultant_gcd(f, g, "x")
-        assert d == subresultant_gcd(f, g, "y")
-    # the heuristic answered every call itself, in both recursion variables
-    assert all(ok for _, ok in calls)
-    assert {vi for vi, _ in calls} >= {VARIABLE_INDEX["x"], VARIABLE_INDEX["y"]}
-
-
-def test_integer_trial_division():
-    f = {(2, 1): 3, (0, 0): -3}  # 3*v^2*w - 3
-    assert _int_divide(f, {(0, 0): 1}) == f
-    assert _int_divide(f, {(0, 0): 3}) == {(2, 1): 1, (0, 0): -1}
-    assert _int_divide(f, {(1, 0): 1}) is None
-    assert _int_divide(f, {(0, 0): 2}) is None
-    assert _int_divide({(2, 2): 6, (1, 1): 3}, {(1, 1): 1}) == {(1, 1): 6, (0, 0): 3}
-    assert _int_divide({(2, 0): 1, (0, 0): -1}, {(1, 0): 1, (0, 0): 1}) == {(1, 0): 1, (0, 0): -1}
-
-
-def test_heuristic_gcd_failure_falls_back(monkeypatch, subresultant_gcd):
-    pairs = _heuristic_gcd_pairs()
-    expected = [subresultant_gcd(f, g, "x") for f, g in pairs]
-    failures = []
-
-    def failing(f, g, vi, wi):
-        failures.append(vi)
-        return None
-
-    monkeypatch.setattr(poly_module, "_gcd_heuristic", failing)
-    assert [poly_gcd(f, g) for f, g in pairs] == expected
-    assert failures
-
-
-# -- modular gcd over Q(theta) against the subresultant oracle ----------------------
 
 
 MODULAR_FIELDS = ("t^2=t+1", "t^2=t-1", "t^2=2*t+3/4")  # the last: theta not integral
@@ -306,6 +258,10 @@ def _modular_gcd_pairs(field):
     return pairs + [(_swap_xy(f), _swap_xy(g)) for f, g in pairs]
 
 
+def _gcd_pairs(field):
+    return _rational_gcd_pairs() if field == "rationals" else _modular_gcd_pairs(field)
+
+
 def _recording(monkeypatch, name, calls):
     inner = getattr(poly_module, name)
 
@@ -317,26 +273,25 @@ def _recording(monkeypatch, name, calls):
     monkeypatch.setattr(poly_module, name, recording)
 
 
-@pytest.mark.parametrize("field", MODULAR_FIELDS)
+@pytest.mark.parametrize("field", ("rationals",) + MODULAR_FIELDS)
 def test_modular_gcd_matches_subresultant_oracle(monkeypatch, subresultant_gcd, field):
-    pairs = _modular_gcd_pairs(field)
+    pairs = _gcd_pairs(field)
     calls = []
     with monkeypatch.context() as patch:
         _recording(patch, "_gcd_modular", calls)
-        _recording(patch, "_gcd_heuristic", calls)
         fast = [poly_gcd(f, g) for f, g in pairs]
     # the swapped copies run the oracle in the other recursion variable
     assert fast == [subresultant_gcd(f, g, "x") for f, g in pairs]
+    if field == "rationals":
+        assert fast == [subresultant_gcd(f, g, "y") for f, g in pairs]
     # the modular path answered every call itself, in both recursion
-    # variables, and the rational pairs went to the heuristic
-    assert all(ok for _, _, ok in calls)
-    answered = {vi for name, vi, _ in calls if name == "_gcd_modular"}
-    assert answered >= {VARIABLE_INDEX["x"], VARIABLE_INDEX["y"]}
-    assert any(name == "_gcd_heuristic" for name, _, _ in calls)
+    # variables
+    assert calls and all(ok for _, _, ok in calls)
+    assert {vi for _, vi, _ in calls} >= {VARIABLE_INDEX["x"], VARIABLE_INDEX["y"]}
 
 
 def test_modular_gcd_failure_falls_back(monkeypatch, subresultant_gcd):
-    pairs = _modular_gcd_pairs("t^2=t+1")[:6]
+    pairs = _modular_gcd_pairs("t^2=t+1")[:6] + _rational_gcd_pairs()[:6]
     expected = [subresultant_gcd(f, g, "x") for f, g in pairs]
     failures = []
 
@@ -349,35 +304,81 @@ def test_modular_gcd_failure_falls_back(monkeypatch, subresultant_gcd):
     assert failures
 
 
-def test_modular_gcd_skips_unlucky_prime(monkeypatch, subresultant_gcd):
-    spec = parse_field("t^2=t+1")
-    (p, r, _), (p2, _, _) = itertools.islice(modular.split_primes(spec.u, spec.v), 2)
-    h = parse_poly("x^2*y - t*y + 3", spec)
+@pytest.mark.parametrize("field", ("rationals", "t^2=t+1"))
+def test_modular_gcd_refuses_wrong_candidate(monkeypatch, subresultant_gcd, field):
+    """A wrong first reconstruction makes a wrong candidate: trial division
+    refuses it, and the next prime gives the gcd."""
+    spec = RATIONALS if field == "rationals" else parse_field(field)
+    h = parse_poly("x^2*y - 3*y + 2" if field == "rationals" else "x^2*y - t*y + 2", spec)
+    f, g = h * parse_poly("x + y + 1", spec), h * parse_poly("x - y", spec)
+    reconstruct, divide = modular.rational_reconstruction, poly_module.try_exact_divide
+    answers, divisions = [], []
+
+    def wrong_first(x, m):
+        q = reconstruct(x, m)
+        answers.append(q)
+        return q + 1 if len(answers) == 1 else q
+
+    def recording(a, b):
+        quotient = divide(a, b)
+        divisions.append(quotient is not None)
+        return quotient
+
+    with monkeypatch.context() as patch:
+        patch.setattr(modular, "rational_reconstruction", wrong_first)
+        patch.setattr(poly_module, "try_exact_divide", recording)
+        calls = []
+        _recording(patch, "_gcd_modular", calls)
+        d = poly_gcd(f, g)
+    assert answers[0] is not None
+    assert divisions[0] is False and divisions[-2:] == [True, True]
+    assert calls and all(ok for _, _, ok in calls)
+    assert d == h.monic() == subresultant_gcd(f, g, "x")
+
+
+def _unlucky_prime_cases(spec):
+    """(f, g, skipped prime or None) with gcd h, and the second prime."""
+    if spec.is_quadratic:
+        (p, r, _), (p2, _, _) = itertools.islice(modular.split_primes(spec.u, spec.v), 2)
+        h = parse_poly("x^2*y - t*y + 3", spec)
+    else:
+        p, p2 = itertools.islice(modular.primes(), 2)
+        h = parse_poly("x^2*y - 5*y + 3", spec)
     cases = [
-        # leading coefficients that vanish mod p under both images of
-        # theta, and under one image only: p is skipped
-        (h * parse_poly("%d*x^3 + t*y + 1" % p, spec), h * parse_poly("x*y - 2*t", spec), p),
-        (h * parse_poly("(t - %d)*x^3 + t*y + 1" % r, spec), h * parse_poly("x*y - 2*t", spec), p),
-        # coprime cofactors that agree mod p2: the image gcd there has a
-        # larger leading monomial than at p, and p2 must be dropped
-        (h * parse_poly("x + y + %d" % p2, spec), h * parse_poly("x + y", spec), None),
+        # a leading coefficient that vanishes mod p: p is skipped
+        (h * parse_poly("%d*x^3 + 2*y + 1" % p, spec), h * parse_poly("x*y - 2", spec), p),
+        # coprime cofactors that agree mod p: the image gcd there is too
+        # large, trial division refuses its candidate, and p2, with a
+        # smaller leading monomial, starts the combination again
+        (h * parse_poly("x + y + %d" % p, spec), h * parse_poly("x + y", spec), None),
     ]
-    for f, g, skipped in cases:
-        primes = []
-        inner = modular.bivariate_gcd
+    if spec.is_quadratic:
+        # a leading coefficient that vanishes mod p under one image only
+        cases.append(
+            (h * parse_poly("(t - %d)*x^3 + t*y + 1" % r, spec), h * parse_poly("x*y - 2*t", spec), p)
+        )
+    return h, p2, cases
 
-        def recording(a, b, q):
-            primes.append(q)
-            return inner(a, b, q)
 
-        with monkeypatch.context() as patch:
-            patch.setattr(modular, "bivariate_gcd", recording)
-            calls = []
-            _recording(patch, "_gcd_modular", calls)
-            d = poly_gcd(f, g)
-        assert calls and all(ok for _, _, ok in calls)
-        assert primes and skipped not in primes
-        assert d == h.monic() == subresultant_gcd(f, g, "x")
+def test_modular_gcd_skips_unlucky_prime(monkeypatch, subresultant_gcd):
+    for spec in (RATIONALS, parse_field("t^2=t+1")):
+        h, p2, cases = _unlucky_prime_cases(spec)
+        for f, g, skipped in cases:
+            primes = []
+            inner = modular.bivariate_gcd
+
+            def recording(a, b, q):
+                primes.append(q)
+                return inner(a, b, q)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(modular, "bivariate_gcd", recording)
+                calls = []
+                _recording(patch, "_gcd_modular", calls)
+                d = poly_gcd(f, g)
+            assert calls and all(ok for _, _, ok in calls)
+            assert skipped not in primes and p2 in primes
+            assert d == h.monic() == subresultant_gcd(f, g, "x")
 
 
 def test_modular_arithmetic_helpers():

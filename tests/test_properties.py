@@ -1,5 +1,5 @@
-"""Property tests (hypothesis): gcd over Q(theta) against the subresultant
-oracle on small random inputs."""
+"""Property tests (hypothesis): gcd over Q and Q(theta) against the
+subresultant oracle on small random inputs."""
 
 from fractions import Fraction
 
@@ -8,7 +8,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from webflat import FieldScalar, MPoly, divides, poly_gcd  # noqa: E402
+from webflat import RATIONALS, FieldScalar, MPoly, divides, poly_gcd  # noqa: E402
 from webflat.cli import parse_field  # noqa: E402
 
 from helpers import subresultant_oracle  # noqa: E402
@@ -21,7 +21,7 @@ _terms = st.lists(
         st.integers(0, 2),  # degree in y
         st.integers(-4, 4),  # rational part, numerator
         st.integers(1, 3),  # rational part, denominator
-        st.integers(-2, 2),  # theta part
+        st.integers(-2, 2),  # theta part, dropped over Q
     ),
     min_size=1,
     max_size=4,
@@ -31,18 +31,27 @@ _terms = st.lists(
 def _poly(spec, terms):
     poly = MPoly.zero(spec)
     for i, j, a, d, b in terms:
-        coeff = FieldScalar(Fraction(a, d), b, spec)
+        coeff = FieldScalar(Fraction(a, d), b if spec.is_quadratic else 0, spec)
         poly = poly + MPoly.monomial((i, j, 0, 0, 0, 0), coeff, spec)
     return poly
 
 
-@settings(derandomize=True, deadline=None, max_examples=40)
-@given(st.sampled_from(FIELDS), _terms, _terms, _terms)
-def test_gcd_of_multiples_over_quadratic_field(field, a, b, h):
-    spec = parse_field(field)
+def _check_gcd_of_multiples(spec, a, b, h):
     a, b, h = (_poly(spec, terms) for terms in (a, b, h))
     assume(not (a.is_zero() or b.is_zero() or h.is_zero()))
     f, g = h * a, h * b
     d = poly_gcd(f, g)
     assert divides(h.monic(), d)
     assert d == subresultant_oracle(f, g, "x")
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.sampled_from(FIELDS), _terms, _terms, _terms)
+def test_gcd_of_multiples_over_quadratic_field(field, a, b, h):
+    _check_gcd_of_multiples(parse_field(field), a, b, h)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(_terms, _terms, _terms)
+def test_gcd_of_multiples_over_rationals(a, b, h):
+    _check_gcd_of_multiples(RATIONALS, a, b, h)
