@@ -258,10 +258,6 @@ def _modular_gcd_pairs(field):
     return pairs + [(_swap_xy(f), _swap_xy(g)) for f, g in pairs]
 
 
-def _gcd_pairs(field):
-    return _rational_gcd_pairs() if field == "rationals" else _modular_gcd_pairs(field)
-
-
 def _recording(monkeypatch, name, calls):
     inner = getattr(poly_module, name)
 
@@ -275,7 +271,7 @@ def _recording(monkeypatch, name, calls):
 
 @pytest.mark.parametrize("field", ("rationals",) + MODULAR_FIELDS)
 def test_modular_gcd_matches_subresultant_oracle(monkeypatch, subresultant_gcd, field):
-    pairs = _gcd_pairs(field)
+    pairs = _rational_gcd_pairs() if field == "rationals" else _modular_gcd_pairs(field)
     calls = []
     with monkeypatch.context() as patch:
         _recording(patch, "_gcd_modular", calls)
