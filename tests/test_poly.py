@@ -286,8 +286,7 @@ def test_modular_gcd_matches_subresultant_oracle(monkeypatch, subresultant_gcd, 
     assert {vi for _, vi, _ in calls} >= {VARIABLE_INDEX["x"], VARIABLE_INDEX["y"]}
 
 
-def test_modular_gcd_failure_falls_back(monkeypatch, subresultant_gcd):
-    pairs = _modular_gcd_pairs("t^2=t+1")[:6] + _rational_gcd_pairs()[:6]
+def _assert_falls_back(monkeypatch, subresultant_gcd, pairs):
     expected = [subresultant_gcd(f, g, "x") for f, g in pairs]
     failures = []
 
@@ -298,6 +297,16 @@ def test_modular_gcd_failure_falls_back(monkeypatch, subresultant_gcd):
     monkeypatch.setattr(poly_module, "_gcd_modular", failing)
     assert [poly_gcd(f, g) for f, g in pairs] == expected
     assert failures
+
+
+def test_modular_gcd_failure_falls_back(monkeypatch, subresultant_gcd):
+    _assert_falls_back(monkeypatch, subresultant_gcd, _modular_gcd_pairs("t^2=t+1")[:6])
+
+
+def test_heuristic_gcd_failure_falls_back(monkeypatch, subresultant_gcd):
+    """Rational inputs, which once took a heuristic integer gcd, now take the
+    modular gcd; when it gives up they still get the subresultant answer."""
+    _assert_falls_back(monkeypatch, subresultant_gcd, _rational_gcd_pairs())
 
 
 @pytest.mark.parametrize("field", ("rationals", "t^2=t+1"))
