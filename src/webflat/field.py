@@ -1,10 +1,10 @@
 """Exact coefficient fields: the rationals and one quadratic extension.
 
-Elements are `FieldScalar` values `a + b*theta` with `a`, `b` rational
-(stdlib `Fraction`, which keeps gcd(|num|, den) = 1 and den >= 1 for us)
-and `theta` a fixed root of `theta^2 = u*theta + v`.  The minimal
-polynomial lives in a `FieldSpec`; construction rejects reducible ones
-(u^2 + 4v a rational square), so every nonzero element has an inverse.
+Elements are `FieldScalar` values `a + b*theta`: `a`, `b` are rational,
+each an `int` when integral and a stdlib `Fraction` otherwise (as are `u`
+and `v`), and `theta` is a fixed root of `theta^2 = u*theta + v`.  The
+minimal polynomial lives in a `FieldSpec`; construction rejects reducible
+ones (u^2 + 4v a rational square), so every nonzero element has an inverse.
 
 Scalars are immutable and every operation is pure, so values can be
 shared freely across threads.
@@ -21,13 +21,23 @@ from .errors import DivisionByZero, FieldMismatch, NotQuadratic
 Rational = Fraction
 
 
-def is_rational_square(q: Fraction) -> bool:
-    """True iff q is the square of a rational number."""
+def _component(x):
+    """x as accepted by Fraction(x), kept as an int when it is integral."""
+    if x.__class__ is not int:
+        x = Fraction(x)
+        if x.denominator == 1:
+            x = x.numerator
+    return x
+
+
+def _rational_sqrt(q: int | Fraction) -> Fraction | None:
+    """The nonnegative rational square root of q, or None."""
     if q < 0:
-        return False
-    rn = math.isqrt(q.numerator)
-    rd = math.isqrt(q.denominator)
-    return rn * rn == q.numerator and rd * rd == q.denominator
+        return None
+    rn, rd = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    if rn * rn != q.numerator or rd * rd != q.denominator:
+        return None
+    return Fraction(rn, rd)
 
 
 @dataclass(frozen=True)
@@ -36,17 +46,17 @@ class FieldSpec:
     theta^2 = u*theta + v."""
 
     kind: str
-    u: Fraction | None = None
-    v: Fraction | None = None
+    u: int | Fraction | None = None
+    v: int | Fraction | None = None
 
     def __post_init__(self):
         if self.kind == "rationals":
             if self.u is not None or self.v is not None:
                 raise ValueError("rationals take no minimal polynomial")
         elif self.kind == "quadratic":
-            object.__setattr__(self, "u", Fraction(self.u))
-            object.__setattr__(self, "v", Fraction(self.v))
-            if is_rational_square(self.u * self.u + 4 * self.v):
+            object.__setattr__(self, "u", _component(self.u))
+            object.__setattr__(self, "v", _component(self.v))
+            if _rational_sqrt(self.u * self.u + 4 * self.v) is not None:
                 raise ValueError(
                     "t^2 = %s*t + %s is reducible over the rationals" % (self.u, self.v)
                 )
@@ -62,7 +72,7 @@ RATIONALS = FieldSpec("rationals")
 
 
 def quadratic_field(u, v) -> FieldSpec:
-    return FieldSpec("quadratic", Fraction(u), Fraction(v))
+    return FieldSpec("quadratic", u, v)
 
 
 class FieldScalar:
@@ -71,8 +81,8 @@ class FieldScalar:
     __slots__ = ("a", "b", "spec")
 
     def __init__(self, a, b=0, spec: FieldSpec = RATIONALS):
-        a = Fraction(a)
-        b = Fraction(b)
+        a = _component(a)
+        b = _component(b)
         if b != 0 and not spec.is_quadratic:
             raise NotQuadratic("theta component requires a quadratic field")
         self.a = a
@@ -86,8 +96,12 @@ class FieldScalar:
         return cls(0, 1, spec)
 
     @classmethod
-    def _fast(cls, a: Fraction, b: Fraction, spec: FieldSpec) -> "FieldScalar":
-        """Internal: adopt components already known to be Fractions."""
+    def _fast(cls, a, b, spec: FieldSpec) -> "FieldScalar":
+        """Internal: adopt int or Fraction components; integral ones become ints."""
+        if a.__class__ is not int and a.denominator == 1:
+            a = a.numerator
+        if b.__class__ is not int and b.denominator == 1:
+            b = b.numerator
         scalar = object.__new__(cls)
         scalar.a = a
         scalar.b = b
@@ -96,7 +110,7 @@ class FieldScalar:
 
     def _coerce(self, other) -> "FieldScalar":
         if isinstance(other, FieldScalar):
-            if other.spec != self.spec:
+            if other.spec is not self.spec and other.spec != self.spec:
                 raise FieldMismatch("operands live in different fields")
             return other
         if isinstance(other, (int, Fraction)):
@@ -147,10 +161,10 @@ class FieldScalar:
             raise DivisionByZero("zero has no inverse")
         a, b = self.a, self.b
         if b == 0:
-            return FieldScalar(1 / a, 0, self.spec)
+            return FieldScalar(Fraction(1, a), 0, self.spec)
         n = self.norm_value()
         # conjugate / norm; n != 0 because the minimal polynomial is irreducible
-        return FieldScalar((a + b * self.spec.u) / n, -b / n, self.spec)
+        return FieldScalar(Fraction(a + b * self.spec.u, n), Fraction(-b, n), self.spec)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -182,7 +196,7 @@ class FieldScalar:
             raise NotQuadratic("conjugation needs a quadratic field")
         return FieldScalar(self.a + self.b * self.spec.u, -self.b, self.spec)
 
-    def norm_value(self) -> Fraction:
+    def norm_value(self) -> int | Fraction:
         """self * conjugate(self), as a rational: a^2 + a*b*u - b^2*v."""
         if not self.spec.is_quadratic:
             raise NotQuadratic("norm needs a quadratic field")
@@ -208,7 +222,8 @@ class FieldScalar:
             return self.b == 0 and self.a == other
         if not isinstance(other, FieldScalar):
             return NotImplemented
-        return self.spec == other.spec and self.a == other.a and self.b == other.b
+        same = self.spec is other.spec or self.spec == other.spec
+        return same and self.a == other.a and self.b == other.b
 
     def __hash__(self):
         if self.b == 0:
@@ -254,41 +269,30 @@ def field_sqrt(x: FieldScalar) -> FieldScalar | None:
     if x.is_zero():
         return FieldScalar(0, 0, spec)
     if not spec.is_quadratic:
-        q = x.a
-        if not is_rational_square(q):
-            return None
-        return FieldScalar(
-            Fraction(math.isqrt(q.numerator), math.isqrt(q.denominator)), 0, spec
-        )
+        r = _rational_sqrt(x.a)
+        return None if r is None else FieldScalar(r, 0, spec)
     u, v = spec.u, spec.v
     aa = u * u + 4 * v  # nonzero: FieldSpec rejects every rational square
     d0, d1 = x.a, x.b
     candidates = []
     if d1 == 0:
         # b = 0: a^2 = d0, or 2a + b*u = 0 with a = -b*u/2
-        if is_rational_square(d0):
-            r = Fraction(math.isqrt(d0.numerator), math.isqrt(d0.denominator))
+        r = _rational_sqrt(d0)
+        if r is not None:
             candidates.append(FieldScalar(r, 0, spec))
-        s = 4 * d0 / aa
-        if is_rational_square(s):
-            b = Fraction(math.isqrt(s.numerator), math.isqrt(s.denominator))
+        b = _rational_sqrt(Fraction(4 * d0, aa))
+        if b is not None:
             candidates.append(FieldScalar(-b * u / 2, b, spec))
     else:
         # b != 0; s = b^2 satisfies s^2 (u^2+4v) - s (2*d1*u + 4*d0) + d1^2 = 0
         bb = -(2 * d1 * u + 4 * d0)
         cc = d1 * d1
-        disc = bb * bb - 4 * aa * cc
-        if not is_rational_square(disc):
-            candidates_s = []
-        else:
-            rd = Fraction(math.isqrt(disc.numerator), math.isqrt(disc.denominator))
-            candidates_s = [(-bb + rd) / (2 * aa), (-bb - rd) / (2 * aa)]
+        rd = _rational_sqrt(bb * bb - 4 * aa * cc)
+        candidates_s = [] if rd is None else [(-bb + rd) / (2 * aa), (-bb - rd) / (2 * aa)]
         for s in candidates_s:
-            if s <= 0 or not is_rational_square(s):
-                continue
-            b = Fraction(math.isqrt(s.numerator), math.isqrt(s.denominator))
-            a = (d1 - s * u) / (2 * b)
-            candidates.append(FieldScalar(a, b, spec))
+            b = _rational_sqrt(s) if s > 0 else None
+            if b is not None:
+                candidates.append(FieldScalar((d1 - s * u) / (2 * b), b, spec))
     for cand in candidates:
         if cand * cand == x:
             return cand

@@ -3,7 +3,8 @@
 Representation
 --------------
 A polynomial is a map from exponent vectors to nonzero `FieldScalar`
-coefficients.  The variable tuple is fixed once and for all:
+coefficients, whose components are plain `int`s wherever they are
+integral (see `field`).  The variable tuple is fixed once and for all:
 
     (x, y, z, p, q, t)
 
@@ -26,9 +27,9 @@ Algorithms
   polynomial-remainder-sequence with content/primitive-part splitting.
 * determinant: cofactor expansion along the first row with memoization
   on the active column set (matrices here never exceed 6x6).
-* `cubic_resultant` is the fixed 5x5 determinant deciding whether a cubic
-  in the slope variable has a repeated root; its exact row layout is part
-  of the curvature pipeline's contract and must not be "simplified".
+* `cubic_resultant` is Res(f, f') of the slope cubic f, in closed form.
+  Its exact value, sign included, is part of the curvature pipeline's
+  contract; the tests pin it against the 5x5 Sylvester determinant.
 
 Everything is immutable and pure.
 """
@@ -60,7 +61,7 @@ def _grlex_key(exponent):
 
 def _as_coefficient(value, spec: FieldSpec) -> FieldScalar:
     if isinstance(value, FieldScalar):
-        if value.spec != spec:
+        if value.spec is not spec and value.spec != spec:
             raise FieldMismatch("coefficient from a different field")
         return value
     return FieldScalar(value, 0, spec)
@@ -178,7 +179,7 @@ class MPoly:
     # -- ring operations ---------------------------------------------------
 
     def _check(self, other: "MPoly"):
-        if self.spec != other.spec:
+        if self.spec is not other.spec and self.spec != other.spec:
             raise FieldMismatch("polynomials over different fields")
 
     def __add__(self, other):
@@ -737,7 +738,8 @@ def _gcd_raw(f: MPoly, g: MPoly) -> MPoly:
     mono = MPoly.monomial(common, 1, spec)
     if f.is_constant() or g.is_constant():
         return mono
-    shared = f.variables() & g.variables()
+    names_f, names_g = f.variables(), g.variables()
+    shared = names_f & names_g
     if not shared:
         return mono
     if f.terms == g.terms:  # the cheap win first
@@ -748,7 +750,7 @@ def _gcd_raw(f: MPoly, g: MPoly) -> MPoly:
         return sum(1 for e in f.terms if e[i]) + sum(1 for e in g.terms if e[i])
 
     vi = VARIABLE_INDEX[max(sorted(shared), key=frequency)]
-    names = f.variables() | g.variables()
+    names = names_f | names_g
     if len(names) <= 2:
         # w is the other variable, or any index but vi when there is none
         others = names - {VARIABLES[vi]}
@@ -860,23 +862,21 @@ def determinant(matrix: PolyMatrix) -> MPoly:
 
 
 def cubic_resultant(a0: MPoly, a1: MPoly, a2: MPoly, a3: MPoly) -> MPoly:
-    """Determinant of the fixed 5x5 eliminating the slope from a cubic
-    a0*s^3 + a1*s^2 + a2*s + a3 and its slope derivative.
+    """Res(f, f') of the slope cubic f = a0*s^3 + a1*s^2 + a2*s + a3:
+    -a0 * (a1^2 a2^2 - 4 a0 a2^3 - 4 a1^3 a3 - 27 a0^2 a3^2 + 18 a0 a1 a2 a3).
 
-    It vanishes exactly where the cubic has a repeated root; the row
-    layout (and hence the overall sign) is pinned by the curvature
-    algorithm downstream.
+    It vanishes exactly where f has a repeated root or a0 = 0.  Its exact
+    value, sign included, is the curvature algorithm's contract; it equals
+    the 5x5 Sylvester determinant of f and f' (the tests pin the two).
     """
-    spec = a0.spec
-    zero_ = MPoly.zero(spec)
-    rows = [
-        [a0, a1, a2, a3, zero_],
-        [zero_, a0, a1, a2, a3],
-        [3 * a0, 2 * a1, a2, zero_, zero_],
-        [zero_, 3 * a0, 2 * a1, a2, zero_],
-        [zero_, zero_, 3 * a0, 2 * a1, a2],
-    ]
-    return determinant(PolyMatrix.from_rows(rows))
+    a12 = a1 * a2
+    a03 = a0 * a3
+    disc = (
+        a12 * (a12 + 18 * a03)
+        - 27 * (a03 * a03)
+        - 4 * (a0 * (a2 * a2 * a2) + a1 * a1 * a1 * a3)
+    )
+    return -(a0 * disc)
 
 
 # -- rational functions ------------------------------------------------------------

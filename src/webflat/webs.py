@@ -10,12 +10,13 @@ The central objects:
   coefficient times d(first) ^ d(second) in the recorded chart.
 
 `web_curvature` is the determinant algorithm: eliminate the slope with
-the fixed 5x5 resultant R, build two auxiliary 5x5 determinants from the
-coefficient derivatives, and read the curvature off as a single fraction
-over R^2.  `dual_curvature` runs the same algorithm on the Legendre web
-of a vector field (`legendre_transform`, the substitution y -> p*x + q),
-with the slope read as dq/dp = -x, in the dual coordinates (p, q) where
-p is the line slope and q the intercept.
+the slope resultant R = Res(F, dF/ds), build two auxiliary 5x5
+determinants from the coefficient derivatives, and read the curvature
+off as a single fraction over R^2.  `dual_curvature` runs the same
+algorithm on the Legendre web of a vector field (`legendre_transform`,
+the substitution y -> p*x + q), with the slope read as dq/dp = -x, in
+the dual coordinates (p, q) where p is the line slope and q the
+intercept; `is_flat` stops at that fraction's unreduced numerator.
 """
 
 from __future__ import annotations
@@ -270,7 +271,7 @@ def web_curvature(web: CubicWebEquation) -> CurvatureForm:
     """Curvature 2-form of a slope-cubic 3-web, in the web's own chart.
 
     With (u, v) the base variables and a0..a3 the slope coefficients:
-    R is the slope discriminant (5x5 resultant); alpha0 the derivative
+    R is the slope resultant (`cubic_resultant`); alpha0 the derivative
     vector [dv a0, du a0 + dv a1, du a1 + dv a2, du a2 + dv a3, du a3];
     alpha1 and alpha2 the 5x5 determinants stacking alpha0 over the four
     fixed coefficient rows; the curvature coefficient is
@@ -339,26 +340,32 @@ def _curvature_fraction(web: CubicWebEquation):
     return numerator, big_r
 
 
-def dual_curvature(vf: AffineVectorField) -> CurvatureForm:
-    """Curvature of the dual web, in the dual chart (p, q).
+def _dual_web(vf: AffineVectorField) -> CubicWebEquation:
+    """The dual web as a slope cubic over the chart (p, q).
 
-    The dual web is the Legendre web, a cubic in x over the chart (p, q)
-    whose slope is dq/dp = -x.  With x = -s it is, up to sign, the slope
-    cubic a0*s^3 - a1*s^2 + a2*s - a3, and its curvature is
-    `web_curvature` of that cubic.
+    The Legendre web is a cubic in x whose slope is dq/dp = -x.  With
+    x = -s it is, up to sign, the slope cubic a0*s^3 - a1*s^2 + a2*s - a3.
     """
     legendre = legendre_transform(vf)
     a0, a1, a2, a3 = legendre.a0, legendre.a1, legendre.a2, legendre.a3
     web = CubicWebEquation("x", legendre.base_vars, a0, -a1, a2, -a3)
-    # the flip turns the resultant matrix M into D_r*M*D_c, with diagonal
-    # sign matrices of determinant +1, so R is exactly the Legendre web's
+    # every term of R has even degree in (a1, a3) jointly, so
+    # R(a0, -a1, a2, -a3) = R(a0, a1, a2, a3): reuse the Legendre web's
     web._discriminant = legendre.discriminant()
-    return web_curvature(web)
+    return web
+
+
+def dual_curvature(vf: AffineVectorField) -> CurvatureForm:
+    """Curvature of the dual web, in the dual chart (p, q): `web_curvature`
+    of the sign-flipped Legendre web."""
+    return web_curvature(_dual_web(vf))
 
 
 def is_flat(vf: AffineVectorField) -> bool:
-    """True iff the dual web's curvature vanishes identically."""
-    return dual_curvature(vf).is_zero()
+    """True iff the dual web's curvature vanishes identically, that is iff
+    the unreduced numerator over R^2 is zero; no gcd is taken."""
+    numerator, _ = _curvature_fraction(_dual_web(vf))
+    return numerator.is_zero()
 
 
 # -- projective side ----------------------------------------------------------

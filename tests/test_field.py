@@ -5,8 +5,18 @@ from fractions import Fraction
 
 import pytest
 
-from webflat import FieldScalar, FieldSpec, field_sqrt, quadratic_field
+from webflat import (
+    RATIONALS,
+    FieldScalar,
+    FieldSpec,
+    MPoly,
+    field_sqrt,
+    quadratic_field,
+    render_poly,
+)
+from webflat.cli import parse_poly
 from webflat.errors import DivisionByZero, FieldMismatch, NotQuadratic
+from webflat.singular import field_roots
 
 from helpers import random_scalar
 
@@ -150,3 +160,126 @@ def test_scalar_rendering_round_trip_forms():
     assert str(FieldScalar(0, -1, EISENSTEIN)) == "-t"
     assert str(FieldScalar(Fraction(1, 2), 3, EISENSTEIN)) == "1/2 + 3*t"
     assert str(FieldScalar(Fraction(1, 2), -3, EISENSTEIN)) == "1/2 - 3*t"
+    # integral components are ints, rendered as before
+    assert str(FieldScalar(2)) == "2" and str(FieldScalar(Fraction(4, 2))) == "2"
+    assert str(FieldScalar(2, -3, EISENSTEIN)) == "2 - 3*t"
+    assert str(FieldScalar(0, 2, EISENSTEIN)) == "2*t"
+    assert str(parse_poly("2*x^2*y - 1/2*x + 3")) == "2*x^2*y - 1/2*x + 3"
+    assert str(parse_poly("(1 + 2*t)*x - 3", EISENSTEIN)) == "(1 + 2*t)*x - 3"
+
+
+# -- representation: integral components are ints ------------------------------
+
+GOLDEN_RATIO = quadratic_field(1, 1)  # t^2 = t + 1
+
+
+def _assert_normal(x):
+    """Each component is an int when integral, a Fraction otherwise, never
+    a float."""
+    for c in (x.a, x.b):
+        assert type(c) in (int, Fraction)
+        assert (type(c) is int) == (Fraction(c).denominator == 1)
+
+
+def _unnormalised(a, b, spec):
+    """A scalar holding its components exactly as given."""
+    scalar = object.__new__(FieldScalar)
+    scalar.a, scalar.b, scalar.spec = a, b, spec
+    return scalar
+
+
+def test_integral_components_are_ints():
+    x = FieldScalar(Fraction(6, 3), Fraction(3), GOLDEN_RATIO)
+    assert (type(x.a), type(x.b)) == (int, int) and (x.a, x.b) == (2, 3)
+    assert type(FieldScalar(2.0).a) is int
+    assert type(FieldScalar(Fraction(1, 2)).a) is Fraction
+    fast = FieldScalar._fast(Fraction(6, 3), Fraction(1, 2), GOLDEN_RATIO)
+    assert type(fast.a) is int and type(fast.b) is Fraction
+    half = FieldScalar(Fraction(1, 2), Fraction(1, 2), GOLDEN_RATIO)
+    for value in (half + half, half * 2, (half + half) - half - half, -(half * 4)):
+        assert (type(value.a), type(value.b)) == (int, int)
+    spec = FieldSpec("quadratic", Fraction(2, 2), 1.0)
+    assert (type(spec.u), type(spec.v)) == (int, int)
+    third = quadratic_field(Fraction(1, 3), Fraction(5, 2))
+    assert (type(third.u), type(third.v)) == (Fraction, Fraction)
+
+
+def test_components_normal_after_every_operation():
+    rng = random.Random(1979)
+    for spec in (GOLDEN_RATIO, EISENSTEIN, quadratic_field(Fraction(1, 3), Fraction(5, 2))):
+        for _ in range(200):
+            a = random_scalar(rng, spec, quadratic=True)
+            b = random_scalar(rng, spec, quadratic=True)
+            values = [a + b, a - b, a * b, -a, a ** 3, a + 1, 2 - a, a * Fraction(3, 2)]
+            values += [a.conjugate()]
+            if not b.is_zero():
+                values += [a / b, b.inverse(), b ** -2, 1 / b]
+            for value in values:
+                _assert_normal(value)
+
+
+def test_inverse_and_sqrt_of_integers_never_float():
+    for n in (2, 3, -7):
+        inverse = FieldScalar(n).inverse()
+        assert inverse.a == Fraction(1, n) and type(inverse.a) is Fraction
+    # (1 + t)(2 - t) = 2 + t - t^2 = 1 under t^2 = t + 1
+    unit = FieldScalar(1, 1, GOLDEN_RATIO)
+    assert unit.inverse() == FieldScalar(2, -1, GOLDEN_RATIO)
+    _assert_normal(unit.inverse())
+    _assert_normal(FieldScalar(3, 0, GOLDEN_RATIO).inverse())
+    roots = [
+        field_sqrt(FieldScalar(4)),
+        field_sqrt(FieldScalar(9, 0, GOLDEN_RATIO)),
+        field_sqrt(FieldScalar(2, 0, ROOT2)),
+        field_sqrt(FieldScalar(8, 0, ROOT2)),
+        field_sqrt(FieldScalar(0, 3, EISENSTEIN)),  # (1 + t)^2 = 3t
+        field_sqrt(FieldScalar(2, 3, GOLDEN_RATIO)),  # (1 + t)^2 = 2 + 3t
+    ]
+    assert field_sqrt(FieldScalar(2, 0, GOLDEN_RATIO)) is None
+    for root in roots:
+        assert root is not None
+        _assert_normal(root)
+
+
+def test_field_roots_of_integer_polynomial_never_float():
+    spec = GOLDEN_RATIO
+    # (2s - 1)(s - 3)(s^2 - s - 1): roots 1/2, 3, t and 1 - t
+    coeffs = [FieldScalar(c, 0, spec) for c in (-3, 4, 8, -9, 2)]
+    roots, unsplit = field_roots(coeffs)
+    assert unsplit is None
+    assert roots == sorted(
+        [
+            FieldScalar(Fraction(1, 2), 0, spec),
+            FieldScalar(3, 0, spec),
+            FieldScalar(0, 1, spec),
+            FieldScalar(1, -1, spec),
+        ],
+        key=lambda r: (r.a, r.b),
+    )
+    for root in roots:
+        _assert_normal(root)
+
+
+def test_mixed_int_and_fraction_components_compare_and_hash_equal():
+    for spec, a, b in ((RATIONALS, 2, 0), (GOLDEN_RATIO, 2, -3), (GOLDEN_RATIO, 0, 1)):
+        ints = FieldScalar(a, b, spec)
+        fractions = _unnormalised(Fraction(a), Fraction(b), spec)
+        assert ints == fractions and hash(ints) == hash(fractions)
+        assert str(ints) == str(fractions)
+        exponent = (1, 2, 0, 0, 0, 0)
+        left = MPoly({exponent: ints, (0,) * 6: FieldScalar(Fraction(1, 2), 0, spec)}, spec)
+        right = MPoly._raw(
+            {exponent: fractions, (0,) * 6: FieldScalar(Fraction(1, 2), 0, spec)}, spec
+        )
+        assert left == right and hash(left) == hash(right)
+        assert render_poly(left) == render_poly(right)
+
+
+def test_input_validation_follows_fraction():
+    for value in (3, Fraction(1, 3), 0.5, "2/4", "7", True):
+        assert FieldScalar(value).a == Fraction(value)
+    for value in ("x", float("nan"), float("inf"), None, 1j):
+        with pytest.raises(Exception) as expected:
+            Fraction(value)
+        with pytest.raises(expected.type):
+            FieldScalar(value)

@@ -34,7 +34,13 @@ from webflat.errors import (
     ZeroPolynomial,
 )
 
-from helpers import brute_force_power, cofactor_determinant, random_poly, subresultant_oracle
+from helpers import (
+    brute_force_power,
+    cofactor_determinant,
+    random_poly,
+    random_scalar,
+    subresultant_oracle,
+)
 
 P = parse_poly
 X = MPoly.variable("x")
@@ -557,10 +563,22 @@ def test_cubic_resultant_vanishes_iff_double_root():
 
 
 def test_cubic_resultant_with_polynomial_coefficients():
-    rng = random.Random(8888)
-    for _ in range(10):
-        coeffs = [random_poly(rng, ("p", "q"), 1, 2) for _ in range(4)]
-        assert cubic_resultant(*coeffs) == _resultant_oracle(*coeffs)
+    """The closed form equals the 5x5 oracle, sign included, over Q and
+    t^2=t+1, also with a0 = 0 and with constant inputs."""
+    for spec in (RATIONALS, parse_field("t^2=t+1")):
+        rng = random.Random(8888)
+        zero = MPoly.zero(spec)
+        cases = []
+        for _ in range(10):
+            coeffs = [random_poly(rng, ("p", "q"), 1, 2, spec, quadratic=True) for _ in range(4)]
+            cases.append(coeffs)
+            cases.append([zero] + coeffs[1:])
+            cases.append(
+                [MPoly.constant(random_scalar(rng, spec, quadratic=True), spec) for _ in range(4)]
+            )
+        for coeffs in cases:
+            assert cubic_resultant(*coeffs) == _resultant_oracle(*coeffs)
+        assert any(not cubic_resultant(*coeffs).is_zero() for coeffs in cases[2::3])
 
 
 @pytest.mark.parametrize("field", [None, "t^2=t+1"])

@@ -1,5 +1,6 @@
 """Property tests (hypothesis): gcd over Q and Q(theta) against the
-subresultant oracle on small random inputs."""
+subresultant oracle, and FieldScalar arithmetic against a Fraction-only
+reference, on small random inputs."""
 
 from fractions import Fraction
 
@@ -8,7 +9,14 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from webflat import RATIONALS, FieldScalar, MPoly, divides, poly_gcd  # noqa: E402
+from webflat import (  # noqa: E402
+    RATIONALS,
+    FieldScalar,
+    MPoly,
+    divides,
+    poly_gcd,
+    quadratic_field,
+)
 from webflat.cli import parse_field  # noqa: E402
 
 from helpers import subresultant_oracle  # noqa: E402
@@ -55,3 +63,70 @@ def test_gcd_of_multiples_over_quadratic_field(field, a, b, h):
 @given(_terms, _terms, _terms)
 def test_gcd_of_multiples_over_rationals(a, b, h):
     _check_gcd_of_multiples(RATIONALS, a, b, h)
+
+
+# -- FieldScalar against a Fraction-only reference ---------------------------------
+
+_SCALAR_FIELDS = (
+    RATIONALS,
+    quadratic_field(1, 1),  # t^2 = t + 1
+    quadratic_field(Fraction(1, 3), Fraction(5, 2)),  # t^2 = t/3 + 5/2
+)
+_rationals = st.one_of(
+    st.integers(-30, 30), st.fractions(min_value=-30, max_value=30, max_denominator=12)
+)
+
+
+def _reference_ops(spec, x, y, k):
+    """The field operations on (a, b) pairs of Fractions, as in the
+    textbook: t^2 = u*t + v, inverse = conjugate / norm."""
+    u, v = (Fraction(spec.u), Fraction(spec.v)) if spec.is_quadratic else (0, 0)
+
+    def mul(p, q):
+        (a, b), (c, d) = p, q
+        return (a * c + b * d * v, a * d + b * c + b * d * u)
+
+    def inv(p):
+        a, b = p
+        n = a * a + a * b * u - b * b * v
+        return ((a + b * u) / n, -b / n)
+
+    power = (Fraction(1), Fraction(0))
+    for _ in range(abs(k)):
+        power = mul(power, x)
+    ops = {
+        "add": (x[0] + y[0], x[1] + y[1]),
+        "sub": (x[0] - y[0], x[1] - y[1]),
+        "neg": (-x[0], -x[1]),
+        "mul": mul(x, y),
+    }
+    if k >= 0:
+        ops["pow"] = power
+    elif any(x):
+        ops["pow"] = inv(power)
+    if any(y):
+        ops["inverse"] = inv(y)
+        ops["div"] = mul(x, inv(y))
+    return ops
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.sampled_from(_SCALAR_FIELDS), _rationals, _rationals, _rationals, _rationals,
+       st.integers(-3, 3))
+def test_field_scalar_ops_match_fraction_reference(spec, a, b, c, d, k):
+    if not spec.is_quadratic:
+        b = d = 0
+    x, y = FieldScalar(a, b, spec), FieldScalar(c, d, spec)
+    ops = {"add": x + y, "sub": x - y, "neg": -x, "mul": x * y}
+    if k >= 0 or not x.is_zero():
+        ops["pow"] = x ** k
+    if not y.is_zero():
+        ops["inverse"] = y.inverse()
+        ops["div"] = x / y
+    reference = _reference_ops(spec, (Fraction(a), Fraction(b)), (Fraction(c), Fraction(d)), k)
+    assert ops.keys() == reference.keys()
+    for name, value in ops.items():
+        assert (value.a, value.b) == reference[name], name
+        for component in (value.a, value.b):
+            assert type(component) is (int if component.denominator == 1 else Fraction)
+    assert (x == y) == ((Fraction(a), Fraction(b)) == (Fraction(c), Fraction(d)))

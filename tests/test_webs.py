@@ -155,10 +155,26 @@ def test_monomial_radial_multiple_degenerate():
     # discriminant vanishes identically -- not an honest 3-web
     with pytest.raises(DegenerateWeb):
         dual_curvature(AffineVectorField(P("x^4"), P("x^3*y")))
+    with pytest.raises(DegenerateWeb):
+        is_flat(AffineVectorField(P("x^4"), P("x^3*y")))
 
 
 def test_golden_not_flat():
     assert not is_flat(GOLDEN_VF)
+
+
+def test_is_flat_agrees_with_reduced_curvature():
+    """is_flat tests the unreduced numerator over R^2 for zero; it must give
+    the reduced curvature's verdict on the criterion-02 members theta,
+    1 - theta and 2 (all flat) and on seeded non-flat fields."""
+    spec = quadratic_field(1, -1)
+    theta = FieldScalar.theta(spec)
+    fields = [classification_field(nu) for nu in (theta, 1 - theta, FieldScalar(2))]
+    rng = random.Random(2718)
+    fields += [_random_degree3_field(rng) for _ in range(6)]
+    verdicts = [is_flat(vf) for vf in fields]
+    assert verdicts == [dual_curvature(vf).is_zero() for vf in fields]
+    assert verdicts == [True] * 3 + [False] * 6
 
 
 # -- curvature covariance -------------------------------------------------------------
