@@ -25,6 +25,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .errors import (
+    DegreeExceeded,
     DomainError,
     ParseError,
     ThetaWithoutField,
@@ -56,6 +57,22 @@ from .webs import (
 # -- lexer / parser -----------------------------------------------------------
 
 _VAR_NAMES = set("xyzpqt")
+
+# The parser refuses a product or a power whose total degree would pass this
+# bound, before it expands it.  The paper's objects are degree-3 foliations
+# and their degree-1 webs, and the recorded corpora peak at total degree 9
+# (tests/test_corpus.py).  At 16 the densest expansion the grammar can ask
+# for, (x+y+z+p+q+1)^16, has 20,349 terms and takes about a second, so no
+# single product or power holds up the parser, nor a batch behind it.
+MAX_PARSE_DEGREE = 16
+
+
+def _check_degree(degree: int, token: "_Token"):
+    if degree > MAX_PARSE_DEGREE:
+        raise DegreeExceeded(
+            "total degree %d at offset %d exceeds the parser's bound %d"
+            % (degree, token.offset, MAX_PARSE_DEGREE)
+        )
 
 
 class _Token:
@@ -148,17 +165,24 @@ class _Parser:
 
     def term(self) -> MPoly:
         value = self.factor()
+        degree = value.total_degree()
         while self.peek().kind == "*":
-            self.take()
-            value = value * self.factor()
+            token = self.take()
+            rhs = self.factor()
+            # deg(a*b) = deg a + deg b over a field; the zero polynomial has -1
+            d = rhs.total_degree()
+            degree = -1 if degree < 0 or d < 0 else degree + d
+            _check_degree(degree, token)
+            value = value * rhs
         return value
 
     def factor(self) -> MPoly:
         base = self.base()
         if self.peek().kind == "^":
-            self.take()
-            exponent = self.expect("uint")
-            return base ** int(exponent.text)
+            token = self.take()
+            exponent = int(self.expect("uint").text)
+            _check_degree(base.total_degree() * exponent, token)  # deg(a^n) = n*deg a
+            return base ** exponent
         return base
 
     def base(self) -> MPoly:

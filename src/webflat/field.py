@@ -120,9 +120,9 @@ class FieldScalar:
     # -- ring structure -------------------------------------------------
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not FieldScalar or other.spec is not self.spec:
+            if (other := self._coerce(other)) is NotImplemented:
+                return NotImplemented
         return FieldScalar._fast(self.a + other.a, self.b + other.b, self.spec)
 
     __radd__ = __add__
@@ -131,18 +131,18 @@ class FieldScalar:
         return FieldScalar._fast(-self.a, -self.b, self.spec)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not FieldScalar or other.spec is not self.spec:
+            if (other := self._coerce(other)) is NotImplemented:
+                return NotImplemented
         return FieldScalar._fast(self.a - other.a, self.b - other.b, self.spec)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not FieldScalar or other.spec is not self.spec:
+            if (other := self._coerce(other)) is NotImplemented:
+                return NotImplemented
         a, b, c, d = self.a, self.b, other.a, other.b
         if b == 0 and d == 0:
             return FieldScalar._fast(a * c, b, self.spec)
@@ -215,7 +215,7 @@ class FieldScalar:
         return self.b == 0
 
     def __bool__(self):
-        return not self.is_zero()
+        return self.a != 0 or self.b != 0
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

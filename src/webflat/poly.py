@@ -2,15 +2,20 @@
 
 Representation
 --------------
-A polynomial is a map from exponent vectors to nonzero `FieldScalar`
-coefficients, whose components are plain `int`s wherever they are
-integral (see `field`).  The variable tuple is fixed once and for all:
+A polynomial is a map, its ground map, from exponent vectors to nonzero
+ground elements: over Q a bare `int` when integral and a `Fraction`
+otherwise, over Q(theta) a `FieldScalar` (see `field`).  Kernel loops use
+Python operators and truthiness on them, so one loop serves both fields;
+no inverse is ever a float.  `FieldScalar` stays the public coefficient
+type: values enter through `_as_coefficient`, and `terms`,
+`leading_coefficient`, `constant_value` and `evaluate_scalar` hand out
+`FieldScalar`s.  The variable tuple is fixed once and for all:
 
     (x, y, z, p, q, t)
 
 so an exponent vector is a 6-tuple of nonnegative ints and the zero
 polynomial is the empty map.  Identical polynomials always have identical
-term maps, which makes equality, hashing and rendering trivial.
+ground maps, which makes equality, hashing and rendering trivial.
 
 The monomial order used everywhere (leading coefficients, gcd
 normalization, rendering) is graded lexicographic with x > y > z > p > q > t.
@@ -47,7 +52,7 @@ from .errors import (
     ZeroPolynomial,
 )
 from . import modular
-from .field import RATIONALS, FieldScalar, FieldSpec
+from .field import RATIONALS, FieldScalar, FieldSpec, _component
 
 VARIABLES = ("x", "y", "z", "p", "q", "t")
 NVARS = len(VARIABLES)
@@ -59,38 +64,69 @@ def _grlex_key(exponent):
     return (sum(exponent), exponent)
 
 
-def _as_coefficient(value, spec: FieldSpec) -> FieldScalar:
+def _as_coefficient(value, spec: FieldSpec):
+    """A coefficient (FieldScalar, int, Fraction, or what Fraction accepts)
+    as a ground element of spec."""
     if isinstance(value, FieldScalar):
         if value.spec is not spec and value.spec != spec:
             raise FieldMismatch("coefficient from a different field")
-        return value
-    return FieldScalar(value, 0, spec)
+        return value if spec.is_quadratic else value.a
+    return FieldScalar(value, 0, spec) if spec.is_quadratic else _component(value)
+
+
+def _as_scalar(c, spec: FieldSpec) -> FieldScalar:
+    """A ground element of spec as a FieldScalar."""
+    return c if c.__class__ is FieldScalar else FieldScalar._fast(c, 0, spec)
+
+
+def _normal(c):
+    """A ground element with an integral Fraction stored as its int."""
+    return c.numerator if c.__class__ is Fraction and c.denominator == 1 else c
+
+
+def _scale(ground: dict, s) -> dict:
+    """A ground map times a nonzero ground element."""
+    return {e: _normal(c * s) for e, c in ground.items()}
+
+
+def _inverse(c):
+    """1/c for a nonzero ground element; never a float."""
+    return c.inverse() if c.__class__ is FieldScalar else _normal(Fraction(1, c))
 
 
 class MPoly:
     """Immutable sparse polynomial in the fixed six variables."""
 
-    __slots__ = ("spec", "terms")
+    __slots__ = ("spec", "_ground")
 
     def __init__(self, terms=None, spec: FieldSpec = RATIONALS):
         cleaned = {}
         if terms:
             for exponent, coeff in terms.items():
                 coeff = _as_coefficient(coeff, spec)
-                if not coeff.is_zero():
+                if coeff:
                     cleaned[tuple(exponent)] = coeff
         self.spec = spec
-        self.terms = cleaned
+        self._ground = cleaned
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def _raw(cls, terms: dict, spec: FieldSpec) -> "MPoly":
-        """Internal: adopt an already-canonical term map without copying."""
+    def _raw(cls, ground: dict, spec: FieldSpec) -> "MPoly":
+        """Internal: adopt an already-canonical ground map without copying."""
         poly = object.__new__(cls)
         poly.spec = spec
-        poly.terms = terms
+        poly._ground = ground
         return poly
+
+    @property
+    def terms(self) -> dict:
+        """The term map with FieldScalar values: over Q a fresh view of the
+        ground map, over Q(theta) the ground map itself.  Read only."""
+        if self.spec.is_quadratic:
+            return self._ground
+        spec = self.spec
+        return {e: FieldScalar._fast(c, 0, spec) for e, c in self._ground.items()}
 
     @classmethod
     def zero(cls, spec: FieldSpec = RATIONALS) -> "MPoly":
@@ -103,78 +139,70 @@ class MPoly:
     @classmethod
     def constant(cls, value, spec: FieldSpec = RATIONALS) -> "MPoly":
         coeff = _as_coefficient(value, spec)
-        if coeff.is_zero():
-            return cls.zero(spec)
-        return cls._raw({_ZERO_EXP: coeff}, spec)
+        return cls._raw({_ZERO_EXP: coeff} if coeff else {}, spec)
 
     @classmethod
     def variable(cls, name: str, spec: FieldSpec = RATIONALS) -> "MPoly":
         exponent = [0] * NVARS
         exponent[VARIABLE_INDEX[name]] = 1
-        return cls._raw({tuple(exponent): FieldScalar(1, 0, spec)}, spec)
+        return cls._raw({tuple(exponent): _as_coefficient(1, spec)}, spec)
 
     @classmethod
     def monomial(cls, exponent, coeff=1, spec: FieldSpec = RATIONALS) -> "MPoly":
         coeff = _as_coefficient(coeff, spec)
-        if coeff.is_zero():
-            return cls.zero(spec)
-        return cls._raw({tuple(exponent): coeff}, spec)
+        return cls._raw({tuple(exponent): coeff} if coeff else {}, spec)
 
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._ground
 
     def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and _ZERO_EXP in self.terms)
+        return not self._ground or (len(self._ground) == 1 and _ZERO_EXP in self._ground)
 
     def is_one(self) -> bool:
-        coeff = self.terms.get(_ZERO_EXP)
-        return len(self.terms) == 1 and coeff is not None and coeff.is_one()
+        return len(self._ground) == 1 and self._ground.get(_ZERO_EXP) == 1
 
     def constant_value(self) -> FieldScalar:
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return self.terms.get(_ZERO_EXP, FieldScalar(0, 0, self.spec))
+        return _as_scalar(self._ground.get(_ZERO_EXP, 0), self.spec)
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self._ground:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(map(sum, self._ground))
 
     def degree_in(self, var: str) -> int:
         """Degree in one variable; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self._ground:
             return -1
         i = VARIABLE_INDEX[var]
-        return max(e[i] for e in self.terms)
+        return max(e[i] for e in self._ground)
 
     def variables(self) -> frozenset:
         present = set()
-        for exponent in self.terms:
+        for exponent in self._ground:
             for i, e in enumerate(exponent):
                 if e:
                     present.add(VARIABLES[i])
         return frozenset(present)
 
     def leading_monomial(self):
-        if not self.terms:
+        if not self._ground:
             raise ZeroPolynomial("zero polynomial has no leading monomial")
-        return max(self.terms, key=_grlex_key)
+        return max(self._ground, key=_grlex_key)
 
     def leading_coefficient(self) -> FieldScalar:
-        return self.terms[self.leading_monomial()]
+        return _as_scalar(self._ground[self.leading_monomial()], self.spec)
 
     def monic(self) -> "MPoly":
         """Divide by the leading coefficient (zero stays zero)."""
-        if not self.terms:
+        if not self._ground:
             return self
-        lc = self.leading_coefficient()
-        if lc.is_one():
-            return self
-        inv = lc.inverse()
-        return MPoly._raw({e: c * inv for e, c in self.terms.items()}, self.spec)
+        lc = self._ground[self.leading_monomial()]
+        return self if lc == 1 else MPoly._raw(_scale(self._ground, _inverse(lc)), self.spec)
 
     # -- ring operations ---------------------------------------------------
 
@@ -186,48 +214,48 @@ class MPoly:
         if not isinstance(other, MPoly):
             return NotImplemented
         self._check(other)
-        out = dict(self.terms)
-        for exponent, coeff in other.terms.items():
-            have = out.get(exponent)
-            total = coeff if have is None else have + coeff
-            if total.is_zero():
-                out.pop(exponent, None)
+        out = dict(self._ground)
+        for e, coeff in other._ground.items():
+            have = out.get(e)
+            if have is None:
+                out[e] = coeff
+            elif t := have + coeff:
+                out[e] = t.numerator if t.__class__ is Fraction and t.denominator == 1 else t
             else:
-                out[exponent] = total
+                del out[e]
         return MPoly._raw(out, self.spec)
 
     def __sub__(self, other):
         if not isinstance(other, MPoly):
             return NotImplemented
         self._check(other)
-        out = dict(self.terms)
-        for exponent, coeff in other.terms.items():
-            have = out.get(exponent)
-            total = -coeff if have is None else have - coeff
-            if total.is_zero():
-                out.pop(exponent, None)
+        out = dict(self._ground)
+        for e, coeff in other._ground.items():
+            have = out.get(e)
+            if have is None:
+                out[e] = -coeff
+            elif t := have - coeff:
+                out[e] = t.numerator if t.__class__ is Fraction and t.denominator == 1 else t
             else:
-                out[exponent] = total
+                del out[e]
         return MPoly._raw(out, self.spec)
 
     def __neg__(self):
-        return MPoly._raw({e: -c for e, c in self.terms.items()}, self.spec)
+        return MPoly._raw({e: -c for e, c in self._ground.items()}, self.spec)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, FieldScalar)):
             coeff = _as_coefficient(other, self.spec)
-            if coeff.is_zero():
+            if not coeff:
                 return MPoly.zero(self.spec)
-            return MPoly._raw(
-                {e: c * coeff for e, c in self.terms.items()}, self.spec
-            )
+            return MPoly._raw(_scale(self._ground, coeff), self.spec)
         if not isinstance(other, MPoly):
             return NotImplemented
         self._check(other)
-        if not self.terms or not other.terms:
+        if not self._ground or not other._ground:
             return MPoly.zero(self.spec)
         # iterate the shorter operand on the outside
-        left, right = self.terms, other.terms
+        left, right = self._ground, other._ground
         if len(left) > len(right):
             left, right = right, left
         out = {}
@@ -244,9 +272,10 @@ class MPoly:
                 coeff = c1 * c2
                 have = out.get(exponent)
                 out[exponent] = coeff if have is None else have + coeff
-        return MPoly._raw(
-            {e: c for e, c in out.items() if not c.is_zero()}, self.spec
-        )
+        return MPoly._raw({  # _normal, inlined in the hottest loops
+            e: c.numerator if c.__class__ is Fraction and c.denominator == 1 else c
+            for e, c in out.items() if c
+        }, self.spec)
 
     __rmul__ = __mul__
 
@@ -265,10 +294,10 @@ class MPoly:
     def __eq__(self, other):
         if not isinstance(other, MPoly):
             return NotImplemented
-        return self.spec == other.spec and self.terms == other.terms
+        return self.spec == other.spec and self._ground == other._ground
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash(frozenset(self._ground.items()))
 
     # -- calculus ----------------------------------------------------------
 
@@ -276,12 +305,10 @@ class MPoly:
         """Formal partial derivative with respect to one variable."""
         i = VARIABLE_INDEX[var]
         out = {}
-        for exponent, coeff in self.terms.items():
+        for exponent, coeff in self._ground.items():
             e = exponent[i]
-            if e == 0:
-                continue
-            lowered = exponent[:i] + (e - 1,) + exponent[i + 1 :]
-            out[lowered] = coeff * e
+            if e:
+                out[exponent[:i] + (e - 1,) + exponent[i + 1 :]] = _normal(coeff * e)
         return MPoly._raw(out, self.spec)
 
     # -- substitution --------------------------------------------------------
@@ -310,7 +337,7 @@ class MPoly:
             return cache[e]
 
         result = MPoly.zero(self.spec)
-        for exponent, coeff in self.terms.items():
+        for exponent, coeff in self._ground.items():
             untouched = list(exponent)
             factors = []
             for i in images:
@@ -318,7 +345,7 @@ class MPoly:
                 untouched[i] = 0
                 if e:
                     factors.append(power(i, e))
-            term = MPoly.monomial(tuple(untouched), coeff, self.spec)
+            term = MPoly._raw({tuple(untouched): coeff}, self.spec)
             for factor in factors:
                 term = term * factor
             result = result + term
@@ -329,7 +356,7 @@ class MPoly:
         of `var`."""
         i = VARIABLE_INDEX[var]
         split = {}
-        for exponent, coeff in self.terms.items():
+        for exponent, coeff in self._ground.items():
             e = exponent[i]
             stripped = exponent[:i] + (0,) + exponent[i + 1 :]
             split.setdefault(e, {})[stripped] = coeff
@@ -339,7 +366,7 @@ class MPoly:
         """Coefficient of var**power, as a polynomial free of `var`."""
         i = VARIABLE_INDEX[var]
         out = {}
-        for exponent, coeff in self.terms.items():
+        for exponent, coeff in self._ground.items():
             if exponent[i] == power:
                 out[exponent[:i] + (0,) + exponent[i + 1 :]] = coeff
         return MPoly._raw(out, self.spec)
@@ -351,8 +378,8 @@ class MPoly:
         values = {}
         for name, value in point.items():
             values[VARIABLE_INDEX[name]] = _as_coefficient(value, self.spec)
-        total = FieldScalar(0, 0, self.spec)
-        for exponent, coeff in self.terms.items():
+        total = 0
+        for exponent, coeff in self._ground.items():
             term = coeff
             for i, e in enumerate(exponent):
                 if e == 0:
@@ -361,7 +388,7 @@ class MPoly:
                     raise KeyError("no value supplied for %s" % VARIABLES[i])
                 term = term * values[i] ** e
             total = total + term
-        return total
+        return _as_scalar(total, self.spec)
 
     def __str__(self):
         return render_poly(self)
@@ -388,15 +415,17 @@ def render_poly(f: MPoly) -> str:
 
     The output re-parses to an equal polynomial under the CLI grammar.
     """
-    if not f.terms:
+    if not f._ground:
         return "0"
     chunks = []
-    for exponent in sorted(f.terms, key=_grlex_key, reverse=True):
-        coeff = f.terms[exponent]
+    for exponent in sorted(f._ground, key=_grlex_key, reverse=True):
+        coeff = f._ground[exponent]
         mono = _render_monomial(exponent)
-        if coeff.is_rational():
-            negative = coeff.a < 0
-            mag = -coeff.a if negative else coeff.a
+        if coeff.__class__ is FieldScalar and not coeff.b:
+            coeff = coeff.a
+        if coeff.__class__ is not FieldScalar:
+            negative = coeff < 0
+            mag = -coeff if negative else coeff
             if not mono:
                 body = str(mag)
             elif mag == 1:
@@ -417,10 +446,6 @@ def render_poly(f: MPoly) -> str:
 # -- exact division and gcd ------------------------------------------------------
 
 
-def _monomial_divides(e1, e2) -> bool:
-    return all(a <= b for a, b in zip(e1, e2))
-
-
 def try_exact_divide(f: MPoly, g: MPoly):
     """f / g when the division is exact, else None."""
     if g.is_zero():
@@ -430,25 +455,28 @@ def try_exact_divide(f: MPoly, g: MPoly):
     f._check(g)
     # leading terms in lex order, which compares exponent tuples without a
     # key function; any monomial order decides divisibility
-    lm_g = max(g.terms)
-    lc_g_inv = g.terms[lm_g].inverse()
+    divisor = g._ground
+    g0, g1, g2, g3, g4, g5 = lm_g = max(divisor)
+    lc_g_inv = _inverse(divisor[lm_g])
     quotient = {}
-    rest = dict(f.terms)
+    rest = dict(f._ground)
     while rest:
         lm_r = max(rest)
-        if not _monomial_divides(lm_g, lm_r):
+        q0, q1, q2, q3, q4, q5 = exponent = (
+            lm_r[0] - g0, lm_r[1] - g1, lm_r[2] - g2, lm_r[3] - g3, lm_r[4] - g4, lm_r[5] - g5
+        )
+        if q0 < 0 or q1 < 0 or q2 < 0 or q3 < 0 or q4 < 0 or q5 < 0:
             return None
-        exponent = tuple(a - b for a, b in zip(lm_r, lm_g))
-        coeff = rest[lm_r] * lc_g_inv
-        quotient[exponent] = coeff
-        for e2, c2 in g.terms.items():
-            e = tuple(a + b for a, b in zip(exponent, e2))
+        coeff = quotient[exponent] = _normal(rest[lm_r] * lc_g_inv)
+        for e2, c2 in divisor.items():
+            e = (q0 + e2[0], q1 + e2[1], q2 + e2[2], q3 + e2[3], q4 + e2[4], q5 + e2[5])
             have = rest.get(e)
-            total = -(coeff * c2) if have is None else have - coeff * c2
-            if total.is_zero():
-                rest.pop(e, None)
-            else:
+            if have is None:
+                rest[e] = -(coeff * c2)
+            elif total := have - coeff * c2:
                 rest[e] = total
+            else:
+                del rest[e]
     return MPoly._raw(quotient, f.spec)
 
 
@@ -465,7 +493,7 @@ def divides(g: MPoly, f: MPoly) -> bool:
 
 
 def _monomial_content(f: MPoly):
-    iters = iter(f.terms)
+    iters = iter(f._ground)
     lowest = list(next(iters))
     for exponent in iters:
         for i, e in enumerate(exponent):
@@ -478,7 +506,7 @@ def _shift_down(f: MPoly, shift) -> MPoly:
     if not any(shift):
         return f
     return MPoly._raw(
-        {tuple(a - b for a, b in zip(e, shift)): c for e, c in f.terms.items()},
+        {tuple(a - b for a, b in zip(e, shift)): c for e, c in f._ground.items()},
         f.spec,
     )
 
@@ -486,7 +514,7 @@ def _shift_down(f: MPoly, shift) -> MPoly:
 def _from_univariate(coeffs: dict, var_index: int, spec: FieldSpec) -> MPoly:
     out = {}
     for e, poly in coeffs.items():
-        for exponent, coeff in poly.terms.items():
+        for exponent, coeff in poly._ground.items():
             lifted = (
                 exponent[:var_index] + (exponent[var_index] + e,) + exponent[var_index + 1 :]
             )
@@ -533,7 +561,7 @@ def _pseudo_remainder(a: dict, b: dict) -> dict:
 
 
 def _content(coeffs: dict) -> MPoly:
-    polys = sorted(coeffs.values(), key=lambda c: len(c.terms))
+    polys = sorted(coeffs.values(), key=lambda c: len(c._ground))
     acc = polys[0]
     for poly in polys[1:]:
         if acc.is_constant():
@@ -594,7 +622,10 @@ def _gcd_modular(f: MPoly, g: MPoly, vi: int, wi: int):
     denominator = 1
     inputs = []
     for poly in (f, g):
-        terms = [(e[vi], e[wi], c.a, c.b) for e, c in poly.terms.items()]
+        terms = [  # (i, j, a, b) for each term c*v^i*w^j, c = a + b*theta
+            (e[vi], e[wi], c.a, c.b) if c.__class__ is FieldScalar else (e[vi], e[wi], c, 0)
+            for e, c in poly._ground.items()
+        ]
         for _, _, a, b in terms:
             denominator = math.lcm(denominator, a.denominator, b.denominator)
         lm = poly.leading_monomial()
@@ -679,7 +710,10 @@ def _gcd_modular(f: MPoly, g: MPoly, vi: int, wi: int):
             continue
         tested = candidate
         h = MPoly._raw(
-            {lift(*ij): FieldScalar._fast(a, b, spec) for ij, (a, b) in candidate.items()},
+            {
+                lift(*ij): _as_coefficient(FieldScalar._fast(a, b, spec), spec)
+                for ij, (a, b) in candidate.items()
+            },
             spec,
         )
         if try_exact_divide(f, h) is not None and try_exact_divide(g, h) is not None:
@@ -742,12 +776,12 @@ def _gcd_raw(f: MPoly, g: MPoly) -> MPoly:
     shared = names_f & names_g
     if not shared:
         return mono
-    if f.terms == g.terms:  # the cheap win first
+    if f._ground == g._ground:  # the cheap win first
         return mono * f
     # recurse on the variable appearing in the most terms
     def frequency(name):
         i = VARIABLE_INDEX[name]
-        return sum(1 for e in f.terms if e[i]) + sum(1 for e in g.terms if e[i])
+        return sum(1 for e in f._ground if e[i]) + sum(1 for e in g._ground if e[i])
 
     vi = VARIABLE_INDEX[max(sorted(shared), key=frequency)]
     names = names_f | names_g
@@ -759,7 +793,7 @@ def _gcd_raw(f: MPoly, g: MPoly) -> MPoly:
         if h is not None:
             return mono * h
     # before the remainder sequence, the cheap win: one divides the other
-    if len(f.terms) <= len(g.terms):
+    if len(f._ground) <= len(g._ground):
         if try_exact_divide(g, f) is not None:
             return mono * f
     elif try_exact_divide(f, g) is not None:
@@ -882,6 +916,15 @@ def cubic_resultant(a0: MPoly, a1: MPoly, a2: MPoly, a3: MPoly) -> MPoly:
 # -- rational functions ------------------------------------------------------------
 
 
+def _monic_denominator(num: MPoly, den: MPoly):
+    """num and den, both divided by the leading coefficient of den."""
+    lc = den._ground[den.leading_monomial()]
+    if lc == 1:
+        return num, den
+    inv = _inverse(lc)
+    return num * inv, den * inv
+
+
 class RatFn:
     """Reduced quotient of two polynomials.
 
@@ -897,33 +940,20 @@ class RatFn:
             raise DivisionByZero("rational function with zero denominator")
         num._check(den)
         if num.is_zero():
-            num = MPoly.zero(num.spec)
             den = MPoly.one(num.spec)
         else:
             common = poly_gcd(num, den)
             if not common.is_one():
                 num = exact_divide(num, common)
                 den = exact_divide(den, common)
-            lc = den.leading_coefficient()
-            if not lc.is_one():
-                inv = lc.inverse()
-                num = num * inv
-                den = den * inv
-        self.num = num
-        self.den = den
+        self.num, self.den = _monic_denominator(num, den)
 
     @classmethod
     def _reduced(cls, num: MPoly, den: MPoly) -> "RatFn":
         """Internal: adopt an already-coprime pair, normalizing only the
         denominator's leading coefficient."""
-        lc = den.leading_coefficient()
-        if not lc.is_one():
-            inv = lc.inverse()
-            num = num * inv
-            den = den * inv
         ratfn = object.__new__(cls)
-        ratfn.num = num
-        ratfn.den = den
+        ratfn.num, ratfn.den = _monic_denominator(num, den)
         return ratfn
 
     def is_zero(self) -> bool:
@@ -1009,8 +1039,8 @@ def evaluate_float(f: MPoly, point: dict, theta_embedding: complex | None = None
     for name, value in point.items():
         values[VARIABLE_INDEX[name]] = complex(value)
     total = 0j
-    for exponent, coeff in f.terms.items():
-        term = coeff.embed(theta_embedding)
+    for exponent, coeff in f._ground.items():
+        term = coeff.embed(theta_embedding) if coeff.__class__ is FieldScalar else complex(coeff)
         for i, e in enumerate(exponent):
             if e == 0:
                 continue

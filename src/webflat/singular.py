@@ -94,7 +94,7 @@ def _order(f: MPoly):
 
 def _jet(f: MPoly, k: int) -> MPoly:
     return MPoly._raw(
-        {e: c for e, c in f.terms.items() if sum(e) == k}, f.spec
+        {e: c for e, c in f._ground.items() if sum(e) == k}, f.spec
     )
 
 

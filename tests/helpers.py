@@ -82,6 +82,27 @@ def _compositions(total, parts):
     return out
 
 
+def assert_ground(f):
+    """f's ground map holds its field's representation, and `terms` shows
+    the same values as FieldScalars.
+
+    Over Q a coefficient is an int when integral and a Fraction otherwise,
+    never a float or a FieldScalar; over Q(theta) it is a FieldScalar of
+    f's field.  No zero is stored.
+    """
+    for c in f._ground.values():
+        if f.spec.is_quadratic:
+            assert type(c) is FieldScalar and c.spec == f.spec, c
+        else:
+            assert type(c) in (int, Fraction), c
+            assert type(c) is (int if c.denominator == 1 else Fraction), c
+        assert c
+    view = f.terms
+    assert view.keys() == f._ground.keys()
+    for exponent, c in view.items():
+        assert type(c) is FieldScalar and c.spec == f.spec and c == f._ground[exponent]
+
+
 # -- independent oracles -------------------------------------------------------
 
 

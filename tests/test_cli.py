@@ -7,14 +7,16 @@ import random
 import shlex
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 
 import webflat
 from webflat import FieldScalar, MPoly, RatFn, quadratic_field
-from webflat.cli import main, parse_field, parse_poly, run_line
+from webflat.cli import MAX_PARSE_DEGREE, main, parse_field, parse_poly, run_line
 from webflat.errors import (
+    DegreeExceeded,
     ParseError,
     ThetaWithoutField,
     UnknownVariable,
@@ -387,6 +389,49 @@ def test_batch_survives_invalid_operands(tmp_path, capsys):
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith("error: UsageError: cannot read batch file")
+
+
+OVER_DEGREE = [
+    ["flat", "--vf", "(x+1)^2000 ; y"],
+    ["discriminant", "--web", "p^3 - (x+y+1)^400*p"],
+]
+
+
+@pytest.mark.parametrize("argv", OVER_DEGREE)
+def test_parse_refuses_degree_past_bound_quickly(argv):
+    start = time.perf_counter()
+    out, err, code = run_line(argv)
+    assert time.perf_counter() - start < 1.0
+    assert (out, code) == ("", 2)
+    assert err.startswith("error: DegreeExceeded: ")
+    assert "Traceback" not in err
+
+
+def test_parse_degree_bound_is_exact():
+    bound = MAX_PARSE_DEGREE
+    assert parse_poly("x^%d" % bound).total_degree() == bound
+    assert parse_poly("(x*y)^%d*y^0" % (bound // 2)).total_degree() == bound
+    assert parse_poly("0*x^%d" % bound).is_zero()
+    assert parse_poly("(x - x)^100").is_zero()
+    for text in ("x^%d" % (bound + 1), "x^%d*y" % bound, "(x^2+y)^%d" % (bound // 2 + 1)):
+        with pytest.raises(DegreeExceeded):
+            parse_poly(text)
+
+
+def test_batch_runs_past_over_degree_lines(tmp_path, capsys):
+    batch = tmp_path / "jobs.txt"
+    batch.write_text(
+        "\n".join(shlex.join(argv) for argv in OVER_DEGREE)
+        + '\ndiscriminant --web "p^3 - p"\n'
+    )
+    start = time.perf_counter()
+    code = main(["--batch", str(batch)])
+    assert time.perf_counter() - start < 2.0
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out.splitlines() == ["-4"]
+    assert captured.err.count("error: DegreeExceeded: ") == 2
+    assert "Traceback" not in captured.err
 
 
 PINNED_CURVATURE = [

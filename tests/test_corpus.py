@@ -3,20 +3,31 @@
 Every line of the in-process workloads must give the recorded stdout
 bytes, exit code and error name, by the rule of `perfbench/run.py`.  A
 line recorded as a contract (`exit` a list) must end in a named
-`WebflatError` with one of those exit codes and nothing on stdout.
+`WebflatError` with one of those exit codes and nothing on stdout.  The
+gated workloads also replay under the benchmark's tracer, and every
+corpus line parses within the parser's degree bound.
 """
 
 import contextlib
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
+import webflat.cli as cli
 import webflat.errors as errors
 from webflat.cli import main
 
-CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+CORPUS = PERFBENCH / "corpus"
+WORKLOADS = ("curvature-q", "curvature-qtheta", "cli-mixed", "cli-batch")
+
+
+def _lines(workload):
+    with open(CORPUS / (workload + ".json"), encoding="utf-8") as handle:
+        return json.load(handle)["lines"]
 
 
 def _error_name(stderr):
@@ -44,8 +55,55 @@ def _line_ok(entry):
 
 @pytest.mark.parametrize("workload", ["curvature-q", "curvature-qtheta", "cli-mixed"])
 def test_corpus_replays_recorded_output(workload):
-    with open(CORPUS / (workload + ".json"), encoding="utf-8") as handle:
-        lines = json.load(handle)["lines"]
+    lines = _lines(workload)
     assert lines
     failed = [entry["argv"] for entry in lines if not _line_ok(entry)]
     assert not failed, failed
+
+
+# per-pass gcd calls by class, as recorded at the commit before the ground
+# coefficient representation; the representation must not move them
+TRACED_GCD_CALLS = {
+    "curvature-q": {"q2var": 71, "q3var": 0, "qtheta": 0},
+    "curvature-qtheta": {"q2var": 10, "q3var": 0, "qtheta": 17},
+}
+
+
+@pytest.mark.parametrize("workload", sorted(TRACED_GCD_CALLS))
+def test_traced_replay_keeps_output_and_gcd_counts(workload, monkeypatch):
+    # the benchmark's tracer reads FieldScalar values from MPoly.terms
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+
+    traced = tracer.Tracer()
+    traced.install()
+    try:
+        failed = [entry["argv"] for entry in _lines(workload) if not _line_ok(entry)]
+    finally:
+        traced.uninstall()
+    assert not failed, failed
+    metrics = tracer.summarise(traced.spans, traced.counts)
+    calls = {c: metrics["poly.gcd.%s.calls" % c] for c in tracer.GCD_CLASSES}
+    assert calls == TRACED_GCD_CALLS[workload]
+    if workload == "curvature-q":  # no coefficient is a FieldScalar over Q
+        assert metrics["field.mul.calls"] == metrics["field.add.calls"] == 0
+
+
+def test_corpus_inputs_parse_within_the_degree_bound(monkeypatch):
+    degrees = []
+    parse = cli._Parser.parse
+
+    def recording(parser):
+        poly = parse(parser)
+        degrees.append(poly.total_degree())
+        return poly
+
+    monkeypatch.setattr(cli._Parser, "parse", recording)
+    for workload in WORKLOADS:
+        for entry in _lines(workload):
+            try:
+                cli.build_command(entry["argv"])
+            except errors.WebflatError as err:
+                assert not isinstance(err, errors.DegreeExceeded), entry["argv"]
+    assert max(degrees) == 9 < cli.MAX_PARSE_DEGREE

@@ -20,6 +20,7 @@ from webflat import (
     exact_divide,
     poly_gcd,
     quadratic_field,
+    render_poly,
     squarefree_part,
 )
 import webflat.modular as modular
@@ -35,6 +36,7 @@ from webflat.errors import (
 )
 
 from helpers import (
+    assert_ground,
     brute_force_power,
     cofactor_determinant,
     random_poly,
@@ -681,3 +683,82 @@ def test_evaluate_float_homomorphism():
         right = evaluate_float(f, point) * evaluate_float(g, point)
         scale = max(1.0, abs(left), abs(right))
         assert abs(left - right) / scale < 1e-9
+
+
+# -- ground representation ---------------------------------------------------------
+
+GROUND_FIELDS = [RATIONALS, quadratic_field(1, 1)]
+
+
+@pytest.mark.parametrize("spec", GROUND_FIELDS, ids=["Q", "Q(theta)"])
+def test_ground_map_after_every_kernel(spec):
+    def Pf(text):
+        return parse_poly(text, spec)
+
+    half = Pf("1/2*x^2 + 3/2*x*y - 1/2")
+    f, g = Pf("2/3*x + 1/3*y"), Pf("3/4*x - 3/2")
+    x, y = VARIABLE_INDEX["x"], VARIABLE_INDEX["y"]
+    ratfn = RatFn(f * g * Fraction(3, 2), g * Pf("2/3*y"))
+    results = {
+        "add": half + half,  # Fraction + Fraction: integral sums become ints
+        "sub": half - Pf("1/2*x^2 - 1/2"),
+        "neg": -half,
+        "mul": (f * 3) * (g * 4),
+        "mul by scalar": half * 2,
+        "scalar mul": Fraction(2, 3) * g,
+        "derivative": half.derivative("x"),
+        "substitute": half.substitute({"x": Pf("2*y"), "y": Fraction(1, 3)}),
+        "monic": Pf("2/3*x^2 + 4/3*x").monic(),
+        "exact divide": poly_module.try_exact_divide(f * g, g),
+        "determinant": determinant(PolyMatrix.from_rows([[f, g], [g * 2, half]])),
+        "cubic resultant": cubic_resultant(Pf("1/2"), f, g, half),
+        "modular gcd": poly_module._gcd_modular(f * g, f * half, x, y),
+        "poly_gcd": poly_gcd(f * g, f * half),
+        "ratfn num": ratfn.num,
+        "ratfn den": ratfn.den,
+        "constant": MPoly.constant(FieldScalar(Fraction(4, 2), 0, spec), spec),
+    }
+    pseudo = poly_module._pseudo_remainder(
+        (f * g + half).coefficients_in("x"), g.coefficients_in("x")
+    )
+    results.update(("prem %d" % k, c) for k, c in pseudo.items())
+    for name, value in results.items():
+        assert not value.is_zero(), name
+        assert_ground(value)
+    assert results["add"] == Pf("x^2 + 3*x*y - 1")
+    assert results["mul"] == Pf("6*x^2 + 3*x*y - 12*x - 6*y")
+    assert results["monic"] == Pf("x^2 + 2*x")
+    assert results["exact divide"] == f
+    assert results["modular gcd"] == results["poly_gcd"] == f.monic()
+    assert ratfn.num == Pf("3/2*x + 3/4*y") and ratfn.den == Pf("y")
+    assert results["constant"].constant_value() == 2
+
+
+@pytest.mark.parametrize("spec", GROUND_FIELDS, ids=["Q", "Q(theta)"])
+def test_scalars_leave_the_kernel_as_field_scalars(spec):
+    f = parse_poly("3/4*x^2 + 2*y - 5", spec)
+    lc = f.leading_coefficient()
+    value = f.evaluate_scalar({"x": 2, "y": Fraction(1, 2)})
+    constant = MPoly.constant(Fraction(6, 3), spec).constant_value()
+    zero = MPoly.zero(spec).constant_value()
+    for scalar in (lc, value, constant, zero, *f.terms.values()):
+        assert type(scalar) is FieldScalar and scalar.spec == spec
+        assert type(scalar.a) is (int if scalar.a.denominator == 1 else Fraction)
+    assert (lc, value, constant, zero) == (Fraction(3, 4), -1, 2, 0)
+    assert type(value.a) is int and type(constant.a) is int
+    theta = (1 + math.sqrt(5)) / 2 if spec.is_quadratic else None
+    assert evaluate_float(f, {"x": 2.0, "y": 0.5}, theta) == pytest.approx(-1)
+
+
+def test_terms_and_rendering_agree_across_fields():
+    text = "3/4*x^2*y - 2*x*y + 7/2*y - 1"
+    over_q, over_theta = (parse_poly(text, spec) for spec in GROUND_FIELDS)
+    assert type(over_q._ground[(0, 1, 0, 0, 0, 0)]) is Fraction
+    assert type(over_theta._ground[(0, 1, 0, 0, 0, 0)]) is FieldScalar
+    q_terms, theta_terms = over_q.terms, over_theta.terms
+    assert {e: (c.a, c.b) for e, c in q_terms.items()} == {
+        e: (c.a, c.b) for e, c in theta_terms.items()
+    }
+    assert over_theta.terms is over_theta._ground
+    assert over_q.terms is not over_q.terms  # an uncached view
+    assert render_poly(over_q) == render_poly(over_theta) == text

@@ -1,6 +1,7 @@
 """Property tests (hypothesis): gcd over Q and Q(theta) against the
-subresultant oracle, and FieldScalar arithmetic against a Fraction-only
-reference, on small random inputs."""
+subresultant oracle, the polynomial kernels over Q against a
+FieldScalar-valued reference, and FieldScalar arithmetic against a
+Fraction-only reference, on small random inputs."""
 
 from fractions import Fraction
 
@@ -17,9 +18,10 @@ from webflat import (  # noqa: E402
     poly_gcd,
     quadratic_field,
 )
-from webflat.cli import parse_field  # noqa: E402
+from webflat.cli import parse_field, parse_poly  # noqa: E402
+from webflat.poly import render_poly, try_exact_divide  # noqa: E402
 
-from helpers import subresultant_oracle  # noqa: E402
+from helpers import assert_ground, brute_force_power, subresultant_oracle  # noqa: E402
 
 FIELDS = ("t^2=t+1", "t^2=t-1", "t^2=2*t+3/4")
 
@@ -63,6 +65,56 @@ def test_gcd_of_multiples_over_quadratic_field(field, a, b, h):
 @given(_terms, _terms, _terms)
 def test_gcd_of_multiples_over_rationals(a, b, h):
     _check_gcd_of_multiples(RATIONALS, a, b, h)
+
+
+# -- polynomial kernels over Q against a FieldScalar-valued reference ----------------
+
+
+def _reference_sum(polys, signs):
+    """The signed sum of the polynomials, added up on their FieldScalar
+    `terms`."""
+    acc = {}
+    for poly, sign in zip(polys, signs):
+        for exponent, coeff in poly.terms.items():
+            acc[exponent] = acc.get(exponent, FieldScalar(0)) + coeff * sign
+    return MPoly(acc)
+
+
+def _reference_substitute_x(f, h):
+    """f with x replaced by h, one term at a time by brute-force expansion."""
+    parts = []
+    for (i, *rest), coeff in f.terms.items():
+        monomial = MPoly.monomial((0, *rest), coeff)
+        parts.append(brute_force_power([monomial] + [h] * i))
+    return _reference_sum(parts, [1] * len(parts))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_terms, _terms, _terms)
+def test_kernels_over_rationals_match_scalar_reference(a, b, h):
+    f, g, h = (_poly(RATIONALS, terms) for terms in (a, b, h))
+    results = {
+        "add": (f + g, _reference_sum([f, g], [1, 1])),
+        "sub": (f - g, _reference_sum([f, g], [1, -1])),
+        "mul": (f * g, brute_force_power([f, g])),
+        "derivative": (
+            f.derivative("y"),
+            MPoly({(i, j - 1, 0, 0, 0, 0): c * j for (i, j, *_), c in f.terms.items() if j}),
+        ),
+        "substitute": (f.substitute({"x": h}), _reference_substitute_x(f, h)),
+    }
+    if not f.is_zero():
+        inverse = f.leading_coefficient().inverse()
+        results["monic"] = (f.monic(), MPoly({e: c * inverse for e, c in f.terms.items()}))
+    if not g.is_zero():
+        results["exact divide"] = (try_exact_divide(f * g, g), f)
+    for name, (got, want) in results.items():
+        assert got == want, name
+        assert_ground(got)
+    # rendering: the same text as the FieldScalar-valued twin over Q(theta)
+    twin = _poly(parse_field("t^2=t+1"), [(i, j, n, d, 0) for i, j, n, d, _ in a])
+    assert render_poly(f) == render_poly(twin)
+    assert parse_poly(render_poly(f)) == f
 
 
 # -- FieldScalar against a Fraction-only reference ---------------------------------
