@@ -18,6 +18,7 @@ components separated by ';'.  Exit codes: 0 ok, 1 parse/usage error,
 from __future__ import annotations
 
 import json
+import math
 import shlex
 import sys
 from dataclasses import dataclass
@@ -58,20 +59,32 @@ from .webs import (
 
 _VAR_NAMES = set("xyzpqt")
 
-# The parser refuses a product or a power whose total degree would pass this
-# bound, before it expands it.  The paper's objects are degree-3 foliations
-# and their degree-1 webs, and the recorded corpora peak at total degree 9
-# (tests/test_corpus.py).  At 16 the densest expansion the grammar can ask
-# for, (x+y+z+p+q+1)^16, has 20,349 terms and takes about a second, so no
-# single product or power holds up the parser, nor a batch behind it.
-MAX_PARSE_DEGREE = 16
+# The parser refuses a product or a power whose expansion would multiply
+# more than this many pairs of terms, before it expands it.  A product of
+# polynomials with m and n terms multiplies m*n pairs; a power is charged
+# its last squaring, each half bounded by the C(n+j-1, j) monomials a j-th
+# power of n terms can have.  So the terms the program itself renders, as
+# p^14*q^4 or (1 - t)*p^7, always pass, while (x+1)^2000 (about 10^6 pairs)
+# and (x+y+1)^400 (about 4*10^8) are refused at once.  The corpora's inputs
+# need at most 6 pairs (tests/test_corpus.py); at the bound the densest
+# expansion, (x+y+z+p+q+1)^10, has 3003 terms.
+MAX_PARSE_PAIRS = 2**16
 
 
-def _check_degree(degree: int, token: "_Token"):
-    if degree > MAX_PARSE_DEGREE:
+def _power_pairs(terms: int, exponent: int) -> int:
+    if terms < 2:  # a monomial or zero
+        return terms
+    half = exponent // 2
+    return math.comb(terms + half - 1, half) * math.comb(
+        terms + exponent - half - 1, exponent - half
+    )
+
+
+def _check_pairs(pairs: int, token: "_Token"):
+    if pairs > MAX_PARSE_PAIRS:
         raise DegreeExceeded(
-            "total degree %d at offset %d exceeds the parser's bound %d"
-            % (degree, token.offset, MAX_PARSE_DEGREE)
+            "expansion at offset %d multiplies %d term pairs, past the parser's bound %d"
+            % (token.offset, pairs, MAX_PARSE_PAIRS)
         )
 
 
@@ -165,14 +178,10 @@ class _Parser:
 
     def term(self) -> MPoly:
         value = self.factor()
-        degree = value.total_degree()
         while self.peek().kind == "*":
             token = self.take()
             rhs = self.factor()
-            # deg(a*b) = deg a + deg b over a field; the zero polynomial has -1
-            d = rhs.total_degree()
-            degree = -1 if degree < 0 or d < 0 else degree + d
-            _check_degree(degree, token)
+            _check_pairs(len(value._ground) * len(rhs._ground), token)
             value = value * rhs
         return value
 
@@ -181,7 +190,7 @@ class _Parser:
         if self.peek().kind == "^":
             token = self.take()
             exponent = int(self.expect("uint").text)
-            _check_degree(base.total_degree() * exponent, token)  # deg(a^n) = n*deg a
+            _check_pairs(_power_pairs(len(base._ground), exponent), token)
             return base ** exponent
         return base
 
@@ -241,7 +250,7 @@ def parse_field(text: str) -> FieldSpec:
         raise UsageError('--field must look like "t^2=u*t+v"')
     try:
         poly = _Parser(rhs, None, theta_is_variable=True).parse()
-    except ParseError as err:
+    except (ParseError, DegreeExceeded) as err:
         raise UsageError("bad --field value: %s" % err) from err
     if poly.degree_in("t") > 1 or (poly.variables() - {"t"}):
         raise UsageError("--field right-hand side must be linear in t")

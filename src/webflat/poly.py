@@ -220,7 +220,7 @@ class MPoly:
             if have is None:
                 out[e] = coeff
             elif t := have + coeff:
-                out[e] = t.numerator if t.__class__ is Fraction and t.denominator == 1 else t
+                out[e] = _normal(t)
             else:
                 del out[e]
         return MPoly._raw(out, self.spec)
@@ -235,7 +235,7 @@ class MPoly:
             if have is None:
                 out[e] = -coeff
             elif t := have - coeff:
-                out[e] = t.numerator if t.__class__ is Fraction and t.denominator == 1 else t
+                out[e] = _normal(t)
             else:
                 del out[e]
         return MPoly._raw(out, self.spec)
@@ -272,10 +272,7 @@ class MPoly:
                 coeff = c1 * c2
                 have = out.get(exponent)
                 out[exponent] = coeff if have is None else have + coeff
-        return MPoly._raw({  # _normal, inlined in the hottest loops
-            e: c.numerator if c.__class__ is Fraction and c.denominator == 1 else c
-            for e, c in out.items() if c
-        }, self.spec)
+        return MPoly._raw({e: _normal(c) for e, c in out.items() if c}, self.spec)
 
     __rmul__ = __mul__
 
@@ -711,7 +708,7 @@ def _gcd_modular(f: MPoly, g: MPoly, vi: int, wi: int):
         tested = candidate
         h = MPoly._raw(
             {
-                lift(*ij): _as_coefficient(FieldScalar._fast(a, b, spec), spec)
+                lift(*ij): FieldScalar._fast(a, b, spec) if spec.is_quadratic else _normal(a)
                 for ij, (a, b) in candidate.items()
             },
             spec,

@@ -89,7 +89,7 @@ def _order(f: MPoly):
     """Lowest total degree of a term; None for the zero polynomial."""
     if f.is_zero():
         return None
-    return min(sum(e) for e in f.terms)
+    return min(sum(e) for e in f._ground)
 
 
 def _jet(f: MPoly, k: int) -> MPoly:
@@ -284,7 +284,7 @@ def homogeneous_analysis(vf: AffineVectorField) -> HomogeneousAnalysis:
     for component in (vf.a, vf.b):
         if component.is_zero():
             continue
-        if len({sum(e) for e in component.terms}) != 1:
+        if len({sum(e) for e in component._ground}) != 1:
             raise NonHomogeneous("component %s is not homogeneous" % component)
     degrees = {
         component.total_degree()
@@ -302,7 +302,7 @@ def homogeneous_analysis(vf: AffineVectorField) -> HomogeneousAnalysis:
     a_line = vf.a.substitute({"x": one, "y": t})
     b_line = vf.b.substitute({"x": one, "y": t})
     cone_line = cone.substitute({"x": one, "y": t})
-    vertical = all(e[0] > 0 for e in cone.terms)
+    vertical = all(e[0] > 0 for e in cone._ground)
     slopes, unsplit_coeffs = field_roots(_univariate_coeffs(cone_line, "t"))
     pj = []
     for m in slopes:

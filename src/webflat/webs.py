@@ -97,7 +97,7 @@ class HomogeneousVectorField:
             _require_vars(component, ("x", "y", "z"), "homogeneous component")
             if component.is_zero():
                 continue
-            term_degrees = {sum(e) for e in component.terms}
+            term_degrees = {sum(e) for e in component._ground}
             if len(term_degrees) != 1:
                 raise NonHomogeneous("component %s is not homogeneous" % component)
             degrees |= term_degrees
@@ -377,14 +377,14 @@ def homogenize(vf: AffineVectorField, d: int) -> HomogeneousVectorField:
 
     def lift(component: MPoly) -> MPoly:
         out = {}
-        for exponent, coeff in component.terms.items():
+        for exponent, coeff in component._ground.items():
             total = sum(exponent)
             if total > d:
                 raise DegreeExceeded(
                     "component degree %d exceeds requested degree %d" % (total, d)
                 )
             out[(exponent[0], exponent[1], d - total) + exponent[3:]] = coeff
-        return MPoly(out, spec)
+        return MPoly._raw(out, spec)  # injective on exponents in x and y
 
     return HomogeneousVectorField(lift(vf.a), lift(vf.b), MPoly.zero(spec))
 

@@ -4,8 +4,9 @@ Every line of the in-process workloads must give the recorded stdout
 bytes, exit code and error name, by the rule of `perfbench/run.py`.  A
 line recorded as a contract (`exit` a list) must end in a named
 `WebflatError` with one of those exit codes and nothing on stdout.  The
-gated workloads also replay under the benchmark's tracer, and every
-corpus line parses within the parser's degree bound.
+gated workloads also replay under the benchmark's tracer.  Every corpus
+line parses within the parser's bound on term pairs, and every polynomial
+a corpus line prints parses back to itself.
 """
 
 import contextlib
@@ -19,6 +20,7 @@ import pytest
 import webflat.cli as cli
 import webflat.errors as errors
 from webflat.cli import main
+from webflat.poly import render_poly
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 CORPUS = PERFBENCH / "corpus"
@@ -90,20 +92,56 @@ def test_traced_replay_keeps_output_and_gcd_counts(workload, monkeypatch):
         assert metrics["field.mul.calls"] == metrics["field.add.calls"] == 0
 
 
-def test_corpus_inputs_parse_within_the_degree_bound(monkeypatch):
-    degrees = []
-    parse = cli._Parser.parse
+def test_corpus_inputs_parse_within_the_pair_bound(monkeypatch):
+    charged = []
+    check = cli._check_pairs
 
-    def recording(parser):
-        poly = parse(parser)
-        degrees.append(poly.total_degree())
-        return poly
+    def recording(pairs, token):
+        charged.append(pairs)
+        check(pairs, token)
 
-    monkeypatch.setattr(cli._Parser, "parse", recording)
+    monkeypatch.setattr(cli, "_check_pairs", recording)
     for workload in WORKLOADS:
         for entry in _lines(workload):
             try:
                 cli.build_command(entry["argv"])
             except errors.WebflatError as err:
                 assert not isinstance(err, errors.DegreeExceeded), entry["argv"]
-    assert max(degrees) == 9 < cli.MAX_PARSE_DEGREE
+    assert max(charged) == 6 < cli.MAX_PARSE_PAIRS
+
+
+_POLY_KEYS = ("numerator", "denominator", "a0", "a1", "a2", "a3")
+_POLY_VERBS = ("inflection", "discriminant", "tangent-cone")
+
+
+def _option(argv, flag):
+    return argv[argv.index(flag) + 1] if flag in argv else None
+
+
+def _printed_polys(entry):
+    """Every polynomial text in a recorded stdout."""
+    argv = entry["argv"]
+    if _option(argv, "--format") == "json":
+        result = json.loads(entry["stdout"])["result"]
+        return [result[key] for key in _POLY_KEYS + ("text",) if key in result]
+    lines = entry["stdout"].splitlines()
+    if argv[0] in _POLY_VERBS:
+        return lines
+    pairs = [line.split(": ", 1) for line in lines]
+    return [value for key, value in pairs if key in _POLY_KEYS]
+
+
+def test_corpus_outputs_parse_back_to_themselves():
+    printed = []
+    for workload in WORKLOADS:
+        for entry in _lines(workload):
+            if entry["exit"] != 0:
+                continue
+            field = _option(entry["argv"], "--field")
+            spec = cli.parse_field(field) if field else None
+            for text in _printed_polys(entry):
+                poly = cli.parse_poly(text, spec)
+                assert render_poly(poly) == text, entry["argv"]
+                printed.append(poly)
+    # outputs reach past total degree 16, where inputs stop at 9
+    assert max(poly.total_degree() for poly in printed) > 16
