@@ -30,6 +30,7 @@ from .poly import (
     PolyMatrix,
     RatFn,
     VARIABLES,
+    cubic_discriminant,
     cubic_resultant,
     determinant,
     divides,

@@ -70,6 +70,40 @@ _VAR_NAMES = set("xyzpqt")
 # expansion, (x+y+z+p+q+1)^10, has 3003 terms.
 MAX_PARSE_PAIRS = 2**16
 
+# It also refuses a literal or a power whose coefficients would pass this
+# many bits, before it converts or computes them.  A literal of d digits is
+# charged d / 0.3 bits, so no uint token of more than 1229 digits reaches
+# int().  A power f^e is charged e times the bits of f's coefficient 1-norm
+# and of its common denominator, theta counting as max(1, |u| + |v|):
+# nothing for a monomial with coefficient 1 or -1, e bits for (x+1)^e, and
+# 400,000 for 3^200000, which is refused.  The corpora's coefficients stay
+# under 27 bits, inputs and outputs alike (tests/test_corpus.py).
+MAX_PARSE_BITS = 2**12
+
+
+def _ceil_log2(value) -> int:
+    """ceil(log2(value)) for a rational value >= 1, and 0 below 1."""
+    return (math.ceil(value) - 1).bit_length() if value > 1 else 0
+
+
+def _power_bits(base: MPoly, exponent: int) -> int:
+    spec = base.spec
+    kappa = max(1, abs(spec.u) + abs(spec.v)) if spec.is_quadratic else 0
+    norm, den = 0, 1
+    for c in base._ground.values():
+        a, b = (c.a, c.b) if c.__class__ is FieldScalar else (c, 0)
+        norm += abs(a) + abs(b) * kappa
+        den = math.lcm(den, a.denominator, b.denominator)
+    return exponent * (_ceil_log2(norm * den) + _ceil_log2(den))
+
+
+def _check_bits(bits: int, what: str, token: "_Token"):
+    if bits > MAX_PARSE_BITS:
+        raise DegreeExceeded(
+            "%s at offset %d is charged %d bits, past the parser's bound %d"
+            % (what, token.offset, bits, MAX_PARSE_BITS)
+        )
+
 
 def _power_pairs(terms: int, exponent: int) -> int:
     if terms < 2:  # a monomial or zero
@@ -189,10 +223,15 @@ class _Parser:
         base = self.base()
         if self.peek().kind == "^":
             token = self.take()
-            exponent = int(self.expect("uint").text)
+            exponent = self.uint(self.expect("uint"))
             _check_pairs(_power_pairs(len(base._ground), exponent), token)
+            _check_bits(_power_bits(base, exponent), "power", token)
             return base ** exponent
         return base
+
+    def uint(self, token: _Token) -> int:
+        _check_bits(len(token.text) * 10 // 3, "literal", token)
+        return int(token.text)
 
     def base(self) -> MPoly:
         token = self.peek()
@@ -216,19 +255,17 @@ class _Parser:
             return MPoly.variable(token.text, self.spec)
         if token.kind == "uint":
             self.take()
-            numerator = int(token.text)
+            numerator = self.uint(token)
             if self.peek().kind == "/":
                 self.take()
-                denominator = self.expect("uint")
-                if int(denominator.text) == 0:
+                token = self.expect("uint")
+                denominator = self.uint(token)
+                if denominator == 0:
                     raise ParseError(
-                        "zero denominator at offset %d" % denominator.offset,
-                        denominator.offset,
-                        ("uint",),
+                        "zero denominator at offset %d" % token.offset, token.offset, ("uint",)
                     )
                 return MPoly.constant(
-                    FieldScalar(Fraction(numerator, int(denominator.text)), 0, self.spec),
-                    self.spec,
+                    FieldScalar(Fraction(numerator, denominator), 0, self.spec), self.spec
                 )
             return MPoly.constant(numerator, self.spec)
         raise ParseError(

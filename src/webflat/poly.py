@@ -32,9 +32,9 @@ Algorithms
   polynomial-remainder-sequence with content/primitive-part splitting.
 * determinant: cofactor expansion along the first row with memoization
   on the active column set (matrices here never exceed 6x6).
-* `cubic_resultant` is Res(f, f') of the slope cubic f, in closed form.
-  Its exact value, sign included, is part of the curvature pipeline's
-  contract; the tests pin it against the 5x5 Sylvester determinant.
+* `cubic_resultant` is Res(f, f') = -a0 * `cubic_discriminant` of the
+  slope cubic f, in closed form; the tests pin it, sign included, against
+  the 5x5 Sylvester determinant.
 
 Everything is immutable and pure.
 """
@@ -502,10 +502,12 @@ def _monomial_content(f: MPoly):
 def _shift_down(f: MPoly, shift) -> MPoly:
     if not any(shift):
         return f
-    return MPoly._raw(
-        {tuple(a - b for a, b in zip(e, shift)): c for e, c in f._ground.items()},
-        f.spec,
-    )
+    s0, s1, s2, s3, s4, s5 = shift
+    ground = {
+        (e[0] - s0, e[1] - s1, e[2] - s2, e[3] - s3, e[4] - s4, e[5] - s5): c
+        for e, c in f._ground.items()
+    }
+    return MPoly._raw(ground, f.spec)
 
 
 def _from_univariate(coeffs: dict, var_index: int, spec: FieldSpec) -> MPoly:
@@ -892,22 +894,22 @@ def determinant(matrix: PolyMatrix) -> MPoly:
     return minor(tuple(range(n)))
 
 
-def cubic_resultant(a0: MPoly, a1: MPoly, a2: MPoly, a3: MPoly) -> MPoly:
-    """Res(f, f') of the slope cubic f = a0*s^3 + a1*s^2 + a2*s + a3:
-    -a0 * (a1^2 a2^2 - 4 a0 a2^3 - 4 a1^3 a3 - 27 a0^2 a3^2 + 18 a0 a1 a2 a3).
-
-    It vanishes exactly where f has a repeated root or a0 = 0.  Its exact
-    value, sign included, is the curvature algorithm's contract; it equals
-    the 5x5 Sylvester determinant of f and f' (the tests pin the two).
-    """
+def cubic_discriminant(a0: MPoly, a1: MPoly, a2: MPoly, a3: MPoly) -> MPoly:
+    """Discriminant of the slope cubic a0*s^3 + a1*s^2 + a2*s + a3, even
+    in (a1, a3): a1^2 a2^2 - 4 a0 a2^3 - 4 a1^3 a3 - 27 a0^2 a3^2 + 18 a0 a1 a2 a3."""
     a12 = a1 * a2
     a03 = a0 * a3
-    disc = (
+    return (
         a12 * (a12 + 18 * a03)
         - 27 * (a03 * a03)
         - 4 * (a0 * (a2 * a2 * a2) + a1 * a1 * a1 * a3)
     )
-    return -(a0 * disc)
+
+
+def cubic_resultant(a0: MPoly, a1: MPoly, a2: MPoly, a3: MPoly) -> MPoly:
+    """Res(f, f') of the slope cubic f, -a0 times its discriminant: zero
+    exactly where f has a repeated root or a0 = 0."""
+    return -(a0 * cubic_discriminant(a0, a1, a2, a3))
 
 
 # -- rational functions ------------------------------------------------------------

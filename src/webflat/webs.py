@@ -9,10 +9,9 @@ The central objects:
 * `CurvatureForm` -- the web's curvature 2-form, a reduced rational
   coefficient times d(first) ^ d(second) in the recorded chart.
 
-`web_curvature` is the determinant algorithm: eliminate the slope with
-the slope resultant R = Res(F, dF/ds), build two auxiliary 5x5
-determinants from the coefficient derivatives, and read the curvature
-off as a single fraction over R^2.  `dual_curvature` runs the same
+`web_curvature` reads the curvature off as one fraction over D^2, D the
+slope cubic's discriminant, from the cubic's Hessian coefficients and the
+coefficient derivatives, with no determinant.  `dual_curvature` runs the same
 algorithm on the Legendre web of a vector field (`legendre_transform`,
 the substitution y -> p*x + q), with the slope read as dq/dp = -x, in
 the dual coordinates (p, q) where p is the line slope and q the
@@ -40,7 +39,7 @@ from .poly import (
     MPoly,
     PolyMatrix,
     RatFn,
-    cubic_resultant,
+    cubic_discriminant,
     determinant,
     exact_divide,
     poly_gcd,
@@ -132,11 +131,11 @@ class CubicWebEquation:
     `slope_var` is 'p' (web in the (x, y) chart) or 'x' (dual web in the
     (p, q) chart); a0..a3 are the coefficients of slope^3 .. slope^0 and
     involve only the two base variables.  A degenerate equation (slope
-    discriminant identically zero) can be represented -- querying its
+    resultant identically zero) can be represented -- querying its
     discriminant is legitimate -- but refuses curvature.
     """
 
-    __slots__ = ("slope_var", "base_vars", "a0", "a1", "a2", "a3", "_discriminant")
+    __slots__ = ("slope_var", "base_vars", "a0", "a1", "a2", "a3", "_cubic_discriminant")
 
     def __init__(self, slope_var: str, base_vars, a0, a1, a2, a3):
         if slope_var in base_vars:
@@ -153,7 +152,7 @@ class CubicWebEquation:
         self.a1 = a1
         self.a2 = a2
         self.a3 = a3
-        self._discriminant = None
+        self._cubic_discriminant = None
 
     @classmethod
     def from_polynomial(cls, f: MPoly, slope_var: str, base_vars) -> "CubicWebEquation":
@@ -176,10 +175,15 @@ class CubicWebEquation:
         s = MPoly.variable(self.slope_var, self.a0.spec)
         return ((self.a0 * s + self.a1) * s + self.a2) * s + self.a3
 
+    def cubic_discriminant(self) -> MPoly:
+        """D, the discriminant of the slope cubic (`poly.cubic_discriminant`)."""
+        if self._cubic_discriminant is None:
+            self._cubic_discriminant = cubic_discriminant(self.a0, self.a1, self.a2, self.a3)
+        return self._cubic_discriminant
+
     def discriminant(self) -> MPoly:
-        if self._discriminant is None:
-            self._discriminant = cubic_resultant(self.a0, self.a1, self.a2, self.a3)
-        return self._discriminant
+        """R = Res(F, dF/ds) = -a0 * D, the slope resultant (`poly.cubic_resultant`)."""
+        return -(self.a0 * self.cubic_discriminant())
 
     @property
     def spec(self):
@@ -259,7 +263,7 @@ def legendre_transform(vf: AffineVectorField) -> CubicWebEquation:
     if degree < 3:
         raise DegreeTooLow("dual equation has x-degree %d < 3" % degree)
     web = CubicWebEquation.from_polynomial(dual, "x", ("p", "q"))
-    if web.discriminant().is_zero():
+    if web.cubic_discriminant().is_zero():  # a0 is not zero at x-degree 3
         raise DegenerateWeb("dual equation has identically zero discriminant")
     return web
 
@@ -270,74 +274,68 @@ def legendre_transform(vf: AffineVectorField) -> CubicWebEquation:
 def web_curvature(web: CubicWebEquation) -> CurvatureForm:
     """Curvature 2-form of a slope-cubic 3-web, in the web's own chart.
 
-    With (u, v) the base variables and a0..a3 the slope coefficients:
-    R is the slope resultant (`cubic_resultant`); alpha0 the derivative
-    vector [dv a0, du a0 + dv a1, du a1 + dv a2, du a2 + dv a3, du a3];
-    alpha1 and alpha2 the 5x5 determinants stacking alpha0 over the four
-    fixed coefficient rows; the curvature coefficient is
-
-        du(alpha2 / R) + dv(alpha1 / R)
-
-    assembled as one fraction over R^2 and then reduced.
+    The coefficient is M / D^2 of `_curvature_fraction`, reduced: the
+    determinant algorithm's du(alpha2 / R) + dv(alpha1 / R), R = -a0 * D.
     """
-    numerator, big_r = _curvature_fraction(web)
-    # reduce the single fraction numerator / R^2.  Every common factor
-    # divides R, so two gcds against R suffice: a factor of multiplicity a
-    # in the numerator and b in R loses min(a, b) in the first round and
-    # min(a - min(a, b), b) in the second, min(a, 2b) in all.
+    numerator, disc = _curvature_fraction(web)
+    # reduce numerator / D^2.  A factor of multiplicity a in the numerator
+    # and b in D loses min(a, b) to the gcd with D, and then, only if a > b,
+    # min(a - b, b) to the gcd with that first gcd, where it has b as in D.
     if numerator.is_zero():
-        coeff = RatFn(numerator, big_r)
+        coeff = RatFn(numerator, disc)
     else:
-        stage_one = poly_gcd(numerator, big_r)
+        stage_one = poly_gcd(numerator, disc)
         if stage_one.is_one():
-            coeff = RatFn._reduced(numerator, big_r * big_r)
+            coeff = RatFn._reduced(numerator, disc * disc)
         else:
             numerator = exact_divide(numerator, stage_one)
-            den = exact_divide(big_r, stage_one)
-            stage_two = poly_gcd(numerator, big_r)
+            den = exact_divide(disc, stage_one)
+            stage_two = poly_gcd(numerator, stage_one)
             if stage_two.is_one():
-                den = den * big_r
+                den = den * disc
             else:
                 numerator = exact_divide(numerator, stage_two)
-                den = den * exact_divide(big_r, stage_two)
+                den = den * exact_divide(disc, stage_two)
             coeff = RatFn._reduced(numerator, den)
     return CurvatureForm(coeff, web.base_vars)
 
 
 def _curvature_fraction(web: CubicWebEquation):
-    """(numerator, R): the curvature coefficient is numerator / R^2,
-    unreduced."""
+    """(M, D): the curvature coefficient is M / D^2, unreduced.
+
+    c0..c4 is the derivative row and s, q, p are the Hessian coefficients
+    of the slope cubic.  The determinant algorithm's 5x5 determinants are
+    alpha_i = a0 * beta_i, and its numerator over R^2 = a0^2 D^2 is a0^2 M.
+    """
     u, v = web.base_vars
     a0, a1, a2, a3 = web.a0, web.a1, web.a2, web.a3
-    spec = web.spec
-    big_r = web.discriminant()
-    if big_r.is_zero():
+    disc = web.cubic_discriminant()
+    if a0.is_zero() or disc.is_zero():
         raise DegenerateWeb("slope discriminant vanishes identically")
-    zero = MPoly.zero(spec)
-    alpha0 = [
-        a0.derivative(v),
-        a0.derivative(u) + a1.derivative(v),
-        a1.derivative(u) + a2.derivative(v),
-        a2.derivative(u) + a3.derivative(v),
-        a3.derivative(u),
-    ]
-    tail_rows = [
-        [-a0, zero, a2, 2 * a3, zero],
-        [zero, -2 * a0, -a1, zero, a3],
-        [zero, zero, -3 * a0, -2 * a1, -a2],
-    ]
-    alpha1 = determinant(
-        PolyMatrix.from_rows([alpha0, [a0, a1, a2, a3, zero]] + tail_rows)
+    c0 = a0.derivative(v)
+    c1 = a0.derivative(u) + a1.derivative(v)
+    c2 = a1.derivative(u) + a2.derivative(v)
+    c3 = a2.derivative(u) + a3.derivative(v)
+    c4 = a3.derivative(u)
+    s = 3 * (a0 * a2) - a1 * a1
+    q = 9 * (a0 * a3) - a1 * a2
+    p = 3 * (a1 * a3) - a2 * a2
+    beta1 = (
+        a3 * (q * c1 - 2 * (p * c0 + s * c2))
+        - (a0 * p - a2 * s) * c3
+        + 2 * ((a0 * q - a1 * s) * c4)
     )
-    alpha2 = determinant(
-        PolyMatrix.from_rows([alpha0, [zero, a0, a1, a2, a3]] + tail_rows)
+    beta2 = (
+        (a3 * s - a1 * p) * c1
+        - 2 * ((a3 * q - a2 * p) * c0)
+        + a0 * (2 * (p * c2 + s * c4) - q * c3)
     )
     numerator = (
-        (alpha2.derivative(u) + alpha1.derivative(v)) * big_r
-        - alpha2 * big_r.derivative(u)
-        - alpha1 * big_r.derivative(v)
+        beta2 * disc.derivative(u)
+        + beta1 * disc.derivative(v)
+        - disc * (beta2.derivative(u) + beta1.derivative(v))
     )
-    return numerator, big_r
+    return numerator, disc
 
 
 def _dual_web(vf: AffineVectorField) -> CubicWebEquation:
@@ -349,9 +347,8 @@ def _dual_web(vf: AffineVectorField) -> CubicWebEquation:
     legendre = legendre_transform(vf)
     a0, a1, a2, a3 = legendre.a0, legendre.a1, legendre.a2, legendre.a3
     web = CubicWebEquation("x", legendre.base_vars, a0, -a1, a2, -a3)
-    # every term of R has even degree in (a1, a3) jointly, so
-    # R(a0, -a1, a2, -a3) = R(a0, a1, a2, a3): reuse the Legendre web's
-    web._discriminant = legendre.discriminant()
+    # D is even in (a1, a3) jointly: reuse the Legendre web's
+    web._cubic_discriminant = legendre.cubic_discriminant()
     return web
 
 
@@ -363,7 +360,7 @@ def dual_curvature(vf: AffineVectorField) -> CurvatureForm:
 
 def is_flat(vf: AffineVectorField) -> bool:
     """True iff the dual web's curvature vanishes identically, that is iff
-    the unreduced numerator over R^2 is zero; no gcd is taken."""
+    the unreduced numerator M over D^2 is zero; no gcd is taken."""
     numerator, _ = _curvature_fraction(_dual_web(vf))
     return numerator.is_zero()
 

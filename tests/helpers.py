@@ -144,6 +144,51 @@ def cofactor_determinant(rows):
     return total
 
 
+def sylvester_resultant(a0, a1, a2, a3):
+    """Res(f, f') of f = a0*s^3 + a1*s^2 + a2*s + a3 as the 5x5 Sylvester
+    determinant, by plain cofactor expansion."""
+    zero = MPoly.zero(a0.spec)
+    rows = [
+        [a0, a1, a2, a3, zero],
+        [zero, a0, a1, a2, a3],
+        [3 * a0, 2 * a1, a2, zero, zero],
+        [zero, 3 * a0, 2 * a1, a2, zero],
+        [zero, zero, 3 * a0, 2 * a1, a2],
+    ]
+    return cofactor_determinant(rows)
+
+
+def determinant_curvature_fraction(web):
+    """(N, R) of the determinant algorithm: the curvature coefficient is
+    N / R^2 = (du(alpha2 / R) + dv(alpha1 / R)), unreduced, with R the
+    Sylvester resultant and alpha1, alpha2 the 5x5 determinants stacking
+    the derivative row over four fixed coefficient rows."""
+    u, v = web.base_vars
+    a0, a1, a2, a3 = web.a0, web.a1, web.a2, web.a3
+    zero = MPoly.zero(web.spec)
+    alpha0 = [
+        a0.derivative(v),
+        a0.derivative(u) + a1.derivative(v),
+        a1.derivative(u) + a2.derivative(v),
+        a2.derivative(u) + a3.derivative(v),
+        a3.derivative(u),
+    ]
+    tail_rows = [
+        [-a0, zero, a2, 2 * a3, zero],
+        [zero, -2 * a0, -a1, zero, a3],
+        [zero, zero, -3 * a0, -2 * a1, -a2],
+    ]
+    alpha1 = cofactor_determinant([alpha0, [a0, a1, a2, a3, zero]] + tail_rows)
+    alpha2 = cofactor_determinant([alpha0, [zero, a0, a1, a2, a3]] + tail_rows)
+    big_r = sylvester_resultant(a0, a1, a2, a3)
+    numerator = (
+        (alpha2.derivative(u) + alpha1.derivative(v)) * big_r
+        - alpha2 * big_r.derivative(u)
+        - alpha1 * big_r.derivative(v)
+    )
+    return numerator, big_r
+
+
 def subresultant_oracle(f, g, var):
     """gcd by the subresultant remainder sequence in a chosen recursion
     variable, made monic, with the modular gcd switched off in its content

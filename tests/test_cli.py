@@ -1,5 +1,6 @@
 """CLI: grammar, rendering round-trips, exit codes, JSON schema, batch."""
 
+import builtins
 import hashlib
 import json
 import os
@@ -13,7 +14,8 @@ import pytest
 
 import webflat
 from webflat import FieldScalar, MPoly, RatFn, quadratic_field
-from webflat.cli import MAX_PARSE_PAIRS, main, parse_field, parse_poly, run_line
+import webflat.cli as cli
+from webflat.cli import MAX_PARSE_BITS, MAX_PARSE_PAIRS, main, parse_field, parse_poly, run_line
 from webflat.errors import (
     DegreeExceeded,
     ParseError,
@@ -439,18 +441,87 @@ def test_field_operand_past_bound_stays_a_usage_error():
             parse_field("t^2=" + rhs)
 
 
+LONG_DIGITS = "9" * 5000  # past the interpreter's 4300-digit limit of int(str)
+OVER_BITS = [
+    ["flat", "--vf", "x^3 + 3^200000*y ; y^3-1"],
+    ["flat", "--vf", "x^%s ; y" % LONG_DIGITS],
+    ["flat", "--vf", "%s*x ; y" % LONG_DIGITS],
+    ["curvature", "--web", "p^3 - 1/%s*x" % LONG_DIGITS],
+]
+
+
+def _bounded_coefficients(monkeypatch):
+    """Make the parser fail if it converts a uint token of more than 1229
+    digits, or raises a polynomial to a power whose exponent times its
+    largest coefficient's bits (1 and -1 counting none) passes the bound."""
+
+    def bounded_int(value=0, *args):
+        if isinstance(value, str):
+            assert len(value) <= 1229
+        return builtins.int(value, *args)
+
+    power = MPoly.__pow__
+
+    def bounded_power(self, exponent):
+        parts = [
+            x
+            for c in self._ground.values()
+            for x in ((c.a, c.b) if isinstance(c, FieldScalar) else (c,))
+        ]
+        bits = max(
+            ((abs(x.numerator) - 1).bit_length() + (x.denominator - 1).bit_length() for x in parts),
+            default=0,
+        )
+        assert exponent * bits <= MAX_PARSE_BITS
+        return power(self, exponent)
+
+    monkeypatch.setattr(cli, "int", bounded_int, raising=False)
+    monkeypatch.setattr(MPoly, "__pow__", bounded_power)
+
+
+@pytest.mark.parametrize("argv", OVER_BITS, ids=["power", "exponent", "literal", "denominator"])
+def test_parse_refuses_coefficients_past_bit_bound_before_computing(argv, monkeypatch):
+    _bounded_coefficients(monkeypatch)
+    out, err, code = run_line(argv)
+    assert (out, code) == ("", 2)
+    assert err.startswith("error: DegreeExceeded: ")
+    assert "Traceback" not in err
+
+
+def test_parse_bit_bound_is_exact(monkeypatch):
+    _bounded_coefficients(monkeypatch)
+    assert MAX_PARSE_BITS == 4096
+    assert parse_poly("2^4096") == MPoly.constant(2**4096)
+    assert parse_poly("3^2048") == MPoly.constant(3**2048)  # charged 2 bits a factor
+    assert parse_poly("(1/2*x)^4096") == MPoly.monomial((4096, 0, 0, 0, 0, 0), Fraction(1, 2**4096))
+    assert parse_poly("9" * 1229) == MPoly.constant(10**1229 - 1)
+    for text in ("2^4097", "3^2049", "(1/2*x)^4097", "(x+1)^4097", "9" * 1230, "1/" + "9" * 1230):
+        with pytest.raises(DegreeExceeded):
+            parse_poly(text)
+    # a coefficient of 1 or -1 costs nothing at any power
+    assert parse_poly("(-x)^100001") == -MPoly.monomial((100001, 0, 0, 0, 0, 0), 1)
+    # theta counts as |u| + |v|: t^2=t+1 charges a bit per factor
+    spec = parse_field("t^2=t+1")
+    assert parse_poly("t^4096", spec) == parse_poly("t^2048", spec) ** 2
+    with pytest.raises(DegreeExceeded):
+        parse_poly("t^4097", spec)
+    with pytest.raises(UsageError):
+        parse_field("t^2=3^5000")
+
+
 def test_batch_runs_past_over_bound_lines(tmp_path, capsys, monkeypatch):
     _bounded_multiplication(monkeypatch)
+    _bounded_coefficients(monkeypatch)
     batch = tmp_path / "jobs.txt"
     batch.write_text(
-        "\n".join(shlex.join(argv) for argv in OVER_BOUND)
+        "\n".join(shlex.join(argv) for argv in OVER_BOUND + OVER_BITS)
         + '\ndiscriminant --web "p^3 - p"\n'
     )
     code = main(["--batch", str(batch)])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out.splitlines() == ["-4"]
-    assert captured.err.count("error: DegreeExceeded: ") == 2
+    assert captured.err.count("error: DegreeExceeded: ") == len(OVER_BOUND + OVER_BITS)
     assert "Traceback" not in captured.err
 
 

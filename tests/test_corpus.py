@@ -5,8 +5,8 @@ bytes, exit code and error name, by the rule of `perfbench/run.py`.  A
 line recorded as a contract (`exit` a list) must end in a named
 `WebflatError` with one of those exit codes and nothing on stdout.  The
 gated workloads also replay under the benchmark's tracer.  Every corpus
-line parses within the parser's bound on term pairs, and every polynomial
-a corpus line prints parses back to itself.
+line parses within the parser's bounds on term pairs and coefficient
+bits, and every polynomial a corpus line prints parses back to itself.
 """
 
 import contextlib
@@ -63,11 +63,11 @@ def test_corpus_replays_recorded_output(workload):
     assert not failed, failed
 
 
-# per-pass gcd calls by class, as recorded at the commit before the ground
-# coefficient representation; the representation must not move them
+# per-pass gcd calls by class under the closed-form curvature numerator
+# over D^2, whose second reducing gcd is taken against the first
 TRACED_GCD_CALLS = {
-    "curvature-q": {"q2var": 71, "q3var": 0, "qtheta": 0},
-    "curvature-qtheta": {"q2var": 10, "q3var": 0, "qtheta": 17},
+    "curvature-q": {"q2var": 62, "q3var": 0, "qtheta": 0},
+    "curvature-qtheta": {"q2var": 8, "q3var": 0, "qtheta": 17},
 }
 
 
@@ -88,8 +88,22 @@ def test_traced_replay_keeps_output_and_gcd_counts(workload, monkeypatch):
     metrics = tracer.summarise(traced.spans, traced.counts)
     calls = {c: metrics["poly.gcd.%s.calls" % c] for c in tracer.GCD_CLASSES}
     assert calls == TRACED_GCD_CALLS[workload]
+    assert metrics["poly.determinant.calls"] == 0  # curvature takes no determinant
     if workload == "curvature-q":  # no coefficient is a FieldScalar over Q
         assert metrics["field.mul.calls"] == metrics["field.add.calls"] == 0
+
+
+def _record_bits(monkeypatch):
+    """The bits the parser charges literals and powers, as it checks them."""
+    charged = []
+    check = cli._check_bits
+
+    def recording(bits, what, token):
+        charged.append(bits)
+        check(bits, what, token)
+
+    monkeypatch.setattr(cli, "_check_bits", recording)
+    return charged
 
 
 def test_corpus_inputs_parse_within_the_pair_bound(monkeypatch):
@@ -101,6 +115,7 @@ def test_corpus_inputs_parse_within_the_pair_bound(monkeypatch):
         check(pairs, token)
 
     monkeypatch.setattr(cli, "_check_pairs", recording)
+    bits = _record_bits(monkeypatch)
     for workload in WORKLOADS:
         for entry in _lines(workload):
             try:
@@ -108,6 +123,7 @@ def test_corpus_inputs_parse_within_the_pair_bound(monkeypatch):
             except errors.WebflatError as err:
                 assert not isinstance(err, errors.DegreeExceeded), entry["argv"]
     assert max(charged) == 6 < cli.MAX_PARSE_PAIRS
+    assert max(bits) == 6 < cli.MAX_PARSE_BITS
 
 
 _POLY_KEYS = ("numerator", "denominator", "a0", "a1", "a2", "a3")
@@ -131,7 +147,8 @@ def _printed_polys(entry):
     return [value for key, value in pairs if key in _POLY_KEYS]
 
 
-def test_corpus_outputs_parse_back_to_themselves():
+def test_corpus_outputs_parse_back_to_themselves(monkeypatch):
+    bits = _record_bits(monkeypatch)
     printed = []
     for workload in WORKLOADS:
         for entry in _lines(workload):
@@ -143,5 +160,7 @@ def test_corpus_outputs_parse_back_to_themselves():
                 poly = cli.parse_poly(text, spec)
                 assert render_poly(poly) == text, entry["argv"]
                 printed.append(poly)
-    # outputs reach past total degree 16, where inputs stop at 9
+    # outputs reach past total degree 16, where inputs stop at 9, and their
+    # 8-digit literals are charged 26 bits, far under the bit bound
     assert max(poly.total_degree() for poly in printed) > 16
+    assert max(bits) == 26 and 26 * 100 < cli.MAX_PARSE_BITS

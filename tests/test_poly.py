@@ -13,6 +13,7 @@ from webflat import (
     MPoly,
     PolyMatrix,
     RatFn,
+    cubic_discriminant,
     cubic_resultant,
     determinant,
     divides,
@@ -42,6 +43,7 @@ from helpers import (
     random_poly,
     random_scalar,
     subresultant_oracle,
+    sylvester_resultant,
 )
 
 P = parse_poly
@@ -502,24 +504,12 @@ def test_determinant_against_cofactor_oracle():
 # -- the 5x5 slope resultant -------------------------------------------------------
 
 
-def _resultant_oracle(a0, a1, a2, a3):
-    zero = MPoly.zero(a0.spec)
-    rows = [
-        [a0, a1, a2, a3, zero],
-        [zero, a0, a1, a2, a3],
-        [3 * a0, 2 * a1, a2, zero, zero],
-        [zero, 3 * a0, 2 * a1, a2, zero],
-        [zero, zero, 3 * a0, 2 * a1, a2],
-    ]
-    return cofactor_determinant(rows)
-
-
 def test_cubic_resultant_of_three_pencils():
     one = MPoly.one()
     zero = MPoly.zero()
     value = cubic_resultant(one, zero, -one, zero)
     assert value == MPoly.constant(-4)
-    assert value == _resultant_oracle(one, zero, -one, zero)
+    assert value == sylvester_resultant(one, zero, -one, zero)
 
 
 def test_cubic_resultant_triple_root():
@@ -530,7 +520,7 @@ def test_cubic_resultant_constant_equation():
     zero = MPoly.zero()
     c = MPoly.constant(Fraction(5, 3))
     value = cubic_resultant(zero, zero, zero, c)
-    assert value == _resultant_oracle(zero, zero, zero, c)
+    assert value == sylvester_resultant(zero, zero, zero, c)
     assert value.is_zero()
 
 
@@ -579,14 +569,14 @@ def test_cubic_resultant_with_polynomial_coefficients():
                 [MPoly.constant(random_scalar(rng, spec, quadratic=True), spec) for _ in range(4)]
             )
         for coeffs in cases:
-            assert cubic_resultant(*coeffs) == _resultant_oracle(*coeffs)
+            assert cubic_resultant(*coeffs) == sylvester_resultant(*coeffs)
         assert any(not cubic_resultant(*coeffs).is_zero() for coeffs in cases[2::3])
 
 
 @pytest.mark.parametrize("field", [None, "t^2=t+1"])
 def test_cubic_resultant_unchanged_by_slope_sign(field):
-    """R(a0, -a1, a2, -a3) == R(a0, a1, a2, a3): `dual_curvature` reuses the
-    Legendre web's discriminant for the sign-flipped web."""
+    """R(a0, -a1, a2, -a3) == R(a0, a1, a2, a3), and so for D: `dual_curvature`
+    reuses the Legendre web's discriminant for the sign-flipped web."""
     spec = parse_field(field) if field else RATIONALS
     rng = random.Random(2015)
     for _ in range(10):
@@ -594,6 +584,7 @@ def test_cubic_resultant_unchanged_by_slope_sign(field):
             random_poly(rng, ("p", "q"), 2, 3, spec, quadratic=True) for _ in range(4)
         )
         assert cubic_resultant(a0, -a1, a2, -a3) == cubic_resultant(a0, a1, a2, a3)
+        assert cubic_discriminant(a0, -a1, a2, -a3) == cubic_discriminant(a0, a1, a2, a3)
 
 
 # -- rational functions ---------------------------------------------------------

@@ -1,5 +1,6 @@
 """Property tests (hypothesis): gcd over Q and Q(theta) against the
-subresultant oracle, the polynomial kernels over Q against a
+subresultant oracle, the closed-form curvature numerator against the 5x5
+determinant algorithm, the polynomial kernels over Q against a
 FieldScalar-valued reference, and FieldScalar arithmetic against a
 Fraction-only reference, on small random inputs."""
 
@@ -12,16 +13,26 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from webflat import (  # noqa: E402
     RATIONALS,
+    CubicWebEquation,
+    DegenerateWeb,
     FieldScalar,
     MPoly,
+    RatFn,
     divides,
     poly_gcd,
     quadratic_field,
+    web_curvature,
 )
 from webflat.cli import parse_field, parse_poly  # noqa: E402
 from webflat.poly import render_poly, try_exact_divide  # noqa: E402
+from webflat.webs import _curvature_fraction  # noqa: E402
 
-from helpers import assert_ground, brute_force_power, subresultant_oracle  # noqa: E402
+from helpers import (  # noqa: E402
+    assert_ground,
+    brute_force_power,
+    determinant_curvature_fraction,
+    subresultant_oracle,
+)
 
 FIELDS = ("t^2=t+1", "t^2=t-1", "t^2=2*t+3/4")
 
@@ -65,6 +76,41 @@ def test_gcd_of_multiples_over_quadratic_field(field, a, b, h):
 @given(_terms, _terms, _terms)
 def test_gcd_of_multiples_over_rationals(a, b, h):
     _check_gcd_of_multiples(RATIONALS, a, b, h)
+
+
+# -- the curvature numerator against the 5x5 determinant algorithm ------------------
+
+_small_terms = st.lists(
+    st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(-3, 3), st.integers(1, 2),
+              st.integers(-1, 1)),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.sampled_from((None, "t^2=t+1")), st.lists(_small_terms, min_size=5, max_size=5),
+       st.booleans())
+def test_curvature_fraction_matches_determinant_oracle(field, terms, shared):
+    """R = -a0 * D, N = a0^2 * M and the reduced curvature is N / R^2, where
+    (N, R) come from the determinant algorithm; with `shared`, a0 and a1
+    take a common factor h, which then divides a0 and D."""
+    spec = parse_field(field) if field else RATIONALS
+    a0, a1, a2, a3, h = (_poly(spec, t) for t in terms)
+    if shared:
+        a0, a1 = h * a0, h * a1
+    assume(not (a0.is_zero() and a1.is_zero() and a2.is_zero() and a3.is_zero()))
+    web = CubicWebEquation("p", ("x", "y"), a0, a1, a2, a3)
+    numerator, big_r = determinant_curvature_fraction(web)
+    assert big_r == -(a0 * web.cubic_discriminant())
+    if big_r.is_zero():
+        with pytest.raises(DegenerateWeb, match="slope discriminant vanishes identically"):
+            web_curvature(web)
+        return
+    closed_form, disc = _curvature_fraction(web)
+    assert disc == web.cubic_discriminant()
+    assert numerator == a0 * a0 * closed_form
+    assert web_curvature(web).coeff == RatFn(numerator, big_r * big_r)
 
 
 # -- polynomial kernels over Q against a FieldScalar-valued reference ----------------

@@ -43,7 +43,7 @@ from webflat.errors import (
 )
 from webflat.cli import parse_poly
 from webflat.singular import classification_field
-from webflat.webs import _curvature_fraction
+from webflat.webs import _curvature_fraction, _dual_web
 
 import floatkw
 from helpers import random_homogeneous, random_poly, random_poly_td
@@ -237,19 +237,21 @@ def test_scaling_covariance():
 
 
 def test_two_stage_reduction_matches_full_reduction():
-    """web_curvature reduces numerator / R^2 by two gcds against R.  The
-    covariance webs include factors of R with higher multiplicity in the
-    numerator than in R, where the second gcd is not 1."""
+    """web_curvature reduces numerator / D^2 by a gcd against D and then one
+    against that first gcd.  The dual webs of random degree-3 fields include
+    factors of D with higher multiplicity in the numerator than in D, where
+    the second gcd is not 1."""
     rng = random.Random(5150)
+    webs = [_random_cubic_web(rng) for _ in range(10)]
+    webs += [_dual_web(_random_degree3_field(rng)) for _ in range(6)]
     deeper = 0
-    for _ in range(10):
-        web = _random_cubic_web(rng)
-        numerator, big_r = _curvature_fraction(web)
+    for web in webs:
+        numerator, disc = _curvature_fraction(web)
         coeff = web_curvature(web).coeff
-        full = RatFn(numerator, big_r * big_r)
+        full = RatFn(numerator, disc * disc)
         assert (coeff.num, coeff.den) == (full.num, full.den)
-        reduced_once = exact_divide(numerator, poly_gcd(numerator, big_r))
-        if not poly_gcd(reduced_once, big_r).is_one():
+        stage_one = poly_gcd(numerator, disc)
+        if not poly_gcd(exact_divide(numerator, stage_one), disc).is_one():
             deeper += 1
     assert deeper
 
