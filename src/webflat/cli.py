@@ -458,7 +458,13 @@ def _run_sing(vf, at):
 
 
 def _run_gauss(hvf, at):
-    return [str(c) for c in gauss_map_point(hvf, ProjectivePoint(*at)).coords]
+    coords = gauss_map_point(hvf, ProjectivePoint(*at)).coords
+    try:
+        return [str(c) for c in coords]
+    except ValueError as err:  # int to str past sys.get_int_max_str_digits()
+        raise DegreeExceeded(
+            "a coordinate has more than %d digits to print" % sys.get_int_max_str_digits()
+        ) from err
 
 
 # -- rendering ----------------------------------------------------------------

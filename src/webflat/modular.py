@@ -1,11 +1,12 @@
 """Arithmetic modulo a prime for the modular gcd over Q and Q(theta).
 
 Word-size primes and their square roots, rational reconstruction, and
-dense polynomials over F_p: coefficient lists, lowest degree first, with
-no trailing zero, [] being zero.  A polynomial in F_p[v, w] is a list of
-rows, row i holding the coefficient of v^i as a dense polynomial in w;
-`bivariate_gcd` takes the gcd of two of them by Brown's evaluation and
-interpolation (JACM 1971).  Nothing here knows about `MPoly`.
+polynomials over F_p.  A univariate polynomial is a dense coefficient
+list, lowest degree first, with no trailing zero, [] being zero.  A
+polynomial in F_p[v_1, ..., v_k] is a dict from exponent k-tuples to
+nonzero residues; `brown_gcd` takes the gcd of two of them by Brown's
+evaluation and interpolation (JACM 1971), one variable at a time down to
+Euclid's algorithm.  Nothing here knows about `MPoly`.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 
@@ -173,28 +175,48 @@ def content(rows: list, p: int) -> list:
     return acc
 
 
-def primitive(rows: list, p: int):
+def primitive(rows: dict, p: int):
     """The content of the rows and their primitive part."""
-    c = content(rows, p)
+    c = content(sorted(rows.values(), key=len), p)  # short rows soon reach 1
     if len(c) == 1:
         return c, rows
-    return c, [divide(row, c, p)[0] for row in rows]
+    return c, {m: divide(row, c, p)[0] for m, row in rows.items()}
 
 
-def divides(h: list, f: list, p: int) -> bool:
-    """True iff h divides f in F_p[v, w] (h nonzero)."""
-    h = {(i, j): c for i, row in enumerate(h) for j, c in enumerate(row) if c}
-    rest = {(i, j): c for i, row in enumerate(f) for j, c in enumerate(row) if c}
-    li, lj = max(h)
-    inv = pow(h[li, lj], -1, p)
+def split(a: dict) -> dict:
+    """A polynomial in k variables as rows: each monomial in the first k - 1
+    variables maps to its coefficient, a dense polynomial in the last (with
+    k = 1, the one row () is the polynomial)."""
+    rows = {}
+    for e, c in a.items():
+        head, j = e[:-1], e[-1]
+        row = rows.get(head)
+        if row is None:
+            row = rows[head] = [0] * (j + 1)
+        elif len(row) <= j:
+            row.extend([0] * (j + 1 - len(row)))
+        row[j] = c
+    return rows
+
+
+def join(rows: dict) -> dict:
+    """The inverse of `split`."""
+    return {m + (j,): c for m, row in rows.items() for j, c in enumerate(row) if c}
+
+
+def divides(h: dict, f: dict, p: int) -> bool:
+    """True iff h divides f in F_p[v_1, ..., v_k] (h nonzero)."""
+    lead = max(h)
+    inv = pow(h[lead], -1, p)
+    rest = dict(f)
     while rest:
-        mi, mj = max(rest)
-        si, sj = mi - li, mj - lj
-        if si < 0 or sj < 0:
+        top = max(rest)
+        shift = tuple(map(operator.sub, top, lead))
+        if min(shift) < 0:
             return False
-        c = rest[mi, mj] * inv % p
-        for (i, j), d in h.items():
-            k = (i + si, j + sj)
+        c = rest[top] * inv % p
+        for e, d in h.items():
+            k = tuple(map(operator.add, shift, e))
             value = (rest.get(k, 0) - c * d) % p
             if value:
                 rest[k] = value
@@ -203,51 +225,61 @@ def divides(h: list, f: list, p: int) -> bool:
     return True
 
 
-def bivariate_gcd(a: list, b: list, p: int) -> list:
-    """gcd in F_p[v, w] of two polynomials of positive degree in v, up to a
-    unit, by Brown's evaluation in w and interpolation.  A candidate is
-    tested by trial division once a new point leaves the interpolant
-    unchanged or the degree bound is reached."""
-    content_a, a = primitive(a, p)
-    content_b, b = primitive(b, p)
+def brown_gcd(a: dict, b: dict, p: int) -> dict:
+    """gcd in F_p[v_1, ..., v_k] of two nonzero polynomials, up to a unit.
+
+    Euclid's algorithm when k = 1.  Otherwise Brown's evaluation of the
+    last variable w at x = 1, 2, ..., a recursive gcd of the images, and
+    Newton interpolation in w of the image gcds scaled to the leading
+    coefficient gamma(x), where gamma(w) is the gcd of the inputs' leading
+    coefficients (lex in v_1, ..., v_(k-1)).  A candidate is tested by trial
+    division once a new point leaves the interpolant unchanged or the degree
+    bound in w is reached; a refused candidate takes more points."""
+    if len(next(iter(a))) == 1:
+        return join({(): gcd(split(a)[()], split(b)[()], p)})
+    content_a, a = primitive(split(a), p)
+    content_b, b = primitive(split(b), p)
     common = gcd(content_a, content_b, p)
+    la, lb = max(a), max(b)
     # gamma(w) * gcd is a polynomial of degree at most `bound` in w
-    gamma = gcd(a[-1], b[-1], p)
-    bound = len(gamma) + min(max(map(len, a)), max(map(len, b))) - 2
-    degree, rows, basis, x = len(a) + len(b), None, [1], 0
+    gamma = gcd(a[la], b[lb], p)
+    bound = len(gamma) + min(max(map(len, a.values())), max(map(len, b.values()))) - 2
+    lm, rows, basis, x = None, None, [1], 0
     while True:
         x += 1
-        if not (evaluate(a[-1], x, p) and evaluate(b[-1], x, p)):
+        if not (evaluate(a[la], x, p) and evaluate(b[lb], x, p)):
             continue
-        image = gcd(
-            trim([evaluate(row, x, p) for row in a]),
-            trim([evaluate(row, x, p) for row in b]),
+        image = brown_gcd(
+            {m: c for m, row in a.items() if (c := evaluate(row, x, p))},
+            {m: c for m, row in b.items() if (c := evaluate(row, x, p))},
             p,
         )
-        if len(image) == 1:
-            return [common]
-        if len(image) > degree:  # an unlucky point
+        top = max(image)
+        if not any(top):  # the primitive parts are coprime
+            return join({top: common})
+        if lm is not None and top > lm:  # an unlucky point
             continue
-        if len(image) < degree:  # every earlier point was unlucky
-            degree, rows, basis = len(image), None, [1]
-        scale = evaluate(gamma, x, p)
-        values = [c * scale % p for c in image]
+        if lm is None or top < lm:  # every earlier point was unlucky
+            lm, rows, basis = top, None, [1]
+        scale = evaluate(gamma, x, p) * pow(image[top], -1, p) % p
         changed = rows is None
         if changed:
-            rows = [[c] for c in values]
+            rows = {m: [c * scale % p] for m, c in image.items()}
         else:  # Newton interpolation, one point at a time
             inv = pow(evaluate(basis, x, p), -1, p)
-            for i, c in enumerate(values):
-                delta = (c - evaluate(rows[i], x, p)) * inv % p
+            for m in rows.keys() | image.keys():
+                row = rows.get(m, [])
+                delta = (image.get(m, 0) * scale - evaluate(row, x, p)) * inv % p
                 if delta:
                     changed = True
-                    row = rows[i] + [0] * (len(basis) - len(rows[i]))
+                    row = row + [0] * (len(basis) - len(row))
                     for k, d in enumerate(basis):
                         row[k] = (row[k] + delta * d) % p
-                    rows[i] = row
+                    rows[m] = row
         basis = multiply(basis, [p - x, 1], p)
         if changed and len(basis) <= bound + 1:
             continue
-        _, h = primitive([trim(list(row)) for row in rows], p)
-        if divides(h, a, p) and divides(h, b, p):
-            return [multiply(row, common, p) for row in h]
+        _, h = primitive({m: trim(list(row)) for m, row in rows.items()}, p)
+        candidate = join(h)
+        if divides(candidate, join(a), p) and divides(candidate, join(b), p):
+            return join({m: multiply(row, common, p) for m, row in h.items()})

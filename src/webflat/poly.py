@@ -22,14 +22,13 @@ normalization, rendering) is graded lexicographic with x > y > z > p > q > t.
 
 Algorithms
 ----------
-* gcd: monomial content is pulled out first and the recursion variable
-  is the one appearing in the most terms.  In at most two variables, over
-  Q and Q(theta) alike, a modular gcd (Brown's evaluation and
-  interpolation mod p, at primes that split in Q(theta) when a
-  coefficient carries theta; Chinese remaindering and rational
-  reconstruction), confirmed by trial division.  In three variables, or
-  when the modular gcd gives up, the recursive subresultant
-  polynomial-remainder-sequence with content/primitive-part splitting.
+* gcd: monomial content is pulled out first.  Then one modular gcd in
+  any number of variables, over Q and Q(theta) alike: Brown's recursive
+  evaluation and interpolation mod p, with univariate Euclid in the shared
+  variable appearing in the most terms, at primes that split in Q(theta)
+  when a coefficient carries theta; Chinese remaindering and rational
+  reconstruction; confirmed by trial division.  The tests keep the
+  subresultant remainder sequence as its oracle.
 * determinant: cofactor expansion along the first row with memoization
   on the active column set (matrices here never exceed 6x6).
 * `cubic_resultant` is Res(f, f') = -a0 * `cubic_discriminant` of the
@@ -42,10 +41,13 @@ Everything is immutable and pure.
 from __future__ import annotations
 
 import math
+import operator
+import sys
 from fractions import Fraction
 
 from .errors import (
     BadEmbedding,
+    DegreeExceeded,
     DivisionByZero,
     FieldMismatch,
     NotSquare,
@@ -410,29 +412,36 @@ def _render_monomial(exponent) -> str:
 def render_poly(f: MPoly) -> str:
     """Canonical text form: terms in descending graded-lex order.
 
-    The output re-parses to an equal polynomial under the CLI grammar.
+    The output re-parses to an equal polynomial under the CLI grammar.  A
+    coefficient past Python's limit on the digits of an int's text raises
+    DegreeExceeded.
     """
     if not f._ground:
         return "0"
     chunks = []
-    for exponent in sorted(f._ground, key=_grlex_key, reverse=True):
-        coeff = f._ground[exponent]
-        mono = _render_monomial(exponent)
-        if coeff.__class__ is FieldScalar and not coeff.b:
-            coeff = coeff.a
-        if coeff.__class__ is not FieldScalar:
-            negative = coeff < 0
-            mag = -coeff if negative else coeff
-            if not mono:
-                body = str(mag)
-            elif mag == 1:
-                body = mono
+    try:
+        for exponent in sorted(f._ground, key=_grlex_key, reverse=True):
+            coeff = f._ground[exponent]
+            mono = _render_monomial(exponent)
+            if coeff.__class__ is FieldScalar and not coeff.b:
+                coeff = coeff.a
+            if coeff.__class__ is not FieldScalar:
+                negative = coeff < 0
+                mag = -coeff if negative else coeff
+                if not mono:
+                    body = str(mag)
+                elif mag == 1:
+                    body = mono
+                else:
+                    body = "%s*%s" % (mag, mono)
             else:
-                body = "%s*%s" % (mag, mono)
-        else:
-            negative = False
-            body = "(%s)" % (coeff,) if not mono else "(%s)*%s" % (coeff, mono)
-        chunks.append((negative, body))
+                negative = False
+                body = "(%s)" % (coeff,) if not mono else "(%s)*%s" % (coeff, mono)
+            chunks.append((negative, body))
+    except ValueError as err:  # int to str past sys.get_int_max_str_digits()
+        raise DegreeExceeded(
+            "a coefficient has more than %d digits to print" % sys.get_int_max_str_digits()
+        ) from err
     negative, body = chunks[0]
     text = ("-" if negative else "") + body
     for negative, body in chunks[1:]:
@@ -510,125 +519,74 @@ def _shift_down(f: MPoly, shift) -> MPoly:
     return MPoly._raw(ground, f.spec)
 
 
-def _from_univariate(coeffs: dict, var_index: int, spec: FieldSpec) -> MPoly:
-    out = {}
-    for e, poly in coeffs.items():
-        for exponent, coeff in poly._ground.items():
-            lifted = (
-                exponent[:var_index] + (exponent[var_index] + e,) + exponent[var_index + 1 :]
-            )
-            out[lifted] = coeff
-    return MPoly._raw(out, spec)
-
-
-def _uni_exact_divide(coeffs: dict, divisor: MPoly) -> dict:
-    return {e: exact_divide(c, divisor) for e, c in coeffs.items()}
-
-
-def _pseudo_remainder(a: dict, b: dict) -> dict:
-    """prem(a, b) in the recursion variable: lc(b)^(da-db+1) * a mod b.
-
-    Coefficients are polynomials in the remaining variables; no division
-    happens here, which is what keeps the sequence exact.
-    """
-    da, db = max(a), max(b)
-    lc_b = b[db]
-    e = da - db + 1
-    r = a
-    while r:
-        dr = max(r)
-        if dr < db:
-            break
-        lc_r = r[dr]
-        shifted = {}
-        for k, c in r.items():
-            shifted[k] = c * lc_b
-        for k, c in b.items():
-            kk = k + dr - db
-            have = shifted.get(kk)
-            total = -(lc_r * c) if have is None else have - lc_r * c
-            if total.is_zero():
-                shifted.pop(kk, None)
-            else:
-                shifted[kk] = total
-        r = shifted
-        e -= 1
-    if e > 0 and r:
-        scale = lc_b ** e
-        r = {k: c * scale for k, c in r.items()}
-    return r
-
-
-def _content(coeffs: dict) -> MPoly:
-    polys = sorted(coeffs.values(), key=lambda c: len(c._ground))
-    acc = polys[0]
-    for poly in polys[1:]:
-        if acc.is_constant():
-            break
-        acc = _gcd_raw(acc, poly)
-    return acc
-
-
 # -- modular gcd over Q and Q(theta) -----------------------------------------
 #
-# Every gcd in at most two variables is taken modulo word-size primes.  When
-# no input coefficient carries theta (always so over Q), theta plays no
-# part: a prime serves when it divides no input denominator, and maps the
-# inputs into F_p[v, w] once.  When some coefficient carries theta, only
-# primes that split in Q(theta) serve, in the style of Langemyr and McCallum
+# Every gcd is taken modulo word-size primes.  When no input coefficient
+# carries theta (always so over Q), theta plays no part: a prime serves when
+# it divides no input denominator, and maps the inputs into
+# F_p[v_1, ..., v_k] once.  When some coefficient carries theta, only primes
+# that split in Q(theta) serve, in the style of Langemyr and McCallum
 # (J. Symb. Comp. 1989): for such a prime p, u^2 + 4v is a nonzero square
 # mod p, so theta has two images r1 != r2 in F_p, and each maps the inputs
-# into F_p[v, w].  There the gcd comes from Brown's dense evaluation in w
-# and interpolation (JACM 1971), with univariate Euclid in v, and is
-# confirmed by trial division mod p.  Made monic at its grlex leading
-# monomial, the images of the monic gcd h0 + h1*theta give h0 and h1 mod p
-# (with no theta, the one image is h0 and h1 = 0); the primes are combined
-# by the Chinese remainder theorem and rational reconstruction.  The result
-# is exact:
+# into F_p[v_1, ..., v_k].  There the gcd comes from Brown's dense
+# evaluation and interpolation (JACM 1971, `modular.brown_gcd`), one
+# variable at a time down to univariate Euclid, and is confirmed by trial
+# division mod p.  Made monic at its grlex leading monomial, the images of
+# the monic gcd h0 + h1*theta give h0 and h1 mod p (with no theta, the one
+# image is h0 and h1 = 0); the primes are combined by the Chinese remainder
+# theorem and rational reconstruction.  The result is exact:
 #
 # * a prime is used only when it divides no denominator (of the inputs, and
 #   of u or v when theta occurs) and keeps the leading monomial and the
-#   degree in v and in w of both inputs under every image.  By Gauss's lemma
-#   at each prime above p, the monic gcd then maps to a monic divisor of the
-#   image gcd with the same leading monomial.  So an image gcd whose leading
-#   monomial is grlex-larger than another prime's marks an unlucky prime,
-#   and a constant one proves that the gcd is 1;
+#   degree in every variable of both inputs under every image.  By Gauss's
+#   lemma at each prime above p, the monic gcd then maps to a monic divisor
+#   of the image gcd with the same leading monomial.  So an image gcd whose
+#   leading monomial is grlex-larger than another prime's marks an unlucky
+#   prime, and a constant one proves that the gcd is 1;
 # * a candidate is accepted as soon as it divides both inputs over the
 #   field.  It then divides the gcd, and its leading monomial, that of an
 #   image gcd, is at least the gcd's, so it is the gcd.
 #
-# After _MODULAR_PRIMES usable primes give no accepted candidate,
-# `_gcd_raw` falls back to the subresultant remainder sequence.
+# So the loop over primes ends only with a certified candidate, and it
+# always ends: only finitely many primes are unlucky, every other usable
+# prime adds a correct residue of the monic gcd, and once the modulus
+# passes twice the square of the largest numerator and denominator among
+# the gcd's coefficients, rational reconstruction returns the gcd itself,
+# which divides both inputs.  The parser bounds the inputs' size; a cap on
+# the number of primes could only turn valid gcds into errors.
 
-_MODULAR_PRIMES = 12
 
-
-def _gcd_modular(f: MPoly, g: MPoly, vi: int, wi: int):
-    """gcd of two polynomials over Q or Q(theta) in v = VARIABLES[vi] and at
-    most one other variable w = VARIABLES[wi], made monic; None when
-    _MODULAR_PRIMES usable primes give no certified candidate."""
+def _gcd_modular(f: MPoly, g: MPoly, variables) -> MPoly:
+    """gcd of two polynomials over Q or Q(theta) in the variables
+    VARIABLES[i], i in `variables` (every variable either one has), made
+    monic.  `modular.brown_gcd` runs Euclid in the first of them and
+    evaluates the last one first."""
     spec = f.spec
 
-    def lift(i, j):
+    def lift(e):
         exponent = [0] * NVARS
-        exponent[vi] = i
-        exponent[wi] = j
+        for i, k in zip(variables, e):
+            exponent[i] = k
         return tuple(exponent)
 
-    def key(ij):
-        return _grlex_key(lift(*ij))
+    def key(e):
+        return _grlex_key(lift(e))
 
+    # the exponents of `variables`, always as a tuple
+    if len(variables) > 1:
+        project = operator.itemgetter(*variables)
+    else:
+        project = operator.itemgetter(slice(variables[0], variables[0] + 1))
     denominator = 1
     inputs = []
     for poly in (f, g):
-        terms = [  # (i, j, a, b) for each term c*v^i*w^j, c = a + b*theta
-            (e[vi], e[wi], c.a, c.b) if c.__class__ is FieldScalar else (e[vi], e[wi], c, 0)
+        terms = [  # (e, a, b) for each term c*v^e, c = a + b*theta
+            (project(e), c.a, c.b) if c.__class__ is FieldScalar else (project(e), c, 0)
             for e, c in poly._ground.items()
         ]
-        for _, _, a, b in terms:
+        for _, a, b in terms:
             denominator = math.lcm(denominator, a.denominator, b.denominator)
-        lm = poly.leading_monomial()
-        shape = (max(t[0] for t in terms), max(t[1] for t in terms), lm[vi], lm[wi])
+        shape = (project(poly.leading_monomial()), tuple(map(max, zip(*(t[0] for t in terms)))))
         inputs.append((terms, shape))
     if any(b for terms, _ in inputs for *_, b in terms):
         primes = modular.split_primes(spec.u, spec.v)
@@ -636,42 +594,38 @@ def _gcd_modular(f: MPoly, g: MPoly, vi: int, wi: int):
         primes = ((p, 0) for p in modular.primes())
 
     def image(terms, shape, r, p):
-        """The rows of one input under theta -> r, or None when the image
-        loses the leading monomial or a degree."""
-        dv, dw, li, lj = shape
-        rows = [[0] * (dw + 1) for _ in range(dv + 1)]
-        for i, j, a, b in terms:
-            rows[i][j] = (a + b * r) % p
-        if not (rows[li][lj] and any(rows[dv]) and any(row[dw] for row in rows)):
+        """One input under theta -> r, or None when the image loses the
+        leading monomial or the degree in some variable."""
+        lm, degrees = shape
+        out = {e: c for e, a, b in terms if (c := (a + b * r) % p)}
+        if lm not in out or tuple(map(max, zip(*out))) != degrees:
             return None
-        return [modular.trim(row) for row in rows]
+        return out
 
     best = None  # leading monomial of the images kept
     modulus, residues, tested = 1, {}, None
-    used = 0
     for p, *roots in primes:
-        if used == _MODULAR_PRIMES:
-            return None
         if denominator % p == 0:
             continue
-        used += 1
         reduced = [
-            ([(i, j, modular.fraction_mod(a, p), modular.fraction_mod(b, p))
-              for i, j, a, b in terms], shape)
+            (
+                [(e, modular.fraction_mod(a, p), modular.fraction_mod(b, p) if b else 0)
+                 for e, a, b in terms],
+                shape,
+            )
             for terms, shape in inputs
         ]
         images = [[image(terms, shape, r, p) for terms, shape in reduced] for r in roots]
-        if any(rows is None for pair in images for rows in pair):
+        if any(terms is None for pair in images for terms in pair):
             continue
         gcds = []
         for fr, gr in images:
-            rows = modular.bivariate_gcd(fr, gr, p)
-            if len(rows) == 1 and len(rows[0]) == 1:
-                return MPoly.one(spec)
-            h = {(i, j): c for i, row in enumerate(rows) for j, c in enumerate(row) if c}
+            h = modular.brown_gcd(fr, gr, p)
             lm = max(h, key=key)
+            if not any(lm):
+                return MPoly.one(spec)
             inv = pow(h[lm], -1, p)
-            gcds.append((lm, {ij: c * inv % p for ij, c in h.items()}))
+            gcds.append((lm, {e: c * inv % p for e, c in h.items()}))
         lm = gcds[0][0]
         if any(other != lm for other, _ in gcds):
             continue
@@ -680,84 +634,43 @@ def _gcd_modular(f: MPoly, g: MPoly, vi: int, wi: int):
         if best is None or key(lm) < key(best):
             best, modulus, residues = lm, 1, {}
         if len(roots) == 1:
-            solved = {ij: (c, 0) for ij, c in gcds[0][1].items()}
+            solved = {e: (c, 0) for e, c in gcds[0][1].items()}
         else:
             h1, h2 = gcds[0][1], gcds[1][1]
             inv_diff = pow(roots[0] - roots[1], -1, p)
             solved = {}
-            for ij in h1.keys() | h2.keys():
-                c1, c2 = h1.get(ij, 0), h2.get(ij, 0)
+            for e in h1.keys() | h2.keys():
+                c1, c2 = h1.get(e, 0), h2.get(e, 0)
                 b = (c1 - c2) * inv_diff % p
-                solved[ij] = ((c1 - b * roots[0]) % p, b)
+                solved[e] = ((c1 - b * roots[0]) % p, b)
         inv_modulus = pow(modulus, -1, p)
-        for ij in residues.keys() | solved.keys():
-            old, new = residues.get(ij, (0, 0)), solved.get(ij, (0, 0))
-            residues[ij] = tuple(
+        for e in residues.keys() | solved.keys():
+            old, new = residues.get(e, (0, 0)), solved.get(e, (0, 0))
+            residues[e] = tuple(
                 x + modulus * ((y - x) * inv_modulus % p) for x, y in zip(old, new)
             )
         modulus *= p
         candidate = {}
-        for ij, (a, b) in residues.items():
+        for e, (a, b) in residues.items():
             a = modular.rational_reconstruction(a, modulus)
             b = modular.rational_reconstruction(b, modulus)
             if a is None or b is None:
                 candidate = None
                 break
             if a or b:
-                candidate[ij] = (a, b)
+                candidate[e] = (a, b)
         if candidate is None or candidate == tested:
             continue
         tested = candidate
         h = MPoly._raw(
             {
-                lift(*ij): FieldScalar._fast(a, b, spec) if spec.is_quadratic else _normal(a)
-                for ij, (a, b) in candidate.items()
+                lift(e): FieldScalar._fast(a, b, spec) if spec.is_quadratic else _normal(a)
+                for e, (a, b) in candidate.items()
             },
             spec,
         )
         if try_exact_divide(f, h) is not None and try_exact_divide(g, h) is not None:
             return h
-    return None
-
-
-def _gcd_subresultant(f: MPoly, g: MPoly, vi: int) -> MPoly:
-    """gcd of two nonzero polynomials, up to a unit, by the subresultant
-    remainder sequence in variable VARIABLES[vi] after splitting off the
-    content.  Three variables take this path, and it is the fallback (and
-    the test oracle) of the modular gcd."""
-    spec = f.spec
-    fu = f.coefficients_in(VARIABLES[vi])
-    gu = g.coefficients_in(VARIABLES[vi])
-    content_f = _content(fu)
-    content_g = _content(gu)
-    fu = _uni_exact_divide(fu, content_f)
-    gu = _uni_exact_divide(gu, content_g)
-    content = _gcd_raw(content_f, content_g)
-
-    a, b = (fu, gu) if max(fu) >= max(gu) else (gu, fu)
-    one = MPoly.one(spec)
-    g_scale, h_scale = one, one
-    while True:
-        delta = max(a) - max(b)
-        r = _pseudo_remainder(a, b)
-        if not r:
-            part = b
-            break
-        if max(r) == 0:
-            part = None
-            break
-        divisor = g_scale * h_scale ** delta
-        a = b
-        b = _uni_exact_divide(r, divisor) if not divisor.is_one() else r
-        g_scale = a[max(a)]
-        if delta == 1:
-            h_scale = g_scale
-        elif delta > 1:
-            h_scale = exact_divide(g_scale ** delta, h_scale ** (delta - 1))
-    if part is None:
-        return content
-    part = _uni_exact_divide(part, _content(part))
-    return content * _from_univariate(part, vi, spec)
 
 
 def _gcd_raw(f: MPoly, g: MPoly) -> MPoly:
@@ -777,27 +690,14 @@ def _gcd_raw(f: MPoly, g: MPoly) -> MPoly:
         return mono
     if f._ground == g._ground:  # the cheap win first
         return mono * f
-    # recurse on the variable appearing in the most terms
+    # Euclid runs in the shared variable appearing in the most terms
     def frequency(name):
         i = VARIABLE_INDEX[name]
         return sum(1 for e in f._ground if e[i]) + sum(1 for e in g._ground if e[i])
 
-    vi = VARIABLE_INDEX[max(sorted(shared), key=frequency)]
-    names = names_f | names_g
-    if len(names) <= 2:
-        # w is the other variable, or any index but vi when there is none
-        others = names - {VARIABLES[vi]}
-        wi = VARIABLE_INDEX[min(others)] if others else (vi + 1) % NVARS
-        h = _gcd_modular(f, g, vi, wi)
-        if h is not None:
-            return mono * h
-    # before the remainder sequence, the cheap win: one divides the other
-    if len(f._ground) <= len(g._ground):
-        if try_exact_divide(g, f) is not None:
-            return mono * f
-    elif try_exact_divide(f, g) is not None:
-        return mono * g
-    return mono * _gcd_subresultant(f, g, vi)
+    first = max(sorted(shared), key=frequency)
+    rest = sorted(VARIABLE_INDEX[name] for name in names_f | names_g if name != first)
+    return mono * _gcd_modular(f, g, (VARIABLE_INDEX[first], *rest))
 
 
 def poly_gcd(f: MPoly, g: MPoly) -> MPoly:

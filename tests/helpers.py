@@ -4,10 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import pytest
-
-import webflat.poly as poly_module
-from webflat import MPoly, RATIONALS, FieldScalar
+from webflat import MPoly, RATIONALS, FieldScalar, exact_divide
 from webflat.poly import VARIABLE_INDEX, VARIABLES
 
 
@@ -189,10 +186,93 @@ def determinant_curvature_fraction(web):
     return numerator, big_r
 
 
-def subresultant_oracle(f, g, var):
-    """gcd by the subresultant remainder sequence in a chosen recursion
-    variable, made monic, with the modular gcd switched off in its content
-    gcds too."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(poly_module, "_gcd_modular", lambda f, g, vi, wi: None)
-        return poly_module._gcd_subresultant(f, g, VARIABLE_INDEX[var]).monic()
+def pseudo_remainder(a: dict, b: dict) -> dict:
+    """prem(a, b) in the recursion variable: lc(b)^(da-db+1) * a mod b.
+
+    Coefficients are polynomials in the remaining variables; no division
+    happens here, which is what keeps the sequence exact.
+    """
+    da, db = max(a), max(b)
+    lc_b = b[db]
+    e = da - db + 1
+    r = a
+    while r:
+        dr = max(r)
+        if dr < db:
+            break
+        lc_r = r[dr]
+        shifted = {}
+        for k, c in r.items():
+            shifted[k] = c * lc_b
+        for k, c in b.items():
+            kk = k + dr - db
+            have = shifted.get(kk)
+            total = -(lc_r * c) if have is None else have - lc_r * c
+            if total.is_zero():
+                shifted.pop(kk, None)
+            else:
+                shifted[kk] = total
+        r = shifted
+        e -= 1
+    if e > 0 and r:
+        scale = lc_b ** e
+        r = {k: c * scale for k, c in r.items()}
+    return r
+
+
+def _content(coeffs: dict) -> MPoly:
+    acc = MPoly.zero(next(iter(coeffs.values())).spec)
+    for c in coeffs.values():
+        acc = subresultant_oracle(acc, c)
+        if acc.is_constant():
+            break
+    return acc
+
+
+def _primitive(coeffs: dict, content: MPoly) -> dict:
+    return {e: exact_divide(c, content) for e, c in coeffs.items()}
+
+
+def subresultant_oracle(f, g, var=None):
+    """gcd of f and g, made monic, by the recursive subresultant remainder
+    sequence in `var` (by default the first variable either one has) after
+    splitting off the content.  The content gcds take the same sequence in
+    the remaining variables, so no gcd of the package is used."""
+    spec = f.spec
+    if f.is_zero():
+        return g.monic()
+    if g.is_zero():
+        return f.monic()
+    if var is None:
+        names = sorted(f.variables() | g.variables(), key=VARIABLE_INDEX.get)
+        if not names:
+            return MPoly.one(spec)
+        var = names[0]
+    fu, gu = f.coefficients_in(var), g.coefficients_in(var)
+    content_f, content_g = _content(fu), _content(gu)
+    content = subresultant_oracle(content_f, content_g)
+    fu, gu = _primitive(fu, content_f), _primitive(gu, content_g)
+
+    a, b = (fu, gu) if max(fu) >= max(gu) else (gu, fu)
+    one = MPoly.one(spec)
+    g_scale, h_scale = one, one
+    while True:
+        delta = max(a) - max(b)
+        r = pseudo_remainder(a, b)
+        if not r:
+            part = b
+            break
+        if max(r) == 0:
+            return content
+        divisor = g_scale * h_scale ** delta
+        a, b = b, r if divisor.is_one() else _primitive(r, divisor)
+        g_scale = a[max(a)]
+        if delta == 1:
+            h_scale = g_scale
+        elif delta > 1:
+            h_scale = exact_divide(g_scale ** delta, h_scale ** (delta - 1))
+    x = MPoly.variable(var, spec)
+    gcd = MPoly.zero(spec)
+    for e, c in _primitive(part, _content(part)).items():
+        gcd = gcd + c * x ** e
+    return (content * gcd).monic()

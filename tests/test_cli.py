@@ -525,6 +525,45 @@ def test_batch_runs_past_over_bound_lines(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in captured.err
 
 
+# within the parser's bounds, with a printed coefficient or coordinate of more
+# than the interpreter's 4300 digits
+TOO_LONG_TO_PRINT = [
+    ["dual-curvature", "--vf", "x^3 + 3^2048*y ; y^3-1"],
+    ["dual-curvature", "--vf", "x^3 + 3^2048*y ; y^3-1", "--format", "json"],
+    ["gauss", "--vf", "3^2048*x^3 ; y^3 ; z^3", "--at", "3^2048, 2^3000, 1"],
+]
+
+
+@pytest.fixture
+def digit_limit():
+    """The interpreter's default limit on the digits of an int's text."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.parametrize("argv", TOO_LONG_TO_PRINT, ids=["text", "json", "gauss"])
+def test_output_past_digit_limit_is_a_domain_error(argv, digit_limit):
+    out, err, code = run_line(argv)
+    what = "coordinate" if argv[0] == "gauss" else "coefficient"
+    assert (out, code) == ("", 2)
+    assert err == "error: DegreeExceeded: a %s has more than %d digits to print" % (what, digit_limit)
+
+
+def test_batch_runs_past_output_past_digit_limit(tmp_path, capsys, digit_limit):
+    batch = tmp_path / "jobs.txt"
+    batch.write_text(
+        "\n".join(shlex.join(argv) for argv in TOO_LONG_TO_PRINT) + '\ndiscriminant --web "p^3 - p"\n'
+    )
+    code = main(["--batch", str(batch)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out.splitlines() == ["-4"]
+    assert captured.err.count("error: DegreeExceeded: ") == len(TOO_LONG_TO_PRINT)
+    assert "Traceback" not in captured.err
+
+
 PINNED_CURVATURE = [
     # (vf, --field or None, md5 of stdout)
     ("x^3+t*y ; y^3-t", "t^2=t+1", "87a527956033ad269a5052fee286e63f"),

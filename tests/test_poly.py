@@ -40,6 +40,7 @@ from helpers import (
     assert_ground,
     brute_force_power,
     cofactor_determinant,
+    pseudo_remainder,
     random_poly,
     random_scalar,
     subresultant_oracle,
@@ -225,7 +226,7 @@ def _rational_gcd_pairs():
 
 @pytest.fixture
 def subresultant_gcd():
-    """The oracle: the subresultant path with the modular gcd off."""
+    """The oracle: the subresultant remainder sequence of the tests."""
     return subresultant_oracle
 
 
@@ -268,15 +269,17 @@ def _modular_gcd_pairs(field):
     return pairs + [(_swap_xy(f), _swap_xy(g)) for f, g in pairs]
 
 
-def _recording(monkeypatch, name, calls):
-    inner = getattr(poly_module, name)
+def _recording(monkeypatch, calls):
+    """Record the variables of every call of the modular engine, and that it
+    answered with a polynomial."""
+    inner = poly_module._gcd_modular
 
-    def recording(f, g, vi, wi):
-        h = inner(f, g, vi, wi)
-        calls.append((name, vi, h is not None))
+    def recording(f, g, variables):
+        h = inner(f, g, variables)
+        calls.append((variables, isinstance(h, MPoly)))
         return h
 
-    monkeypatch.setattr(poly_module, name, recording)
+    monkeypatch.setattr(poly_module, "_gcd_modular", recording)
 
 
 @pytest.mark.parametrize("field", ("rationals",) + MODULAR_FIELDS)
@@ -284,39 +287,19 @@ def test_modular_gcd_matches_subresultant_oracle(monkeypatch, subresultant_gcd, 
     pairs = _rational_gcd_pairs() if field == "rationals" else _modular_gcd_pairs(field)
     calls = []
     with monkeypatch.context() as patch:
-        _recording(patch, "_gcd_modular", calls)
-        fast = [poly_gcd(f, g) for f, g in pairs]
+        _recording(patch, calls)
+        budget = _budget(patch, 100)
+        fast = []
+        for f, g in pairs:
+            budget.clear()  # at most 15 calls a pair here
+            fast.append(poly_gcd(f, g))
     # the swapped copies run the oracle in the other recursion variable
     assert fast == [subresultant_gcd(f, g, "x") for f, g in pairs]
     if field == "rationals":
         assert fast == [subresultant_gcd(f, g, "y") for f, g in pairs]
-    # the modular path answered every call itself, in both recursion
-    # variables
-    assert calls and all(ok for _, _, ok in calls)
-    assert {vi for _, vi, _ in calls} >= {VARIABLE_INDEX["x"], VARIABLE_INDEX["y"]}
-
-
-def _assert_falls_back(monkeypatch, subresultant_gcd, pairs):
-    expected = [subresultant_gcd(f, g, "x") for f, g in pairs]
-    failures = []
-
-    def failing(f, g, vi, wi):
-        failures.append(vi)
-        return None
-
-    monkeypatch.setattr(poly_module, "_gcd_modular", failing)
-    assert [poly_gcd(f, g) for f, g in pairs] == expected
-    assert failures
-
-
-def test_modular_gcd_failure_falls_back(monkeypatch, subresultant_gcd):
-    _assert_falls_back(monkeypatch, subresultant_gcd, _modular_gcd_pairs("t^2=t+1")[:6])
-
-
-def test_heuristic_gcd_failure_falls_back(monkeypatch, subresultant_gcd):
-    """Rational inputs, which once took a heuristic integer gcd, now take the
-    modular gcd; when it gives up they still get the subresultant answer."""
-    _assert_falls_back(monkeypatch, subresultant_gcd, _rational_gcd_pairs())
+    # the engine answered every call, with Euclid in either variable
+    assert calls and all(ok for _, ok in calls)
+    assert {v[0] for v, _ in calls} >= {VARIABLE_INDEX["x"], VARIABLE_INDEX["y"]}
 
 
 @pytest.mark.parametrize("field", ("rationals", "t^2=t+1"))
@@ -343,11 +326,11 @@ def test_modular_gcd_refuses_wrong_candidate(monkeypatch, subresultant_gcd, fiel
         patch.setattr(modular, "rational_reconstruction", wrong_first)
         patch.setattr(poly_module, "try_exact_divide", recording)
         calls = []
-        _recording(patch, "_gcd_modular", calls)
+        _recording(patch, calls)
         d = poly_gcd(f, g)
     assert answers[0] is not None
     assert divisions[0] is False and divisions[-2:] == [True, True]
-    assert calls and all(ok for _, _, ok in calls)
+    assert calls and all(ok for _, ok in calls)
     assert d == h.monic() == subresultant_gcd(f, g, "x")
 
 
@@ -380,20 +363,50 @@ def test_modular_gcd_skips_unlucky_prime(monkeypatch, subresultant_gcd):
         h, p2, cases = _unlucky_prime_cases(spec)
         for f, g, skipped in cases:
             primes = []
-            inner = modular.bivariate_gcd
+            inner = modular.brown_gcd
 
             def recording(a, b, q):
                 primes.append(q)
                 return inner(a, b, q)
 
             with monkeypatch.context() as patch:
-                patch.setattr(modular, "bivariate_gcd", recording)
+                patch.setattr(modular, "brown_gcd", recording)
                 calls = []
-                _recording(patch, "_gcd_modular", calls)
+                _recording(patch, calls)
                 d = poly_gcd(f, g)
-            assert calls and all(ok for _, _, ok in calls)
+            assert calls and all(ok for _, ok in calls)
             assert skipped not in primes and p2 in primes
             assert d == h.monic() == subresultant_gcd(f, g, "x")
+
+
+@pytest.mark.parametrize("field", ("rationals", "t^2=t+1"))
+@pytest.mark.parametrize("bits", (400, 800, 1600))
+def test_modular_gcd_of_wide_coefficients(monkeypatch, subresultant_gcd, field, bits):
+    """The monic gcd's coefficients are quotients of two `bits`-bit integers,
+    so rational reconstruction needs a modulus above 2**(2*bits): the engine
+    takes just about that many 62-bit primes, however many that is."""
+    spec = RATIONALS if field == "rationals" else parse_field(field)
+    rng = random.Random(bits)
+    c = [rng.getrandbits(bits) | 1 << (bits - 1) for _ in range(5)]
+    h = P("%d*x^2*y + %d*x*y - %d*y^2 + %d" % tuple(c[:4]), spec)
+    if spec.is_quadratic:
+        h = h + P("%d*t*x" % c[4], spec)
+    f, g = h * P("x^2 + 3*y + 1", spec), h * P("x*y - 2*x + 5", spec)
+    primes = []
+    inner = modular.brown_gcd
+
+    def recording(a, b, p):
+        primes.append(p)
+        return inner(a, b, p)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(modular, "brown_gcd", recording)
+        calls = []
+        _recording(patch, calls)
+        d = poly_gcd(f, g)
+    assert [ok for _, ok in calls] == [True]
+    assert d == h.monic() == subresultant_gcd(f, g, "x")
+    assert (2 * bits) // 62 < len(set(primes)) <= (2 * bits) // 61 + 3
 
 
 def test_modular_arithmetic_helpers():
@@ -413,25 +426,110 @@ def test_modular_arithmetic_helpers():
     assert not any(modular.is_prime(q) for q in (1, 561, 2**62 - 1, 1000003 * 1000033))
 
 
-def test_modular_bivariate_gcd_skips_unlucky_points():
+def _budget(monkeypatch, limit):
+    """Fail, instead of looping on, once `modular.brown_gcd` has been called
+    `limit` times, recursive calls included."""
+    inner, calls = modular.brown_gcd, []
+
+    def counting(a, b, p):
+        calls.append(p)
+        assert len(calls) <= limit, "brown_gcd called more than %d times" % limit
+        return inner(a, b, p)
+
+    monkeypatch.setattr(modular, "brown_gcd", counting)
+    return calls
+
+
+def _refusals(monkeypatch):
+    """Record (number of variables, verdict) of every trial division mod p."""
+    inner, verdicts = modular.divides, []
+
+    def recording(h, f, p):
+        verdict = inner(h, f, p)
+        verdicts.append((len(next(iter(h))), verdict))
+        return verdict
+
+    monkeypatch.setattr(modular, "divides", recording)
+    return verdicts
+
+
+def _sparse(rows):
+    """Rows of dense polynomials in w, row i the coefficient of v^i, as a
+    polynomial in F_p[v, w]."""
+    return {(i, j): c for i, row in enumerate(rows) for j, c in enumerate(row) if c}
+
+
+def _falling(count, p):
+    """(w - 1)(w - 2)...(w - count) in F_p[w]."""
+    out = [1]
+    for k in range(1, count + 1):
+        out = modular.multiply(out, [p - k, 1], p)
+    return out
+
+
+def test_modular_bivariate_gcd_skips_unlucky_points(monkeypatch):
     """v + (w - 1)...(w - 12) and v*(v + w) are coprime, but every
     evaluation point w = 1..12 gives the common factor v; the degree bound
     alone would stop after one point, so the candidate v must be refused
     by trial division mod p."""
     p = 1000003
-    lowest = [1]
-    for k in range(1, 13):
-        lowest = modular.multiply(lowest, [p - k, 1], p)
-    a = [lowest, [1]]  # rows: coefficients of v^0, v^1 as polynomials in w
-    b = [[], [0, 1], [1]]
-    assert modular.bivariate_gcd(a, b, p) == [[1]]
-    c = [[p - 1, 1], [1]]  # v + w - 1
-    h = modular.bivariate_gcd(
-        [modular.multiply(row, [3, 1], p) for row in a], [[0, 3, 1], [3, 1]], p
+    rows = [_falling(12, p), [1]]  # the coefficients of v^0, v^1 in F_p[w]
+    a = _sparse(rows)
+    b = _sparse([[], [0, 1], [1]])
+    with monkeypatch.context() as patch:
+        verdicts = _refusals(patch)
+        _budget(patch, 100)
+        assert modular.brown_gcd(a, b, p) == {(0, 0): 1}
+    assert (2, False) in verdicts
+    c = _sparse([[p - 1, 1], [1]])  # v + w - 1
+    h = modular.brown_gcd(
+        _sparse([modular.multiply(row, [3, 1], p) for row in rows]),
+        _sparse([[0, 3, 1], [3, 1]]),
+        p,
     )
-    assert h == [[3, 1]]  # the factor w + 3 in w alone
-    assert modular.divides(c, [[p - 1, 1], [p - 1, 1], [1]], p) is False
-    assert modular.divides(c, [[0, p - 1, 1], [p - 1, 2], [1]], p)
+    assert h == {(0, 0): 3, (0, 1): 1}  # the factor w + 3 in w alone
+    assert modular.divides(c, _sparse([[p - 1, 1], [p - 1, 1], [1]]), p) is False
+    assert modular.divides(c, _sparse([[0, p - 1, 1], [p - 1, 2], [1]]), p)
+
+
+def test_modular_trivariate_gcd_skips_unlucky_points(monkeypatch):
+    """The outer variable w of F_p[u, v, w] is evaluated first.
+
+    u + (w - 1)...(w - 12) and u*(u + v + w) are coprime, but every point
+    w = 1..12 gives the common factor u, and the degree bound in w would
+    stop after two points: trial division mod p refuses the candidate u.
+    (u + v + w)*(u + w - 2) and (u + v + w)*(u + v*(w - 2)) meet in
+    (u + v + w)*u at w = 2 only, an unlucky point after the lucky w = 1,
+    which the interpolation must skip."""
+    p = 1000003
+    lowest = _falling(12, p)
+    a = {(0, 0, j): c for j, c in enumerate(lowest) if c} | {(1, 0, 0): 1}
+    b = {(2, 0, 0): 1, (1, 1, 0): 1, (1, 0, 1): 1}
+    with monkeypatch.context() as patch:
+        verdicts = _refusals(patch)
+        _budget(patch, 200)
+        assert modular.brown_gcd(a, b, p) == {(0, 0, 0): 1}
+    assert (3, False) in verdicts
+
+    # over Q with (u, v, w) = (x, y, z)
+    h = P("x + y + z")
+    f, g = h * P("x + z - 2"), h * P("x + y*(z - 2)")
+    images = []
+    inner = modular.brown_gcd
+
+    def recording(a, b, q):
+        result = inner(a, b, q)
+        if len(next(iter(result))) == 2:  # an image at a point w = x
+            images.append(max(result))
+        return result
+
+    with monkeypatch.context() as patch:
+        patch.setattr(modular, "brown_gcd", recording)
+        _budget(patch, 200)
+        d = poly_module._gcd_modular(f, g, tuple(VARIABLE_INDEX[name] for name in "xyz"))
+    assert d == h.monic() == subresultant_oracle(f, g, "x")
+    # the image at w = 2 has a larger leading monomial than the one at w = 1
+    assert images[1] > images[0]
 
 
 def test_exact_divide_errors():
@@ -703,13 +801,13 @@ def test_ground_map_after_every_kernel(spec):
         "exact divide": poly_module.try_exact_divide(f * g, g),
         "determinant": determinant(PolyMatrix.from_rows([[f, g], [g * 2, half]])),
         "cubic resultant": cubic_resultant(Pf("1/2"), f, g, half),
-        "modular gcd": poly_module._gcd_modular(f * g, f * half, x, y),
+        "modular gcd": poly_module._gcd_modular(f * g, f * half, (x, y)),
         "poly_gcd": poly_gcd(f * g, f * half),
         "ratfn num": ratfn.num,
         "ratfn den": ratfn.den,
         "constant": MPoly.constant(FieldScalar(Fraction(4, 2), 0, spec), spec),
     }
-    pseudo = poly_module._pseudo_remainder(
+    pseudo = pseudo_remainder(
         (f * g + half).coefficients_in("x"), g.coefficients_in("x")
     )
     results.update(("prem %d" % k, c) for k, c in pseudo.items())

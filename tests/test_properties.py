@@ -1,8 +1,8 @@
-"""Property tests (hypothesis): gcd over Q and Q(theta) against the
-subresultant oracle, the closed-form curvature numerator against the 5x5
-determinant algorithm, the polynomial kernels over Q against a
-FieldScalar-valued reference, and FieldScalar arithmetic against a
-Fraction-only reference, on small random inputs."""
+"""Property tests (hypothesis): gcd over Q and Q(theta), in two and three
+variables, against the subresultant oracle, the closed-form curvature
+numerator against the 5x5 determinant algorithm, the polynomial kernels
+over Q against a FieldScalar-valued reference, and FieldScalar arithmetic
+against a Fraction-only reference, on small random inputs."""
 
 from fractions import Fraction
 
@@ -24,6 +24,7 @@ from webflat import (  # noqa: E402
     web_curvature,
 )
 from webflat.cli import parse_field, parse_poly  # noqa: E402
+import webflat.poly as poly_module  # noqa: E402
 from webflat.poly import render_poly, try_exact_divide  # noqa: E402
 from webflat.webs import _curvature_fraction  # noqa: E402
 
@@ -76,6 +77,56 @@ def test_gcd_of_multiples_over_quadratic_field(field, a, b, h):
 @given(_terms, _terms, _terms)
 def test_gcd_of_multiples_over_rationals(a, b, h):
     _check_gcd_of_multiples(RATIONALS, a, b, h)
+
+
+_terms3 = st.lists(
+    st.tuples(
+        st.integers(0, 1),  # degree in x
+        st.integers(0, 1),  # degree in y
+        st.integers(0, 1),  # degree in z
+        st.integers(-4, 4),  # rational part, numerator
+        st.integers(1, 3),  # rational part, denominator
+        st.integers(-2, 2),  # theta part, dropped over Q
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+def _poly3(spec, terms):
+    poly = MPoly.zero(spec)
+    for i, j, k, a, d, b in terms:
+        coeff = FieldScalar(Fraction(a, d), b if spec.is_quadratic else 0, spec)
+        poly = poly + MPoly.monomial((i, j, k, 0, 0, 0), coeff, spec)
+    return poly
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.sampled_from((None, "t^2=t+1")), _terms3, _terms3, _terms3)
+def test_gcd_of_multiples_in_three_variables(field, a, b, h):
+    """The factor x + y + z + 1 keeps x, y and z in both multiples past the
+    monomial content, so each gcd goes to the modular engine in all three
+    variables, which answers it."""
+    spec = parse_field(field) if field else RATIONALS
+    a, b, h = (_poly3(spec, terms) for terms in (a, b, h))
+    assume(not (a.is_zero() or b.is_zero() or h.is_zero()))
+    h = h * parse_poly("x + y + z + 1", spec)
+    f, g = h * a, h * b
+    calls = []
+    inner = poly_module._gcd_modular
+
+    def recording(f, g, variables):
+        answer = inner(f, g, variables)
+        calls.append((len(variables), isinstance(answer, MPoly)))
+        return answer
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(poly_module, "_gcd_modular", recording)
+        d = poly_gcd(f, g)
+    # no call only when the multiples agree up to a monomial and a scalar
+    assert len(calls) <= 1 and all(call == (3, True) for call in calls)
+    assert divides(h.monic(), d)
+    assert d == subresultant_oracle(f, g, "x")
 
 
 # -- the curvature numerator against the 5x5 determinant algorithm ------------------

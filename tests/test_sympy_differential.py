@@ -1,7 +1,8 @@
 """Differential tests against sympy, run only where sympy is installed.
 
-On a few seeded inputs over Q, `cubic_resultant`, `poly_gcd` and
-`web_curvature` must agree with sympy's `resultant`, `gcd` and `cancel`.
+On a few seeded inputs over Q, `cubic_resultant`, `poly_gcd` (in two and
+three variables) and `web_curvature` must agree with sympy's `resultant`,
+`gcd` and `cancel`.
 The curvature side is computed by sympy alone, from the determinant
 algorithm's 5x5 determinants.  sympy is never a dependency of webflat.
 """
@@ -17,17 +18,19 @@ from sympy.polys.matrices import DomainMatrix  # noqa: E402
 from sympy.polys.rings import ring  # noqa: E402
 
 from webflat import CubicWebEquation, MPoly, cubic_resultant, poly_gcd, web_curvature  # noqa: E402
+from webflat.cli import parse_poly  # noqa: E402
 from webflat.poly import render_poly  # noqa: E402
 
 from helpers import random_poly_td  # noqa: E402
 
 # s first: sympy's resultant eliminates a ring's first generator
 RING, S, X, Y = ring("s, x, y", QQ)
+RING3 = ring("x, y, z", QQ)[0]
 SEEDS = (1, 2, 3, 4, 5)
 
 
-def _sympy(f: MPoly):
-    return RING.from_expr(sympy.sympify(render_poly(f).replace("^", "**")))
+def _sympy(f: MPoly, ring=RING):
+    return ring.from_expr(sympy.sympify(render_poly(f).replace("^", "**")))
 
 
 def _random_coefficients(rng):
@@ -79,3 +82,14 @@ def test_resultant_gcd_and_curvature_match_sympy(seed):
     # both sides reduced: equal up to one constant factor
     scale = _sympy(coeff.den).LC / den.LC
     assert (_sympy(coeff.num), _sympy(coeff.den)) == (num * scale, den * scale)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_three_variable_gcd_matches_sympy(seed):
+    """The factor x + y*z + 1 keeps all three variables in both inputs."""
+    rng = random.Random(100 + seed)
+    h, g1, g2 = (random_poly_td(rng, ("x", "y", "z"), 2, 3, nonzero=True) for _ in range(3))
+    h = h * parse_poly("x + y*z + 1")
+    ours = poly_gcd(h * g1, h * g2)
+    theirs = _sympy(h * g1, RING3).gcd(_sympy(h * g2, RING3))
+    assert _sympy(ours, RING3) == theirs * _sympy(ours, RING3).LC

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from webflat import (
+    RATIONALS,
     AffineVectorField,
     CubicWebEquation,
     EtaWebSpec,
@@ -41,12 +42,13 @@ from webflat.errors import (
     SingularPoint,
     ZeroPolynomial,
 )
-from webflat.cli import parse_poly
+from webflat.cli import parse_field, parse_poly
 from webflat.singular import classification_field
+import webflat.poly as poly_module
 from webflat.webs import _curvature_fraction, _dual_web
 
 import floatkw
-from helpers import random_homogeneous, random_poly, random_poly_td
+from helpers import random_homogeneous, random_poly, random_poly_td, subresultant_oracle
 
 P = parse_poly
 
@@ -323,6 +325,40 @@ def test_inflection_ignores_radial_ambiguity():
             a + h * P("x"), b + h * P("y"), c + h * P("z")
         )
         assert inflection_divisor(shifted) == inflection_divisor(base)
+
+
+@pytest.mark.parametrize("field", (None, "t^2=t+1"))
+def test_squarefree_inflection_divisor_in_three_variables(monkeypatch, field):
+    """Fields L*(A, B, C) with C != 0 and a line L have inflection divisors
+    in x, y and z that L^3 divides; none is a multiple of z alone, so every
+    gcd of `squarefree_part` reaches the modular engine in three variables.
+    The result is f / gcd(f, f_x, f_y, f_z), taken by the oracle."""
+    spec = parse_field(field) if field else RATIONALS
+    line = P("x + 2*y - z" if field is None else "x + t*y - z", spec)
+    rng = random.Random(2027)
+    calls = []
+    inner = poly_module._gcd_modular
+
+    def recording(f, g, variables):
+        calls.append(len(variables))
+        return inner(f, g, variables)
+
+    for degree in (1, 1, 2):
+        infl = MPoly.zero(spec)
+        while infl.is_zero():
+            components = [random_homogeneous(rng, degree, ("x", "y", "z"), spec) for _ in range(3)]
+            infl = inflection_divisor(HomogeneousVectorField(*(line * c for c in components)))
+        assert infl.variables() == {"x", "y", "z"}
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(poly_module, "_gcd_modular", recording)
+            part = squarefree_part(infl)
+        assert calls and set(calls) == {3}
+        repeated = infl
+        for name in ("x", "y", "z"):
+            repeated = subresultant_oracle(repeated, infl.derivative(name))
+        assert divides(line * line, repeated)
+        assert part == exact_divide(infl, repeated).monic()
 
 
 def test_inflection_degree_is_3d_for_saturated_fields():
