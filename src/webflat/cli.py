@@ -90,8 +90,8 @@ def _power_bits(base: MPoly, exponent: int) -> int:
     spec = base.spec
     kappa = max(1, abs(spec.u) + abs(spec.v)) if spec.is_quadratic else 0
     norm, den = 0, 1
-    for c in base._ground.values():
-        a, b = (c.a, c.b) if c.__class__ is FieldScalar else (c, 0)
+    ground = base._ground.values()
+    for a, b in ground if spec.is_quadratic else ((c, 0) for c in ground):
         norm += abs(a) + abs(b) * kappa
         den = math.lcm(den, a.denominator, b.denominator)
     return exponent * (_ceil_log2(norm * den) + _ceil_log2(den))

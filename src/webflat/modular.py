@@ -63,15 +63,24 @@ def split_primes(u: Fraction, v: Fraction):
     """Yield (p, r1, r2) for the primes p below 2**62, largest first, at
     which theta^2 = u*theta + v has two distinct roots r1, r2 mod p; primes
     dividing a denominator of u or v are skipped."""
-    disc = u * u + 4 * v
     for p in primes():
-        if u.denominator % p == 0 or v.denominator % p == 0:
-            continue
-        d = fraction_mod(disc, p)
-        if d == 0 or pow(d, (p - 1) // 2, p) != 1:
-            continue
-        s, w, half = sqrt_mod(d, p), fraction_mod(u, p), (p + 1) // 2
-        yield p, (w + s) * half % p, (w - s) * half % p
+        roots = split_roots(u, v, p)
+        if roots is not None:
+            yield p, *roots
+
+
+@functools.cache
+def split_roots(u: Fraction, v: Fraction, p: int):
+    """The two distinct roots of theta^2 = u*theta + v mod p, or None when
+    there are none or p divides a denominator of u or v.  Cached, as every
+    gcd over the same field starts from the same primes."""
+    if u.denominator % p == 0 or v.denominator % p == 0:
+        return None
+    d = fraction_mod(u * u + 4 * v, p)
+    if d == 0 or pow(d, (p - 1) // 2, p) != 1:
+        return None
+    s, w, half = sqrt_mod(d, p), fraction_mod(u, p), (p + 1) // 2
+    return (w + s) * half % p, (w - s) * half % p
 
 
 def sqrt_mod(a: int, p: int) -> int:

@@ -1,0 +1,162 @@
+"""Ground maps over Q(theta) as pairs of rationals.
+
+An element a + b*theta of Q(theta), theta^2 = u*theta + v, is the tuple
+(a, b).  Each component is an `int` when integral and a `Fraction`
+otherwise, as over Q.  A ground map takes exponent 6-tuples to nonzero
+pairs.  Every loop here reduces theta^2 inline and normalises components
+as it stores them, so no `FieldScalar` is built per term.  Nothing here
+knows about `MPoly`.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+
+def normal(c):
+    """A rational with an integral Fraction stored as its int."""
+    return c.numerator if c.__class__ is Fraction and c.denominator == 1 else c
+
+
+def quotient(c, n: int, d: int):
+    """c * n / d for a rational c and ints n, d != 0, normalised."""
+    q = Fraction(c * n, d) if c.__class__ is int else Fraction(c.numerator * n, c.denominator * d)
+    return q.numerator if q.denominator == 1 else q
+
+
+def add(f: dict, g: dict, sign: int = 1) -> dict:
+    """f + sign * g, sign 1 or -1."""
+    out = dict(f)
+    for e, c in g.items():
+        have = out.get(e)
+        if have is None:
+            out[e] = c if sign == 1 else (-c[0], -c[1])
+        else:
+            a = have[0] + sign * c[0]
+            b = have[1] + sign * c[1]
+            if a or b:
+                out[e] = (normal(a), normal(b))
+            else:
+                del out[e]
+    return out
+
+
+def neg(f: dict) -> dict:
+    return {e: (-a, -b) for e, (a, b) in f.items()}
+
+
+def mul(f: dict, g: dict, u, v) -> dict:
+    """f * g.  Each exponent collects its rational part, theta part and
+    theta^2 part; theta^2 = u*theta + v is reduced once per exponent."""
+    if len(f) > len(g):  # the shorter operand on the outside
+        f, g = g, f
+    acc = {}
+    for e1, (a1, b1) in f.items():
+        for e2, (a2, b2) in g.items():
+            e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2],
+                 e1[3] + e2[3], e1[4] + e2[4], e1[5] + e2[5])
+            have = acc.get(e)
+            if b1:
+                if have is None:
+                    acc[e] = [a1 * a2, a1 * b2 + b1 * a2, b1 * b2]
+                else:
+                    have[0] += a1 * a2
+                    have[1] += a1 * b2 + b1 * a2
+                    have[2] += b1 * b2
+            elif have is None:
+                acc[e] = [a1 * a2, a1 * b2, 0]
+            else:
+                have[0] += a1 * a2
+                have[1] += a1 * b2
+    out = {}
+    for e, (a, b, w) in acc.items():
+        if w:
+            a += w * v
+            b += w * u
+        if a or b:
+            if a.__class__ is Fraction and a.denominator == 1:
+                a = a.numerator
+            if b.__class__ is Fraction and b.denominator == 1:
+                b = b.numerator
+            out[e] = (a, b)
+    return out
+
+
+def scale(f: dict, s: tuple, u, v) -> dict:
+    """f times the nonzero pair s."""
+    c, d = s
+    if not d:
+        return {e: (normal(a * c), normal(b * c)) for e, (a, b) in f.items()}
+    dv, du = d * v, d * u
+    return {
+        e: (normal(a * c + b * dv), normal(a * d + b * (c + du)))
+        for e, (a, b) in f.items()
+    }
+
+
+def divided(f: dict, s: tuple, u, v) -> dict:
+    """f divided by the nonzero pair s.  An irrational s = a + b*theta
+    multiplies every term by its conjugate (a + b*u) - b*theta, then each
+    component is divided once by the rational norm a^2 + a*b*u - b^2*v."""
+    c, d = s
+    if d:
+        f = scale(f, (c + d * u, -d), u, v)
+        c = c * c + c * d * u - d * d * v
+    n, m = c.denominator, c.numerator  # dividing by c multiplies by n / m
+    return {e: (quotient(a, n, m), b and quotient(b, n, m)) for e, (a, b) in f.items()}
+
+
+def derivative(f: dict, i: int) -> dict:
+    """The formal partial derivative in the i-th variable."""
+    out = {}
+    for exponent, (a, b) in f.items():
+        k = exponent[i]
+        if k:
+            out[exponent[:i] + (k - 1,) + exponent[i + 1 :]] = (normal(a * k), normal(b * k))
+    return out
+
+
+def try_exact_divide(f: dict, g: dict, u, v):
+    """f / g for a nonzero g when the division is exact, else None."""
+    # leading terms in lex order, as in `poly.try_exact_divide`
+    g0, g1, g2, g3, g4, g5 = lm_g = max(g)
+    c, d = g[lm_g]
+    if d:  # 1/lc as conjugate / norm
+        n = c * c + c * d * u - d * d * v
+        inv_a, inv_b = normal(Fraction(c + d * u) / n), normal(Fraction(-d) / n)
+    else:
+        inv_a, inv_b = normal(Fraction(1, c)), 0
+    out = {}
+    rest = dict(f)
+    while rest:
+        lm_r = max(rest)
+        q0, q1, q2, q3, q4, q5 = exponent = (
+            lm_r[0] - g0, lm_r[1] - g1, lm_r[2] - g2, lm_r[3] - g3, lm_r[4] - g4, lm_r[5] - g5
+        )
+        if q0 < 0 or q1 < 0 or q2 < 0 or q3 < 0 or q4 < 0 or q5 < 0:
+            return None
+        a, b = rest[lm_r]
+        if inv_b or b:
+            bw = b * inv_b
+            a, b = a * inv_a + bw * v, a * inv_b + b * inv_a + bw * u
+        else:
+            a = a * inv_a
+        a, b = normal(a), normal(b)
+        out[exponent] = (a, b)
+        for e2, (a2, b2) in g.items():
+            e = (q0 + e2[0], q1 + e2[1], q2 + e2[2], q3 + e2[3], q4 + e2[4], q5 + e2[5])
+            if b and b2:
+                bw = b * b2
+                pa, pb = a * a2 + bw * v, a * b2 + b * a2 + bw * u
+            else:
+                pa, pb = a * a2, a * b2 + b * a2
+            have = rest.get(e)
+            if have is None:
+                rest[e] = (-pa, -pb)
+            else:
+                pa, pb = have[0] - pa, have[1] - pb
+                if pa or pb:
+                    rest[e] = (pa, pb)
+                else:
+                    del rest[e]
+    return out

@@ -4,12 +4,13 @@ Representation
 --------------
 A polynomial is a map, its ground map, from exponent vectors to nonzero
 ground elements: over Q a bare `int` when integral and a `Fraction`
-otherwise, over Q(theta) a `FieldScalar` (see `field`).  Kernel loops use
-Python operators and truthiness on them, so one loop serves both fields;
-no inverse is ever a float.  `FieldScalar` stays the public coefficient
-type: values enter through `_as_coefficient`, and `terms`,
-`leading_coefficient`, `constant_value` and `evaluate_scalar` hand out
-`FieldScalar`s.  The variable tuple is fixed once and for all:
+otherwise, over Q(theta) a pair (a, b) for a + b*theta with components of
+the same kind.  Each kernel tests the field once per call; the pair loops
+live in `pairs`.  No inverse is ever a float.  `FieldScalar` stays the
+public coefficient type: values enter through `_as_coefficient`, and
+`terms`, `leading_coefficient`, `constant_value`, `evaluate_scalar` and
+the text of an irrational coefficient leave as `FieldScalar`s.  The
+variable tuple is fixed once and for all:
 
     (x, y, z, p, q, t)
 
@@ -53,13 +54,15 @@ from .errors import (
     NotSquare,
     ZeroPolynomial,
 )
-from . import modular
+from . import modular, pairs
 from .field import RATIONALS, FieldScalar, FieldSpec, _component
+from .pairs import normal as _normal
 
 VARIABLES = ("x", "y", "z", "p", "q", "t")
 NVARS = len(VARIABLES)
 VARIABLE_INDEX = {name: i for i, name in enumerate(VARIABLES)}
 _ZERO_EXP = (0,) * NVARS
+_ONES = (1, (1, 0))  # the ground element 1 over Q and over Q(theta)
 
 
 def _grlex_key(exponent):
@@ -68,32 +71,29 @@ def _grlex_key(exponent):
 
 def _as_coefficient(value, spec: FieldSpec):
     """A coefficient (FieldScalar, int, Fraction, or what Fraction accepts)
-    as a ground element of spec."""
+    as a ground element of spec; zero is 0 over either field."""
     if isinstance(value, FieldScalar):
         if value.spec is not spec and value.spec != spec:
             raise FieldMismatch("coefficient from a different field")
-        return value if spec.is_quadratic else value.a
-    return FieldScalar(value, 0, spec) if spec.is_quadratic else _component(value)
+        a, b = value.a, value.b
+    else:
+        a, b = _component(value), 0
+    return ((a, b) if a or b else 0) if spec.is_quadratic else a
 
 
 def _as_scalar(c, spec: FieldSpec) -> FieldScalar:
-    """A ground element of spec as a FieldScalar."""
+    """A ground element of spec, or a FieldScalar, as a FieldScalar."""
+    if c.__class__ is tuple:
+        return FieldScalar._fast(c[0], c[1], spec)
     return c if c.__class__ is FieldScalar else FieldScalar._fast(c, 0, spec)
 
 
-def _normal(c):
-    """A ground element with an integral Fraction stored as its int."""
-    return c.numerator if c.__class__ is Fraction and c.denominator == 1 else c
-
-
-def _scale(ground: dict, s) -> dict:
-    """A ground map times a nonzero ground element."""
-    return {e: _normal(c * s) for e, c in ground.items()}
-
-
-def _inverse(c):
-    """1/c for a nonzero ground element; never a float."""
-    return c.inverse() if c.__class__ is FieldScalar else _normal(Fraction(1, c))
+def _divided(ground: dict, lc, spec: FieldSpec) -> dict:
+    """A ground map divided by a nonzero ground element."""
+    if spec.is_quadratic:
+        return pairs.divided(ground, lc, spec.u, spec.v)
+    n, d = lc.denominator, lc.numerator
+    return {e: pairs.quotient(c, n, d) for e, c in ground.items()}
 
 
 class MPoly:
@@ -123,12 +123,10 @@ class MPoly:
 
     @property
     def terms(self) -> dict:
-        """The term map with FieldScalar values: over Q a fresh view of the
-        ground map, over Q(theta) the ground map itself.  Read only."""
-        if self.spec.is_quadratic:
-            return self._ground
+        """The term map with FieldScalar values, a fresh view of the ground
+        map over either field."""
         spec = self.spec
-        return {e: FieldScalar._fast(c, 0, spec) for e, c in self._ground.items()}
+        return {e: _as_scalar(c, spec) for e, c in self._ground.items()}
 
     @classmethod
     def zero(cls, spec: FieldSpec = RATIONALS) -> "MPoly":
@@ -163,7 +161,7 @@ class MPoly:
         return not self._ground or (len(self._ground) == 1 and _ZERO_EXP in self._ground)
 
     def is_one(self) -> bool:
-        return len(self._ground) == 1 and self._ground.get(_ZERO_EXP) == 1
+        return len(self._ground) == 1 and self._ground.get(_ZERO_EXP) in _ONES
 
     def constant_value(self) -> FieldScalar:
         if not self.is_constant():
@@ -204,7 +202,7 @@ class MPoly:
         if not self._ground:
             return self
         lc = self._ground[self.leading_monomial()]
-        return self if lc == 1 else MPoly._raw(_scale(self._ground, _inverse(lc)), self.spec)
+        return self if lc in _ONES else MPoly._raw(_divided(self._ground, lc, self.spec), self.spec)
 
     # -- ring operations ---------------------------------------------------
 
@@ -213,49 +211,50 @@ class MPoly:
             raise FieldMismatch("polynomials over different fields")
 
     def __add__(self, other):
-        if not isinstance(other, MPoly):
-            return NotImplemented
-        self._check(other)
-        out = dict(self._ground)
-        for e, coeff in other._ground.items():
-            have = out.get(e)
-            if have is None:
-                out[e] = coeff
-            elif t := have + coeff:
-                out[e] = _normal(t)
-            else:
-                del out[e]
-        return MPoly._raw(out, self.spec)
+        return self._plus(other, 1)
 
     def __sub__(self, other):
+        return self._plus(other, -1)
+
+    def _plus(self, other, sign: int):
+        """self + sign * other, sign 1 or -1."""
         if not isinstance(other, MPoly):
             return NotImplemented
         self._check(other)
+        if self.spec.is_quadratic:
+            return MPoly._raw(pairs.add(self._ground, other._ground, sign), self.spec)
         out = dict(self._ground)
         for e, coeff in other._ground.items():
             have = out.get(e)
             if have is None:
-                out[e] = -coeff
-            elif t := have - coeff:
+                out[e] = coeff if sign == 1 else -coeff
+            elif t := have + coeff if sign == 1 else have - coeff:
                 out[e] = _normal(t)
             else:
                 del out[e]
         return MPoly._raw(out, self.spec)
 
     def __neg__(self):
+        if self.spec.is_quadratic:
+            return MPoly._raw(pairs.neg(self._ground), self.spec)
         return MPoly._raw({e: -c for e, c in self._ground.items()}, self.spec)
 
     def __mul__(self, other):
+        spec = self.spec
         if isinstance(other, (int, Fraction, FieldScalar)):
-            coeff = _as_coefficient(other, self.spec)
-            if not coeff:
-                return MPoly.zero(self.spec)
-            return MPoly._raw(_scale(self._ground, coeff), self.spec)
+            s = _as_coefficient(other, spec)
+            if not s:
+                return MPoly.zero(spec)
+            if spec.is_quadratic:
+                return MPoly._raw(pairs.scale(self._ground, s, spec.u, spec.v), spec)
+            return MPoly._raw({e: _normal(c * s) for e, c in self._ground.items()}, spec)
         if not isinstance(other, MPoly):
             return NotImplemented
         self._check(other)
         if not self._ground or not other._ground:
-            return MPoly.zero(self.spec)
+            return MPoly.zero(spec)
+        if spec.is_quadratic:
+            return MPoly._raw(pairs.mul(self._ground, other._ground, spec.u, spec.v), spec)
         # iterate the shorter operand on the outside
         left, right = self._ground, other._ground
         if len(left) > len(right):
@@ -274,7 +273,7 @@ class MPoly:
                 coeff = c1 * c2
                 have = out.get(exponent)
                 out[exponent] = coeff if have is None else have + coeff
-        return MPoly._raw({e: _normal(c) for e, c in out.items() if c}, self.spec)
+        return MPoly._raw({e: _normal(c) for e, c in out.items() if c}, spec)
 
     __rmul__ = __mul__
 
@@ -303,6 +302,8 @@ class MPoly:
     def derivative(self, var: str) -> "MPoly":
         """Formal partial derivative with respect to one variable."""
         i = VARIABLE_INDEX[var]
+        if self.spec.is_quadratic:
+            return MPoly._raw(pairs.derivative(self._ground, i), self.spec)
         out = {}
         for exponent, coeff in self._ground.items():
             e = exponent[i]
@@ -374,12 +375,13 @@ class MPoly:
 
     def evaluate_scalar(self, point: dict) -> FieldScalar:
         """Exact evaluation at a point given as {variable: FieldScalar}."""
-        values = {}
-        for name, value in point.items():
-            values[VARIABLE_INDEX[name]] = _as_coefficient(value, self.spec)
+        spec = self.spec
+        # over Q(theta) the arithmetic runs on FieldScalars, over Q on rationals
+        scalar = (lambda c: _as_scalar(c, spec)) if spec.is_quadratic else (lambda c: c)
+        values = {VARIABLE_INDEX[n]: scalar(_as_coefficient(x, spec)) for n, x in point.items()}
         total = 0
         for exponent, coeff in self._ground.items():
-            term = coeff
+            term = scalar(coeff)
             for i, e in enumerate(exponent):
                 if e == 0:
                     continue
@@ -423,8 +425,8 @@ def render_poly(f: MPoly) -> str:
         for exponent in sorted(f._ground, key=_grlex_key, reverse=True):
             coeff = f._ground[exponent]
             mono = _render_monomial(exponent)
-            if coeff.__class__ is FieldScalar and not coeff.b:
-                coeff = coeff.a
+            if coeff.__class__ is tuple:
+                coeff = _as_scalar(coeff, f.spec) if coeff[1] else coeff[0]
             if coeff.__class__ is not FieldScalar:
                 negative = coeff < 0
                 mag = -coeff if negative else coeff
@@ -459,11 +461,15 @@ def try_exact_divide(f: MPoly, g: MPoly):
     if f.is_zero():
         return MPoly.zero(f.spec)
     f._check(g)
+    spec = f.spec
+    if spec.is_quadratic:
+        ground = pairs.try_exact_divide(f._ground, g._ground, spec.u, spec.v)
+        return None if ground is None else MPoly._raw(ground, spec)
     # leading terms in lex order, which compares exponent tuples without a
     # key function; any monomial order decides divisibility
     divisor = g._ground
     g0, g1, g2, g3, g4, g5 = lm_g = max(divisor)
-    lc_g_inv = _inverse(divisor[lm_g])
+    lc_g_inv = _normal(Fraction(1, divisor[lm_g]))
     quotient = {}
     rest = dict(f._ground)
     while rest:
@@ -483,7 +489,7 @@ def try_exact_divide(f: MPoly, g: MPoly):
                 rest[e] = total
             else:
                 del rest[e]
-    return MPoly._raw(quotient, f.spec)
+    return MPoly._raw(quotient, spec)
 
 
 def exact_divide(f: MPoly, g: MPoly) -> MPoly:
@@ -580,10 +586,11 @@ def _gcd_modular(f: MPoly, g: MPoly, variables) -> MPoly:
     denominator = 1
     inputs = []
     for poly in (f, g):
-        terms = [  # (e, a, b) for each term c*v^e, c = a + b*theta
-            (project(e), c.a, c.b) if c.__class__ is FieldScalar else (project(e), c, 0)
-            for e, c in poly._ground.items()
-        ]
+        ground = poly._ground.items()
+        if spec.is_quadratic:  # (e, a, b) for each term c*v^e, c = a + b*theta
+            terms = [(project(e), a, b) for e, (a, b) in ground]
+        else:
+            terms = [(project(e), c, 0) for e, c in ground]
         for _, a, b in terms:
             denominator = math.lcm(denominator, a.denominator, b.denominator)
         shape = (project(poly.leading_monomial()), tuple(map(max, zip(*(t[0] for t in terms)))))
@@ -662,13 +669,11 @@ def _gcd_modular(f: MPoly, g: MPoly, variables) -> MPoly:
         if candidate is None or candidate == tested:
             continue
         tested = candidate
-        h = MPoly._raw(
-            {
-                lift(e): FieldScalar._fast(a, b, spec) if spec.is_quadratic else _normal(a)
-                for e, (a, b) in candidate.items()
-            },
-            spec,
-        )
+        if spec.is_quadratic:
+            h = {lift(e): (_normal(a), _normal(b)) for e, (a, b) in candidate.items()}
+        else:
+            h = {lift(e): _normal(a) for e, (a, b) in candidate.items()}
+        h = MPoly._raw(h, spec)
         if try_exact_divide(f, h) is not None and try_exact_divide(g, h) is not None:
             return h
 
@@ -818,10 +823,10 @@ def cubic_resultant(a0: MPoly, a1: MPoly, a2: MPoly, a3: MPoly) -> MPoly:
 def _monic_denominator(num: MPoly, den: MPoly):
     """num and den, both divided by the leading coefficient of den."""
     lc = den._ground[den.leading_monomial()]
-    if lc == 1:
+    if lc in _ONES:
         return num, den
-    inv = _inverse(lc)
-    return num * inv, den * inv
+    spec = den.spec
+    return tuple(MPoly._raw(_divided(f._ground, lc, spec), spec) for f in (num, den))
 
 
 class RatFn:
@@ -922,24 +927,19 @@ def evaluate_float(f: MPoly, point: dict, theta_embedding: complex | None = None
     A quadratic field requires `theta_embedding`, an approximate root of
     the minimal polynomial (checked to 1e-12); the rationals forbid it.
     """
+    embed, theta = complex, theta_embedding
     if f.spec.is_quadratic:
-        if theta_embedding is None:
+        if theta is None:
             raise BadEmbedding("quadratic field needs a theta embedding")
-        residual = (
-            theta_embedding * theta_embedding
-            - complex(f.spec.u) * theta_embedding
-            - complex(f.spec.v)
-        )
-        if abs(residual) > 1e-12:
+        if abs(theta * theta - complex(f.spec.u) * theta - complex(f.spec.v)) > 1e-12:
             raise BadEmbedding("embedding does not satisfy the minimal polynomial")
-    elif theta_embedding is not None:
+        embed = lambda c: complex(c[0]) + complex(c[1]) * theta  # noqa: E731
+    elif theta is not None:
         raise BadEmbedding("theta embedding supplied for a rational field")
-    values = {}
-    for name, value in point.items():
-        values[VARIABLE_INDEX[name]] = complex(value)
+    values = {VARIABLE_INDEX[name]: complex(value) for name, value in point.items()}
     total = 0j
     for exponent, coeff in f._ground.items():
-        term = coeff.embed(theta_embedding) if coeff.__class__ is FieldScalar else complex(coeff)
+        term = embed(coeff)
         for i, e in enumerate(exponent):
             if e == 0:
                 continue

@@ -99,16 +99,23 @@ def _jet(f: MPoly, k: int) -> MPoly:
 
 
 def _local_parts(vf: AffineVectorField, pt):
+    """The saturated field's components translated to pt, or None when one
+    of them does not vanish there.  That is told by evaluation, before a
+    translate is expanded."""
     saturated, _ = saturate(vf)
     x0, y0 = pt
+    point = {"x": x0, "y": y0}
+    if saturated.a.evaluate_scalar(point) or saturated.b.evaluate_scalar(point):
+        return None
     return _translate(saturated.a, x0, y0), _translate(saturated.b, x0, y0)
 
 
 def multiplicity_nu(vf: AffineVectorField, pt) -> int:
     """Algebraic multiplicity of the saturated field at pt (0 if regular)."""
-    a, b = _local_parts(vf, pt)
-    orders = [o for o in (_order(a), _order(b)) if o is not None]
-    return min(orders)
+    local = _local_parts(vf, pt)
+    if local is None:
+        return 0
+    return min(o for o in map(_order, local) if o is not None)
 
 
 def tau(vf: AffineVectorField, pt):
@@ -117,11 +124,11 @@ def tau(vf: AffineVectorField, pt):
     Returns TAU_INFINITE when every jet is radial.  Rejects regular
     points: the invariant is only defined at singularities.
     """
-    a, b = _local_parts(vf, pt)
-    orders = [o for o in (_order(a), _order(b)) if o is not None]
-    nu = min(orders)
-    if nu == 0:
+    local = _local_parts(vf, pt)
+    if local is None:
         raise NotSingular("tau is undefined at a regular point")
+    a, b = local
+    nu = min(o for o in map(_order, local) if o is not None)
     x = MPoly.variable("x", a.spec)
     y = MPoly.variable("y", a.spec)
     top = max(a.total_degree(), b.total_degree())
@@ -136,7 +143,7 @@ def classify_singularity(vf: AffineVectorField, pt) -> SingularityReport:
     lines join the dual web's discriminant."""
     nu = multiplicity_nu(vf, pt)
     if nu == 0:
-        raise NotSingular("the saturated field does not vanish at %r" % (pt,))
+        raise NotSingular("the saturated field does not vanish at (%s, %s)" % tuple(pt))
     t = tau(vf, pt)
     radial = nu == 1 and t >= 2
     return SingularityReport(

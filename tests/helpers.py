@@ -81,23 +81,27 @@ def _compositions(total, parts):
 
 def assert_ground(f):
     """f's ground map holds its field's representation, and `terms` shows
-    the same values as FieldScalars.
+    the same values as FieldScalars, in a fresh view on every read.
 
     Over Q a coefficient is an int when integral and a Fraction otherwise,
-    never a float or a FieldScalar; over Q(theta) it is a FieldScalar of
-    f's field.  No zero is stored.
+    never a float or a FieldScalar; over Q(theta) it is a pair (a, b) for
+    a + b*theta whose components follow the same rule.  No zero is stored.
     """
+    quadratic = f.spec.is_quadratic
     for c in f._ground.values():
-        if f.spec.is_quadratic:
-            assert type(c) is FieldScalar and c.spec == f.spec, c
-        else:
-            assert type(c) in (int, Fraction), c
-            assert type(c) is (int if c.denominator == 1 else Fraction), c
-        assert c
+        if quadratic:
+            assert type(c) is tuple and len(c) == 2, c
+        parts = c if quadratic else (c,)
+        for x in parts:
+            assert type(x) in (int, Fraction), c
+            assert type(x) is (int if x.denominator == 1 else Fraction), c
+        assert any(parts), c
     view = f.terms
     assert view.keys() == f._ground.keys()
+    assert f.terms is not view
     for exponent, c in view.items():
-        assert type(c) is FieldScalar and c.spec == f.spec and c == f._ground[exponent]
+        assert type(c) is FieldScalar and c.spec == f.spec
+        assert (c.a, c.b) == (f._ground[exponent] if quadratic else (f._ground[exponent], 0))
 
 
 # -- independent oracles -------------------------------------------------------

@@ -343,6 +343,33 @@ def test_parse_errors_exit_1():
     assert "ThetaWithoutField" in err
 
 
+def test_not_singular_names_the_point_as_sing_prints_it():
+    cases = [
+        (["sing", "--vf", "x^3 ; y^3-1", "--at", "1,1"], "(1, 1)"),
+        (["sing", "--vf", "x^3 ; y^3-1", "--at", "1/2, -3"], "(1/2, -3)"),
+        (["sing", "--vf", "x^3 + t*y ; y^3", "--at", "t, 1/2", "--field", "t^2=t-1"],
+         "(t, 1/2)"),
+        (["sing", "--vf", "x^3 ; y^3", "--at", "1 - 2*t, 0", "--field", "t^2=t+1"],
+         "(1 - 2*t, 0)"),
+    ]
+    for argv, point in cases:
+        out, err, code = run_line(argv)
+        assert (out, code) == ("", 2), argv
+        assert err == "error: NotSingular: the saturated field does not vanish at %s" % point
+
+
+def test_sing_at_a_regular_point_of_a_huge_degree_field(monkeypatch):
+    """The regular point is told by evaluation; no translate is expanded."""
+
+    def refuse(self, bindings):
+        raise AssertionError("a translate was expanded")
+
+    monkeypatch.setattr(MPoly, "substitute", refuse)
+    out, err, code = run_line(["sing", "--vf", "x^200000+y ; y^3", "--at", "1, 0"])
+    assert (out, code) == ("", 2)
+    assert err == "error: NotSingular: the saturated field does not vanish at (1, 0)"
+
+
 def test_domain_errors_exit_2():
     cases = [
         (["legendre", "--vf", "x ; y"], "DegreeTooLow"),
@@ -463,10 +490,8 @@ def _bounded_coefficients(monkeypatch):
     power = MPoly.__pow__
 
     def bounded_power(self, exponent):
-        parts = [
-            x
-            for c in self._ground.values()
-            for x in ((c.a, c.b) if isinstance(c, FieldScalar) else (c,))
+        parts = [  # over Q(theta) a ground element is the pair (a, b)
+            x for c in self._ground.values() for x in (c if isinstance(c, tuple) else (c,))
         ]
         bits = max(
             ((abs(x.numerator) - 1).bit_length() + (x.denominator - 1).bit_length() for x in parts),

@@ -266,14 +266,16 @@ def test_mixed_int_and_fraction_components_compare_and_hash_equal():
         fractions = _unnormalised(Fraction(a), Fraction(b), spec)
         assert ints == fractions and hash(ints) == hash(fractions)
         assert str(ints) == str(fractions)
-        # ground maps: over Q a bare 2 against Fraction(2), over Q(theta) the scalars
-        ground = (lambda c: c) if spec.is_quadratic else (lambda c: c.a)
+        # ground maps: over Q a bare 2 against Fraction(2), over Q(theta) the
+        # pair (2, -3) or (0, 1) against its Fraction components
+        ground = (lambda c: (c.a, c.b)) if spec.is_quadratic else (lambda c: c.a)
         exponent = (1, 2, 0, 0, 0, 0)
         half = ground(FieldScalar(Fraction(1, 2), 0, spec))
         left = MPoly._raw({exponent: ground(ints), (0,) * 6: half}, spec)
         right = MPoly._raw({exponent: ground(fractions), (0,) * 6: half}, spec)
-        if not spec.is_quadratic:
-            assert (type(left._ground[exponent]), type(right._ground[exponent])) == (int, Fraction)
+        first = (lambda c: c[0]) if spec.is_quadratic else (lambda c: c)
+        assert type(first(left._ground[exponent])) is int
+        assert type(first(right._ground[exponent])) is Fraction
         assert left == right and hash(left) == hash(right)
         assert render_poly(left) == render_poly(right)
 

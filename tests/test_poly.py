@@ -426,6 +426,28 @@ def test_modular_arithmetic_helpers():
     assert not any(modular.is_prime(q) for q in (1, 561, 2**62 - 1, 1000003 * 1000033))
 
 
+@pytest.mark.parametrize(
+    "u, v", [(1, 1), (1, -1), (Fraction(1, 3), Fraction(5, 2))], ids=["t^2=t+1", "t^2=t-1", "fractions"]
+)
+def test_split_roots_are_cached_roots_of_the_minimal_polynomial(u, v):
+    spec = quadratic_field(u, v)
+    u, v = spec.u, spec.v
+    split = []
+    for p in itertools.islice(modular.primes(), 40):
+        roots = modular.split_roots(u, v, p)
+        assert roots == modular.split_roots.__wrapped__(u, v, p)  # a fresh computation
+        assert modular.split_roots(u, v, p) is roots  # the cached answer
+        if roots is None:
+            continue
+        split.append((p, *roots))
+        r1, r2 = roots
+        assert r1 != r2
+        for r in roots:
+            assert (r * r - modular.fraction_mod(u, p) * r - modular.fraction_mod(v, p)) % p == 0
+    assert 10 < len(split) < 30  # about half the primes split
+    assert list(itertools.islice(modular.split_primes(u, v), len(split))) == split
+
+
 def _budget(monkeypatch, limit):
     """Fail, instead of looping on, once `modular.brown_gcd` has been called
     `limit` times, recursive calls included."""
@@ -843,11 +865,14 @@ def test_terms_and_rendering_agree_across_fields():
     text = "3/4*x^2*y - 2*x*y + 7/2*y - 1"
     over_q, over_theta = (parse_poly(text, spec) for spec in GROUND_FIELDS)
     assert type(over_q._ground[(0, 1, 0, 0, 0, 0)]) is Fraction
-    assert type(over_theta._ground[(0, 1, 0, 0, 0, 0)]) is FieldScalar
+    assert over_theta._ground[(0, 1, 0, 0, 0, 0)] == (Fraction(7, 2), 0)
+    assert type(over_theta._ground[(0, 1, 0, 0, 0, 0)][1]) is int
     q_terms, theta_terms = over_q.terms, over_theta.terms
     assert {e: (c.a, c.b) for e, c in q_terms.items()} == {
         e: (c.a, c.b) for e, c in theta_terms.items()
     }
-    assert over_theta.terms is over_theta._ground
-    assert over_q.terms is not over_q.terms  # an uncached view
+    assert {e: (c.a, c.b) for e, c in theta_terms.items()} == over_theta._ground
+    # uncached views over both fields
+    assert over_theta.terms is not over_theta.terms
+    assert over_q.terms is not over_q.terms
     assert render_poly(over_q) == render_poly(over_theta) == text

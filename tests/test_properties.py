@@ -1,9 +1,12 @@
 """Property tests (hypothesis): gcd over Q and Q(theta), in two and three
 variables, against the subresultant oracle, the closed-form curvature
 numerator against the 5x5 determinant algorithm, the polynomial kernels
-over Q against a FieldScalar-valued reference, and FieldScalar arithmetic
-against a Fraction-only reference, on small random inputs."""
+over Q and over Q(theta) against a FieldScalar-valued reference, and
+FieldScalar arithmetic against a Fraction-only reference, on small random
+inputs."""
 
+import cmath
+import math
 from fractions import Fraction
 
 import pytest
@@ -23,9 +26,10 @@ from webflat import (  # noqa: E402
     quadratic_field,
     web_curvature,
 )
+import webflat.cli as cli  # noqa: E402
 from webflat.cli import parse_field, parse_poly  # noqa: E402
 import webflat.poly as poly_module  # noqa: E402
-from webflat.poly import render_poly, try_exact_divide  # noqa: E402
+from webflat.poly import evaluate_float, render_poly, try_exact_divide  # noqa: E402
 from webflat.webs import _curvature_fraction  # noqa: E402
 
 from helpers import (  # noqa: E402
@@ -167,23 +171,23 @@ def test_curvature_fraction_matches_determinant_oracle(field, terms, shared):
 # -- polynomial kernels over Q against a FieldScalar-valued reference ----------------
 
 
-def _reference_sum(polys, signs):
+def _reference_sum(polys, signs, spec=RATIONALS):
     """The signed sum of the polynomials, added up on their FieldScalar
     `terms`."""
     acc = {}
     for poly, sign in zip(polys, signs):
         for exponent, coeff in poly.terms.items():
-            acc[exponent] = acc.get(exponent, FieldScalar(0)) + coeff * sign
-    return MPoly(acc)
+            acc[exponent] = acc.get(exponent, FieldScalar(0, 0, spec)) + coeff * sign
+    return MPoly(acc, spec)
 
 
 def _reference_substitute_x(f, h):
     """f with x replaced by h, one term at a time by brute-force expansion."""
     parts = []
     for (i, *rest), coeff in f.terms.items():
-        monomial = MPoly.monomial((0, *rest), coeff)
+        monomial = MPoly.monomial((0, *rest), coeff, f.spec)
         parts.append(brute_force_power([monomial] + [h] * i))
-    return _reference_sum(parts, [1] * len(parts))
+    return _reference_sum(parts, [1] * len(parts), f.spec)
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -212,6 +216,95 @@ def test_kernels_over_rationals_match_scalar_reference(a, b, h):
     twin = _poly(parse_field("t^2=t+1"), [(i, j, n, d, 0) for i, j, n, d, _ in a])
     assert render_poly(f) == render_poly(twin)
     assert parse_poly(render_poly(f)) == f
+
+
+# -- polynomial kernels over Q(theta) against a FieldScalar-valued reference ---------
+
+_components = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+_THETA = {"t^2=t+1": (1 + math.sqrt(5)) / 2, "t^2=t-1": (1 + cmath.sqrt(-3)) / 2}
+
+
+def _scaled(f, s):
+    """f times the FieldScalar s, term by term on `terms`."""
+    return MPoly({e: c * s for e, c in f.terms.items()}, f.spec)
+
+
+def _reference_divide(f, g):
+    """f / g by long division in lex order on FieldScalar terms, or None."""
+    divisor = g.terms
+    lead = max(divisor)
+    inverse = divisor[lead].inverse()
+    rest, quotient = f.terms, {}
+    while rest:
+        top = max(rest)
+        shift = tuple(a - b for a, b in zip(top, lead))
+        if min(shift) < 0:
+            return None
+        c = quotient[shift] = rest[top] * inverse
+        for e, d in divisor.items():
+            k = tuple(a + b for a, b in zip(shift, e))
+            rest[k] = rest.get(k, FieldScalar(0, 0, f.spec)) - c * d
+            if not rest[k]:
+                del rest[k]
+    return MPoly(quotient, f.spec)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.sampled_from(sorted(_THETA)), _terms, _terms, _terms,
+       st.tuples(_components, _components), st.booleans())
+def test_kernels_over_quadratic_fields_match_scalar_reference(field, a, b, h, s, theta_free):
+    """Each pair kernel against FieldScalar arithmetic on `terms`: irrational
+    scalars, Fraction components and, with `theta_free`, theta-free f and h
+    under the quadratic spec."""
+    spec = parse_field(field)
+    if theta_free:
+        a, h = ([(i, j, n, d, 0) for i, j, n, d, _ in terms] for terms in (a, h))
+    f, g, h = (_poly(spec, terms) for terms in (a, b, h))
+    s = FieldScalar(*s, spec)
+    results = {
+        "add": (f + g, _reference_sum([f, g], [1, 1], spec)),
+        "sub": (f - g, _reference_sum([f, g], [1, -1], spec)),
+        "neg": (-f, _reference_sum([f], [-1], spec)),
+        "mul": (f * g, brute_force_power([f, g])),
+        "scalar mul": (f * s, _scaled(f, s)),
+        "rational scalar mul": (Fraction(-3, 2) * f, _scaled(f, FieldScalar(Fraction(-3, 2), 0, spec))),
+        "derivative": (
+            f.derivative("y"),
+            MPoly({(i, j - 1, 0, 0, 0, 0): c * j for (i, j, *_), c in f.terms.items() if j}, spec),
+        ),
+        "substitute": (f.substitute({"x": h}), _reference_substitute_x(f, h)),
+    }
+    if not f.is_zero():
+        results["monic"] = (f.monic(), _scaled(f, f.leading_coefficient().inverse()))
+    if not g.is_zero():
+        inverse = g.leading_coefficient().inverse()  # irrational when g's lc carries theta
+        num, den = poly_module._monic_denominator(f, g)
+        results["monic denominator num"] = (num, _scaled(f, inverse))
+        results["monic denominator den"] = (den, _scaled(g, inverse))
+        results["exact divide"] = (try_exact_divide(f * g, g), f)
+        assert try_exact_divide(f, g) == _reference_divide(f, g)
+    if not h.is_zero():
+        # with theta_free, the gcd's images take theta -> 0 at every prime
+        results["gcd"] = (poly_gcd(f * h, h), _scaled(h, h.leading_coefficient().inverse()))
+    for name, (got, want) in results.items():
+        assert got == want, name
+        assert_ground(got)
+    # the boundary: evaluation, rendering and the parser's power charge
+    theta = _THETA[field]
+    x0, y0 = s, FieldScalar(Fraction(1, 2), 0, spec)
+    value = f.evaluate_scalar({"x": x0, "y": y0})
+    want = FieldScalar(0, 0, spec)
+    for (i, j, *_), c in f.terms.items():
+        want = want + c * x0**i * y0**j
+    assert type(value) is FieldScalar and value == want
+    point = {"x": x0.embed(theta), "y": 0.5}
+    approx = sum(c.embed(theta) * point["x"] ** i * 0.5**j for (i, j, *_), c in f.terms.items())
+    assert abs(evaluate_float(f, point, theta) - approx) <= 1e-9 * max(1.0, abs(approx))
+    assert parse_poly(render_poly(f), spec) == f
+    kappa = max(1, abs(spec.u) + abs(spec.v))
+    norm = sum(abs(c.a) + abs(c.b) * kappa for c in f.terms.values())
+    den = math.lcm(1, *(x.denominator for c in f.terms.values() for x in (c.a, c.b)))
+    assert cli._power_bits(f, 3) == 3 * (cli._ceil_log2(norm * den) + cli._ceil_log2(den))
 
 
 # -- FieldScalar against a Fraction-only reference ---------------------------------

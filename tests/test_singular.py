@@ -98,6 +98,23 @@ def test_nu_regular_point():
     assert multiplicity_nu(vf, (fr(1), fr(1))) == 0
 
 
+def test_regular_point_is_decided_before_translating(monkeypatch):
+    """x^200000 + y does not vanish at (1, 0).  nu is 0 and tau refuses
+    the point without expanding the translate (x + 1)^200000."""
+
+    def refuse(self, bindings):
+        raise AssertionError("a translate was expanded")
+
+    monkeypatch.setattr(MPoly, "substitute", refuse)
+    for spec in (None, quadratic_field(1, -1)):
+        vf = AffineVectorField(P("x^200000 + y", spec), P("y^3", spec))
+        assert multiplicity_nu(vf, (fr(1), fr(0))) == 0
+        with pytest.raises(NotSingular):
+            tau(vf, (fr(1), fr(0)))
+        with pytest.raises(NotSingular):
+            classify_singularity(vf, (fr(1), fr(0)))
+
+
 def test_nu_uses_saturation():
     vf = AffineVectorField(P("x^2"), P("x*y"))
     assert multiplicity_nu(vf, ORIGIN) == 1
