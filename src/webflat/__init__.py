@@ -13,7 +13,6 @@ from .errors import (
     NonHomogeneous,
     NotQuadratic,
     NotSingular,
-    NotSquare,
     ParseError,
     SingularPoint,
     ThetaWithoutField,
@@ -27,12 +26,10 @@ from .errors import (
 from .field import RATIONALS, FieldScalar, FieldSpec, Rational, field_sqrt, quadratic_field
 from .poly import (
     MPoly,
-    PolyMatrix,
     RatFn,
     VARIABLES,
     cubic_discriminant,
     cubic_resultant,
-    determinant,
     divides,
     evaluate_float,
     exact_divide,
@@ -71,7 +68,6 @@ from .webs import (
     legendre_transform,
     tangent_cone,
     web_curvature,
-    web_discriminant,
 )
 from .cli import main, parse_field, parse_poly
 

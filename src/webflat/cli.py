@@ -52,7 +52,6 @@ from .webs import (
     legendre_transform,
     tangent_cone,
     web_curvature,
-    web_discriminant,
 )
 
 # -- lexer / parser -----------------------------------------------------------
@@ -439,7 +438,7 @@ def _run_curvature(web, along):
 def _run_discriminant(source):
     if not isinstance(source, CubicWebEquation):
         source = legendre_transform(source)
-    return web_discriminant(source)
+    return source.discriminant()
 
 
 def _run_eta(h1, h2, h3, order):

@@ -26,10 +26,6 @@ class NotQuadratic(DomainError):
     pass
 
 
-class NotSquare(DomainError):
-    pass
-
-
 class ZeroPolynomial(DomainError):
     pass
 

@@ -30,8 +30,9 @@ Algorithms
   when a coefficient carries theta; Chinese remaindering and rational
   reconstruction; confirmed by trial division.  The tests keep the
   subresultant remainder sequence as its oracle.
-* determinant: cofactor expansion along the first row with memoization
-  on the active column set (matrices here never exceed 6x6).
+* determinant: the one determinant the package takes, the 3x3 of the
+  inflection divisor, in closed form along its first row; the tests keep
+  plain cofactor expansion as its oracle.
 * `cubic_resultant` is Res(f, f') = -a0 * `cubic_discriminant` of the
   slope cubic f, in closed form; the tests pin it, sign included, against
   the 5x5 Sylvester determinant.
@@ -51,7 +52,6 @@ from .errors import (
     DegreeExceeded,
     DivisionByZero,
     FieldMismatch,
-    NotSquare,
     ZeroPolynomial,
 )
 from . import modular, pairs
@@ -736,67 +736,14 @@ def squarefree_part(f: MPoly) -> MPoly:
         current = exact_divide(current, repeated)
 
 
-# -- polynomial matrices -----------------------------------------------------------
+# -- the inflection determinant -----------------------------------------------------
 
 
-class PolyMatrix:
-    """Row-major matrix of polynomials."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows: int, cols: int, entries):
-        entries = list(entries)
-        if rows < 1 or cols < 1:
-            raise ValueError("matrix dimensions must be positive")
-        if len(entries) != rows * cols:
-            raise ValueError("expected %d entries, got %d" % (rows * cols, len(entries)))
-        self.rows = rows
-        self.cols = cols
-        self.entries = entries
-
-    @classmethod
-    def from_rows(cls, rows) -> "PolyMatrix":
-        rows = [list(r) for r in rows]
-        width = len(rows[0])
-        return cls(len(rows), width, [e for row in rows for e in row])
-
-    def entry(self, i: int, j: int) -> MPoly:
-        return self.entries[i * self.cols + j]
-
-
-def determinant(matrix: PolyMatrix) -> MPoly:
-    """Exact determinant by first-row cofactor expansion.
-
-    Minors are memoized on their active column set, so the work is
-    O(2^n) polynomial operations; intended for n <= 6.
-    """
-    if matrix.rows != matrix.cols:
-        raise NotSquare("determinant of a %dx%d matrix" % (matrix.rows, matrix.cols))
-    n = matrix.rows
-    spec = matrix.entries[0].spec
-    memo = {}
-
-    def minor(columns):
-        row = n - len(columns)
-        if not columns:
-            return MPoly.one(spec)
-        cached = memo.get(columns)
-        if cached is not None:
-            return cached
-        total = MPoly.zero(spec)
-        for i, col in enumerate(columns):
-            entry = matrix.entry(row, col)
-            if entry.is_zero():
-                continue
-            sub = minor(columns[:i] + columns[i + 1 :])
-            if sub.is_zero():
-                continue
-            product = entry * sub
-            total = total + product if i % 2 == 0 else total - product
-        memo[columns] = total
-        return total
-
-    return minor(tuple(range(n)))
+def determinant(rows) -> MPoly:
+    """Determinant of a 3x3 matrix of polynomials, given as its three rows,
+    expanded along the first row."""
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 def cubic_discriminant(a0: MPoly, a1: MPoly, a2: MPoly, a3: MPoly) -> MPoly:
@@ -863,43 +810,12 @@ class RatFn:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def __add__(self, other):
-        if not isinstance(other, RatFn):
-            return NotImplemented
-        return RatFn(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other):
-        if not isinstance(other, RatFn):
-            return NotImplemented
-        return RatFn(self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def __neg__(self):
-        negated = object.__new__(RatFn)
-        negated.num = -self.num
-        negated.den = self.den
-        return negated
-
-    def __mul__(self, other):
-        if not isinstance(other, RatFn):
-            return NotImplemented
-        return RatFn(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other):
-        if not isinstance(other, RatFn):
-            return NotImplemented
-        if other.num.is_zero():
-            raise DivisionByZero("division by the zero rational function")
-        return RatFn(self.num * other.den, self.den * other.num)
-
     def derivative(self, var: str) -> "RatFn":
         """Quotient rule, assembled over den^2 then reduced."""
         return RatFn(
             self.num.derivative(var) * self.den - self.num * self.den.derivative(var),
             self.den * self.den,
         )
-
-    def substitute(self, bindings: dict) -> "RatFn":
-        return RatFn(self.num.substitute(bindings), self.den.substitute(bindings))
 
     def __eq__(self, other):
         if not isinstance(other, RatFn):

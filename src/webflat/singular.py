@@ -110,12 +110,25 @@ def _local_parts(vf: AffineVectorField, pt):
     return _translate(saturated.a, x0, y0), _translate(saturated.b, x0, y0)
 
 
+def _nu(local) -> int:
+    return min(o for o in map(_order, local) if o is not None)
+
+
+def _tau(local, nu):
+    a, b = local
+    x = MPoly.variable("x", a.spec)
+    y = MPoly.variable("y", a.spec)
+    top = max(a.total_degree(), b.total_degree())
+    for k in range(nu, top + 1):
+        if not (x * _jet(b, k) - y * _jet(a, k)).is_zero():
+            return k
+    return TAU_INFINITE
+
+
 def multiplicity_nu(vf: AffineVectorField, pt) -> int:
     """Algebraic multiplicity of the saturated field at pt (0 if regular)."""
     local = _local_parts(vf, pt)
-    if local is None:
-        return 0
-    return min(o for o in map(_order, local) if o is not None)
+    return 0 if local is None else _nu(local)
 
 
 def tau(vf: AffineVectorField, pt):
@@ -127,24 +140,18 @@ def tau(vf: AffineVectorField, pt):
     local = _local_parts(vf, pt)
     if local is None:
         raise NotSingular("tau is undefined at a regular point")
-    a, b = local
-    nu = min(o for o in map(_order, local) if o is not None)
-    x = MPoly.variable("x", a.spec)
-    y = MPoly.variable("y", a.spec)
-    top = max(a.total_degree(), b.total_degree())
-    for k in range(nu, top + 1):
-        if not (x * _jet(b, k) - y * _jet(a, k)).is_zero():
-            return k
-    return TAU_INFINITE
+    return _tau(local, _nu(local))
 
 
 def classify_singularity(vf: AffineVectorField, pt) -> SingularityReport:
     """Full local report; `special` marks the singularities whose dual
-    lines join the dual web's discriminant."""
-    nu = multiplicity_nu(vf, pt)
-    if nu == 0:
+    lines join the dual web's discriminant.  The field is saturated and
+    translated to pt once, for nu and tau alike."""
+    local = _local_parts(vf, pt)
+    if local is None:
         raise NotSingular("the saturated field does not vanish at (%s, %s)" % tuple(pt))
-    t = tau(vf, pt)
+    nu = _nu(local)
+    t = _tau(local, nu)
     radial = nu == 1 and t >= 2
     return SingularityReport(
         point=tuple(pt),

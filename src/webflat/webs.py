@@ -37,7 +37,6 @@ from .errors import (
 from .field import FieldScalar
 from .poly import (
     MPoly,
-    PolyMatrix,
     RatFn,
     cubic_discriminant,
     determinant,
@@ -249,19 +248,26 @@ def legendre_transform(vf: AffineVectorField) -> CubicWebEquation:
 
     Substituting y = p*x + q into B - p*A produces the equation of the
     dual web; its x-degree is the number of tangencies with a generic
-    line, which must be exactly 3 here.
+    line, which must be exactly 3 here.  It is read off the field before
+    anything is expanded.  For d the total degree, the x^d coefficient is
+    B_d(1, p) - p*A_d(1, p); it vanishes exactly when the top homogeneous
+    part is radial, x*B_d = y*A_d = x*y*H, and then the x^(d-1)
+    coefficient has the term q*H(1, p), so the degree is d - 1.
     """
+    d = max(vf.a.total_degree(), vf.b.total_degree())
+    x_b_top = {(e[0] + 1,) + e[1:]: c for e, c in vf.b._ground.items() if sum(e) == d}
+    y_a_top = {(e[0], e[1] + 1) + e[2:]: c for e, c in vf.a._ground.items() if sum(e) == d}
+    degree = d - 1 if x_b_top == y_a_top else d
+    if degree > 3:
+        raise DegreeExceeded("dual equation has x-degree %d > 3" % degree)
+    if degree < 3:
+        raise DegreeTooLow("dual equation has x-degree %d < 3" % degree)
     spec = vf.spec
     x = MPoly.variable("x", spec)
     p = MPoly.variable("p", spec)
     q = MPoly.variable("q", spec)
     line = p * x + q
     dual = vf.b.substitute({"y": line}) - p * vf.a.substitute({"y": line})
-    degree = dual.degree_in("x")
-    if degree > 3:
-        raise DegreeExceeded("dual equation has x-degree %d > 3" % degree)
-    if degree < 3:
-        raise DegreeTooLow("dual equation has x-degree %d < 3" % degree)
     web = CubicWebEquation.from_polynomial(dual, "x", ("p", "q"))
     if web.cubic_discriminant().is_zero():  # a0 is not zero at x-degree 3
         raise DegenerateWeb("dual equation has identically zero discriminant")
@@ -400,12 +406,7 @@ def inflection_divisor(hvf: HomogeneousVectorField) -> MPoly:
         [hvf.a, hvf.b, hvf.c],
         [hvf.apply(hvf.a), hvf.apply(hvf.b), hvf.apply(hvf.c)],
     ]
-    return determinant(PolyMatrix.from_rows(rows))
-
-
-def web_discriminant(web: CubicWebEquation) -> MPoly:
-    """Slope discriminant of the web in its base variables."""
-    return web.discriminant()
+    return determinant(rows)
 
 
 def tangent_cone(vf: AffineVectorField) -> MPoly:

@@ -370,6 +370,32 @@ def test_sing_at_a_regular_point_of_a_huge_degree_field(monkeypatch):
     assert err == "error: NotSingular: the saturated field does not vanish at (1, 0)"
 
 
+def test_high_degree_field_is_refused_before_the_legendre_expansion(monkeypatch):
+    """The dual x-degree is read off the field, the total degree or one
+    less for a radial top, so (p*x + q)^200000 is never expanded."""
+    verbs = (["flat"], ["dual-curvature"], ["legendre"], ["discriminant"])
+    assert run_line(["flat", "--vf", "y^50 ; x"]) == (
+        "", "error: DegreeExceeded: dual equation has x-degree 50 > 3", 2
+    )
+
+    def refuse(self, bindings):
+        raise AssertionError("the dual equation was expanded")
+
+    monkeypatch.setattr(MPoly, "substitute", refuse)
+    theta = ["--field", "t^2=t+1"]
+    cases = (
+        ("y^200000 ; x", []),
+        ("x*y^200000 ; y^200001 + x", []),  # radial top of degree 200001
+        ("t*y^200000 ; x - t", theta),
+        ("t*x*y^200000 ; t*y^200001 + x", theta),
+    )
+    for vf, field in cases:
+        for verb in verbs:
+            out, err, code = run_line(verb + ["--vf", vf] + field)
+            assert (out, code) == ("", 2), (verb, vf)
+            assert err == "error: DegreeExceeded: dual equation has x-degree 200000 > 3"
+
+
 def test_domain_errors_exit_2():
     cases = [
         (["legendre", "--vf", "x ; y"], "DegreeTooLow"),

@@ -11,11 +11,9 @@ from webflat import (
     RATIONALS,
     FieldScalar,
     MPoly,
-    PolyMatrix,
     RatFn,
     cubic_discriminant,
     cubic_resultant,
-    determinant,
     divides,
     evaluate_float,
     exact_divide,
@@ -27,12 +25,11 @@ from webflat import (
 import webflat.modular as modular
 import webflat.poly as poly_module
 from webflat.cli import parse_field, parse_poly
-from webflat.poly import VARIABLE_INDEX
+from webflat.poly import VARIABLE_INDEX, determinant
 from webflat.errors import (
     BadEmbedding,
     DivisionByZero,
     FieldMismatch,
-    NotSquare,
     ZeroPolynomial,
 )
 
@@ -596,29 +593,21 @@ def test_squarefree_result_coprime_with_partials():
 def test_identity_determinant():
     one = MPoly.one()
     zero = MPoly.zero()
-    m = PolyMatrix.from_rows([[one, zero, zero], [zero, one, zero], [zero, zero, one]])
-    assert determinant(m) == one
-
-
-def test_two_by_two_determinant():
-    m = PolyMatrix.from_rows([[X, Y], [Y, X]])
-    assert determinant(m) == P("x^2 - y^2")
-
-
-def test_determinant_not_square():
-    with pytest.raises(NotSquare):
-        determinant(PolyMatrix(2, 3, [MPoly.zero()] * 6))
+    assert determinant([[one, zero, zero], [zero, one, zero], [zero, zero, one]]) == one
 
 
 def test_determinant_against_cofactor_oracle():
+    # the closed form against plain cofactor expansion, over Q and t^2 = t + 1
     rng = random.Random(31415)
-    for n in (2, 3, 4, 5):
-        for _ in range(8):
+    for spec in (RATIONALS, quadratic_field(1, 1)):
+        for k in range(16):
             rows = [
-                [random_poly(rng, ("x", "y"), 1, 2) for _ in range(n)]
-                for _ in range(n)
+                [random_poly(rng, ("x", "y"), 1, 2, spec, quadratic=True) for _ in range(3)]
+                for _ in range(3)
             ]
-            assert determinant(PolyMatrix.from_rows(rows)) == cofactor_determinant(rows)
+            if k % 2:  # a zero entry, as in the inflection matrix's z column
+                rows[k % 3][k // 2 % 3] = MPoly.zero(spec)
+            assert determinant(rows) == cofactor_determinant(rows)
 
 
 # -- the 5x5 slope resultant -------------------------------------------------------
@@ -821,7 +810,7 @@ def test_ground_map_after_every_kernel(spec):
         "substitute": half.substitute({"x": Pf("2*y"), "y": Fraction(1, 3)}),
         "monic": Pf("2/3*x^2 + 4/3*x").monic(),
         "exact divide": poly_module.try_exact_divide(f * g, g),
-        "determinant": determinant(PolyMatrix.from_rows([[f, g], [g * 2, half]])),
+        "determinant": determinant([[f, g, half], [g * 2, half, f], [half, f, g]]),
         "cubic resultant": cubic_resultant(Pf("1/2"), f, g, half),
         "modular gcd": poly_module._gcd_modular(f * g, f * half, (x, y)),
         "poly_gcd": poly_gcd(f * g, f * half),

@@ -7,6 +7,7 @@ inputs."""
 
 import cmath
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,18 +17,21 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from webflat import (  # noqa: E402
     RATIONALS,
+    AffineVectorField,
     CubicWebEquation,
     DegenerateWeb,
     FieldScalar,
     MPoly,
     RatFn,
     divides,
+    legendre_transform,
     poly_gcd,
     quadratic_field,
     web_curvature,
 )
 import webflat.cli as cli  # noqa: E402
 from webflat.cli import parse_field, parse_poly  # noqa: E402
+from webflat.errors import DegreeExceeded, DegreeTooLow  # noqa: E402
 import webflat.poly as poly_module  # noqa: E402
 from webflat.poly import evaluate_float, render_poly, try_exact_divide  # noqa: E402
 from webflat.webs import _curvature_fraction  # noqa: E402
@@ -166,6 +170,48 @@ def test_curvature_fraction_matches_determinant_oracle(field, terms, shared):
     assert disc == web.cubic_discriminant()
     assert numerator == a0 * a0 * closed_form
     assert web_curvature(web).coeff == RatFn(numerator, big_r * big_r)
+
+
+# -- the dual x-degree, read off the field before the Legendre expansion ----------
+
+_top_terms = st.lists(
+    st.tuples(st.integers(0, 5), st.integers(-3, 3), st.integers(1, 2), st.integers(-1, 1)),
+    min_size=1,
+    max_size=3,
+)
+
+
+def _homogeneous(spec, degree, terms):
+    """A form of the given degree in (x, y); term i is x^(i mod degree+1)."""
+    return _poly(spec, [(i % (degree + 1), degree - i % (degree + 1), a, d, b) for i, a, d, b in terms])
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.sampled_from((None, "t^2=t+1")), st.integers(1, 5), st.booleans(), _top_terms,
+       _top_terms, st.lists(_small_terms, min_size=2, max_size=2))
+def test_dual_degree_matches_the_expanded_dual(field, d, radial, top_a, top_b, lower):
+    """`legendre_transform` refuses or accepts a field of total degree at most
+    d by the x-degree of the expanded B(x, p*x + q) - p*A(x, p*x + q), also
+    when the degree-d part is radial, (A_d, B_d) = H * (x, y)."""
+    spec = parse_field(field) if field else RATIONALS
+    x, y, p, q = (MPoly.variable(name, spec) for name in "xypq")
+    low_a, low_b = (_poly(spec, [t for t in terms if t[0] + t[1] < d]) for terms in lower)
+    if radial:
+        h = _homogeneous(spec, d - 1, top_a)
+        a, b = x * h + low_a, y * h + low_b
+    else:
+        a, b = _homogeneous(spec, d, top_a) + low_a, _homogeneous(spec, d, top_b) + low_b
+    assume(not (a.is_zero() and b.is_zero()))
+    line = p * x + q
+    expanded = (b.substitute({"y": line}) - p * a.substitute({"y": line})).degree_in("x")
+    try:
+        legendre_transform(AffineVectorField(a, b))
+        degree = 3
+    except DegenerateWeb:  # raised only past the degree check
+        degree = 3
+    except (DegreeExceeded, DegreeTooLow) as err:
+        degree = int(re.fullmatch(r"dual equation has x-degree (\d+) [<>] 3", str(err)).group(1))
+    assert degree == expanded
 
 
 # -- polynomial kernels over Q against a FieldScalar-valued reference ----------------

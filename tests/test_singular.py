@@ -29,6 +29,7 @@ from webflat.errors import (
     ZeroTangentCone,
 )
 from webflat.cli import parse_poly
+import webflat.singular as singular
 
 from helpers import random_poly_td
 
@@ -113,6 +114,32 @@ def test_regular_point_is_decided_before_translating(monkeypatch):
             tau(vf, (fr(1), fr(0)))
         with pytest.raises(NotSingular):
             classify_singularity(vf, (fr(1), fr(0)))
+
+
+def test_one_saturation_per_singularity_report(monkeypatch):
+    """A report at a singular point saturates (one gcd) and translates the
+    field once, for nu and tau alike."""
+    calls = []
+    original = singular.saturate
+
+    def counting(vf):
+        calls.append(vf)
+        return original(vf)
+
+    monkeypatch.setattr(singular, "saturate", counting)
+    for spec in (None, EISENSTEIN):
+        cases = [
+            ("(x - 1)*x^3 ; y", (fr(1), fr(0)), 1, 2),
+            ("x*(x^2 + y^2) ; x*(x*y - y^3)", ORIGIN, 2, 2),
+        ]
+        if spec is not None:
+            cases.append(("x - t ; y + t*x - t^2", (FieldScalar.theta(spec), fr(0)), 1, 1))
+        for text, pt, nu, t in cases:
+            vf = AffineVectorField(*(P(part, spec) for part in text.split(";")))
+            del calls[:]
+            report = classify_singularity(vf, pt)
+            assert (report.nu, report.tau) == (nu, t), text
+            assert len(calls) == 1, text
 
 
 def test_nu_uses_saturation():

@@ -32,7 +32,6 @@ from webflat import (
     squarefree_part,
     tangent_cone,
     web_curvature,
-    web_discriminant,
 )
 from webflat.errors import (
     DegenerateWeb,
@@ -280,7 +279,7 @@ def test_pole_containment_random_fields():
     for _ in range(10):
         vf = _random_degree3_field(rng)
         form = dual_curvature(vf)
-        disc = web_discriminant(legendre_transform(vf))
+        disc = legendre_transform(vf).discriminant()
         if form.coeff.den.is_constant():
             continue
         assert divides(squarefree_part(form.coeff.den), disc)
@@ -409,19 +408,19 @@ def test_homogenize_degree_exceeded():
 
 
 def test_web_discriminant_constant():
-    assert web_discriminant(cubic_web("p^3 - p")) == MPoly.constant(-4)
+    assert cubic_web("p^3 - p").discriminant() == MPoly.constant(-4)
 
 
 def test_web_discriminant_triple_root():
     web = CubicWebEquation(
         "p", ("x", "y"), MPoly.one(), MPoly.zero(), MPoly.zero(), MPoly.zero()
     )
-    assert web_discriminant(web).is_zero()
+    assert web.discriminant().is_zero()
 
 
 def test_curvature_denominator_divides_discriminant():
     form = dual_curvature(GOLDEN_VF)
-    disc = web_discriminant(legendre_transform(GOLDEN_VF))
+    disc = legendre_transform(GOLDEN_VF).discriminant()
     assert divides(squarefree_part(form.coeff.den), disc)
 
 
