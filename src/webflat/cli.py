@@ -35,7 +35,7 @@ from .errors import (
     WebflatError,
 )
 from .field import RATIONALS, FieldScalar, FieldSpec
-from .poly import MPoly, render_poly
+from .poly import BOUND, MPoly, render_poly
 from .singular import classify_singularity, verify_classification
 from .webs import (
     AffineVectorField,
@@ -118,6 +118,15 @@ def _check_pairs(pairs: int, token: "_Token"):
         raise DegreeExceeded(
             "expansion at offset %d multiplies %d term pairs, past the parser's bound %d"
             % (token.offset, pairs, MAX_PARSE_PAIRS)
+        )
+
+
+def _check_degree(degree: int, what: str, token: "_Token"):
+    """Every exponent and total degree stays below poly.BOUND."""
+    if degree >= BOUND:
+        raise DegreeExceeded(
+            "%s at offset %d has total degree %d, past the bound %d"
+            % (what, token.offset, degree, BOUND - 1)
         )
 
 
@@ -215,6 +224,7 @@ class _Parser:
             token = self.take()
             rhs = self.factor()
             _check_pairs(len(value._ground) * len(rhs._ground), token)
+            _check_degree(value.total_degree() + rhs.total_degree(), "product", token)
             value = value * rhs
         return value
 
@@ -225,6 +235,7 @@ class _Parser:
             exponent = self.uint(self.expect("uint"))
             _check_pairs(_power_pairs(len(base._ground), exponent), token)
             _check_bits(_power_bits(base, exponent), "power", token)
+            _check_degree(base.total_degree() * exponent, "power", token)
             return base ** exponent
         return base
 

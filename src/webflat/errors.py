@@ -74,6 +74,34 @@ class DegenerateParameter(DomainError):
     pass
 
 
+# Invalid arguments to library calls.  Each keeps the builtin base that
+# callers caught before it had a name.
+
+
+class InvalidField(DomainError, ValueError):
+    pass
+
+
+class NotConstant(DomainError, ValueError):
+    pass
+
+
+class NegativePower(DomainError, ValueError):
+    pass
+
+
+class InexactDivision(DomainError, ValueError):
+    pass
+
+
+class SlopeIsBaseVariable(DomainError, ValueError):
+    pass
+
+
+class MissingValue(DomainError, KeyError):
+    pass
+
+
 class ParseError(WebflatError):
     """Source text rejected by the expression grammar (CLI exit code 1).
 

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DivisionByZero, FieldMismatch, NotQuadratic
+from .errors import DivisionByZero, FieldMismatch, InvalidField, NotQuadratic
 
 Rational = Fraction
 
@@ -52,16 +52,16 @@ class FieldSpec:
     def __post_init__(self):
         if self.kind == "rationals":
             if self.u is not None or self.v is not None:
-                raise ValueError("rationals take no minimal polynomial")
+                raise InvalidField("rationals take no minimal polynomial")
         elif self.kind == "quadratic":
             object.__setattr__(self, "u", _component(self.u))
             object.__setattr__(self, "v", _component(self.v))
             if _rational_sqrt(self.u * self.u + 4 * self.v) is not None:
-                raise ValueError(
+                raise InvalidField(
                     "t^2 = %s*t + %s is reducible over the rationals" % (self.u, self.v)
                 )
         else:
-            raise ValueError("unknown field kind %r" % (self.kind,))
+            raise InvalidField("unknown field kind %r" % (self.kind,))
 
     @property
     def is_quadratic(self) -> bool:

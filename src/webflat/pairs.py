@@ -2,10 +2,11 @@
 
 An element a + b*theta of Q(theta), theta^2 = u*theta + v, is the tuple
 (a, b).  Each component is an `int` when integral and a `Fraction`
-otherwise, as over Q.  A ground map takes exponent 6-tuples to nonzero
-pairs.  Every loop here reduces theta^2 inline and normalises components
-as it stores them, so no `FieldScalar` is built per term.  Nothing here
-knows about `MPoly`.
+otherwise, as over Q.  A ground map takes packed exponent vectors to
+nonzero pairs: one int per monomial, laid out in `poly`, so that the sum
+of two is their product and int order is grlex order.  Every loop here
+reduces theta^2 inline and normalises components as it stores them, so no
+`FieldScalar` is built per term.  Nothing here knows about `MPoly`.
 """
 
 from __future__ import annotations
@@ -22,6 +23,22 @@ def quotient(c, n: int, d: int):
     """c * n / d for a rational c and ints n, d != 0, normalised."""
     q = Fraction(c * n, d) if c.__class__ is int else Fraction(c.numerator * n, c.denominator * d)
     return q.numerator if q.denominator == 1 else q
+
+
+def product(c: tuple, d: tuple, u, v) -> tuple:
+    """The product of two nonzero pairs."""
+    (a1, b1), (a2, b2) = c, d
+    bw = b1 * b2
+    return normal(a1 * a2 + bw * v), normal(a1 * b2 + b1 * a2 + bw * u)
+
+
+def power(c: tuple, n: int, u, v) -> tuple:
+    """The nonzero pair c to the power n >= 1, by squaring."""
+    if n == 1:
+        return c
+    half = power(c, n >> 1, u, v)
+    square = product(half, half, u, v)
+    return product(square, c, u, v) if n & 1 else square
 
 
 def add(f: dict, g: dict, sign: int = 1) -> dict:
@@ -53,9 +70,7 @@ def mul(f: dict, g: dict, u, v) -> dict:
     acc = {}
     for e1, (a1, b1) in f.items():
         for e2, (a2, b2) in g.items():
-            e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2],
-                 e1[3] + e2[3], e1[4] + e2[4], e1[5] + e2[5])
-            have = acc.get(e)
+            have = acc.get(e := e1 + e2)
             if b1:
                 if have is None:
                     acc[e] = [a1 * a2, a1 * b2 + b1 * a2, b1 * b2]
@@ -106,20 +121,10 @@ def divided(f: dict, s: tuple, u, v) -> dict:
     return {e: (quotient(a, n, m), b and quotient(b, n, m)) for e, (a, b) in f.items()}
 
 
-def derivative(f: dict, i: int) -> dict:
-    """The formal partial derivative in the i-th variable."""
-    out = {}
-    for exponent, (a, b) in f.items():
-        k = exponent[i]
-        if k:
-            out[exponent[:i] + (k - 1,) + exponent[i + 1 :]] = (normal(a * k), normal(b * k))
-    return out
-
-
-def try_exact_divide(f: dict, g: dict, u, v):
-    """f / g for a nonzero g when the division is exact, else None."""
-    # leading terms in lex order, as in `poly.try_exact_divide`
-    g0, g1, g2, g3, g4, g5 = lm_g = max(g)
+def try_exact_divide(f: dict, g: dict, u, v, guards: int):
+    """f / g for a nonzero g when the division is exact, else None.  A
+    monomial b divides a iff (a | guards) - b keeps every guard bit."""
+    lm_g = max(g)
     c, d = g[lm_g]
     if d:  # 1/lc as conjugate / norm
         n = c * c + c * d * u - d * d * v
@@ -130,11 +135,10 @@ def try_exact_divide(f: dict, g: dict, u, v):
     rest = dict(f)
     while rest:
         lm_r = max(rest)
-        q0, q1, q2, q3, q4, q5 = exponent = (
-            lm_r[0] - g0, lm_r[1] - g1, lm_r[2] - g2, lm_r[3] - g3, lm_r[4] - g4, lm_r[5] - g5
-        )
-        if q0 < 0 or q1 < 0 or q2 < 0 or q3 < 0 or q4 < 0 or q5 < 0:
+        q = (lm_r | guards) - lm_g
+        if q & guards != guards:
             return None
+        q ^= guards
         a, b = rest[lm_r]
         if inv_b or b:
             bw = b * inv_b
@@ -142,9 +146,9 @@ def try_exact_divide(f: dict, g: dict, u, v):
         else:
             a = a * inv_a
         a, b = normal(a), normal(b)
-        out[exponent] = (a, b)
+        out[q] = (a, b)
         for e2, (a2, b2) in g.items():
-            e = (q0 + e2[0], q1 + e2[1], q2 + e2[2], q3 + e2[3], q4 + e2[4], q5 + e2[5])
+            e = q + e2
             if b and b2:
                 bw = b * b2
                 pa, pb = a * a2 + bw * v, a * b2 + b * a2 + bw * u

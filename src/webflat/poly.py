@@ -2,48 +2,54 @@
 
 Representation
 --------------
-A polynomial is a map, its ground map, from exponent vectors to nonzero
-ground elements: over Q a bare `int` when integral and a `Fraction`
+A polynomial is a map, its ground map, from packed exponent vectors to
+nonzero ground elements: over Q a bare `int` when integral and a `Fraction`
 otherwise, over Q(theta) a pair (a, b) for a + b*theta with components of
 the same kind.  Each kernel tests the field once per call; the pair loops
-live in `pairs`.  No inverse is ever a float.  `FieldScalar` stays the
-public coefficient type: values enter through `_as_coefficient`, and
-`terms`, `leading_coefficient`, `constant_value`, `evaluate_scalar` and
-the text of an irrational coefficient leave as `FieldScalar`s.  The
-variable tuple is fixed once and for all:
+live in `pairs`.  No inverse is ever a float.  `FieldScalar` is the public
+coefficient type: values enter through `_as_coefficient` and leave as
+`FieldScalar`s.  The variables are fixed, (x, y, z, p, q, t), and the zero
+polynomial is the empty map, so equal polynomials have equal ground maps.
 
-    (x, y, z, p, q, t)
-
-so an exponent vector is a 6-tuple of nonnegative ints and the zero
-polynomial is the empty map.  Identical polynomials always have identical
-ground maps, which makes equality, hashing and rendering trivial.
-
-The monomial order used everywhere (leading coefficients, gcd
-normalization, rendering) is graded lexicographic with x > y > z > p > q > t.
+An exponent vector is packed into one int of seven WIDTH-bit fields
+(Monagan and Pearce, J. Symb. Comp. 2011): from the top down the total
+degree, then the exponents of x, y, z, p, q and t.  Comparing two packed
+ints is comparing in graded lexicographic order with x > y > z > p > q > t,
+the one monomial order used (leading terms, gcd normalization, rendering),
+and multiplying two monomials adds their ints.  The top bit of each field
+is a guard bit: every exponent and total degree stays below
+BOUND = 2**(WIDTH-1), so adding two fields never carries into the next;
+constructors, products and powers past it raise DegreeExceeded.  The
+public API (`MPoly(terms)`, `monomial`, `terms`, `leading_monomial`) keeps
+6-tuples; `pack`, `unpack` and `monomial_degree` convert.
 
 Algorithms
 ----------
+* division: with G the guard bits, a monomial b divides a iff
+  d = (a | G) - b keeps them all, d & G == G, and then a/b = d ^ G.  A
+  one-term divisor costs one such subtraction a term; a longer one runs
+  trial division from the leading term, the `max` of the packed keys.
 * gcd: monomial content is pulled out first.  Then one modular gcd in
-  any number of variables, over Q and Q(theta) alike: Brown's recursive
-  evaluation and interpolation mod p, with univariate Euclid in the shared
-  variable appearing in the most terms, at primes that split in Q(theta)
-  when a coefficient carries theta; Chinese remaindering and rational
+  any number of variables, over Q and Q(theta) alike: Brown's evaluation
+  and interpolation mod p (`modular`, on exponent tuples of the gcd's
+  variables, projected and lifted by shifts) with Euclid in the shared
+  variable in the most terms; Chinese remaindering and rational
   reconstruction; confirmed by trial division.  The tests keep the
   subresultant remainder sequence as its oracle.
-* determinant: the one determinant the package takes, the 3x3 of the
-  inflection divisor, in closed form along its first row; the tests keep
-  plain cofactor expansion as its oracle.
+* powers: binomial theorem for one or two terms, squaring for more.
+* determinant: the 3x3 of the inflection divisor in closed form; the
+  tests keep cofactor expansion as its oracle.
 * `cubic_resultant` is Res(f, f') = -a0 * `cubic_discriminant` of the
-  slope cubic f, in closed form; the tests pin it, sign included, against
-  the 5x5 Sylvester determinant.
+  slope cubic f in closed form, pinned in the tests against the 5x5
+  Sylvester determinant.
 
 Everything is immutable and pure.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import operator
 import sys
 from fractions import Fraction
 
@@ -52,6 +58,10 @@ from .errors import (
     DegreeExceeded,
     DivisionByZero,
     FieldMismatch,
+    InexactDivision,
+    MissingValue,
+    NegativePower,
+    NotConstant,
     ZeroPolynomial,
 )
 from . import modular, pairs
@@ -61,12 +71,39 @@ from .pairs import normal as _normal
 VARIABLES = ("x", "y", "z", "p", "q", "t")
 NVARS = len(VARIABLES)
 VARIABLE_INDEX = {name: i for i, name in enumerate(VARIABLES)}
-_ZERO_EXP = (0,) * NVARS
 _ONES = (1, (1, 0))  # the ground element 1 over Q and over Q(theta)
 
+WIDTH = 32
+BOUND = 1 << (WIDTH - 1)  # every exponent and total degree stays below
+_MASK = (1 << WIDTH) - 1
+_TOP = NVARS * WIDTH  # the shift of the total-degree field
+_SHIFT = tuple((NVARS - 1 - i) * WIDTH for i in range(NVARS))  # of x, y, ..., t
+_UNIT = tuple(1 << s | 1 << _TOP for s in _SHIFT)  # the packed x, y, ..., t
+_GUARDS = sum(BOUND << s for s in (_TOP,) + _SHIFT)
 
-def _grlex_key(exponent):
-    return (sum(exponent), exponent)
+
+def _bounded(total: int) -> int:
+    if total >= BOUND:
+        raise DegreeExceeded("total degree %d is past the bound %d" % (total, BOUND - 1))
+    return total
+
+
+def pack(exponent) -> int:
+    """A vector of six nonnegative exponents as one int."""
+    if min(exponent) < 0:
+        raise DegreeExceeded("negative exponent in %r" % (tuple(exponent),))
+    packed = sum(e << s for e, s in zip(exponent, _SHIFT, strict=True))
+    return _bounded(sum(exponent)) << _TOP | packed
+
+
+def unpack(m: int) -> tuple:
+    """The exponent 6-tuple of a packed monomial."""
+    return tuple([m >> s & _MASK for s in _SHIFT])
+
+
+def monomial_degree(m: int) -> int:
+    """The total degree of a packed monomial."""
+    return m >> _TOP
 
 
 def _as_coefficient(value, spec: FieldSpec):
@@ -107,7 +144,7 @@ class MPoly:
             for exponent, coeff in terms.items():
                 coeff = _as_coefficient(coeff, spec)
                 if coeff:
-                    cleaned[tuple(exponent)] = coeff
+                    cleaned[pack(exponent)] = coeff
         self.spec = spec
         self._ground = cleaned
 
@@ -123,10 +160,10 @@ class MPoly:
 
     @property
     def terms(self) -> dict:
-        """The term map with FieldScalar values, a fresh view of the ground
-        map over either field."""
+        """The term map from exponent 6-tuples to FieldScalars, a fresh view
+        of the ground map over either field."""
         spec = self.spec
-        return {e: _as_scalar(c, spec) for e, c in self._ground.items()}
+        return {unpack(m): _as_scalar(c, spec) for m, c in self._ground.items()}
 
     @classmethod
     def zero(cls, spec: FieldSpec = RATIONALS) -> "MPoly":
@@ -139,18 +176,16 @@ class MPoly:
     @classmethod
     def constant(cls, value, spec: FieldSpec = RATIONALS) -> "MPoly":
         coeff = _as_coefficient(value, spec)
-        return cls._raw({_ZERO_EXP: coeff} if coeff else {}, spec)
+        return cls._raw({0: coeff} if coeff else {}, spec)
 
     @classmethod
     def variable(cls, name: str, spec: FieldSpec = RATIONALS) -> "MPoly":
-        exponent = [0] * NVARS
-        exponent[VARIABLE_INDEX[name]] = 1
-        return cls._raw({tuple(exponent): _as_coefficient(1, spec)}, spec)
+        return cls._raw({_UNIT[VARIABLE_INDEX[name]]: _as_coefficient(1, spec)}, spec)
 
     @classmethod
     def monomial(cls, exponent, coeff=1, spec: FieldSpec = RATIONALS) -> "MPoly":
         coeff = _as_coefficient(coeff, spec)
-        return cls._raw({tuple(exponent): coeff} if coeff else {}, spec)
+        return cls._raw({pack(exponent): coeff} if coeff else {}, spec)
 
     # -- basic queries -----------------------------------------------------
 
@@ -158,50 +193,44 @@ class MPoly:
         return not self._ground
 
     def is_constant(self) -> bool:
-        return not self._ground or (len(self._ground) == 1 and _ZERO_EXP in self._ground)
+        return not self._ground or (len(self._ground) == 1 and 0 in self._ground)
 
     def is_one(self) -> bool:
-        return len(self._ground) == 1 and self._ground.get(_ZERO_EXP) in _ONES
+        return len(self._ground) == 1 and self._ground.get(0) in _ONES
 
     def constant_value(self) -> FieldScalar:
         if not self.is_constant():
-            raise ValueError("polynomial is not constant")
-        return _as_scalar(self._ground.get(_ZERO_EXP, 0), self.spec)
+            raise NotConstant("polynomial is not constant")
+        return _as_scalar(self._ground.get(0, 0), self.spec)
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self._ground:
-            return -1
-        return max(map(sum, self._ground))
+        return max(self._ground) >> _TOP if self._ground else -1
 
     def degree_in(self, var: str) -> int:
         """Degree in one variable; -1 for the zero polynomial."""
-        if not self._ground:
-            return -1
-        i = VARIABLE_INDEX[var]
-        return max(e[i] for e in self._ground)
+        s = _SHIFT[VARIABLE_INDEX[var]]
+        return max((m >> s & _MASK for m in self._ground), default=-1)
 
     def variables(self) -> frozenset:
-        present = set()
-        for exponent in self._ground:
-            for i, e in enumerate(exponent):
-                if e:
-                    present.add(VARIABLES[i])
-        return frozenset(present)
+        present = 0
+        for m in self._ground:
+            present |= m
+        return frozenset(name for name, s in zip(VARIABLES, _SHIFT) if present >> s & _MASK)
 
     def leading_monomial(self):
         if not self._ground:
             raise ZeroPolynomial("zero polynomial has no leading monomial")
-        return max(self._ground, key=_grlex_key)
+        return unpack(max(self._ground))
 
     def leading_coefficient(self) -> FieldScalar:
-        return _as_scalar(self._ground[self.leading_monomial()], self.spec)
+        return _as_scalar(self._ground[pack(self.leading_monomial())], self.spec)
 
     def monic(self) -> "MPoly":
         """Divide by the leading coefficient (zero stays zero)."""
         if not self._ground:
             return self
-        lc = self._ground[self.leading_monomial()]
+        lc = self._ground[max(self._ground)]
         return self if lc in _ONES else MPoly._raw(_divided(self._ground, lc, self.spec), self.spec)
 
     # -- ring operations ---------------------------------------------------
@@ -241,53 +270,67 @@ class MPoly:
 
     def __mul__(self, other):
         spec = self.spec
-        if isinstance(other, (int, Fraction, FieldScalar)):
+        if not isinstance(other, MPoly):
+            if not isinstance(other, (int, Fraction, FieldScalar)):
+                return NotImplemented
             s = _as_coefficient(other, spec)
             if not s:
                 return MPoly.zero(spec)
             if spec.is_quadratic:
                 return MPoly._raw(pairs.scale(self._ground, s, spec.u, spec.v), spec)
             return MPoly._raw({e: _normal(c * s) for e, c in self._ground.items()}, spec)
-        if not isinstance(other, MPoly):
-            return NotImplemented
-        self._check(other)
-        if not self._ground or not other._ground:
-            return MPoly.zero(spec)
-        if spec.is_quadratic:
-            return MPoly._raw(pairs.mul(self._ground, other._ground, spec.u, spec.v), spec)
-        # iterate the shorter operand on the outside
+        if other.spec is not spec:
+            self._check(other)
         left, right = self._ground, other._ground
-        if len(left) > len(right):
+        if not left or not right:
+            return MPoly.zero(spec)
+        _bounded((max(left) >> _TOP) + (max(right) >> _TOP))
+        if spec.is_quadratic:
+            return MPoly._raw(pairs.mul(left, right, spec.u, spec.v), spec)
+        if len(left) > len(right):  # the shorter operand on the outside
             left, right = right, left
         out = {}
+        get = out.get
         for e1, c1 in left.items():
             for e2, c2 in right.items():
-                exponent = (
-                    e1[0] + e2[0],
-                    e1[1] + e2[1],
-                    e1[2] + e2[2],
-                    e1[3] + e2[3],
-                    e1[4] + e2[4],
-                    e1[5] + e2[5],
-                )
-                coeff = c1 * c2
-                have = out.get(exponent)
-                out[exponent] = coeff if have is None else have + coeff
-        return MPoly._raw({e: _normal(c) for e, c in out.items() if c}, spec)
+                have = get(e := e1 + e2)
+                out[e] = c1 * c2 if have is None else have + c1 * c2
+        return MPoly._raw(
+            {e: c if c.__class__ is int else _normal(c) for e, c in out.items() if c}, spec
+        )
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int):
-        if exponent < 0:
-            raise ValueError("negative polynomial power")
-        result = MPoly.one(self.spec)
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base if exponent > 1 else base
-            exponent >>= 1
-        return result
+    def __pow__(self, n: int):
+        if n < 0:
+            raise NegativePower("negative polynomial power")
+        ground, spec = self._ground, self.spec
+        if n < 2 or not ground:
+            return self if n else MPoly.one(spec)
+        _bounded((max(ground) >> _TOP) * n)
+        if len(ground) == 1:
+            [(m, c)] = ground.items()
+            c = pairs.power(c, n, spec.u, spec.v) if spec.is_quadratic else c**n
+            return MPoly._raw({n * m: c}, spec)
+        if len(ground) > 2:  # by squaring
+            half = self ** (n >> 1)
+            return half * half * self if n & 1 else half * half
+        # two terms: the binomial theorem, C(n, k) a^k b^(n-k) at k*m1 + (n-k)*m2
+        if spec.is_quadratic:
+            one, times = (1, 0), functools.partial(pairs.product, u=spec.u, v=spec.v)
+        else:
+            one, times = 1, lambda c, d: _normal(c * d)
+        (m1, a), (m2, b) = ground.items()
+        powers_b = [one]
+        for _ in range(n):
+            powers_b.append(times(powers_b[-1], b))
+        out, a_k, binomial = {}, one, 1
+        for k in range(n + 1):
+            scale = (binomial, 0) if spec.is_quadratic else binomial
+            out[k * m1 + (n - k) * m2] = times(scale, times(a_k, powers_b[n - k]))
+            a_k = times(a_k, a)
+            binomial = binomial * (n - k) // (k + 1)
+        return MPoly._raw(out, spec)
 
     def __eq__(self, other):
         if not isinstance(other, MPoly):
@@ -302,13 +345,12 @@ class MPoly:
     def derivative(self, var: str) -> "MPoly":
         """Formal partial derivative with respect to one variable."""
         i = VARIABLE_INDEX[var]
+        s, unit = _SHIFT[i], _UNIT[i]
+        scaled = [(m - unit, k, c) for m, c in self._ground.items() if (k := m >> s & _MASK)]
         if self.spec.is_quadratic:
-            return MPoly._raw(pairs.derivative(self._ground, i), self.spec)
-        out = {}
-        for exponent, coeff in self._ground.items():
-            e = exponent[i]
-            if e:
-                out[exponent[:i] + (e - 1,) + exponent[i + 1 :]] = _normal(coeff * e)
+            out = {m: (_normal(a * k), _normal(b * k)) for m, k, (a, b) in scaled}
+        else:
+            out = {m: _normal(c * k) for m, k, c in scaled}
         return MPoly._raw(out, self.spec)
 
     # -- substitution --------------------------------------------------------
@@ -317,7 +359,8 @@ class MPoly:
         """Replace every bound variable by its image, simultaneously.
 
         All images are read against the original polynomial, so
-        {p: x, x: -p} swaps rather than chains.
+        {p: x, x: -p} swaps rather than chains.  Each image is raised only
+        to the powers the polynomial has, each from the one below it.
         """
         if not bindings:
             return self
@@ -327,25 +370,23 @@ class MPoly:
                 image = MPoly.constant(image, self.spec)
             else:
                 self._check(image)
-            images[VARIABLE_INDEX[name]] = image
-        powers = {i: [MPoly.one(self.spec), image] for i, image in images.items()}
-
-        def power(i, e):
-            cache = powers[i]
-            while len(cache) <= e:
-                cache.append(cache[-1] * cache[1])
-            return cache[e]
-
+            images[_SHIFT[VARIABLE_INDEX[name]]] = image
+        powers = {}
+        for s, image in images.items():
+            have = powers[s] = {0: None}
+            below = 0
+            for e in sorted({m >> s & _MASK for m in self._ground} - {0}):
+                step = image ** (e - below)
+                have[e] = step if have[below] is None else have[below] * step
+                below = e
         result = MPoly.zero(self.spec)
-        for exponent, coeff in self._ground.items():
-            untouched = list(exponent)
+        for m, coeff in self._ground.items():
             factors = []
-            for i in images:
-                e = exponent[i]
-                untouched[i] = 0
-                if e:
-                    factors.append(power(i, e))
-            term = MPoly._raw({tuple(untouched): coeff}, self.spec)
+            for s in images:
+                if e := m >> s & _MASK:
+                    m -= e << s | e << _TOP
+                    factors.append(powers[s][e])
+            term = MPoly._raw({m: coeff}, self.spec)
             for factor in factors:
                 term = term * factor
             result = result + term
@@ -354,22 +395,16 @@ class MPoly:
     def coefficients_in(self, var: str) -> dict:
         """View as univariate in `var`: maps each degree to an MPoly free
         of `var`."""
-        i = VARIABLE_INDEX[var]
+        s = _SHIFT[VARIABLE_INDEX[var]]
         split = {}
-        for exponent, coeff in self._ground.items():
-            e = exponent[i]
-            stripped = exponent[:i] + (0,) + exponent[i + 1 :]
-            split.setdefault(e, {})[stripped] = coeff
+        for m, coeff in self._ground.items():
+            e = m >> s & _MASK
+            split.setdefault(e, {})[m - (e << s | e << _TOP)] = coeff
         return {e: MPoly._raw(terms, self.spec) for e, terms in split.items()}
 
     def coefficient(self, var: str, power: int) -> "MPoly":
         """Coefficient of var**power, as a polynomial free of `var`."""
-        i = VARIABLE_INDEX[var]
-        out = {}
-        for exponent, coeff in self._ground.items():
-            if exponent[i] == power:
-                out[exponent[:i] + (0,) + exponent[i + 1 :]] = coeff
-        return MPoly._raw(out, self.spec)
+        return self.coefficients_in(var).get(power) or MPoly.zero(self.spec)
 
     # -- evaluation ------------------------------------------------------------
 
@@ -380,15 +415,8 @@ class MPoly:
         scalar = (lambda c: _as_scalar(c, spec)) if spec.is_quadratic else (lambda c: c)
         values = {VARIABLE_INDEX[n]: scalar(_as_coefficient(x, spec)) for n, x in point.items()}
         total = 0
-        for exponent, coeff in self._ground.items():
-            term = scalar(coeff)
-            for i, e in enumerate(exponent):
-                if e == 0:
-                    continue
-                if i not in values:
-                    raise KeyError("no value supplied for %s" % VARIABLES[i])
-                term = term * values[i] ** e
-            total = total + term
+        for m, coeff in self._ground.items():
+            total = total + _times_powers(scalar(coeff), m, values)
         return _as_scalar(total, self.spec)
 
     def __str__(self):
@@ -398,17 +426,24 @@ class MPoly:
         return "MPoly(%s)" % (self,)
 
 
+def _times_powers(term, m: int, values: dict):
+    """term times values[i] ** e for each exponent e of the packed m."""
+    for i, e in enumerate(unpack(m)):
+        if e:
+            if i not in values:
+                raise MissingValue("no value supplied for %s" % VARIABLES[i])
+            term = term * values[i] ** e
+    return term
+
+
 # -- rendering ------------------------------------------------------------------
 
 
-def _render_monomial(exponent) -> str:
-    parts = []
-    for name, e in zip(VARIABLES, exponent):
-        if e == 1:
-            parts.append(name)
-        elif e > 1:
-            parts.append("%s^%d" % (name, e))
-    return "*".join(parts)
+@functools.lru_cache(maxsize=4096)
+def _render_monomial(m: int) -> str:
+    return "*".join(
+        name if e == 1 else "%s^%d" % (name, e) for name, e in zip(VARIABLES, unpack(m)) if e
+    )
 
 
 def render_poly(f: MPoly) -> str:
@@ -418,37 +453,32 @@ def render_poly(f: MPoly) -> str:
     coefficient past Python's limit on the digits of an int's text raises
     DegreeExceeded.
     """
-    if not f._ground:
+    ground = f._ground
+    if not ground:
         return "0"
     chunks = []
     try:
-        for exponent in sorted(f._ground, key=_grlex_key, reverse=True):
-            coeff = f._ground[exponent]
-            mono = _render_monomial(exponent)
+        for m in sorted(ground, reverse=True):
+            coeff = ground[m]
+            mono = _render_monomial(m)
             if coeff.__class__ is tuple:
                 coeff = _as_scalar(coeff, f.spec) if coeff[1] else coeff[0]
-            if coeff.__class__ is not FieldScalar:
-                negative = coeff < 0
-                mag = -coeff if negative else coeff
-                if not mono:
-                    body = str(mag)
-                elif mag == 1:
-                    body = mono
-                else:
-                    body = "%s*%s" % (mag, mono)
+            if coeff.__class__ is FieldScalar:
+                chunks += " + ", "(%s)" % (coeff,) if not mono else "(%s)*%s" % (coeff, mono)
+                continue
+            text = str(coeff)
+            if text[0] == "-":
+                chunks.append(" - ")
+                text = text[1:]
             else:
-                negative = False
-                body = "(%s)" % (coeff,) if not mono else "(%s)*%s" % (coeff, mono)
-            chunks.append((negative, body))
+                chunks.append(" + ")
+            chunks.append(text if not mono else mono if text == "1" else text + "*" + mono)
     except ValueError as err:  # int to str past sys.get_int_max_str_digits()
         raise DegreeExceeded(
             "a coefficient has more than %d digits to print" % sys.get_int_max_str_digits()
         ) from err
-    negative, body = chunks[0]
-    text = ("-" if negative else "") + body
-    for negative, body in chunks[1:]:
-        text += (" - " if negative else " + ") + body
-    return text
+    chunks[0] = "-" if chunks[0] == " - " else ""
+    return "".join(chunks)
 
 
 # -- exact division and gcd ------------------------------------------------------
@@ -461,28 +491,32 @@ def try_exact_divide(f: MPoly, g: MPoly):
     if f.is_zero():
         return MPoly.zero(f.spec)
     f._check(g)
-    spec = f.spec
+    spec, divisor = f.spec, g._ground
+    if len(divisor) == 1:  # one guarded subtraction a term
+        [(m, lc)] = divisor.items()
+        quotient = {}
+        for e, c in f._ground.items():
+            d = (e | _GUARDS) - m
+            if d & _GUARDS != _GUARDS:
+                return None
+            quotient[d ^ _GUARDS] = c
+        return MPoly._raw(quotient if lc in _ONES else _divided(quotient, lc, spec), spec)
     if spec.is_quadratic:
-        ground = pairs.try_exact_divide(f._ground, g._ground, spec.u, spec.v)
+        ground = pairs.try_exact_divide(f._ground, divisor, spec.u, spec.v, _GUARDS)
         return None if ground is None else MPoly._raw(ground, spec)
-    # leading terms in lex order, which compares exponent tuples without a
-    # key function; any monomial order decides divisibility
-    divisor = g._ground
-    g0, g1, g2, g3, g4, g5 = lm_g = max(divisor)
+    lm_g = max(divisor)
     lc_g_inv = _normal(Fraction(1, divisor[lm_g]))
     quotient = {}
     rest = dict(f._ground)
     while rest:
         lm_r = max(rest)
-        q0, q1, q2, q3, q4, q5 = exponent = (
-            lm_r[0] - g0, lm_r[1] - g1, lm_r[2] - g2, lm_r[3] - g3, lm_r[4] - g4, lm_r[5] - g5
-        )
-        if q0 < 0 or q1 < 0 or q2 < 0 or q3 < 0 or q4 < 0 or q5 < 0:
+        q = (lm_r | _GUARDS) - lm_g
+        if q & _GUARDS != _GUARDS:
             return None
-        coeff = quotient[exponent] = _normal(rest[lm_r] * lc_g_inv)
+        q ^= _GUARDS
+        coeff = quotient[q] = _normal(rest[lm_r] * lc_g_inv)
         for e2, c2 in divisor.items():
-            e = (q0 + e2[0], q1 + e2[1], q2 + e2[2], q3 + e2[3], q4 + e2[4], q5 + e2[5])
-            have = rest.get(e)
+            have = rest.get(e := q + e2)
             if have is None:
                 rest[e] = -(coeff * c2)
             elif total := have - coeff * c2:
@@ -495,7 +529,7 @@ def try_exact_divide(f: MPoly, g: MPoly):
 def exact_divide(f: MPoly, g: MPoly) -> MPoly:
     quotient = try_exact_divide(f, g)
     if quotient is None:
-        raise ValueError("inexact polynomial division")
+        raise InexactDivision("inexact polynomial division")
     return quotient
 
 
@@ -504,25 +538,16 @@ def divides(g: MPoly, f: MPoly) -> bool:
     return try_exact_divide(f, g) is not None
 
 
-def _monomial_content(f: MPoly):
-    iters = iter(f._ground)
-    lowest = list(next(iters))
-    for exponent in iters:
-        for i, e in enumerate(exponent):
-            if e < lowest[i]:
-                lowest[i] = e
-    return tuple(lowest)
+def _monomial_content(f: MPoly) -> tuple:
+    """The exponents of the gcd of f's monomials."""
+    if 0 in f._ground:
+        return (0,) * NVARS
+    return tuple([min([m >> s & _MASK for m in f._ground]) for s in _SHIFT])
 
 
-def _shift_down(f: MPoly, shift) -> MPoly:
-    if not any(shift):
-        return f
-    s0, s1, s2, s3, s4, s5 = shift
-    ground = {
-        (e[0] - s0, e[1] - s1, e[2] - s2, e[3] - s3, e[4] - s4, e[5] - s5): c
-        for e, c in f._ground.items()
-    }
-    return MPoly._raw(ground, f.spec)
+def _shift_down(f: MPoly, shift: int) -> MPoly:
+    """f divided by the packed monomial shift, which divides every term."""
+    return MPoly._raw({m - shift: c for m, c in f._ground.items()}, f.spec) if shift else f
 
 
 # -- modular gcd over Q and Q(theta) -----------------------------------------
@@ -568,21 +593,14 @@ def _gcd_modular(f: MPoly, g: MPoly, variables) -> MPoly:
     monic.  `modular.brown_gcd` runs Euclid in the first of them and
     evaluates the last one first."""
     spec = f.spec
+    shifts = [_SHIFT[i] for i in variables]
 
-    def lift(e):
-        exponent = [0] * NVARS
-        for i, k in zip(variables, e):
-            exponent[i] = k
-        return tuple(exponent)
+    def project(m):  # the exponents of `variables`, as a tuple
+        return tuple([m >> s & _MASK for s in shifts])
 
-    def key(e):
-        return _grlex_key(lift(e))
+    def lift(e):  # the packed monomial, whose order is grlex
+        return sum(k << s for k, s in zip(e, shifts)) | sum(e) << _TOP
 
-    # the exponents of `variables`, always as a tuple
-    if len(variables) > 1:
-        project = operator.itemgetter(*variables)
-    else:
-        project = operator.itemgetter(slice(variables[0], variables[0] + 1))
     denominator = 1
     inputs = []
     for poly in (f, g):
@@ -593,7 +611,7 @@ def _gcd_modular(f: MPoly, g: MPoly, variables) -> MPoly:
             terms = [(project(e), c, 0) for e, c in ground]
         for _, a, b in terms:
             denominator = math.lcm(denominator, a.denominator, b.denominator)
-        shape = (project(poly.leading_monomial()), tuple(map(max, zip(*(t[0] for t in terms)))))
+        shape = (project(max(poly._ground)), tuple(map(max, zip(*(t[0] for t in terms)))))
         inputs.append((terms, shape))
     if any(b for terms, _ in inputs for *_, b in terms):
         primes = modular.split_primes(spec.u, spec.v)
@@ -614,21 +632,15 @@ def _gcd_modular(f: MPoly, g: MPoly, variables) -> MPoly:
     for p, *roots in primes:
         if denominator % p == 0:
             continue
-        reduced = [
-            (
-                [(e, modular.fraction_mod(a, p), modular.fraction_mod(b, p) if b else 0)
-                 for e, a, b in terms],
-                shape,
-            )
-            for terms, shape in inputs
-        ]
+        reduced = [([(e, modular.fraction_mod(a, p), modular.fraction_mod(b, p) if b else 0)
+                     for e, a, b in terms], shape) for terms, shape in inputs]
         images = [[image(terms, shape, r, p) for terms, shape in reduced] for r in roots]
         if any(terms is None for pair in images for terms in pair):
             continue
         gcds = []
         for fr, gr in images:
             h = modular.brown_gcd(fr, gr, p)
-            lm = max(h, key=key)
+            lm = max(h, key=lift)
             if not any(lm):
                 return MPoly.one(spec)
             inv = pow(h[lm], -1, p)
@@ -636,9 +648,9 @@ def _gcd_modular(f: MPoly, g: MPoly, variables) -> MPoly:
         lm = gcds[0][0]
         if any(other != lm for other, _ in gcds):
             continue
-        if best is not None and key(lm) > key(best):
+        if best is not None and lift(lm) > lift(best):
             continue
-        if best is None or key(lm) < key(best):
+        if best is None or lift(lm) < lift(best):
             best, modulus, residues = lm, 1, {}
         if len(roots) == 1:
             solved = {e: (c, 0) for e, c in gcds[0][1].items()}
@@ -681,12 +693,10 @@ def _gcd_modular(f: MPoly, g: MPoly, variables) -> MPoly:
 def _gcd_raw(f: MPoly, g: MPoly) -> MPoly:
     """gcd of two nonzero polynomials, up to a scalar unit."""
     spec = f.spec
-    shift_f = _monomial_content(f)
-    shift_g = _monomial_content(g)
-    common = tuple(min(a, b) for a, b in zip(shift_f, shift_g))
-    f = _shift_down(f, shift_f)
-    g = _shift_down(g, shift_g)
-    mono = MPoly.monomial(common, 1, spec)
+    shift_f, shift_g = _monomial_content(f), _monomial_content(g)
+    mono = MPoly.monomial(tuple(map(min, shift_f, shift_g)), 1, spec)
+    f = _shift_down(f, pack(shift_f))
+    g = _shift_down(g, pack(shift_g))
     if f.is_constant() or g.is_constant():
         return mono
     names_f, names_g = f.variables(), g.variables()
@@ -697,8 +707,8 @@ def _gcd_raw(f: MPoly, g: MPoly) -> MPoly:
         return mono * f
     # Euclid runs in the shared variable appearing in the most terms
     def frequency(name):
-        i = VARIABLE_INDEX[name]
-        return sum(1 for e in f._ground if e[i]) + sum(1 for e in g._ground if e[i])
+        s = _SHIFT[VARIABLE_INDEX[name]]
+        return sum(1 for m in (*f._ground, *g._ground) if m >> s & _MASK)
 
     first = max(sorted(shared), key=frequency)
     rest = sorted(VARIABLE_INDEX[name] for name in names_f | names_g if name != first)
@@ -769,7 +779,7 @@ def cubic_resultant(a0: MPoly, a1: MPoly, a2: MPoly, a3: MPoly) -> MPoly:
 
 def _monic_denominator(num: MPoly, den: MPoly):
     """num and den, both divided by the leading coefficient of den."""
-    lc = den._ground[den.leading_monomial()]
+    lc = den._ground[max(den._ground)]
     if lc in _ONES:
         return num, den
     spec = den.spec
@@ -853,14 +863,4 @@ def evaluate_float(f: MPoly, point: dict, theta_embedding: complex | None = None
     elif theta is not None:
         raise BadEmbedding("theta embedding supplied for a rational field")
     values = {VARIABLE_INDEX[name]: complex(value) for name, value in point.items()}
-    total = 0j
-    for exponent, coeff in f._ground.items():
-        term = embed(coeff)
-        for i, e in enumerate(exponent):
-            if e == 0:
-                continue
-            if i not in values:
-                raise KeyError("no value supplied for %s" % VARIABLES[i])
-            term *= values[i] ** e
-        total += term
-    return total
+    return sum((_times_powers(embed(c), m, values) for m, c in f._ground.items()), 0j)

@@ -20,7 +20,15 @@ from .errors import (
     ZeroTangentCone,
 )
 from .field import FieldScalar, field_sqrt
-from .poly import MPoly, cubic_resultant, exact_divide, poly_gcd, squarefree_part
+from .poly import (
+    MPoly,
+    cubic_resultant,
+    exact_divide,
+    monomial_degree,
+    poly_gcd,
+    squarefree_part,
+    unpack,
+)
 from .webs import (
     AffineVectorField,
     homogenize,
@@ -89,12 +97,12 @@ def _order(f: MPoly):
     """Lowest total degree of a term; None for the zero polynomial."""
     if f.is_zero():
         return None
-    return min(sum(e) for e in f._ground)
+    return monomial_degree(min(f._ground))  # the grlex-least term
 
 
 def _jet(f: MPoly, k: int) -> MPoly:
     return MPoly._raw(
-        {e: c for e, c in f._ground.items() if sum(e) == k}, f.spec
+        {m: c for m, c in f._ground.items() if monomial_degree(m) == k}, f.spec
     )
 
 
@@ -298,7 +306,7 @@ def homogeneous_analysis(vf: AffineVectorField) -> HomogeneousAnalysis:
     for component in (vf.a, vf.b):
         if component.is_zero():
             continue
-        if len({sum(e) for e in component._ground}) != 1:
+        if len({monomial_degree(m) for m in component._ground}) != 1:
             raise NonHomogeneous("component %s is not homogeneous" % component)
     degrees = {
         component.total_degree()
@@ -316,7 +324,7 @@ def homogeneous_analysis(vf: AffineVectorField) -> HomogeneousAnalysis:
     a_line = vf.a.substitute({"x": one, "y": t})
     b_line = vf.b.substitute({"x": one, "y": t})
     cone_line = cone.substitute({"x": one, "y": t})
-    vertical = all(e[0] > 0 for e in cone._ground)
+    vertical = all(unpack(m)[0] > 0 for m in cone._ground)
     slopes, unsplit_coeffs = field_roots(_univariate_coeffs(cone_line, "t"))
     pj = []
     for m in slopes:

@@ -31,6 +31,7 @@ from .errors import (
     InvariantViolated,
     NonHomogeneous,
     SingularPoint,
+    SlopeIsBaseVariable,
     ZeroField,
     ZeroPolynomial,
 )
@@ -41,6 +42,8 @@ from .poly import (
     cubic_discriminant,
     determinant,
     exact_divide,
+    monomial_degree,
+    pack,
     poly_gcd,
     try_exact_divide,
 )
@@ -95,7 +98,7 @@ class HomogeneousVectorField:
             _require_vars(component, ("x", "y", "z"), "homogeneous component")
             if component.is_zero():
                 continue
-            term_degrees = {sum(e) for e in component._ground}
+            term_degrees = {monomial_degree(m) for m in component._ground}
             if len(term_degrees) != 1:
                 raise NonHomogeneous("component %s is not homogeneous" % component)
             degrees |= term_degrees
@@ -138,7 +141,7 @@ class CubicWebEquation:
 
     def __init__(self, slope_var: str, base_vars, a0, a1, a2, a3):
         if slope_var in base_vars:
-            raise ValueError("slope variable cannot be a base variable")
+            raise SlopeIsBaseVariable("slope variable cannot be a base variable")
         for coeff in (a1, a2, a3):
             a0._check(coeff)
         for coeff in (a0, a1, a2, a3):
@@ -161,14 +164,8 @@ class CubicWebEquation:
             raise DegreeExceeded("slope degree %d exceeds 3" % degree)
         if degree < 3:
             raise DegreeTooLow("slope degree %d; a 3-web needs degree 3" % degree)
-        return cls(
-            slope_var,
-            tuple(base_vars),
-            f.coefficient(slope_var, 3),
-            f.coefficient(slope_var, 2),
-            f.coefficient(slope_var, 1),
-            f.coefficient(slope_var, 0),
-        )
+        parts, zero = f.coefficients_in(slope_var), MPoly.zero(f.spec)
+        return cls(slope_var, tuple(base_vars), *(parts.get(k, zero) for k in (3, 2, 1, 0)))
 
     def polynomial(self) -> MPoly:
         s = MPoly.variable(self.slope_var, self.a0.spec)
@@ -255,8 +252,9 @@ def legendre_transform(vf: AffineVectorField) -> CubicWebEquation:
     coefficient has the term q*H(1, p), so the degree is d - 1.
     """
     d = max(vf.a.total_degree(), vf.b.total_degree())
-    x_b_top = {(e[0] + 1,) + e[1:]: c for e, c in vf.b._ground.items() if sum(e) == d}
-    y_a_top = {(e[0], e[1] + 1) + e[2:]: c for e, c in vf.a._ground.items() if sum(e) == d}
+    times_x, times_y = pack((1, 0, 0, 0, 0, 0)), pack((0, 1, 0, 0, 0, 0))
+    x_b_top = {m + times_x: c for m, c in vf.b._ground.items() if monomial_degree(m) == d}
+    y_a_top = {m + times_y: c for m, c in vf.a._ground.items() if monomial_degree(m) == d}
     degree = d - 1 if x_b_top == y_a_top else d
     if degree > 3:
         raise DegreeExceeded("dual equation has x-degree %d > 3" % degree)
@@ -380,13 +378,13 @@ def homogenize(vf: AffineVectorField, d: int) -> HomogeneousVectorField:
 
     def lift(component: MPoly) -> MPoly:
         out = {}
-        for exponent, coeff in component._ground.items():
-            total = sum(exponent)
+        for m, coeff in component._ground.items():
+            total = monomial_degree(m)
             if total > d:
                 raise DegreeExceeded(
                     "component degree %d exceeds requested degree %d" % (total, d)
                 )
-            out[(exponent[0], exponent[1], d - total) + exponent[3:]] = coeff
+            out[m + pack((0, 0, d - total, 0, 0, 0))] = coeff
         return MPoly._raw(out, spec)  # injective on exponents in x and y
 
     return HomogeneousVectorField(lift(vf.a), lift(vf.b), MPoly.zero(spec))

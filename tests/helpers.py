@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from webflat import MPoly, RATIONALS, FieldScalar, exact_divide
-from webflat.poly import VARIABLE_INDEX, VARIABLES
+from webflat.poly import VARIABLE_INDEX, VARIABLES, pack, unpack
 
 
 def random_scalar(rng, spec=RATIONALS, quadratic=False):
@@ -86,8 +86,12 @@ def assert_ground(f):
     Over Q a coefficient is an int when integral and a Fraction otherwise,
     never a float or a FieldScalar; over Q(theta) it is a pair (a, b) for
     a + b*theta whose components follow the same rule.  No zero is stored.
+    Every key is a packed exponent vector that unpacks to a 6-tuple and
+    packs back to itself.
     """
     quadratic = f.spec.is_quadratic
+    for m in f._ground:
+        assert type(m) is int and pack(unpack(m)) == m, m
     for c in f._ground.values():
         if quadratic:
             assert type(c) is tuple and len(c) == 2, c
@@ -97,11 +101,12 @@ def assert_ground(f):
             assert type(x) is (int if x.denominator == 1 else Fraction), c
         assert any(parts), c
     view = f.terms
-    assert view.keys() == f._ground.keys()
+    assert view.keys() == {unpack(m) for m in f._ground}
     assert f.terms is not view
     for exponent, c in view.items():
+        ground = f._ground[pack(exponent)]
         assert type(c) is FieldScalar and c.spec == f.spec
-        assert (c.a, c.b) == (f._ground[exponent] if quadratic else (f._ground[exponent], 0))
+        assert (c.a, c.b) == (ground if quadratic else (ground, 0))
 
 
 # -- independent oracles -------------------------------------------------------

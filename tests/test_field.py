@@ -16,6 +16,7 @@ from webflat import (
 )
 from webflat.cli import parse_poly
 from webflat.errors import DivisionByZero, FieldMismatch, NotQuadratic
+from webflat.poly import pack
 from webflat.singular import field_roots
 
 from helpers import random_scalar
@@ -269,10 +270,10 @@ def test_mixed_int_and_fraction_components_compare_and_hash_equal():
         # ground maps: over Q a bare 2 against Fraction(2), over Q(theta) the
         # pair (2, -3) or (0, 1) against its Fraction components
         ground = (lambda c: (c.a, c.b)) if spec.is_quadratic else (lambda c: c.a)
-        exponent = (1, 2, 0, 0, 0, 0)
+        exponent = pack((1, 2, 0, 0, 0, 0))
         half = ground(FieldScalar(Fraction(1, 2), 0, spec))
-        left = MPoly._raw({exponent: ground(ints), (0,) * 6: half}, spec)
-        right = MPoly._raw({exponent: ground(fractions), (0,) * 6: half}, spec)
+        left = MPoly._raw({exponent: ground(ints), pack((0,) * 6): half}, spec)
+        right = MPoly._raw({exponent: ground(fractions), pack((0,) * 6): half}, spec)
         first = (lambda c: c[0]) if spec.is_quadratic else (lambda c: c)
         assert type(first(left._ground[exponent])) is int
         assert type(first(right._ground[exponent])) is Fraction

@@ -1,0 +1,46 @@
+"""Checks on the package source itself: the error contract and the size of
+the largest module."""
+
+import ast
+import builtins
+import pathlib
+
+PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "webflat"
+
+BUILTIN_EXCEPTIONS = {
+    name
+    for name, value in vars(builtins).items()
+    if isinstance(value, type) and issubclass(value, BaseException)
+}
+
+
+def _raised_name(node: ast.Raise):
+    """The name a raise statement raises, or None for a bare re-raise."""
+    exc = node.exc
+    if isinstance(exc, ast.Call):
+        exc = exc.func
+    if isinstance(exc, ast.Name):
+        return exc.id
+    if isinstance(exc, ast.Attribute):
+        return exc.attr
+    return None
+
+
+def test_no_bare_builtin_raise_in_the_package():
+    """Every error the package raises is a named WebflatError subclass; one
+    that callers used to catch as a builtin keeps that builtin as a base."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and _raised_name(node) in BUILTIN_EXCEPTIONS:
+                found.append("%s:%d raises %s" % (path.name, node.lineno, _raised_name(node)))
+    assert PACKAGE.is_dir() and not found, found
+
+
+def test_poly_module_stays_at_or_under_950_lines():
+    """`peak_rss_mb` and `setup_s` follow the compile peak of the largest
+    module when no bytecode is cached, so poly.py keeps a line budget."""
+    with open(PACKAGE / "poly.py", "rb") as handle:
+        lines = handle.read().count(b"\n")
+    assert lines <= 950, lines
