@@ -35,7 +35,8 @@ from .errors import (
     WebflatError,
 )
 from .field import RATIONALS, FieldScalar, FieldSpec
-from .poly import BOUND, MPoly, render_poly
+from .monomials import BOUND
+from .poly import MPoly, render_poly
 from .singular import classify_singularity, verify_classification
 from .webs import (
     AffineVectorField,
@@ -122,7 +123,7 @@ def _check_pairs(pairs: int, token: "_Token"):
 
 
 def _check_degree(degree: int, what: str, token: "_Token"):
-    """Every exponent and total degree stays below poly.BOUND."""
+    """Every exponent and total degree stays below monomials.BOUND."""
     if degree >= BOUND:
         raise DegreeExceeded(
             "%s at offset %d has total degree %d, past the bound %d"

@@ -3,7 +3,7 @@
 Word-size primes and their square roots, rational reconstruction, and
 polynomials over F_p.  A univariate polynomial is a dense coefficient
 list, lowest degree first, with no trailing zero, [] being zero.  A
-polynomial in F_p[v_1, ..., v_k] is a dict from exponent k-tuples to
+polynomial in F_p[v_1, ..., v_k] is a dict from packed monomials to
 nonzero residues; `brown_gcd` takes the gcd of two of them by Brown's
 evaluation and interpolation (JACM 1971), one variable at a time down to
 Euclid's algorithm.  Nothing here knows about `MPoly`.
@@ -14,8 +14,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from fractions import Fraction
+
+from .monomials import GUARDS, MASK, TOP
 
 
 def is_prime(n: int) -> bool:
@@ -149,18 +150,19 @@ def multiply(a: list, b: list, p: int) -> list:
 
 
 def divide(a: list, b: list, p: int):
-    """Quotient and remainder of a by a nonzero b."""
+    """Quotient and remainder of a by a nonzero b, walking b's nonzero terms."""
     rest = list(a)
     inv = pow(b[-1], -1, p)
     db = len(b) - 1
+    below = [(k, c) for k, c in enumerate(b[:-1]) if c]
     quotient = [0] * max(len(a) - db, 0)
     while len(rest) > db:
         c = rest.pop() * inv % p
         if c:
             shift = len(rest) - db
             quotient[shift] = c
-            for k in range(db):
-                rest[shift + k] = (rest[shift + k] - c * b[k]) % p
+            for k, d in below:
+                rest[shift + k] = (rest[shift + k] - c * d) % p
     return trim(quotient), trim(rest)
 
 
@@ -192,13 +194,14 @@ def primitive(rows: dict, p: int):
     return c, {m: divide(row, c, p)[0] for m, row in rows.items()}
 
 
-def split(a: dict) -> dict:
-    """A polynomial in k variables as rows: each monomial in the first k - 1
-    variables maps to its coefficient, a dense polynomial in the last (with
-    k = 1, the one row () is the polynomial)."""
+def split(a: dict, s: int) -> dict:
+    """A polynomial as rows in its variable w at shift s: each monomial free
+    of w maps to its coefficient, a dense polynomial in w."""
+    unit = 1 << s | 1 << TOP  # the packed w
     rows = {}
-    for e, c in a.items():
-        head, j = e[:-1], e[-1]
+    for m, c in a.items():
+        j = m >> s & MASK
+        head = m - j * unit
         row = rows.get(head)
         if row is None:
             row = rows[head] = [0] * (j + 1)
@@ -208,9 +211,10 @@ def split(a: dict) -> dict:
     return rows
 
 
-def join(rows: dict) -> dict:
+def join(rows: dict, s: int) -> dict:
     """The inverse of `split`."""
-    return {m + (j,): c for m, row in rows.items() for j, c in enumerate(row) if c}
+    unit = 1 << s | 1 << TOP
+    return {m + j * unit: c for m, row in rows.items() for j, c in enumerate(row) if c}
 
 
 def divides(h: dict, f: dict, p: int) -> bool:
@@ -220,12 +224,13 @@ def divides(h: dict, f: dict, p: int) -> bool:
     rest = dict(f)
     while rest:
         top = max(rest)
-        shift = tuple(map(operator.sub, top, lead))
-        if min(shift) < 0:
+        shift = (top | GUARDS) - lead
+        if shift & GUARDS != GUARDS:
             return False
+        shift ^= GUARDS
         c = rest[top] * inv % p
-        for e, d in h.items():
-            k = tuple(map(operator.add, shift, e))
+        for m, d in h.items():
+            k = shift + m
             value = (rest.get(k, 0) - c * d) % p
             if value:
                 rest[k] = value
@@ -234,20 +239,22 @@ def divides(h: dict, f: dict, p: int) -> bool:
     return True
 
 
-def brown_gcd(a: dict, b: dict, p: int) -> dict:
-    """gcd in F_p[v_1, ..., v_k] of two nonzero polynomials, up to a unit.
+def brown_gcd(a: dict, b: dict, p: int, shifts) -> dict:
+    """gcd in F_p[v_1, ..., v_k], the variables at `shifts`, of two nonzero
+    polynomials in them, up to a unit.
 
     Euclid's algorithm when k = 1.  Otherwise Brown's evaluation of the
     last variable w at x = 1, 2, ..., a recursive gcd of the images, and
     Newton interpolation in w of the image gcds scaled to the leading
     coefficient gamma(x), where gamma(w) is the gcd of the inputs' leading
-    coefficients (lex in v_1, ..., v_(k-1)).  A candidate is tested by trial
-    division once a new point leaves the interpolant unchanged or the degree
-    bound in w is reached; a refused candidate takes more points."""
-    if len(next(iter(a))) == 1:
-        return join({(): gcd(split(a)[()], split(b)[()], p)})
-    content_a, a = primitive(split(a), p)
-    content_b, b = primitive(split(b), p)
+    coefficients (grlex in v_1, ..., v_(k-1)).  A candidate is tested by
+    trial division once a new point leaves the interpolant unchanged or the
+    degree bound in w is reached; a refused candidate takes more points."""
+    *heads, s = shifts
+    if not heads:
+        return join({0: gcd(split(a, s)[0], split(b, s)[0], p)}, s)
+    content_a, a = primitive(split(a, s), p)
+    content_b, b = primitive(split(b, s), p)
     common = gcd(content_a, content_b, p)
     la, lb = max(a), max(b)
     # gamma(w) * gcd is a polynomial of degree at most `bound` in w
@@ -262,10 +269,11 @@ def brown_gcd(a: dict, b: dict, p: int) -> dict:
             {m: c for m, row in a.items() if (c := evaluate(row, x, p))},
             {m: c for m, row in b.items() if (c := evaluate(row, x, p))},
             p,
+            heads,
         )
         top = max(image)
-        if not any(top):  # the primitive parts are coprime
-            return join({top: common})
+        if not top:  # the primitive parts are coprime
+            return join({top: common}, s)
         if lm is not None and top > lm:  # an unlucky point
             continue
         if lm is None or top < lm:  # every earlier point was unlucky
@@ -289,6 +297,6 @@ def brown_gcd(a: dict, b: dict, p: int) -> dict:
         if changed and len(basis) <= bound + 1:
             continue
         _, h = primitive({m: trim(list(row)) for m, row in rows.items()}, p)
-        candidate = join(h)
-        if divides(candidate, join(a), p) and divides(candidate, join(b), p):
-            return join({m: multiply(row, common, p) for m, row in h.items()})
+        candidate = join(h, s)
+        if divides(candidate, join(a, s), p) and divides(candidate, join(b, s), p):
+            return join({m: multiply(row, common, p) for m, row in h.items()}, s)

@@ -3,8 +3,8 @@
 An element a + b*theta of Q(theta), theta^2 = u*theta + v, is the tuple
 (a, b).  Each component is an `int` when integral and a `Fraction`
 otherwise, as over Q.  A ground map takes packed exponent vectors to
-nonzero pairs: one int per monomial, laid out in `poly`, so that the sum
-of two is their product and int order is grlex order.  Every loop here
+nonzero pairs: one int per monomial, laid out in `monomials`, so that the
+sum of two is their product and int order is grlex order.  Every loop here
 reduces theta^2 inline and normalises components as it stores them, so no
 `FieldScalar` is built per term.  Nothing here knows about `MPoly`.
 """
@@ -12,6 +12,8 @@ reduces theta^2 inline and normalises components as it stores them, so no
 from __future__ import annotations
 
 from fractions import Fraction
+
+from .monomials import GUARDS
 
 
 def normal(c):
@@ -121,9 +123,9 @@ def divided(f: dict, s: tuple, u, v) -> dict:
     return {e: (quotient(a, n, m), b and quotient(b, n, m)) for e, (a, b) in f.items()}
 
 
-def try_exact_divide(f: dict, g: dict, u, v, guards: int):
-    """f / g for a nonzero g when the division is exact, else None.  A
-    monomial b divides a iff (a | guards) - b keeps every guard bit."""
+def try_exact_divide(f: dict, g: dict, u, v):
+    """f / g for a nonzero g when the division is exact, else None, by trial
+    division with guarded subtraction."""
     lm_g = max(g)
     c, d = g[lm_g]
     if d:  # 1/lc as conjugate / norm
@@ -135,10 +137,10 @@ def try_exact_divide(f: dict, g: dict, u, v, guards: int):
     rest = dict(f)
     while rest:
         lm_r = max(rest)
-        q = (lm_r | guards) - lm_g
-        if q & guards != guards:
+        q = (lm_r | GUARDS) - lm_g
+        if q & GUARDS != GUARDS:
             return None
-        q ^= guards
+        q ^= GUARDS
         a, b = rest[lm_r]
         if inv_b or b:
             bw = b * inv_b

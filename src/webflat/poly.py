@@ -10,32 +10,19 @@ live in `pairs`.  No inverse is ever a float.  `FieldScalar` is the public
 coefficient type: values enter through `_as_coefficient` and leave as
 `FieldScalar`s.  The variables are fixed, (x, y, z, p, q, t), and the zero
 polynomial is the empty map, so equal polynomials have equal ground maps.
-
-An exponent vector is packed into one int of seven WIDTH-bit fields
-(Monagan and Pearce, J. Symb. Comp. 2011): from the top down the total
-degree, then the exponents of x, y, z, p, q and t.  Comparing two packed
-ints is comparing in graded lexicographic order with x > y > z > p > q > t,
-the one monomial order used (leading terms, gcd normalization, rendering),
-and multiplying two monomials adds their ints.  The top bit of each field
-is a guard bit: every exponent and total degree stays below
-BOUND = 2**(WIDTH-1), so adding two fields never carries into the next;
-constructors, products and powers past it raise DegreeExceeded.  The
-public API (`MPoly(terms)`, `monomial`, `terms`, `leading_monomial`) keeps
-6-tuples; `pack`, `unpack` and `monomial_degree` convert.
+Exponent vectors are packed ints in grlex order, laid out in `monomials`.
 
 Algorithms
 ----------
-* division: with G the guard bits, a monomial b divides a iff
-  d = (a | G) - b keeps them all, d & G == G, and then a/b = d ^ G.  A
-  one-term divisor costs one such subtraction a term; a longer one runs
-  trial division from the leading term, the `max` of the packed keys.
+* division: a one-term divisor costs one guarded subtraction a term; a
+  longer one runs trial division from the leading term, the `max` of the
+  packed keys.
 * gcd: monomial content is pulled out first.  Then one modular gcd in
   any number of variables, over Q and Q(theta) alike: Brown's evaluation
-  and interpolation mod p (`modular`, on exponent tuples of the gcd's
-  variables, projected and lifted by shifts) with Euclid in the shared
-  variable in the most terms; Chinese remaindering and rational
-  reconstruction; confirmed by trial division.  The tests keep the
-  subresultant remainder sequence as its oracle.
+  and interpolation mod p (`modular`, on the same packed keys) with
+  Euclid in the shared variable in the most terms; Chinese remaindering
+  and rational reconstruction; confirmed by trial division.  The tests
+  keep the subresultant remainder sequence as its oracle.
 * powers: binomial theorem for one or two terms, squaring for more.
 * determinant: the 3x3 of the inflection divisor in closed form; the
   tests keep cofactor expansion as its oracle.
@@ -66,44 +53,11 @@ from .errors import (
 )
 from . import modular, pairs
 from .field import RATIONALS, FieldScalar, FieldSpec, _component
+from .monomials import GUARDS, MASK, SHIFT, TOP, UNIT, VARIABLES, bounded, pack, unpack
 from .pairs import normal as _normal
 
-VARIABLES = ("x", "y", "z", "p", "q", "t")
-NVARS = len(VARIABLES)
 VARIABLE_INDEX = {name: i for i, name in enumerate(VARIABLES)}
 _ONES = (1, (1, 0))  # the ground element 1 over Q and over Q(theta)
-
-WIDTH = 32
-BOUND = 1 << (WIDTH - 1)  # every exponent and total degree stays below
-_MASK = (1 << WIDTH) - 1
-_TOP = NVARS * WIDTH  # the shift of the total-degree field
-_SHIFT = tuple((NVARS - 1 - i) * WIDTH for i in range(NVARS))  # of x, y, ..., t
-_UNIT = tuple(1 << s | 1 << _TOP for s in _SHIFT)  # the packed x, y, ..., t
-_GUARDS = sum(BOUND << s for s in (_TOP,) + _SHIFT)
-
-
-def _bounded(total: int) -> int:
-    if total >= BOUND:
-        raise DegreeExceeded("total degree %d is past the bound %d" % (total, BOUND - 1))
-    return total
-
-
-def pack(exponent) -> int:
-    """A vector of six nonnegative exponents as one int."""
-    if min(exponent) < 0:
-        raise DegreeExceeded("negative exponent in %r" % (tuple(exponent),))
-    packed = sum(e << s for e, s in zip(exponent, _SHIFT, strict=True))
-    return _bounded(sum(exponent)) << _TOP | packed
-
-
-def unpack(m: int) -> tuple:
-    """The exponent 6-tuple of a packed monomial."""
-    return tuple([m >> s & _MASK for s in _SHIFT])
-
-
-def monomial_degree(m: int) -> int:
-    """The total degree of a packed monomial."""
-    return m >> _TOP
 
 
 def _as_coefficient(value, spec: FieldSpec):
@@ -180,7 +134,7 @@ class MPoly:
 
     @classmethod
     def variable(cls, name: str, spec: FieldSpec = RATIONALS) -> "MPoly":
-        return cls._raw({_UNIT[VARIABLE_INDEX[name]]: _as_coefficient(1, spec)}, spec)
+        return cls._raw({UNIT[VARIABLE_INDEX[name]]: _as_coefficient(1, spec)}, spec)
 
     @classmethod
     def monomial(cls, exponent, coeff=1, spec: FieldSpec = RATIONALS) -> "MPoly":
@@ -205,18 +159,18 @@ class MPoly:
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        return max(self._ground) >> _TOP if self._ground else -1
+        return max(self._ground) >> TOP if self._ground else -1
 
     def degree_in(self, var: str) -> int:
         """Degree in one variable; -1 for the zero polynomial."""
-        s = _SHIFT[VARIABLE_INDEX[var]]
-        return max((m >> s & _MASK for m in self._ground), default=-1)
+        s = SHIFT[VARIABLE_INDEX[var]]
+        return max((m >> s & MASK for m in self._ground), default=-1)
 
     def variables(self) -> frozenset:
         present = 0
         for m in self._ground:
             present |= m
-        return frozenset(name for name, s in zip(VARIABLES, _SHIFT) if present >> s & _MASK)
+        return frozenset(name for name, s in zip(VARIABLES, SHIFT) if present >> s & MASK)
 
     def leading_monomial(self):
         if not self._ground:
@@ -224,7 +178,9 @@ class MPoly:
         return unpack(max(self._ground))
 
     def leading_coefficient(self) -> FieldScalar:
-        return _as_scalar(self._ground[pack(self.leading_monomial())], self.spec)
+        if not self._ground:
+            raise ZeroPolynomial("zero polynomial has no leading monomial")
+        return _as_scalar(self._ground[max(self._ground)], self.spec)
 
     def monic(self) -> "MPoly":
         """Divide by the leading coefficient (zero stays zero)."""
@@ -284,7 +240,7 @@ class MPoly:
         left, right = self._ground, other._ground
         if not left or not right:
             return MPoly.zero(spec)
-        _bounded((max(left) >> _TOP) + (max(right) >> _TOP))
+        bounded((max(left) >> TOP) + (max(right) >> TOP))
         if spec.is_quadratic:
             return MPoly._raw(pairs.mul(left, right, spec.u, spec.v), spec)
         if len(left) > len(right):  # the shorter operand on the outside
@@ -307,7 +263,7 @@ class MPoly:
         ground, spec = self._ground, self.spec
         if n < 2 or not ground:
             return self if n else MPoly.one(spec)
-        _bounded((max(ground) >> _TOP) * n)
+        bounded((max(ground) >> TOP) * n)
         if len(ground) == 1:
             [(m, c)] = ground.items()
             c = pairs.power(c, n, spec.u, spec.v) if spec.is_quadratic else c**n
@@ -345,8 +301,8 @@ class MPoly:
     def derivative(self, var: str) -> "MPoly":
         """Formal partial derivative with respect to one variable."""
         i = VARIABLE_INDEX[var]
-        s, unit = _SHIFT[i], _UNIT[i]
-        scaled = [(m - unit, k, c) for m, c in self._ground.items() if (k := m >> s & _MASK)]
+        s, unit = SHIFT[i], UNIT[i]
+        scaled = [(m - unit, k, c) for m, c in self._ground.items() if (k := m >> s & MASK)]
         if self.spec.is_quadratic:
             out = {m: (_normal(a * k), _normal(b * k)) for m, k, (a, b) in scaled}
         else:
@@ -360,7 +316,9 @@ class MPoly:
 
         All images are read against the original polynomial, so
         {p: x, x: -p} swaps rather than chains.  Each image is raised only
-        to the powers the polynomial has, each from the one below it.
+        to the powers the polynomial has, each from the one below it, and
+        the terms with the same exponents in the bound variables are
+        multiplied by those powers and added as one group.
         """
         if not bindings:
             return self
@@ -370,36 +328,39 @@ class MPoly:
                 image = MPoly.constant(image, self.spec)
             else:
                 self._check(image)
-            images[_SHIFT[VARIABLE_INDEX[name]]] = image
+            images[SHIFT[VARIABLE_INDEX[name]]] = image
         powers = {}
         for s, image in images.items():
             have = powers[s] = {0: None}
             below = 0
-            for e in sorted({m >> s & _MASK for m in self._ground} - {0}):
+            for e in sorted({m >> s & MASK for m in self._ground} - {0}):
                 step = image ** (e - below)
                 have[e] = step if have[below] is None else have[below] * step
                 below = e
-        result = MPoly.zero(self.spec)
+        groups = {}  # the bound part of each monomial -> the free terms
         for m, coeff in self._ground.items():
-            factors = []
+            free = m
             for s in images:
-                if e := m >> s & _MASK:
-                    m -= e << s | e << _TOP
-                    factors.append(powers[s][e])
-            term = MPoly._raw({m: coeff}, self.spec)
-            for factor in factors:
-                term = term * factor
+                e = free >> s & MASK
+                free -= e << s | e << TOP
+            groups.setdefault(m - free, {})[free] = coeff
+        result = MPoly.zero(self.spec)
+        for bound, ground in groups.items():
+            term = MPoly._raw(ground, self.spec)
+            for s in images:
+                if e := bound >> s & MASK:
+                    term = term * powers[s][e]
             result = result + term
         return result
 
     def coefficients_in(self, var: str) -> dict:
         """View as univariate in `var`: maps each degree to an MPoly free
         of `var`."""
-        s = _SHIFT[VARIABLE_INDEX[var]]
+        s = SHIFT[VARIABLE_INDEX[var]]
         split = {}
         for m, coeff in self._ground.items():
-            e = m >> s & _MASK
-            split.setdefault(e, {})[m - (e << s | e << _TOP)] = coeff
+            e = m >> s & MASK
+            split.setdefault(e, {})[m - (e << s | e << TOP)] = coeff
         return {e: MPoly._raw(terms, self.spec) for e, terms in split.items()}
 
     def coefficient(self, var: str, power: int) -> "MPoly":
@@ -496,13 +457,13 @@ def try_exact_divide(f: MPoly, g: MPoly):
         [(m, lc)] = divisor.items()
         quotient = {}
         for e, c in f._ground.items():
-            d = (e | _GUARDS) - m
-            if d & _GUARDS != _GUARDS:
+            d = (e | GUARDS) - m
+            if d & GUARDS != GUARDS:
                 return None
-            quotient[d ^ _GUARDS] = c
+            quotient[d ^ GUARDS] = c
         return MPoly._raw(quotient if lc in _ONES else _divided(quotient, lc, spec), spec)
     if spec.is_quadratic:
-        ground = pairs.try_exact_divide(f._ground, divisor, spec.u, spec.v, _GUARDS)
+        ground = pairs.try_exact_divide(f._ground, divisor, spec.u, spec.v)
         return None if ground is None else MPoly._raw(ground, spec)
     lm_g = max(divisor)
     lc_g_inv = _normal(Fraction(1, divisor[lm_g]))
@@ -510,10 +471,10 @@ def try_exact_divide(f: MPoly, g: MPoly):
     rest = dict(f._ground)
     while rest:
         lm_r = max(rest)
-        q = (lm_r | _GUARDS) - lm_g
-        if q & _GUARDS != _GUARDS:
+        q = (lm_r | GUARDS) - lm_g
+        if q & GUARDS != GUARDS:
             return None
-        q ^= _GUARDS
+        q ^= GUARDS
         coeff = quotient[q] = _normal(rest[lm_r] * lc_g_inv)
         for e2, c2 in divisor.items():
             have = rest.get(e := q + e2)
@@ -538,11 +499,11 @@ def divides(g: MPoly, f: MPoly) -> bool:
     return try_exact_divide(f, g) is not None
 
 
-def _monomial_content(f: MPoly) -> tuple:
-    """The exponents of the gcd of f's monomials."""
-    if 0 in f._ground:
-        return (0,) * NVARS
-    return tuple([min([m >> s & _MASK for m in f._ground]) for s in _SHIFT])
+def _monomial_content(monomials) -> int:
+    """The gcd of packed monomials, packed."""
+    if 0 in monomials:
+        return 0
+    return sum(min([m >> s & MASK for m in monomials]) * u for s, u in zip(SHIFT, UNIT))
 
 
 def _shift_down(f: MPoly, shift: int) -> MPoly:
@@ -593,26 +554,22 @@ def _gcd_modular(f: MPoly, g: MPoly, variables) -> MPoly:
     monic.  `modular.brown_gcd` runs Euclid in the first of them and
     evaluates the last one first."""
     spec = f.spec
-    shifts = [_SHIFT[i] for i in variables]
+    shifts = [SHIFT[i] for i in variables]
 
-    def project(m):  # the exponents of `variables`, as a tuple
-        return tuple([m >> s & _MASK for s in shifts])
-
-    def lift(e):  # the packed monomial, whose order is grlex
-        return sum(k << s for k, s in zip(e, shifts)) | sum(e) << _TOP
+    def degrees(keys):  # the degree in each of `variables`
+        return [max([m >> s & MASK for m in keys]) for s in shifts]
 
     denominator = 1
     inputs = []
     for poly in (f, g):
         ground = poly._ground.items()
-        if spec.is_quadratic:  # (e, a, b) for each term c*v^e, c = a + b*theta
-            terms = [(project(e), a, b) for e, (a, b) in ground]
+        if spec.is_quadratic:  # (m, a, b) for each term c*m, c = a + b*theta
+            terms = [(m, a, b) for m, (a, b) in ground]
         else:
-            terms = [(project(e), c, 0) for e, c in ground]
+            terms = [(m, c, 0) for m, c in ground]
         for _, a, b in terms:
             denominator = math.lcm(denominator, a.denominator, b.denominator)
-        shape = (project(max(poly._ground)), tuple(map(max, zip(*(t[0] for t in terms)))))
-        inputs.append((terms, shape))
+        inputs.append((terms, (max(poly._ground), degrees(poly._ground))))
     if any(b for terms, _ in inputs for *_, b in terms):
         primes = modular.split_primes(spec.u, spec.v)
     else:  # one image per prime, at theta -> 0
@@ -621,36 +578,32 @@ def _gcd_modular(f: MPoly, g: MPoly, variables) -> MPoly:
     def image(terms, shape, r, p):
         """One input under theta -> r, or None when the image loses the
         leading monomial or the degree in some variable."""
-        lm, degrees = shape
-        out = {e: c for e, a, b in terms if (c := (a + b * r) % p)}
-        if lm not in out or tuple(map(max, zip(*out))) != degrees:
-            return None
-        return out
+        lm, degree = shape
+        out = {m: c for m, a, b in terms if (c := (a + b * r) % p)}
+        return out if lm in out and degrees(out) == degree else None
 
-    best = None  # leading monomial of the images kept
+    best = GUARDS  # leading monomial of the images kept, first above every one
     modulus, residues, tested = 1, {}, None
     for p, *roots in primes:
         if denominator % p == 0:
             continue
-        reduced = [([(e, modular.fraction_mod(a, p), modular.fraction_mod(b, p) if b else 0)
-                     for e, a, b in terms], shape) for terms, shape in inputs]
+        reduced = [([(m, modular.fraction_mod(a, p), modular.fraction_mod(b, p) if b else 0)
+                     for m, a, b in terms], shape) for terms, shape in inputs]
         images = [[image(terms, shape, r, p) for terms, shape in reduced] for r in roots]
         if any(terms is None for pair in images for terms in pair):
             continue
         gcds = []
         for fr, gr in images:
-            h = modular.brown_gcd(fr, gr, p)
-            lm = max(h, key=lift)
-            if not any(lm):
+            h = modular.brown_gcd(fr, gr, p, shifts)
+            lm = max(h)
+            if not lm:
                 return MPoly.one(spec)
             inv = pow(h[lm], -1, p)
             gcds.append((lm, {e: c * inv % p for e, c in h.items()}))
         lm = gcds[0][0]
-        if any(other != lm for other, _ in gcds):
+        if any(other != lm for other, _ in gcds) or lm > best:
             continue
-        if best is not None and lift(lm) > lift(best):
-            continue
-        if best is None or lift(lm) < lift(best):
+        if lm < best:
             best, modulus, residues = lm, 1, {}
         if len(roots) == 1:
             solved = {e: (c, 0) for e, c in gcds[0][1].items()}
@@ -682,9 +635,9 @@ def _gcd_modular(f: MPoly, g: MPoly, variables) -> MPoly:
             continue
         tested = candidate
         if spec.is_quadratic:
-            h = {lift(e): (_normal(a), _normal(b)) for e, (a, b) in candidate.items()}
+            h = {m: (_normal(a), _normal(b)) for m, (a, b) in candidate.items()}
         else:
-            h = {lift(e): _normal(a) for e, (a, b) in candidate.items()}
+            h = {m: _normal(a) for m, (a, b) in candidate.items()}
         h = MPoly._raw(h, spec)
         if try_exact_divide(f, h) is not None and try_exact_divide(g, h) is not None:
             return h
@@ -693,10 +646,9 @@ def _gcd_modular(f: MPoly, g: MPoly, variables) -> MPoly:
 def _gcd_raw(f: MPoly, g: MPoly) -> MPoly:
     """gcd of two nonzero polynomials, up to a scalar unit."""
     spec = f.spec
-    shift_f, shift_g = _monomial_content(f), _monomial_content(g)
-    mono = MPoly.monomial(tuple(map(min, shift_f, shift_g)), 1, spec)
-    f = _shift_down(f, pack(shift_f))
-    g = _shift_down(g, pack(shift_g))
+    shift_f, shift_g = _monomial_content(f._ground), _monomial_content(g._ground)
+    mono = MPoly._raw({_monomial_content((shift_f, shift_g)): _as_coefficient(1, spec)}, spec)
+    f, g = _shift_down(f, shift_f), _shift_down(g, shift_g)
     if f.is_constant() or g.is_constant():
         return mono
     names_f, names_g = f.variables(), g.variables()
@@ -707,8 +659,8 @@ def _gcd_raw(f: MPoly, g: MPoly) -> MPoly:
         return mono * f
     # Euclid runs in the shared variable appearing in the most terms
     def frequency(name):
-        s = _SHIFT[VARIABLE_INDEX[name]]
-        return sum(1 for m in (*f._ground, *g._ground) if m >> s & _MASK)
+        s = SHIFT[VARIABLE_INDEX[name]]
+        return sum(1 for m in (*f._ground, *g._ground) if m >> s & MASK)
 
     first = max(sorted(shared), key=frequency)
     rest = sorted(VARIABLE_INDEX[name] for name in names_f | names_g if name != first)

@@ -24,11 +24,10 @@ from .poly import (
     MPoly,
     cubic_resultant,
     exact_divide,
-    monomial_degree,
     poly_gcd,
     squarefree_part,
-    unpack,
 )
+from .monomials import MASK, SHIFT, monomial_degree
 from .webs import (
     AffineVectorField,
     homogenize,
@@ -175,16 +174,8 @@ def classify_singularity(vf: AffineVectorField, pt) -> SingularityReport:
 
 def _univariate_coeffs(f: MPoly, var: str):
     """Coefficient list c[0..deg] of a polynomial in one variable."""
-    split = f.coefficients_in(var)
-    degree = max(split) if split else 0
-    out = []
-    for k in range(degree + 1):
-        coeff = split.get(k)
-        if coeff is None:
-            out.append(FieldScalar(0, 0, f.spec))
-        else:
-            out.append(coeff.constant_value())
-    return out
+    split, zero = f.coefficients_in(var), MPoly.zero(f.spec)
+    return [split.get(k, zero).constant_value() for k in range(max(split, default=0) + 1)]
 
 
 def _deflate(coeffs, root):
@@ -324,23 +315,14 @@ def homogeneous_analysis(vf: AffineVectorField) -> HomogeneousAnalysis:
     a_line = vf.a.substitute({"x": one, "y": t})
     b_line = vf.b.substitute({"x": one, "y": t})
     cone_line = cone.substitute({"x": one, "y": t})
-    vertical = all(unpack(m)[0] > 0 for m in cone._ground)
+    vertical = all(m >> SHIFT[0] & MASK for m in cone._ground)
     slopes, unsplit_coeffs = field_roots(_univariate_coeffs(cone_line, "t"))
-    pj = []
-    for m in slopes:
-        pj.append(b_line - a_line * m)
+    pj = [b_line - a_line * m for m in slopes]
     if vertical:
         pj.append(vf.a.substitute({"x": t, "y": one}))
-    discriminants = []
-    for poly in pj:
-        discriminants.append(
-            cubic_resultant(
-                poly.coefficient("t", 3),
-                poly.coefficient("t", 2),
-                poly.coefficient("t", 1),
-                poly.coefficient("t", 0),
-            )
-        )
+    discriminants = [
+        cubic_resultant(*(poly.coefficient("t", k) for k in (3, 2, 1, 0))) for poly in pj
+    ]
     unsplit = None
     if unsplit_coeffs is not None:
         unsplit = sum(
@@ -359,24 +341,15 @@ def homogeneous_analysis(vf: AffineVectorField) -> HomogeneousAnalysis:
 
 def classification_field(nu: FieldScalar) -> AffineVectorField:
     """The one-parameter homogeneous family with invariant lines of
-    slopes 0, 1, nu and a vertical one."""
+    slopes 0, 1, nu and a vertical one, scaled so that an integral nu gives
+    integral coefficients."""
     if nu == 0 or nu == 1:
         raise DegenerateParameter("parameter must avoid 0 and 1")
     spec = nu.spec
     x = MPoly.variable("x", spec)
     y = MPoly.variable("y", spec)
-    quarter = Fraction(1, 4)
-    half = Fraction(1, 2)
-    a = (
-        x ** 3 * (nu * quarter)
-        - x ** 2 * y * ((nu + 1) * half)
-        + x * y ** 2 * Fraction(3, 4)
-    )
-    b = (
-        -(x ** 2 * y) * (nu * Fraction(3, 4))
-        + x * y ** 2 * ((nu + 1) * half)
-        - y ** 3 * quarter
-    )
+    a = x ** 3 * nu - x ** 2 * y * (2 * (nu + 1)) + x * y ** 2 * 3
+    b = -(x ** 2 * y) * (3 * nu) + x * y ** 2 * (2 * (nu + 1)) - y ** 3
     return AffineVectorField(a, b)
 
 

@@ -42,11 +42,10 @@ from .poly import (
     cubic_discriminant,
     determinant,
     exact_divide,
-    monomial_degree,
-    pack,
     poly_gcd,
     try_exact_divide,
 )
+from .monomials import UNIT, bounded, monomial_degree
 
 
 def _require_vars(f: MPoly, allowed, label):
@@ -252,9 +251,8 @@ def legendre_transform(vf: AffineVectorField) -> CubicWebEquation:
     coefficient has the term q*H(1, p), so the degree is d - 1.
     """
     d = max(vf.a.total_degree(), vf.b.total_degree())
-    times_x, times_y = pack((1, 0, 0, 0, 0, 0)), pack((0, 1, 0, 0, 0, 0))
-    x_b_top = {m + times_x: c for m, c in vf.b._ground.items() if monomial_degree(m) == d}
-    y_a_top = {m + times_y: c for m, c in vf.a._ground.items() if monomial_degree(m) == d}
+    x_b_top = {m + UNIT[0]: c for m, c in vf.b._ground.items() if monomial_degree(m) == d}
+    y_a_top = {m + UNIT[1]: c for m, c in vf.a._ground.items() if monomial_degree(m) == d}
     degree = d - 1 if x_b_top == y_a_top else d
     if degree > 3:
         raise DegreeExceeded("dual equation has x-degree %d > 3" % degree)
@@ -374,7 +372,8 @@ def is_flat(vf: AffineVectorField) -> bool:
 
 def homogenize(vf: AffineVectorField, d: int) -> HomogeneousVectorField:
     """Lift (A, B) to degree-d homogeneous (A_h, B_h, 0) via z-padding."""
-    spec = vf.spec
+    spec, z = vf.spec, UNIT[2]
+    bounded(d)
 
     def lift(component: MPoly) -> MPoly:
         out = {}
@@ -384,7 +383,7 @@ def homogenize(vf: AffineVectorField, d: int) -> HomogeneousVectorField:
                 raise DegreeExceeded(
                     "component degree %d exceeds requested degree %d" % (total, d)
                 )
-            out[m + pack((0, 0, d - total, 0, 0, 0))] = coeff
+            out[m + (d - total) * z] = coeff
         return MPoly._raw(out, spec)  # injective on exponents in x and y
 
     return HomogeneousVectorField(lift(vf.a), lift(vf.b), MPoly.zero(spec))

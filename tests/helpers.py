@@ -5,7 +5,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from webflat import MPoly, RATIONALS, FieldScalar, exact_divide
-from webflat.poly import VARIABLE_INDEX, VARIABLES, pack, unpack
+from webflat.monomials import VARIABLES, pack, unpack
+from webflat.poly import VARIABLE_INDEX
 
 
 def random_scalar(rng, spec=RATIONALS, quadratic=False):

@@ -25,7 +25,8 @@ from webflat import (
 import webflat.modular as modular
 import webflat.poly as poly_module
 from webflat.cli import parse_field, parse_poly
-from webflat.poly import VARIABLE_INDEX, determinant, pack
+from webflat.monomials import SHIFT, UNIT, pack
+from webflat.poly import VARIABLE_INDEX, determinant
 from webflat.errors import (
     BadEmbedding,
     DivisionByZero,
@@ -144,6 +145,37 @@ def test_substitution_is_ring_homomorphism():
         assert (f * g).substitute(bindings) == f.substitute(bindings) * g.substitute(bindings)
         assert (f + g).substitute(bindings) == f.substitute(bindings) + g.substitute(bindings)
 
+
+
+@pytest.mark.parametrize("field", ("rationals", "t^2=t+1"))
+def test_substitute_adds_once_per_bound_exponent_vector(monkeypatch, field):
+    """Terms with the same exponents in the bound variables are multiplied by
+    their images' powers and added as one group, so substitute adds at most
+    once per distinct vector of bound exponents, not once per term."""
+    spec = RATIONALS if field == "rationals" else parse_field(field)
+    cases = [
+        (P("(x + y + z + p + 1)^12", spec), {"x": P("x + 1", spec)}, (0,)),
+        (P("(x + y + t*q + 2)^6" if spec.is_quadratic else "(x + y + q + 2)^6", spec),
+         {"x": P("y - 1", spec), "y": P("p*x + q", spec)}, (0, 1)),
+    ]
+    for f, bindings, bound in cases:
+        want = f.substitute(bindings)
+        groups = {tuple(e[i] for i in bound) for e in f.terms}
+        inner, additions = MPoly.__add__, []
+
+        def counting(a, b):
+            additions.append(1)
+            return inner(a, b)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(MPoly, "__add__", counting)
+            got = f.substitute(bindings)
+        assert got == want
+        assert 0 < len(additions) <= len(groups) < len(f.terms)
+    assert cases[0][0].substitute(cases[0][1]) == P("(x + y + z + p + 2)^12", spec)
+    assert cases[1][0].substitute(cases[1][1]) == (
+        P("(y - 1 + p*x + t*q + q + 2)^6" if spec.is_quadratic else "(y + p*x + 2*q + 1)^6", spec)
+    )
 
 # -- gcd and divisibility -------------------------------------------------------
 
@@ -299,6 +331,45 @@ def test_modular_gcd_matches_subresultant_oracle(monkeypatch, subresultant_gcd, 
     assert {v[0] for v, _ in calls} >= {VARIABLE_INDEX["x"], VARIABLE_INDEX["y"]}
 
 
+
+def _trivariate_gcd_pairs(spec):
+    """Seeded pairs in x, y, z: planted common factors (with theta in them
+    over Q(theta)), coprime draws and one input dividing the other."""
+    rng = random.Random(1971 + spec.is_quadratic)
+    xyz = ("x", "y", "z")
+    pairs = []
+    for _ in range(3):
+        a, b, h = (
+            random_poly(rng, xyz, d, n, spec, nonzero=True, quadratic=True)
+            for d, n in ((2, 3), (2, 3), (1, 3))
+        )
+        pairs += [(h * a, h * b), (a, b), (h, h * a)]
+    if spec.is_quadratic:
+        t = MPoly.constant(FieldScalar.theta(spec), spec)
+        h = P("x*y + z", spec) - t * P("y*z - 1", spec)
+        pairs.append((h * P("x + t*z^2", spec), h * h * P("y - 2", spec)))
+    else:
+        h = P("x*y + z - 3*y*z + 1")
+        pairs.append((h * P("x + z^2"), h * h * P("y - 2")))
+    return pairs
+
+
+@pytest.mark.parametrize("field", ("rationals", "t^2=t+1"))
+def test_trivariate_modular_gcd_in_every_variable_order(monkeypatch, field):
+    """`_gcd_modular` runs Euclid in the first variable and evaluates the
+    last first, with grlex heads in between: every order of (x, y, z) gives
+    the oracle's gcd."""
+    spec = RATIONALS if field == "rationals" else parse_field(field)
+    pairs = _trivariate_gcd_pairs(spec)
+    oracle = [subresultant_oracle(f, g, "x") for f, g in pairs]
+    assert any(d.is_constant() for d in oracle) and any(d.total_degree() > 1 for d in oracle)
+    for order in itertools.permutations(VARIABLE_INDEX[name] for name in "xyz"):
+        with monkeypatch.context() as patch:
+            budget = _budget(patch, 2000)
+            for (f, g), want in zip(pairs, oracle):
+                budget.clear()
+                assert poly_module._gcd_modular(f, g, order) == want, order
+
 @pytest.mark.parametrize("field", ("rationals", "t^2=t+1"))
 def test_modular_gcd_refuses_wrong_candidate(monkeypatch, subresultant_gcd, field):
     """A wrong first reconstruction makes a wrong candidate: trial division
@@ -362,9 +433,9 @@ def test_modular_gcd_skips_unlucky_prime(monkeypatch, subresultant_gcd):
             primes = []
             inner = modular.brown_gcd
 
-            def recording(a, b, q):
+            def recording(a, b, q, shifts):
                 primes.append(q)
-                return inner(a, b, q)
+                return inner(a, b, q, shifts)
 
             with monkeypatch.context() as patch:
                 patch.setattr(modular, "brown_gcd", recording)
@@ -392,9 +463,9 @@ def test_modular_gcd_of_wide_coefficients(monkeypatch, subresultant_gcd, field, 
     primes = []
     inner = modular.brown_gcd
 
-    def recording(a, b, p):
+    def recording(a, b, p, shifts):
         primes.append(p)
-        return inner(a, b, p)
+        return inner(a, b, p, shifts)
 
     with monkeypatch.context() as patch:
         patch.setattr(modular, "brown_gcd", recording)
@@ -423,6 +494,33 @@ def test_modular_arithmetic_helpers():
     assert not any(modular.is_prime(q) for q in (1, 561, 2**62 - 1, 1000003 * 1000033))
 
 
+
+def test_modular_divide_by_sparse_high_degree_divisors():
+    """Quotient and remainder mod p by divisors of high degree with few
+    nonzero coefficients: q*b + r == a, deg r < deg b, no trailing zero."""
+    p = modular.nth_prime(0)
+    rng = random.Random(2011)
+    for _ in range(60):
+        db = rng.randint(1, 400)
+        b = [0] * (db + 1)
+        for k in rng.sample(range(db), rng.randint(0, min(db, 4))):
+            b[k] = rng.randrange(1, p)
+        b[db] = rng.randrange(1, p)
+        da = rng.randint(0, 3 * db)
+        a = [0] * (da + 1)
+        for k in rng.sample(range(da + 1), rng.randint(1, min(da + 1, 8))):
+            a[k] = rng.randrange(1, p)
+        a = modular.trim(a)
+        q, r = modular.divide(a, b, p)
+        assert len(r) < len(b) and (not r or r[-1]) and (not q or q[-1])
+        qb = modular.multiply(q, b, p)
+        total = [0] * max(len(qb), len(r))
+        for k, c in enumerate(qb):
+            total[k] += c
+        for k, c in enumerate(r):
+            total[k] += c
+        assert modular.trim([c % p for c in total]) == a
+
 @pytest.mark.parametrize(
     "u, v", [(1, 1), (1, -1), (Fraction(1, 3), Fraction(5, 2))], ids=["t^2=t+1", "t^2=t-1", "fractions"]
 )
@@ -450,32 +548,48 @@ def _budget(monkeypatch, limit):
     `limit` times, recursive calls included."""
     inner, calls = modular.brown_gcd, []
 
-    def counting(a, b, p):
+    def counting(a, b, p, shifts):
         calls.append(p)
         assert len(calls) <= limit, "brown_gcd called more than %d times" % limit
-        return inner(a, b, p)
+        return inner(a, b, p, shifts)
 
     monkeypatch.setattr(modular, "brown_gcd", counting)
     return calls
 
 
 def _refusals(monkeypatch):
-    """Record (number of variables, verdict) of every trial division mod p."""
-    inner, verdicts = modular.divides, []
+    """Record (number of variables, verdict) of every trial division mod p:
+    the number of variables of the innermost `modular.brown_gcd` call, the
+    one that tests its candidate."""
+    inner_gcd, inner, verdicts, levels = modular.brown_gcd, modular.divides, [], []
+
+    def level(a, b, p, shifts):
+        levels.append(len(shifts))
+        try:
+            return inner_gcd(a, b, p, shifts)
+        finally:
+            levels.pop()
 
     def recording(h, f, p):
         verdict = inner(h, f, p)
-        verdicts.append((len(next(iter(h))), verdict))
+        verdicts.append((levels[-1], verdict))
         return verdict
 
+    monkeypatch.setattr(modular, "brown_gcd", level)
     monkeypatch.setattr(modular, "divides", recording)
     return verdicts
 
 
+# F_p[v, w] and F_p[u, v, w] with packed keys, as (v, w) = (x, y) and
+# (u, v, w) = (x, y, z): the variables' shifts, and the packed x, y, z
+VW, UVW = SHIFT[:2], SHIFT[:3]
+PX, PY, PZ = UNIT[:3]
+
+
 def _sparse(rows):
     """Rows of dense polynomials in w, row i the coefficient of v^i, as a
-    polynomial in F_p[v, w]."""
-    return {(i, j): c for i, row in enumerate(rows) for j, c in enumerate(row) if c}
+    polynomial in F_p[v, w] with packed keys."""
+    return {i * PX + j * PY: c for i, row in enumerate(rows) for j, c in enumerate(row) if c}
 
 
 def _falling(count, p):
@@ -498,15 +612,16 @@ def test_modular_bivariate_gcd_skips_unlucky_points(monkeypatch):
     with monkeypatch.context() as patch:
         verdicts = _refusals(patch)
         _budget(patch, 100)
-        assert modular.brown_gcd(a, b, p) == {(0, 0): 1}
+        assert modular.brown_gcd(a, b, p, VW) == {0: 1}
     assert (2, False) in verdicts
     c = _sparse([[p - 1, 1], [1]])  # v + w - 1
     h = modular.brown_gcd(
         _sparse([modular.multiply(row, [3, 1], p) for row in rows]),
         _sparse([[0, 3, 1], [3, 1]]),
         p,
+        VW,
     )
-    assert h == {(0, 0): 3, (0, 1): 1}  # the factor w + 3 in w alone
+    assert h == {0: 3, PY: 1}  # the factor w + 3 in w alone
     assert modular.divides(c, _sparse([[p - 1, 1], [p - 1, 1], [1]]), p) is False
     assert modular.divides(c, _sparse([[0, p - 1, 1], [p - 1, 2], [1]]), p)
 
@@ -522,12 +637,12 @@ def test_modular_trivariate_gcd_skips_unlucky_points(monkeypatch):
     which the interpolation must skip."""
     p = 1000003
     lowest = _falling(12, p)
-    a = {(0, 0, j): c for j, c in enumerate(lowest) if c} | {(1, 0, 0): 1}
-    b = {(2, 0, 0): 1, (1, 1, 0): 1, (1, 0, 1): 1}
+    a = {j * PZ: c for j, c in enumerate(lowest) if c} | {PX: 1}
+    b = {2 * PX: 1, PX + PY: 1, PX + PZ: 1}
     with monkeypatch.context() as patch:
         verdicts = _refusals(patch)
         _budget(patch, 200)
-        assert modular.brown_gcd(a, b, p) == {(0, 0, 0): 1}
+        assert modular.brown_gcd(a, b, p, UVW) == {0: 1}
     assert (3, False) in verdicts
 
     # over Q with (u, v, w) = (x, y, z)
@@ -536,9 +651,9 @@ def test_modular_trivariate_gcd_skips_unlucky_points(monkeypatch):
     images = []
     inner = modular.brown_gcd
 
-    def recording(a, b, q):
-        result = inner(a, b, q)
-        if len(next(iter(result))) == 2:  # an image at a point w = x
+    def recording(a, b, q, shifts):
+        result = inner(a, b, q, shifts)
+        if len(shifts) == 2:  # an image at a point w = x
             images.append(max(result))
         return result
 

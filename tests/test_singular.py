@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from webflat import (
+    RATIONALS,
     AffineVectorField,
     FieldScalar,
     MPoly,
@@ -372,6 +373,30 @@ def test_verify_classification_roots():
     assert verify_classification(theta)
     assert verify_classification(FieldScalar(1, 0, EISENSTEIN) - theta)
 
+
+
+@pytest.mark.parametrize("field", ("rationals", "t^2=t-1"))
+def test_classification_field_is_integral_at_integral_parameters(field):
+    """An integral nu gives only int coefficients (both components over
+    Q(theta)), and the field is 4 times the family's normal form
+    a = nu/4 x^3 - (nu+1)/2 x^2 y + 3/4 x y^2,
+    b = -3 nu/4 x^2 y + (nu+1)/2 x y^2 - 1/4 y^3."""
+    spec = RATIONALS if field == "rationals" else EISENSTEIN
+    one = FieldScalar(1, 0, spec)
+    values = [FieldScalar(k, 0, spec) for k in (2, 3, -1, -7, 12)]
+    if spec.is_quadratic:
+        theta = FieldScalar.theta(spec)
+        values += [theta, one - theta, 2 + 3 * theta, -5 * theta]
+    x, y = MPoly.variable("x", spec), MPoly.variable("y", spec)
+    for nu in values + [FieldScalar(Fraction(1, 2), 0, spec), FieldScalar(Fraction(2, 3), 0, spec)]:
+        vf = classification_field(nu)
+        quarter, half = Fraction(1, 4), Fraction(1, 2)
+        a = x**3 * (nu * quarter) - x**2 * y * ((nu + 1) * half) + x * y**2 * Fraction(3, 4)
+        b = -(x**2 * y) * (nu * Fraction(3, 4)) + x * y**2 * ((nu + 1) * half) - y**3 * quarter
+        assert (vf.a, vf.b) == (a * 4, b * 4)
+        if nu in values:
+            for c in (*vf.a._ground.values(), *vf.b._ground.values()):
+                assert all(type(part) is int for part in (c if spec.is_quadratic else (c,))), c
 
 def test_verify_classification_rational_parameters():
     assert not verify_classification(FieldScalar(2))

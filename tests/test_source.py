@@ -44,3 +44,29 @@ def test_poly_module_stays_at_or_under_950_lines():
     with open(PACKAGE / "poly.py", "rb") as handle:
         lines = handle.read().count(b"\n")
     assert lines <= 950, lines
+
+
+LAYOUT = {"WIDTH", "BOUND", "MASK", "TOP", "SHIFT", "UNIT", "GUARDS"}
+
+
+def test_monomial_layout_is_defined_only_in_monomials():
+    """The packed layout has one owner: its constants (under any leading
+    underscore) are assigned, and `pack`, `unpack` and `monomial_degree`
+    defined, in monomials.py alone; the other modules import them."""
+    owners = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+            elif isinstance(node, ast.FunctionDef):
+                names = [node.name] if node.name in ("pack", "unpack", "monomial_degree") else []
+            else:
+                continue
+            for name in names:
+                if name.lstrip("_") in LAYOUT or name in ("pack", "unpack", "monomial_degree"):
+                    owners.setdefault(name, set()).add(path.name)
+    assert set(owners) == LAYOUT | {"pack", "unpack", "monomial_degree"}, owners
+    assert all(files == {"monomials.py"} for files in owners.values()), owners
