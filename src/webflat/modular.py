@@ -16,7 +16,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .monomials import GUARDS, MASK, TOP
+from .monomials import exponent_at, monomial_quotient, unit
 
 
 def is_prime(n: int) -> bool:
@@ -197,11 +197,11 @@ def primitive(rows: dict, p: int):
 def split(a: dict, s: int) -> dict:
     """A polynomial as rows in its variable w at shift s: each monomial free
     of w maps to its coefficient, a dense polynomial in w."""
-    unit = 1 << s | 1 << TOP  # the packed w
+    w = unit(s)
     rows = {}
     for m, c in a.items():
-        j = m >> s & MASK
-        head = m - j * unit
+        j = exponent_at(m, s)
+        head = m - j * w
         row = rows.get(head)
         if row is None:
             row = rows[head] = [0] * (j + 1)
@@ -213,8 +213,8 @@ def split(a: dict, s: int) -> dict:
 
 def join(rows: dict, s: int) -> dict:
     """The inverse of `split`."""
-    unit = 1 << s | 1 << TOP
-    return {m + j * unit: c for m, row in rows.items() for j, c in enumerate(row) if c}
+    w = unit(s)
+    return {m + j * w: c for m, row in rows.items() for j, c in enumerate(row) if c}
 
 
 def divides(h: dict, f: dict, p: int) -> bool:
@@ -224,10 +224,9 @@ def divides(h: dict, f: dict, p: int) -> bool:
     rest = dict(f)
     while rest:
         top = max(rest)
-        shift = (top | GUARDS) - lead
-        if shift & GUARDS != GUARDS:
+        shift = monomial_quotient(top, lead)
+        if shift is None:
             return False
-        shift ^= GUARDS
         c = rest[top] * inv % p
         for m, d in h.items():
             k = shift + m

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .monomials import GUARDS
+from .monomials import monomial_quotient
 
 
 def normal(c):
@@ -43,9 +43,8 @@ def power(c: tuple, n: int, u, v) -> tuple:
     return product(square, c, u, v) if n & 1 else square
 
 
-def add(f: dict, g: dict, sign: int = 1) -> dict:
-    """f + sign * g, sign 1 or -1."""
-    out = dict(f)
+def add(out: dict, g: dict, sign: int = 1) -> dict:
+    """Add sign * g into out, sign 1 or -1, and return out."""
     for e, c in g.items():
         have = out.get(e)
         if have is None:
@@ -137,10 +136,9 @@ def try_exact_divide(f: dict, g: dict, u, v):
     rest = dict(f)
     while rest:
         lm_r = max(rest)
-        q = (lm_r | GUARDS) - lm_g
-        if q & GUARDS != GUARDS:
+        q = monomial_quotient(lm_r, lm_g)
+        if q is None:
             return None
-        q ^= GUARDS
         a, b = rest[lm_r]
         if inv_b or b:
             bw = b * inv_b

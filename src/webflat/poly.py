@@ -53,7 +53,17 @@ from .errors import (
 )
 from . import modular, pairs
 from .field import RATIONALS, FieldScalar, FieldSpec, _component
-from .monomials import GUARDS, MASK, SHIFT, TOP, UNIT, VARIABLES, bounded, pack, unpack
+from .monomials import (
+    SHIFT,
+    UNIT,
+    VARIABLES,
+    bounded,
+    exponent_at,
+    monomial_degree,
+    monomial_quotient,
+    pack,
+    unpack,
+)
 from .pairs import normal as _normal
 
 VARIABLE_INDEX = {name: i for i, name in enumerate(VARIABLES)}
@@ -77,6 +87,20 @@ def _as_scalar(c, spec: FieldSpec) -> FieldScalar:
     if c.__class__ is tuple:
         return FieldScalar._fast(c[0], c[1], spec)
     return c if c.__class__ is FieldScalar else FieldScalar._fast(c, 0, spec)
+
+
+def _add(out: dict, g: dict, sign: int = 1) -> dict:
+    """Add sign * g into the ground map out over Q, sign 1 or -1, and
+    return out; `pairs.add` is its twin over Q(theta)."""
+    for e, coeff in g.items():
+        have = out.get(e)
+        if have is None:
+            out[e] = coeff if sign == 1 else -coeff
+        elif t := have + coeff if sign == 1 else have - coeff:
+            out[e] = _normal(t)
+        else:
+            del out[e]
+    return out
 
 
 def _divided(ground: dict, lc, spec: FieldSpec) -> dict:
@@ -159,18 +183,18 @@ class MPoly:
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        return max(self._ground) >> TOP if self._ground else -1
+        return monomial_degree(max(self._ground)) if self._ground else -1
 
     def degree_in(self, var: str) -> int:
         """Degree in one variable; -1 for the zero polynomial."""
         s = SHIFT[VARIABLE_INDEX[var]]
-        return max((m >> s & MASK for m in self._ground), default=-1)
+        return max((exponent_at(m, s) for m in self._ground), default=-1)
 
     def variables(self) -> frozenset:
         present = 0
         for m in self._ground:
             present |= m
-        return frozenset(name for name, s in zip(VARIABLES, SHIFT) if present >> s & MASK)
+        return frozenset(name for name, s in zip(VARIABLES, SHIFT) if exponent_at(present, s))
 
     def leading_monomial(self):
         if not self._ground:
@@ -206,18 +230,8 @@ class MPoly:
         if not isinstance(other, MPoly):
             return NotImplemented
         self._check(other)
-        if self.spec.is_quadratic:
-            return MPoly._raw(pairs.add(self._ground, other._ground, sign), self.spec)
-        out = dict(self._ground)
-        for e, coeff in other._ground.items():
-            have = out.get(e)
-            if have is None:
-                out[e] = coeff if sign == 1 else -coeff
-            elif t := have + coeff if sign == 1 else have - coeff:
-                out[e] = _normal(t)
-            else:
-                del out[e]
-        return MPoly._raw(out, self.spec)
+        add = pairs.add if self.spec.is_quadratic else _add
+        return MPoly._raw(add(dict(self._ground), other._ground, sign), self.spec)
 
     def __neg__(self):
         if self.spec.is_quadratic:
@@ -240,7 +254,7 @@ class MPoly:
         left, right = self._ground, other._ground
         if not left or not right:
             return MPoly.zero(spec)
-        bounded((max(left) >> TOP) + (max(right) >> TOP))
+        bounded(monomial_degree(max(left)) + monomial_degree(max(right)))
         if spec.is_quadratic:
             return MPoly._raw(pairs.mul(left, right, spec.u, spec.v), spec)
         if len(left) > len(right):  # the shorter operand on the outside
@@ -263,7 +277,7 @@ class MPoly:
         ground, spec = self._ground, self.spec
         if n < 2 or not ground:
             return self if n else MPoly.one(spec)
-        bounded((max(ground) >> TOP) * n)
+        bounded(monomial_degree(max(ground)) * n)
         if len(ground) == 1:
             [(m, c)] = ground.items()
             c = pairs.power(c, n, spec.u, spec.v) if spec.is_quadratic else c**n
@@ -302,7 +316,7 @@ class MPoly:
         """Formal partial derivative with respect to one variable."""
         i = VARIABLE_INDEX[var]
         s, unit = SHIFT[i], UNIT[i]
-        scaled = [(m - unit, k, c) for m, c in self._ground.items() if (k := m >> s & MASK)]
+        scaled = [(m - unit, k, c) for m, c in self._ground.items() if (k := exponent_at(m, s))]
         if self.spec.is_quadratic:
             out = {m: (_normal(a * k), _normal(b * k)) for m, k, (a, b) in scaled}
         else:
@@ -317,8 +331,7 @@ class MPoly:
         All images are read against the original polynomial, so
         {p: x, x: -p} swaps rather than chains.  Each image is raised only
         to the powers the polynomial has, each from the one below it, and
-        the terms with the same exponents in the bound variables are
-        multiplied by those powers and added as one group.
+        the image of every term is added into one running sum.
         """
         if not bindings:
             return self
@@ -328,39 +341,38 @@ class MPoly:
                 image = MPoly.constant(image, self.spec)
             else:
                 self._check(image)
-            images[SHIFT[VARIABLE_INDEX[name]]] = image
+            images[VARIABLE_INDEX[name]] = image
         powers = {}
-        for s, image in images.items():
-            have = powers[s] = {0: None}
+        for i, image in images.items():
+            have = powers[i] = {0: None}
             below = 0
-            for e in sorted({m >> s & MASK for m in self._ground} - {0}):
+            for e in sorted({exponent_at(m, SHIFT[i]) for m in self._ground} - {0}):
                 step = image ** (e - below)
                 have[e] = step if have[below] is None else have[below] * step
                 below = e
-        groups = {}  # the bound part of each monomial -> the free terms
+        add = pairs.add if self.spec.is_quadratic else _add
+        total = {}
         for m, coeff in self._ground.items():
-            free = m
-            for s in images:
-                e = free >> s & MASK
-                free -= e << s | e << TOP
-            groups.setdefault(m - free, {})[free] = coeff
-        result = MPoly.zero(self.spec)
-        for bound, ground in groups.items():
-            term = MPoly._raw(ground, self.spec)
-            for s in images:
-                if e := bound >> s & MASK:
-                    term = term * powers[s][e]
-            result = result + term
-        return result
+            factors = []
+            for i in images:
+                if e := exponent_at(m, SHIFT[i]):
+                    m -= e * UNIT[i]
+                    factors.append(powers[i][e])
+            term = MPoly._raw({m: coeff}, self.spec)
+            for factor in factors:
+                term = term * factor
+            add(total, term._ground)
+        return MPoly._raw(total, self.spec)
 
     def coefficients_in(self, var: str) -> dict:
         """View as univariate in `var`: maps each degree to an MPoly free
         of `var`."""
-        s = SHIFT[VARIABLE_INDEX[var]]
+        i = VARIABLE_INDEX[var]
+        s, unit = SHIFT[i], UNIT[i]
         split = {}
         for m, coeff in self._ground.items():
-            e = m >> s & MASK
-            split.setdefault(e, {})[m - (e << s | e << TOP)] = coeff
+            e = exponent_at(m, s)
+            split.setdefault(e, {})[m - e * unit] = coeff
         return {e: MPoly._raw(terms, self.spec) for e, terms in split.items()}
 
     def coefficient(self, var: str, power: int) -> "MPoly":
@@ -457,10 +469,10 @@ def try_exact_divide(f: MPoly, g: MPoly):
         [(m, lc)] = divisor.items()
         quotient = {}
         for e, c in f._ground.items():
-            d = (e | GUARDS) - m
-            if d & GUARDS != GUARDS:
+            d = monomial_quotient(e, m)
+            if d is None:
                 return None
-            quotient[d ^ GUARDS] = c
+            quotient[d] = c
         return MPoly._raw(quotient if lc in _ONES else _divided(quotient, lc, spec), spec)
     if spec.is_quadratic:
         ground = pairs.try_exact_divide(f._ground, divisor, spec.u, spec.v)
@@ -471,10 +483,9 @@ def try_exact_divide(f: MPoly, g: MPoly):
     rest = dict(f._ground)
     while rest:
         lm_r = max(rest)
-        q = (lm_r | GUARDS) - lm_g
-        if q & GUARDS != GUARDS:
+        q = monomial_quotient(lm_r, lm_g)
+        if q is None:
             return None
-        q ^= GUARDS
         coeff = quotient[q] = _normal(rest[lm_r] * lc_g_inv)
         for e2, c2 in divisor.items():
             have = rest.get(e := q + e2)
@@ -503,7 +514,7 @@ def _monomial_content(monomials) -> int:
     """The gcd of packed monomials, packed."""
     if 0 in monomials:
         return 0
-    return sum(min([m >> s & MASK for m in monomials]) * u for s, u in zip(SHIFT, UNIT))
+    return sum(min([exponent_at(m, s) for m in monomials]) * u for s, u in zip(SHIFT, UNIT))
 
 
 def _shift_down(f: MPoly, shift: int) -> MPoly:
@@ -557,7 +568,7 @@ def _gcd_modular(f: MPoly, g: MPoly, variables) -> MPoly:
     shifts = [SHIFT[i] for i in variables]
 
     def degrees(keys):  # the degree in each of `variables`
-        return [max([m >> s & MASK for m in keys]) for s in shifts]
+        return [max([exponent_at(m, s) for m in keys]) for s in shifts]
 
     denominator = 1
     inputs = []
@@ -582,7 +593,7 @@ def _gcd_modular(f: MPoly, g: MPoly, variables) -> MPoly:
         out = {m: c for m, a, b in terms if (c := (a + b * r) % p)}
         return out if lm in out and degrees(out) == degree else None
 
-    best = GUARDS  # leading monomial of the images kept, first above every one
+    best = math.inf  # leading monomial of the images kept, none yet
     modulus, residues, tested = 1, {}, None
     for p, *roots in primes:
         if denominator % p == 0:
@@ -660,7 +671,7 @@ def _gcd_raw(f: MPoly, g: MPoly) -> MPoly:
     # Euclid runs in the shared variable appearing in the most terms
     def frequency(name):
         s = SHIFT[VARIABLE_INDEX[name]]
-        return sum(1 for m in (*f._ground, *g._ground) if m >> s & MASK)
+        return sum(1 for m in (*f._ground, *g._ground) if exponent_at(m, s))
 
     first = max(sorted(shared), key=frequency)
     rest = sorted(VARIABLE_INDEX[name] for name in names_f | names_g if name != first)

@@ -27,7 +27,7 @@ from .poly import (
     poly_gcd,
     squarefree_part,
 )
-from .monomials import MASK, SHIFT, monomial_degree
+from .monomials import monomial_degree
 from .webs import (
     AffineVectorField,
     homogenize,
@@ -174,8 +174,16 @@ def classify_singularity(vf: AffineVectorField, pt) -> SingularityReport:
 
 def _univariate_coeffs(f: MPoly, var: str):
     """Coefficient list c[0..deg] of a polynomial in one variable."""
-    split, zero = f.coefficients_in(var), MPoly.zero(f.spec)
-    return [split.get(k, zero).constant_value() for k in range(max(split, default=0) + 1)]
+    split = f.coefficients_in(var)
+    degree = max(split) if split else 0
+    out = []
+    for k in range(degree + 1):
+        coeff = split.get(k)
+        if coeff is None:
+            out.append(FieldScalar(0, 0, f.spec))
+        else:
+            out.append(coeff.constant_value())
+    return out
 
 
 def _deflate(coeffs, root):
@@ -315,14 +323,23 @@ def homogeneous_analysis(vf: AffineVectorField) -> HomogeneousAnalysis:
     a_line = vf.a.substitute({"x": one, "y": t})
     b_line = vf.b.substitute({"x": one, "y": t})
     cone_line = cone.substitute({"x": one, "y": t})
-    vertical = all(m >> SHIFT[0] & MASK for m in cone._ground)
+    vertical = cone.coefficient("x", 0).is_zero()  # x divides every term
     slopes, unsplit_coeffs = field_roots(_univariate_coeffs(cone_line, "t"))
-    pj = [b_line - a_line * m for m in slopes]
+    pj = []
+    for m in slopes:
+        pj.append(b_line - a_line * m)
     if vertical:
         pj.append(vf.a.substitute({"x": t, "y": one}))
-    discriminants = [
-        cubic_resultant(*(poly.coefficient("t", k) for k in (3, 2, 1, 0))) for poly in pj
-    ]
+    discriminants = []
+    for poly in pj:
+        discriminants.append(
+            cubic_resultant(
+                poly.coefficient("t", 3),
+                poly.coefficient("t", 2),
+                poly.coefficient("t", 1),
+                poly.coefficient("t", 0),
+            )
+        )
     unsplit = None
     if unsplit_coeffs is not None:
         unsplit = sum(

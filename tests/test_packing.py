@@ -17,10 +17,15 @@ import webflat.poly as poly_module  # noqa: E402
 from webflat.monomials import (  # noqa: E402
     BOUND,
     NVARS,
+    SHIFT,
+    UNIT,
     VARIABLES,
     WIDTH,
+    exponent_at,
     monomial_degree,
+    monomial_quotient,
     pack,
+    unit,
     unpack,
 )
 from webflat.poly import render_poly, try_exact_divide  # noqa: E402
@@ -109,6 +114,24 @@ def test_guarded_divide_refuses_one_field_short_by_one(spec, exponent, two_terms
     assert try_exact_divide(f, MPoly.monomial(exponent, 1, spec)) == MPoly.constant(
         f.leading_coefficient(), spec
     )
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_exponents(top=BOUND // 2 - 1), _exponents(top=BOUND // 2 - 1))
+def test_monomial_quotient_and_exponent_at(a, b):
+    """monomial_quotient(a, b) is a/b exactly when no exponent of b passes
+    a's, else None; exponent_at reads each field and unit builds each
+    variable."""
+    ma, mb = pack(a), pack(b)
+    divisible = all(x >= y for x, y in zip(a, b))
+    want = pack(tuple(x - y for x, y in zip(a, b))) if divisible else None
+    assert monomial_quotient(ma, mb) == want
+    assert monomial_quotient(ma + mb, mb) == ma and monomial_quotient(ma, ma) == 0
+    low = pack(tuple(map(min, a, b)))
+    assert monomial_quotient(ma, low) == pack(tuple(x - min(x, y) for x, y in zip(a, b)))
+    assert [exponent_at(ma, s) for s in SHIFT] == list(a)
+    for i, s in enumerate(SHIFT):
+        assert unit(s) == UNIT[i] == pack(tuple(int(j == i) for j in range(NVARS)))
 
 
 # -- every kernel against a tuple-keyed reference on `terms` ------------------------

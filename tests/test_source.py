@@ -47,26 +47,38 @@ def test_poly_module_stays_at_or_under_950_lines():
 
 
 LAYOUT = {"WIDTH", "BOUND", "MASK", "TOP", "SHIFT", "UNIT", "GUARDS"}
+LAYOUT_FUNCTIONS = {
+    "pack", "unpack", "monomial_degree", "exponent_at", "monomial_quotient", "unit",
+}
+BIT_FORMAT = {"WIDTH", "MASK", "TOP", "GUARDS"}
 
 
 def test_monomial_layout_is_defined_only_in_monomials():
     """The packed layout has one owner: its constants (under any leading
-    underscore) are assigned, and `pack`, `unpack` and `monomial_degree`
-    defined, in monomials.py alone; the other modules import them."""
-    owners = {}
+    underscore) are assigned, and its functions defined, in monomials.py
+    alone; the other modules import them.  The bit format itself (field
+    width, mask, top shift, guard bits) is read nowhere else: the others
+    go through `exponent_at`, `monomial_quotient`, `unit` and `UNIT`."""
+    owners, readers = {}, set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and node.id.lstrip("_") in BIT_FORMAT:
+                readers.add(path.name)
+            elif isinstance(node, ast.ImportFrom):
+                if BIT_FORMAT & {alias.name for alias in node.names}:
+                    readers.add(path.name)
             if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 names = [n.id for t in targets for n in ast.walk(t)
                          if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+                names = [name for name in names if name.lstrip("_") in LAYOUT]
             elif isinstance(node, ast.FunctionDef):
-                names = [node.name] if node.name in ("pack", "unpack", "monomial_degree") else []
+                names = [node.name] if node.name in LAYOUT_FUNCTIONS else []
             else:
                 continue
             for name in names:
-                if name.lstrip("_") in LAYOUT or name in ("pack", "unpack", "monomial_degree"):
-                    owners.setdefault(name, set()).add(path.name)
-    assert set(owners) == LAYOUT | {"pack", "unpack", "monomial_degree"}, owners
+                owners.setdefault(name, set()).add(path.name)
+    assert set(owners) == LAYOUT | LAYOUT_FUNCTIONS, owners
     assert all(files == {"monomials.py"} for files in owners.values()), owners
+    assert readers == {"monomials.py"}, readers
