@@ -38,13 +38,11 @@ from .poly import (
     squarefree_part,
 )
 from .singular import (
-    HomogeneousAnalysis,
     SingularityReport,
     TAU_INFINITE,
     classification_field,
     classify_singularity,
     field_roots,
-    homogeneous_analysis,
     multiplicity_nu,
     saturate,
     tau,
@@ -58,7 +56,6 @@ from .webs import (
     HomogeneousVectorField,
     ProjectivePoint,
     dual_curvature,
-    dual_line,
     eta_criterion,
     gauss_map_point,
     holomorphic_along,

@@ -17,11 +17,8 @@ components separated by ';'.  Exit codes: 0 ok, 1 parse/usage error,
 
 from __future__ import annotations
 
-import json
 import math
-import shlex
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -336,8 +333,7 @@ def parse_components(text: str, spec: FieldSpec | None, counts) -> list:
 # -- command model ------------------------------------------------------------
 
 
-@dataclass
-class Command:
+class Command(NamedTuple):
     """A parsed command line: the payload holds the verb's run arguments."""
 
     verb: str
@@ -483,6 +479,8 @@ def _run_gauss(hvf, at):
 
 def _render(cmd: Command, kind: str, data: dict, text: str) -> str:
     if cmd.format == "json":
+        import json  # on first use, off the start-up path of text output
+
         result = {"kind": kind, **data}
         return json.dumps({"command": cmd.verb, "field": cmd.field_text, "result": result})
     return text
@@ -623,6 +621,8 @@ def run_batch(path: str):
             lines = [line.strip() for line in handle]
     except (OSError, UnicodeDecodeError) as err:
         return "", "error: UsageError: cannot read batch file: %s" % err, 1
+    import shlex  # on first use, off the start-up path of a single line
+
     results = []
     for line in lines:
         if not line or line.startswith("#"):

@@ -102,6 +102,10 @@ class MissingValue(DomainError, KeyError):
     pass
 
 
+class ReadOnlyAttribute(DomainError, AttributeError):
+    pass
+
+
 class ParseError(WebflatError):
     """Source text rejected by the expression grammar (CLI exit code 1).
 

@@ -13,10 +13,9 @@ shared freely across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DivisionByZero, FieldMismatch, InvalidField, NotQuadratic
+from .errors import DivisionByZero, FieldMismatch, InvalidField, NotQuadratic, ReadOnlyAttribute
 
 Rational = Fraction
 
@@ -40,28 +39,45 @@ def _rational_sqrt(q: int | Fraction) -> Fraction | None:
     return Fraction(rn, rd)
 
 
-@dataclass(frozen=True)
 class FieldSpec:
     """Ambient coefficient field: `rationals`, or `quadratic` with
-    theta^2 = u*theta + v."""
+    theta^2 = u*theta + v.  Read-only; equal specs hash alike."""
 
-    kind: str
-    u: int | Fraction | None = None
-    v: int | Fraction | None = None
+    __slots__ = ("kind", "u", "v")
 
-    def __post_init__(self):
-        if self.kind == "rationals":
-            if self.u is not None or self.v is not None:
+    def __init__(self, kind: str, u=None, v=None):
+        if kind == "rationals":
+            if u is not None or v is not None:
                 raise InvalidField("rationals take no minimal polynomial")
-        elif self.kind == "quadratic":
-            object.__setattr__(self, "u", _component(self.u))
-            object.__setattr__(self, "v", _component(self.v))
-            if _rational_sqrt(self.u * self.u + 4 * self.v) is not None:
-                raise InvalidField(
-                    "t^2 = %s*t + %s is reducible over the rationals" % (self.u, self.v)
-                )
+        elif kind == "quadratic":
+            u, v = _component(u), _component(v)
+            if _rational_sqrt(u * u + 4 * v) is not None:
+                raise InvalidField("t^2 = %s*t + %s is reducible over the rationals" % (u, v))
         else:
-            raise InvalidField("unknown field kind %r" % (self.kind,))
+            raise InvalidField("unknown field kind %r" % (kind,))
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
+
+    def __setattr__(self, name, value):
+        raise ReadOnlyAttribute("cannot assign to field %r of a FieldSpec" % (name,))
+
+    def __delattr__(self, name):
+        raise ReadOnlyAttribute("cannot delete field %r of a FieldSpec" % (name,))
+
+    def __eq__(self, other):
+        if other.__class__ is not FieldSpec:
+            return NotImplemented
+        return (self.kind, self.u, self.v) == (other.kind, other.u, other.v)
+
+    def __hash__(self):
+        return hash((self.kind, self.u, self.v))
+
+    def __repr__(self):
+        return "FieldSpec(kind=%r, u=%r, v=%r)" % (self.kind, self.u, self.v)
+
+    def __reduce__(self):
+        return FieldSpec, (self.kind, self.u, self.v)
 
     @property
     def is_quadratic(self) -> bool:

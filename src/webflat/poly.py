@@ -51,7 +51,7 @@ from .errors import (
     NotConstant,
     ZeroPolynomial,
 )
-from . import modular, pairs
+from . import pairs
 from .field import RATIONALS, FieldScalar, FieldSpec, _component
 from .monomials import (
     SHIFT,
@@ -511,10 +511,13 @@ def divides(g: MPoly, f: MPoly) -> bool:
 
 
 def _monomial_content(monomials) -> int:
-    """The gcd of packed monomials, packed."""
+    """The gcd of packed monomials, packed.  Only the fields of the
+    variables of one monomial are read: any other field has minimum 0."""
     if 0 in monomials:
         return 0
-    return sum(min([exponent_at(m, s) for m in monomials]) * u for s, u in zip(SHIFT, UNIT))
+    first = next(iter(monomials))
+    return sum(min([exponent_at(m, s) for m in monomials]) * u
+               for s, u in zip(SHIFT, UNIT) if exponent_at(first, s))
 
 
 def _shift_down(f: MPoly, shift: int) -> MPoly:
@@ -564,6 +567,8 @@ def _gcd_modular(f: MPoly, g: MPoly, variables) -> MPoly:
     VARIABLES[i], i in `variables` (every variable either one has), made
     monic.  `modular.brown_gcd` runs Euclid in the first of them and
     evaluates the last one first."""
+    from . import modular  # on first use: one-line invocations mostly take no gcd
+
     spec = f.spec
     shifts = [SHIFT[i] for i in variables]
 

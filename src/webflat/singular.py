@@ -1,4 +1,5 @@
-"""Local invariants of foliation singularities and the homogeneous toolkit.
+"""Local invariants of foliation singularities, roots in the ambient field,
+and the homogeneous classification family.
 
 All analysis happens at user-supplied points with coordinates in the
 ambient field; nothing here ever solves for singular loci.  `nu` is the
@@ -10,63 +11,24 @@ the first order >= nu whose jet is not a multiple of the radial field
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .errors import (
-    DegenerateParameter,
-    NonHomogeneous,
-    NotSingular,
-    ZeroTangentCone,
-)
+from .errors import DegenerateParameter, NotSingular
 from .field import FieldScalar, field_sqrt
-from .poly import (
-    MPoly,
-    cubic_resultant,
-    exact_divide,
-    poly_gcd,
-    squarefree_part,
-)
+from .poly import MPoly, exact_divide, poly_gcd, squarefree_part
 from .monomials import monomial_degree
-from .webs import (
-    AffineVectorField,
-    homogenize,
-    inflection_divisor,
-    is_flat,
-    tangent_cone,
-)
+from .webs import AffineVectorField, homogenize, inflection_divisor, is_flat
 
 TAU_INFINITE = math.inf
 
 
-@dataclass(frozen=True)
-class SingularityReport:
+class SingularityReport(NamedTuple):
     point: tuple
     nu: int
     tau: float
     radial: bool
     special: bool
-
-
-@dataclass(frozen=True)
-class HomogeneousAnalysis:
-    """Tangent-cone data of a homogeneous affine field.
-
-    `slopes` are the tangent-cone roots found in the ambient field at
-    x = 1 (sorted), `vertical_line` flags the x = 0 component handled in
-    the swapped chart, `unsplit` carries any factor the field cannot
-    split (never approximated).  `pj` pairs each slope m with the
-    tangency polynomial B(1,t) - m*A(1,t) -- plus A(t,1) for the
-    vertical line -- and `pj_discriminants` holds their slope
-    discriminants.
-    """
-
-    tangent_cone: MPoly
-    slopes: tuple
-    vertical_line: bool
-    pj: tuple
-    pj_discriminants: tuple
-    unsplit: MPoly | None
 
 
 def saturate(vf: AffineVectorField):
@@ -169,7 +131,7 @@ def classify_singularity(vf: AffineVectorField, pt) -> SingularityReport:
     )
 
 
-# -- homogeneous toolkit ------------------------------------------------------
+# -- roots and the classification family --------------------------------------
 
 
 def _univariate_coeffs(f: MPoly, var: str):
@@ -290,70 +252,6 @@ def field_roots(coeffs):
     unsplit = rem if len(rem) > 1 else None
     roots.sort(key=lambda r: (r.a, r.b))
     return roots, unsplit
-
-
-def homogeneous_analysis(vf: AffineVectorField) -> HomogeneousAnalysis:
-    """Invariant-line slopes and tangency discriminants of a homogeneous
-    field.
-
-    For each tangent-cone root m, P_m(t) = B(1,t) - m*A(1,t) collects the
-    slopes of the lines through the origin tangent to the foliation along
-    the invariant line of slope m; a vertical invariant line contributes
-    A(t,1) from the swapped chart.  Each P gets its degree-3 slope
-    discriminant.
-    """
-    for component in (vf.a, vf.b):
-        if component.is_zero():
-            continue
-        if len({monomial_degree(m) for m in component._ground}) != 1:
-            raise NonHomogeneous("component %s is not homogeneous" % component)
-    degrees = {
-        component.total_degree()
-        for component in (vf.a, vf.b)
-        if not component.is_zero()
-    }
-    if len(degrees) != 1:
-        raise NonHomogeneous("components have degrees %s" % sorted(degrees))
-    cone = tangent_cone(vf)
-    if cone.is_zero():
-        raise ZeroTangentCone("the field is a multiple of the radial field")
-    spec = vf.spec
-    t = MPoly.variable("t", spec)
-    one = MPoly.one(spec)
-    a_line = vf.a.substitute({"x": one, "y": t})
-    b_line = vf.b.substitute({"x": one, "y": t})
-    cone_line = cone.substitute({"x": one, "y": t})
-    vertical = cone.coefficient("x", 0).is_zero()  # x divides every term
-    slopes, unsplit_coeffs = field_roots(_univariate_coeffs(cone_line, "t"))
-    pj = []
-    for m in slopes:
-        pj.append(b_line - a_line * m)
-    if vertical:
-        pj.append(vf.a.substitute({"x": t, "y": one}))
-    discriminants = []
-    for poly in pj:
-        discriminants.append(
-            cubic_resultant(
-                poly.coefficient("t", 3),
-                poly.coefficient("t", 2),
-                poly.coefficient("t", 1),
-                poly.coefficient("t", 0),
-            )
-        )
-    unsplit = None
-    if unsplit_coeffs is not None:
-        unsplit = sum(
-            (MPoly.constant(c, spec) * t ** k for k, c in enumerate(unsplit_coeffs)),
-            MPoly.zero(spec),
-        )
-    return HomogeneousAnalysis(
-        tangent_cone=cone,
-        slopes=tuple(slopes),
-        vertical_line=vertical,
-        pj=tuple(pj),
-        pj_discriminants=tuple(discriminants),
-        unsplit=unsplit,
-    )
 
 
 def classification_field(nu: FieldScalar) -> AffineVectorField:

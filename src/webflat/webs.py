@@ -482,18 +482,6 @@ def gauss_map_point(hvf: HomogeneousVectorField, pt: ProjectivePoint) -> Project
     return ProjectivePoint(*_strip_content(dual))
 
 
-def dual_line(x0: FieldScalar, y0: FieldScalar) -> MPoly:
-    """Lines through the affine point (x0, y0): the locus q + x0*p - y0."""
-    if not isinstance(x0, FieldScalar):
-        x0 = FieldScalar(x0)
-    if not isinstance(y0, FieldScalar):
-        y0 = FieldScalar(y0, 0, x0.spec)
-    spec = x0.spec
-    p = MPoly.variable("p", spec)
-    q = MPoly.variable("q", spec)
-    return q + p * x0 - MPoly.constant(y0, spec)
-
-
 # -- holomorphy tests ----------------------------------------------------------
 
 

@@ -2,11 +2,22 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
-from webflat import MPoly, RATIONALS, FieldScalar, exact_divide
-from webflat.monomials import VARIABLES, pack, unpack
+from webflat import (
+    MPoly,
+    RATIONALS,
+    FieldScalar,
+    cubic_resultant,
+    exact_divide,
+    field_roots,
+    tangent_cone,
+)
+from webflat.errors import NonHomogeneous, ZeroTangentCone
+from webflat.monomials import VARIABLES, monomial_degree, pack, unpack
 from webflat.poly import VARIABLE_INDEX
+from webflat.singular import _univariate_coeffs
 
 
 def random_scalar(rng, spec=RATIONALS, quadratic=False):
@@ -286,3 +297,103 @@ def subresultant_oracle(f, g, var=None):
     for e, c in _primitive(part, _content(part)).items():
         gcd = gcd + c * x ** e
     return (content * gcd).monic()
+
+
+# -- library code that no verb runs, kept with the tests that pin it -----------
+
+
+def dual_line(x0: FieldScalar, y0: FieldScalar) -> MPoly:
+    """Lines through the affine point (x0, y0): the locus q + x0*p - y0."""
+    if not isinstance(x0, FieldScalar):
+        x0 = FieldScalar(x0)
+    if not isinstance(y0, FieldScalar):
+        y0 = FieldScalar(y0, 0, x0.spec)
+    spec = x0.spec
+    p = MPoly.variable("p", spec)
+    q = MPoly.variable("q", spec)
+    return q + p * x0 - MPoly.constant(y0, spec)
+
+
+@dataclass(frozen=True)
+class HomogeneousAnalysis:
+    """Tangent-cone data of a homogeneous affine field.
+
+    `slopes` are the tangent-cone roots found in the ambient field at
+    x = 1 (sorted), `vertical_line` flags the x = 0 component handled in
+    the swapped chart, `unsplit` carries any factor the field cannot
+    split (never approximated).  `pj` pairs each slope m with the
+    tangency polynomial B(1,t) - m*A(1,t) -- plus A(t,1) for the
+    vertical line -- and `pj_discriminants` holds their slope
+    discriminants.
+    """
+
+    tangent_cone: MPoly
+    slopes: tuple
+    vertical_line: bool
+    pj: tuple
+    pj_discriminants: tuple
+    unsplit: MPoly | None
+
+
+def homogeneous_analysis(vf: AffineVectorField) -> HomogeneousAnalysis:
+    """Invariant-line slopes and tangency discriminants of a homogeneous
+    field.
+
+    For each tangent-cone root m, P_m(t) = B(1,t) - m*A(1,t) collects the
+    slopes of the lines through the origin tangent to the foliation along
+    the invariant line of slope m; a vertical invariant line contributes
+    A(t,1) from the swapped chart.  Each P gets its degree-3 slope
+    discriminant.
+    """
+    for component in (vf.a, vf.b):
+        if component.is_zero():
+            continue
+        if len({monomial_degree(m) for m in component._ground}) != 1:
+            raise NonHomogeneous("component %s is not homogeneous" % component)
+    degrees = {
+        component.total_degree()
+        for component in (vf.a, vf.b)
+        if not component.is_zero()
+    }
+    if len(degrees) != 1:
+        raise NonHomogeneous("components have degrees %s" % sorted(degrees))
+    cone = tangent_cone(vf)
+    if cone.is_zero():
+        raise ZeroTangentCone("the field is a multiple of the radial field")
+    spec = vf.spec
+    t = MPoly.variable("t", spec)
+    one = MPoly.one(spec)
+    a_line = vf.a.substitute({"x": one, "y": t})
+    b_line = vf.b.substitute({"x": one, "y": t})
+    cone_line = cone.substitute({"x": one, "y": t})
+    vertical = cone.coefficient("x", 0).is_zero()  # x divides every term
+    slopes, unsplit_coeffs = field_roots(_univariate_coeffs(cone_line, "t"))
+    pj = []
+    for m in slopes:
+        pj.append(b_line - a_line * m)
+    if vertical:
+        pj.append(vf.a.substitute({"x": t, "y": one}))
+    discriminants = []
+    for poly in pj:
+        discriminants.append(
+            cubic_resultant(
+                poly.coefficient("t", 3),
+                poly.coefficient("t", 2),
+                poly.coefficient("t", 1),
+                poly.coefficient("t", 0),
+            )
+        )
+    unsplit = None
+    if unsplit_coeffs is not None:
+        unsplit = sum(
+            (MPoly.constant(c, spec) * t ** k for k, c in enumerate(unsplit_coeffs)),
+            MPoly.zero(spec),
+        )
+    return HomogeneousAnalysis(
+        tangent_cone=cone,
+        slopes=tuple(slopes),
+        vertical_line=vertical,
+        pj=tuple(pj),
+        pj_discriminants=tuple(discriminants),
+        unsplit=unsplit,
+    )

@@ -120,6 +120,14 @@ def run_ok(argv):
     return out
 
 
+def test_command_fields_and_defaults():
+    assert cli.Command._fields == ("verb", "payload", "field_text", "format")
+    assert cli.Command._field_defaults == {"payload": (), "field_text": None, "format": "text"}
+    assert cli.Command("flat") == cli.Command("flat", (), None, "text")
+    cmd = cli.build_command(["tangent-cone", "--vf", "x ; y", "--format", "json"])
+    assert (cmd.verb, cmd.field_text, cmd.format) == ("tangent-cone", None, "json")
+
+
 def test_flat_command_text(capsys):
     code = main(["flat", "--vf", "x^3 ; y^3-1"])
     captured = capsys.readouterr()

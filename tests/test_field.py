@@ -1,5 +1,6 @@
 """Field scalar arithmetic over the rationals and quadratic extensions."""
 
+import pickle
 import random
 from fractions import Fraction
 
@@ -15,7 +16,14 @@ from webflat import (
     render_poly,
 )
 from webflat.cli import parse_poly
-from webflat.errors import DivisionByZero, FieldMismatch, NotQuadratic
+from webflat.errors import (
+    DivisionByZero,
+    FieldMismatch,
+    InvalidField,
+    NotQuadratic,
+    ReadOnlyAttribute,
+    WebflatError,
+)
 from webflat.poly import pack
 from webflat.singular import field_roots
 
@@ -87,6 +95,37 @@ def test_reducible_spec_rejected():
         FieldSpec("quadratic", 0, 1)
     with pytest.raises(ValueError):
         quadratic_field(1, 6)
+
+
+def test_field_spec_equality_hash_and_repr():
+    for u, v in ((1, -1), (Fraction(1, 3), Fraction(5, 2)), (0, 2)):
+        ints = FieldSpec("quadratic", u, v)
+        fractions = FieldSpec("quadratic", Fraction(u), Fraction(v))
+        assert ints == fractions and hash(ints) == hash(fractions)
+        assert ints == quadratic_field(u, v) and ints != RATIONALS
+        assert repr(ints) == "FieldSpec(kind='quadratic', u=%r, v=%r)" % (ints.u, ints.v)
+        assert pickle.loads(pickle.dumps(ints)) == ints
+    assert FieldSpec("rationals") == RATIONALS and hash(FieldSpec("rationals")) == hash(RATIONALS)
+    assert repr(RATIONALS) == "FieldSpec(kind='rationals', u=None, v=None)"
+    assert RATIONALS != ("rationals", None, None)
+    assert len({FieldSpec("quadratic", 1, -1), EISENSTEIN, RATIONALS, ROOT2}) == 3
+
+
+def test_field_spec_validation():
+    for bad in (("cubic", 1, 1), ("rationals", 0, 1), ("quadratic", 0, 1), ("quadratic", 1, 6)):
+        with pytest.raises(InvalidField):
+            FieldSpec(*bad)
+
+
+def test_field_spec_is_read_only():
+    spec = quadratic_field(1, -1)
+    for name, value in (("u", 2), ("kind", "rationals"), ("extra", 0)):
+        with pytest.raises(ReadOnlyAttribute) as raised:
+            setattr(spec, name, value)
+        assert isinstance(raised.value, AttributeError) and isinstance(raised.value, WebflatError)
+    with pytest.raises(ReadOnlyAttribute):
+        del spec.v
+    assert (spec.kind, spec.u, spec.v) == ("quadratic", 1, -1)
 
 
 def test_theta_satisfies_minimal_polynomial():

@@ -14,7 +14,6 @@ from webflat import (
     TAU_INFINITE,
     classification_field,
     classify_singularity,
-    homogeneous_analysis,
     multiplicity_nu,
     poly_gcd,
     quadratic_field,
@@ -32,7 +31,7 @@ from webflat.errors import (
 from webflat.cli import parse_poly
 import webflat.singular as singular
 
-from helpers import random_poly_td
+from helpers import homogeneous_analysis, random_poly_td
 
 P = parse_poly
 EISENSTEIN = quadratic_field(1, -1)
@@ -229,6 +228,13 @@ def test_classify_radial_singularity():
     assert report.tau == 2
     assert report.radial
     assert report.special
+
+
+def test_singularity_report_fields():
+    assert singular.SingularityReport._fields == ("point", "nu", "tau", "radial", "special")
+    assert singular.SingularityReport._field_defaults == {}
+    report = classify_singularity(AffineVectorField(P("x^3"), P("y^3 - 1")), (fr(0), fr(1)))
+    assert report == singular.SingularityReport((fr(0), fr(1)), 1, 1, False, False)
 
 
 def test_classify_rejects_regular_point():

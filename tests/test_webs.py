@@ -17,7 +17,6 @@ from webflat import (
     RatFn,
     divides,
     dual_curvature,
-    dual_line,
     eta_criterion,
     evaluate_float,
     exact_divide,
@@ -47,7 +46,7 @@ import webflat.poly as poly_module
 from webflat.webs import _curvature_fraction, _dual_web
 
 import floatkw
-from helpers import random_homogeneous, random_poly, random_poly_td, subresultant_oracle
+from helpers import dual_line, random_homogeneous, random_poly, random_poly_td, subresultant_oracle
 
 P = parse_poly
 
