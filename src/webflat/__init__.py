@@ -1,7 +1,6 @@
 """Exact dual-web curvature toolkit for degree-3 plane foliations."""
 
 from .errors import (
-    BadEmbedding,
     DegenerateParameter,
     DegenerateWeb,
     DegreeExceeded,
@@ -21,9 +20,8 @@ from .errors import (
     WebflatError,
     ZeroField,
     ZeroPolynomial,
-    ZeroTangentCone,
 )
-from .field import RATIONALS, FieldScalar, FieldSpec, Rational, field_sqrt, quadratic_field
+from .field import RATIONALS, FieldScalar, FieldSpec, field_sqrt, quadratic_field
 from .poly import (
     MPoly,
     RatFn,
@@ -31,7 +29,6 @@ from .poly import (
     cubic_discriminant,
     cubic_resultant,
     divides,
-    evaluate_float,
     exact_divide,
     poly_gcd,
     render_poly,
@@ -45,7 +42,6 @@ from .singular import (
     field_roots,
     multiplicity_nu,
     saturate,
-    tau,
     verify_classification,
 )
 from .webs import (

@@ -30,10 +30,6 @@ class ZeroPolynomial(DomainError):
     pass
 
 
-class BadEmbedding(DomainError):
-    pass
-
-
 class DegreeTooLow(DomainError):
     pass
 
@@ -63,10 +59,6 @@ class NotSingular(DomainError):
 
 
 class NonHomogeneous(DomainError):
-    pass
-
-
-class ZeroTangentCone(DomainError):
     pass
 
 

@@ -5,6 +5,8 @@ each an `int` when integral and a stdlib `Fraction` otherwise (as are `u`
 and `v`), and `theta` is a fixed root of `theta^2 = u*theta + v`.  The
 minimal polynomial lives in a `FieldSpec`; construction rejects reducible
 ones (u^2 + 4v a rational square), so every nonzero element has an inverse.
+A product, inverse, power or norm with a theta part is computed by the pair
+algebra of `pairs`, the one the polynomial kernels use.
 
 Scalars are immutable and every operation is pure, so values can be
 shared freely across threads.
@@ -15,9 +17,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from . import pairs
 from .errors import DivisionByZero, FieldMismatch, InvalidField, NotQuadratic, ReadOnlyAttribute
-
-Rational = Fraction
 
 
 def _component(x):
@@ -159,28 +160,19 @@ class FieldScalar:
         if other.__class__ is not FieldScalar or other.spec is not self.spec:
             if (other := self._coerce(other)) is NotImplemented:
                 return NotImplemented
-        a, b, c, d = self.a, self.b, other.a, other.b
-        if b == 0 and d == 0:
-            return FieldScalar._fast(a * c, b, self.spec)
-        # (a + b*t)(c + d*t) with t^2 reduced via t^2 = u*t + v
-        bd = b * d
-        return FieldScalar._fast(
-            a * c + bd * self.spec.v,
-            a * d + b * c + bd * self.spec.u,
-            self.spec,
-        )
+        spec = self.spec
+        if self.b == 0 and other.b == 0:
+            return FieldScalar._fast(self.a * other.a, 0, spec)
+        c = pairs.product((self.a, self.b), (other.a, other.b), spec.u, spec.v)
+        return FieldScalar._fast(*c, spec)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldScalar":
         if self.is_zero():
             raise DivisionByZero("zero has no inverse")
-        a, b = self.a, self.b
-        if b == 0:
-            return FieldScalar(Fraction(1, a), 0, self.spec)
-        n = self.norm_value()
-        # conjugate / norm; n != 0 because the minimal polynomial is irreducible
-        return FieldScalar(Fraction(a + b * self.spec.u, n), Fraction(-b, n), self.spec)
+        spec = self.spec
+        return FieldScalar._fast(*pairs.inverse((self.a, self.b), spec.u, spec.v), spec)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -194,14 +186,12 @@ class FieldScalar:
     def __pow__(self, exponent: int):
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = FieldScalar(1, 0, self.spec)
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
+        spec = self.spec
+        if exponent == 0:
+            return FieldScalar(1, 0, spec)
+        if self.b == 0:
+            return FieldScalar._fast(self.a**exponent, 0, spec)
+        return FieldScalar._fast(*pairs.power((self.a, self.b), exponent, spec.u, spec.v), spec)
 
     # -- field-specific maps --------------------------------------------
 
@@ -216,8 +206,7 @@ class FieldScalar:
         """self * conjugate(self), as a rational: a^2 + a*b*u - b^2*v."""
         if not self.spec.is_quadratic:
             raise NotQuadratic("norm needs a quadratic field")
-        a, b = self.a, self.b
-        return a * a + a * b * self.spec.u - b * b * self.spec.v
+        return pairs.norm((self.a, self.b), self.spec.u, self.spec.v)
 
     # -- predicates ------------------------------------------------------
 
@@ -247,12 +236,6 @@ class FieldScalar:
         return hash((self.a, self.b, self.spec))
 
     # -- conversions -----------------------------------------------------
-
-    def embed(self, theta_value: complex | None = None) -> complex:
-        """Numeric value of the scalar under an embedding theta -> complex."""
-        if self.b == 0:
-            return complex(self.a)
-        return complex(self.a) + complex(self.b) * theta_value
 
     def __str__(self):
         a, b = self.a, self.b

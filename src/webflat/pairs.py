@@ -1,12 +1,14 @@
-"""Ground maps over Q(theta) as pairs of rationals.
+"""Elements and ground maps over Q(theta) as pairs of rationals.
 
 An element a + b*theta of Q(theta), theta^2 = u*theta + v, is the tuple
 (a, b).  Each component is an `int` when integral and a `Fraction`
-otherwise, as over Q.  A ground map takes packed exponent vectors to
-nonzero pairs: one int per monomial, laid out in `monomials`, so that the
-sum of two is their product and int order is grlex order.  Every loop here
-reduces theta^2 inline and normalises components as it stores them, so no
-`FieldScalar` is built per term.  Nothing here knows about `MPoly`.
+otherwise, as over Q.  The element algebra (`product`, `norm`, `inverse`,
+`power`) is the one `FieldScalar` computes through.  A ground map takes
+packed exponent vectors to nonzero pairs: one int per monomial, laid out in
+`monomials`, so that the sum of two is their product and int order is grlex
+order.  Every loop here reduces theta^2 inline and normalises components as
+it stores them, so no `FieldScalar` is built per term.  Nothing here knows
+about `MPoly` or `FieldScalar`.
 """
 
 from __future__ import annotations
@@ -32,6 +34,23 @@ def product(c: tuple, d: tuple, u, v) -> tuple:
     (a1, b1), (a2, b2) = c, d
     bw = b1 * b2
     return normal(a1 * a2 + bw * v), normal(a1 * b2 + b1 * a2 + bw * u)
+
+
+def norm(c: tuple, u, v):
+    """The rational norm c * conj(c) = a^2 + a*b*u - b^2*v of c = (a, b)."""
+    a, b = c
+    return a * a + a * b * u - b * b * v
+
+
+def inverse(c: tuple, u, v) -> tuple:
+    """1 / c for a nonzero pair c = (a, b): the conjugate (a + b*u) - b*theta
+    over the norm, which is nonzero since the minimal polynomial is
+    irreducible."""
+    a, b = c
+    if not b:
+        return normal(Fraction(1, a)), 0
+    n = norm(c, u, v)
+    return normal(Fraction(a + b * u) / n), normal(Fraction(-b) / n)
 
 
 def power(c: tuple, n: int, u, v) -> tuple:
@@ -117,7 +136,7 @@ def divided(f: dict, s: tuple, u, v) -> dict:
     c, d = s
     if d:
         f = scale(f, (c + d * u, -d), u, v)
-        c = c * c + c * d * u - d * d * v
+        c = norm(s, u, v)
     n, m = c.denominator, c.numerator  # dividing by c multiplies by n / m
     return {e: (quotient(a, n, m), b and quotient(b, n, m)) for e, (a, b) in f.items()}
 
@@ -126,12 +145,7 @@ def try_exact_divide(f: dict, g: dict, u, v):
     """f / g for a nonzero g when the division is exact, else None, by trial
     division with guarded subtraction."""
     lm_g = max(g)
-    c, d = g[lm_g]
-    if d:  # 1/lc as conjugate / norm
-        n = c * c + c * d * u - d * d * v
-        inv_a, inv_b = normal(Fraction(c + d * u) / n), normal(Fraction(-d) / n)
-    else:
-        inv_a, inv_b = normal(Fraction(1, c)), 0
+    inv_a, inv_b = inverse(g[lm_g], u, v)
     out = {}
     rest = dict(f)
     while rest:

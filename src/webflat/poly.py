@@ -41,7 +41,6 @@ import sys
 from fractions import Fraction
 
 from .errors import (
-    BadEmbedding,
     DegreeExceeded,
     DivisionByZero,
     FieldMismatch,
@@ -389,7 +388,13 @@ class MPoly:
         values = {VARIABLE_INDEX[n]: scalar(_as_coefficient(x, spec)) for n, x in point.items()}
         total = 0
         for m, coeff in self._ground.items():
-            total = total + _times_powers(scalar(coeff), m, values)
+            term = scalar(coeff)
+            for i, e in enumerate(unpack(m)):
+                if e:
+                    if i not in values:
+                        raise MissingValue("no value supplied for %s" % VARIABLES[i])
+                    term = term * values[i] ** e
+            total = total + term
         return _as_scalar(total, self.spec)
 
     def __str__(self):
@@ -397,16 +402,6 @@ class MPoly:
 
     def __repr__(self):
         return "MPoly(%s)" % (self,)
-
-
-def _times_powers(term, m: int, values: dict):
-    """term times values[i] ** e for each exponent e of the packed m."""
-    for i, e in enumerate(unpack(m)):
-        if e:
-            if i not in values:
-                raise MissingValue("no value supplied for %s" % VARIABLES[i])
-            term = term * values[i] ** e
-    return term
 
 
 # -- rendering ------------------------------------------------------------------
@@ -788,13 +783,6 @@ class RatFn:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def derivative(self, var: str) -> "RatFn":
-        """Quotient rule, assembled over den^2 then reduced."""
-        return RatFn(
-            self.num.derivative(var) * self.den - self.num * self.den.derivative(var),
-            self.den * self.den,
-        )
-
     def __eq__(self, other):
         if not isinstance(other, RatFn):
             return NotImplemented
@@ -811,24 +799,3 @@ class RatFn:
     def __repr__(self):
         return "RatFn(%s)" % (self,)
 
-
-# -- numeric evaluation --------------------------------------------------------------
-
-
-def evaluate_float(f: MPoly, point: dict, theta_embedding: complex | None = None) -> complex:
-    """Floating evaluation of f at {variable: complex}.
-
-    A quadratic field requires `theta_embedding`, an approximate root of
-    the minimal polynomial (checked to 1e-12); the rationals forbid it.
-    """
-    embed, theta = complex, theta_embedding
-    if f.spec.is_quadratic:
-        if theta is None:
-            raise BadEmbedding("quadratic field needs a theta embedding")
-        if abs(theta * theta - complex(f.spec.u) * theta - complex(f.spec.v)) > 1e-12:
-            raise BadEmbedding("embedding does not satisfy the minimal polynomial")
-        embed = lambda c: complex(c[0]) + complex(c[1]) * theta  # noqa: E731
-    elif theta is not None:
-        raise BadEmbedding("theta embedding supplied for a rational field")
-    values = {VARIABLE_INDEX[name]: complex(value) for name, value in point.items()}
-    return sum((_times_powers(embed(c), m, values) for m, c in f._ground.items()), 0j)

@@ -100,18 +100,6 @@ def multiplicity_nu(vf: AffineVectorField, pt) -> int:
     return 0 if local is None else _nu(local)
 
 
-def tau(vf: AffineVectorField, pt):
-    """First jet order >= nu that is not a multiple of the radial field.
-
-    Returns TAU_INFINITE when every jet is radial.  Rejects regular
-    points: the invariant is only defined at singularities.
-    """
-    local = _local_parts(vf, pt)
-    if local is None:
-        raise NotSingular("tau is undefined at a regular point")
-    return _tau(local, _nu(local))
-
-
 def classify_singularity(vf: AffineVectorField, pt) -> SingularityReport:
     """Full local report; `special` marks the singularities whose dual
     lines join the dual web's discriminant.  The field is saturated and
@@ -167,9 +155,7 @@ def _eval_coeffs(coeffs, value):
 def _rational_root_candidates(coeffs):
     """Rational roots of a Fraction-coefficient polynomial, by the
     integer root test after clearing denominators."""
-    scale = 1
-    for c in coeffs:
-        scale = scale * c.denominator // math.gcd(scale, c.denominator)
+    scale = math.lcm(*(c.denominator for c in coeffs))
     ints = [int(c * scale) for c in coeffs]
     while ints and ints[-1] == 0:
         ints.pop()

@@ -40,6 +40,7 @@ from .poly import (
     MPoly,
     RatFn,
     cubic_discriminant,
+    cubic_resultant,
     determinant,
     exact_divide,
     poly_gcd,
@@ -177,8 +178,8 @@ class CubicWebEquation:
         return self._cubic_discriminant
 
     def discriminant(self) -> MPoly:
-        """R = Res(F, dF/ds) = -a0 * D, the slope resultant (`poly.cubic_resultant`)."""
-        return -(self.a0 * self.cubic_discriminant())
+        """R = Res(F, dF/ds) = -a0 * D, the slope resultant."""
+        return cubic_resultant(self.a0, self.a1, self.a2, self.a3)
 
     @property
     def spec(self):
@@ -443,18 +444,9 @@ class ProjectivePoint:
 
 def _strip_content(coords):
     """Clear denominators and divide out the integer content, keeping signs."""
-    denominators = []
-    for c in coords:
-        denominators.append(c.a.denominator)
-        denominators.append(c.b.denominator)
-    scale = 1
-    for d in denominators:
-        scale = scale * d // math.gcd(scale, d)
+    scale = math.lcm(*(part.denominator for c in coords for part in (c.a, c.b)))
     scaled = [c * scale for c in coords]
-    content = 0
-    for c in scaled:
-        content = math.gcd(content, abs(c.a.numerator))
-        content = math.gcd(content, abs(c.b.numerator))
+    content = math.gcd(*(part.numerator for c in scaled for part in (c.a, c.b)))
     if content > 1:
         scaled = [c * Fraction(1, content) for c in scaled]
     return tuple(scaled)
@@ -497,7 +489,11 @@ def eta_criterion(web_spec: EtaWebSpec) -> bool:
     family dy + y^a h_i dx.
 
     Criterion: y^a divides the numerator of d/dx applied to
-    (h12 * dx h23 - h23 * dx h12) / (h12 * h23 * h31), reduced.
+    N / D = (h12 * dx h23 - h23 * dx h12) / (h12 * h23 * h31), reduced.
+    With g = gcd(N, D), N = g*n and D = g*d, that numerator is n'd - nd'
+    over a factor of d^2, and the unreduced N'D - ND' is g^2 (n'd - nd').
+    y divides no factor of D (`EtaWebSpec`), so y^a divides the one
+    exactly when it divides the other, and no gcd is taken.
     """
     if web_spec.a == 0:
         return True
@@ -505,9 +501,9 @@ def eta_criterion(web_spec: EtaWebSpec) -> bool:
     h23 = web_spec.h2 - web_spec.h3
     h31 = web_spec.h3 - web_spec.h1
     numerator = h12 * h23.derivative("x") - h23 * h12.derivative("x")
-    inner = RatFn(numerator, h12 * h23 * h31)
-    outer = inner.derivative("x")
-    if outer.num.is_zero():
+    denominator = h12 * h23 * h31
+    outer = numerator.derivative("x") * denominator - numerator * denominator.derivative("x")
+    if outer.is_zero():
         return True
     y_power = MPoly.variable("y", web_spec.h1.spec) ** web_spec.a
-    return try_exact_divide(outer.num, y_power) is not None
+    return try_exact_divide(outer, y_power) is not None

@@ -2,19 +2,56 @@
 
 A deliberately separate implementation (complex-coefficient dicts, plain
 recursive determinants, no exact arithmetic or reduction) used as the
-numeric oracle against the exact pipeline.
+numeric oracle against the exact pipeline.  `evaluate_float` evaluates an
+exact `MPoly` in floats, through its public `terms`; the package itself
+has no floating point.
 """
 
 from __future__ import annotations
 
-N_VARS = 6  # x y z p q t
+from webflat.errors import DomainError
+
+VARIABLES = ("x", "y", "z", "p", "q", "t")
+N_VARS = len(VARIABLES)
+
+
+class BadEmbedding(DomainError):
+    """A theta embedding missing, not a root, or given for the rationals."""
+
+
+def embed(c, theta_embedding=None) -> complex:
+    """Numeric value of the FieldScalar c under theta -> theta_embedding."""
+    if c.b == 0:
+        return complex(c.a)
+    return complex(c.a) + complex(c.b) * theta_embedding
+
+
+def evaluate_float(f, point: dict, theta_embedding: complex | None = None) -> complex:
+    """Floating evaluation of the MPoly f at {variable: complex}.
+
+    A quadratic field requires `theta_embedding`, an approximate root of
+    the minimal polynomial (checked to 1e-12); the rationals forbid it.
+    """
+    theta, spec = theta_embedding, f.spec
+    if spec.is_quadratic:
+        if theta is None:
+            raise BadEmbedding("quadratic field needs a theta embedding")
+        if abs(theta * theta - complex(spec.u) * theta - complex(spec.v)) > 1e-12:
+            raise BadEmbedding("embedding does not satisfy the minimal polynomial")
+    elif theta is not None:
+        raise BadEmbedding("theta embedding supplied for a rational field")
+    total = 0j
+    for exponent, c in f.terms.items():
+        value = embed(c, theta)
+        for name, k in zip(VARIABLES, exponent):
+            if k:
+                value *= complex(point[name]) ** k
+        total += value
+    return total
 
 
 def float_poly_from_mpoly(f, theta_embedding=None):
-    out = {}
-    for exponent, coeff in f.terms.items():
-        out[exponent] = coeff.embed(theta_embedding)
-    return out
+    return {exponent: embed(c, theta_embedding) for exponent, c in f.terms.items()}
 
 
 def _mono(i):

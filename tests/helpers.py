@@ -9,12 +9,14 @@ from webflat import (
     MPoly,
     RATIONALS,
     FieldScalar,
+    RatFn,
     cubic_resultant,
+    divides,
     exact_divide,
     field_roots,
     tangent_cone,
 )
-from webflat.errors import NonHomogeneous, ZeroTangentCone
+from webflat.errors import DomainError, NonHomogeneous
 from webflat.monomials import VARIABLES, monomial_degree, pack, unpack
 from webflat.poly import VARIABLE_INDEX
 from webflat.singular import _univariate_coeffs
@@ -335,6 +337,10 @@ class HomogeneousAnalysis:
     unsplit: MPoly | None
 
 
+class ZeroTangentCone(DomainError):
+    """A homogeneous field that is a multiple of the radial field."""
+
+
 def homogeneous_analysis(vf: AffineVectorField) -> HomogeneousAnalysis:
     """Invariant-line slopes and tangency discriminants of a homogeneous
     field.
@@ -397,3 +403,19 @@ def homogeneous_analysis(vf: AffineVectorField) -> HomogeneousAnalysis:
         pj_discriminants=tuple(discriminants),
         unsplit=unsplit,
     )
+
+
+def eta_criterion_reduced(web_spec) -> bool:
+    """`eta_criterion` by the reduced route: N / D as a reduced `RatFn`,
+    its x-derivative by the quotient rule, reduced again, and y^a tested
+    against that numerator."""
+    if web_spec.a == 0:
+        return True
+    h12 = web_spec.h1 - web_spec.h2
+    h23 = web_spec.h2 - web_spec.h3
+    h31 = web_spec.h3 - web_spec.h1
+    inner = RatFn(h12 * h23.derivative("x") - h23 * h12.derivative("x"), h12 * h23 * h31)
+    num, den = inner.num, inner.den
+    outer = RatFn(num.derivative("x") * den - num * den.derivative("x"), den * den)
+    y_power = MPoly.variable("y", num.spec) ** web_spec.a
+    return outer.num.is_zero() or divides(y_power, outer.num)

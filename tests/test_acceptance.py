@@ -22,7 +22,6 @@ from webflat import (
     divides,
     dual_curvature,
     eta_criterion,
-    evaluate_float,
     holomorphic_along,
     inflection_divisor,
     legendre_transform,
@@ -37,6 +36,7 @@ from webflat.poly import determinant
 from webflat.errors import DegenerateWeb, DegreeExceeded, DegreeTooLow
 
 import floatkw
+from floatkw import evaluate_float
 from helpers import (
     cofactor_determinant,
     random_homogeneous,

@@ -15,6 +15,7 @@ import pytest
 import webflat
 from webflat import FieldScalar, MPoly, RatFn, quadratic_field
 import webflat.cli as cli
+import webflat.modular as modular
 from webflat.cli import MAX_PARSE_BITS, MAX_PARSE_PAIRS, main, parse_field, parse_poly, run_line
 from webflat.errors import (
     DegreeExceeded,
@@ -24,8 +25,9 @@ from webflat.errors import (
     UsageError,
 )
 from webflat.poly import render_poly
+from webflat.webs import AffineVectorField, _dual_web
 
-from helpers import random_poly
+from helpers import determinant_curvature_fraction, random_poly
 
 EISENSTEIN = quadratic_field(1, -1)
 
@@ -644,6 +646,33 @@ def test_quadratic_field_curvature_pinned(capsys, vf, field, digest):
         argv += ["--field", field]
     assert main(argv) == 0
     assert hashlib.md5(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_dual_curvature_over_the_gaussian_rationals(monkeypatch):
+    """--field "t^2=-1": every prime that splits in Q(i) is 1 mod 4, so the
+    theta-carrying gcds that reduce the curvature take their roots of theta
+    from the general modular square root.  The printed fraction equals
+    N / R^2 of the determinant algorithm, cross-multiplied."""
+    split = []
+    roots_of = modular.split_roots
+
+    def recording(u, v, p):
+        roots = roots_of(u, v, p)
+        if roots is not None:
+            split.append(p)
+        return roots
+
+    monkeypatch.setattr(modular, "split_roots", recording)
+    spec = parse_field("t^2=-1")
+    vf = "x^3+t*x*y^2 ; y^3+x-t"
+    argv = ["dual-curvature", "--vf", vf, "--field", "t^2=-1", "--format", "json"]
+    result = json.loads(run_ok(argv))
+    num, den = (parse_poly(result["result"][k], spec) for k in ("numerator", "denominator"))
+    assert split and all(p % 4 == 1 for p in split)
+    web = _dual_web(AffineVectorField(*(parse_poly(part, spec) for part in vf.split(";"))))
+    numerator, big_r = determinant_curvature_fraction(web)
+    assert any(c.b for c in num.terms.values()) and not numerator.is_zero()
+    assert num * (big_r * big_r) == numerator * den
 
 
 def test_output_determinism():

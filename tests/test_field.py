@@ -251,9 +251,11 @@ def test_components_normal_after_every_operation():
             a = random_scalar(rng, spec, quadratic=True)
             b = random_scalar(rng, spec, quadratic=True)
             values = [a + b, a - b, a * b, -a, a ** 3, a + 1, 2 - a, a * Fraction(3, 2)]
-            values += [a.conjugate()]
+            values += [a.conjugate(), a ** 0, a ** 5]
+            assert a ** 0 == 1 and a ** 3 == a * a * a and a ** 5 == a ** 3 * a * a
             if not b.is_zero():
-                values += [a / b, b.inverse(), b ** -2, 1 / b]
+                values += [a / b, b.inverse(), b ** -2, 1 / b, b ** -1]
+                assert b ** -2 * b * b == 1 and b ** -1 == b.inverse()
             for value in values:
                 _assert_normal(value)
 

@@ -15,7 +15,6 @@ from webflat import (
     cubic_discriminant,
     cubic_resultant,
     divides,
-    evaluate_float,
     exact_divide,
     poly_gcd,
     quadratic_field,
@@ -28,12 +27,12 @@ from webflat.cli import parse_field, parse_poly
 from webflat.monomials import SHIFT, UNIT, VARIABLES, pack
 from webflat.poly import VARIABLE_INDEX, determinant
 from webflat.errors import (
-    BadEmbedding,
     DivisionByZero,
     FieldMismatch,
     ZeroPolynomial,
 )
 
+from floatkw import BadEmbedding, evaluate_float
 from helpers import (
     assert_ground,
     brute_force_power,
@@ -266,7 +265,8 @@ def subresultant_gcd():
     return subresultant_oracle
 
 
-MODULAR_FIELDS = ("t^2=t+1", "t^2=t-1", "t^2=2*t+3/4")  # the last: theta not integral
+# t^2=2*t+3/4: theta not integral; t^2=-1: every split prime is 1 mod 4
+MODULAR_FIELDS = ("t^2=t+1", "t^2=t-1", "t^2=2*t+3/4", "t^2=-1")
 
 
 def _modular_gcd_pairs(field):
@@ -855,14 +855,6 @@ def test_ratfn_equality_cross_multiplied():
 def test_ratfn_zero_denominator():
     with pytest.raises(DivisionByZero):
         RatFn(X, MPoly.zero())
-
-
-def test_ratfn_quotient_rule():
-    f = RatFn(P("x^2"), P("y"))
-    d = f.derivative("x")
-    assert d == RatFn(P("2*x"), P("y"))
-    dy = f.derivative("y")
-    assert dy == RatFn(P("-x^2"), P("y^2"))
 
 
 # -- float evaluation --------------------------------------------------------------

@@ -33,9 +33,10 @@ import webflat.cli as cli  # noqa: E402
 from webflat.cli import parse_field, parse_poly  # noqa: E402
 from webflat.errors import DegreeExceeded, DegreeTooLow  # noqa: E402
 import webflat.poly as poly_module  # noqa: E402
-from webflat.poly import evaluate_float, render_poly, try_exact_divide  # noqa: E402
+from webflat.poly import render_poly, try_exact_divide  # noqa: E402
 from webflat.webs import _curvature_fraction  # noqa: E402
 
+from floatkw import embed, evaluate_float  # noqa: E402
 from helpers import (  # noqa: E402
     assert_ground,
     brute_force_power,
@@ -343,8 +344,8 @@ def test_kernels_over_quadratic_fields_match_scalar_reference(field, a, b, h, s,
     for (i, j, *_), c in f.terms.items():
         want = want + c * x0**i * y0**j
     assert type(value) is FieldScalar and value == want
-    point = {"x": x0.embed(theta), "y": 0.5}
-    approx = sum(c.embed(theta) * point["x"] ** i * 0.5**j for (i, j, *_), c in f.terms.items())
+    point = {"x": embed(x0, theta), "y": 0.5}
+    approx = sum(embed(c, theta) * point["x"] ** i * 0.5**j for (i, j, *_), c in f.terms.items())
     assert abs(evaluate_float(f, point, theta) - approx) <= 1e-9 * max(1.0, abs(approx))
     assert parse_poly(render_poly(f), spec) == f
     kappa = max(1, abs(spec.u) + abs(spec.v))

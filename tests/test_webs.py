@@ -18,7 +18,6 @@ from webflat import (
     divides,
     dual_curvature,
     eta_criterion,
-    evaluate_float,
     exact_divide,
     gauss_map_point,
     holomorphic_along,
@@ -46,7 +45,15 @@ import webflat.poly as poly_module
 from webflat.webs import _curvature_fraction, _dual_web
 
 import floatkw
-from helpers import dual_line, random_homogeneous, random_poly, random_poly_td, subresultant_oracle
+from floatkw import evaluate_float
+from helpers import (
+    dual_line,
+    eta_criterion_reduced,
+    random_homogeneous,
+    random_poly,
+    random_poly_td,
+    subresultant_oracle,
+)
 
 P = parse_poly
 
@@ -567,6 +574,32 @@ def test_eta_matches_curvature_holomorphy():
         web = CubicWebEquation.from_polynomial(f, "p", ("x", "y"))
         form = web_curvature(web)
         assert eta_criterion(spec) == holomorphic_along(form, y)
+
+
+@pytest.mark.parametrize("field", [None, "t^2=t+1", "t^2=t-1"])
+def test_eta_unreduced_numerator_matches_the_reduced_route(field):
+    """eta_criterion, which tests y^a against N'D - ND' as it stands,
+    against the route through the reduced N / D and the quotient rule."""
+    spec = RATIONALS if field is None else parse_field(field)
+    rng = random.Random(2718)
+    answers = set()
+    checked = 0
+    while checked < 80:
+        hs = [
+            random_poly(rng, ("x", "y"), rng.choice((0, 1, 2)), rng.randint(1, 3), spec=spec,
+                        quadratic=True)
+            for _ in range(3)
+        ]
+        a = rng.randint(1, 3)
+        try:
+            web_spec = EtaWebSpec(*hs, a)
+        except InvariantViolated:
+            continue
+        got = eta_criterion(web_spec)
+        assert got == eta_criterion_reduced(web_spec), (hs, a)
+        answers.add((a, got))
+        checked += 1
+    assert answers == {(a, answer) for a in (1, 2, 3) for answer in (True, False)}
 
 
 # -- exact vs float agreement ------------------------------------------------------------------------------------
