@@ -6,7 +6,13 @@ list, lowest degree first, with no trailing zero, [] being zero.  A
 polynomial in F_p[v_1, ..., v_k] is a dict from packed monomials to
 nonzero residues; `brown_gcd` takes the gcd of two of them by Brown's
 evaluation and interpolation (JACM 1971), one variable at a time down to
-Euclid's algorithm.  Nothing here knows about `MPoly`.
+Euclid's algorithm, and the engine's images, Chinese remaindering and
+rational reconstruction are here too.  `certified_coprime` comes first
+for two variables: from ground maps over Q or Q(theta) it proves, with
+two univariate images per input at one prime, that most pairs left once
+their monomial gcd is shifted out are coprime.  Nothing here knows about
+`MPoly`, and nothing here imports `poly`, `field`, `webs`, `singular` or
+`cli`, so this module loads only with the first gcd.
 """
 
 from __future__ import annotations
@@ -125,6 +131,65 @@ def rational_reconstruction(x: int, m: int):
     return Fraction(r1, s1)
 
 
+def top_monomials(keys, shifts) -> list:
+    """For each variable at `shifts`, the keys at the top degree in it: an
+    image mod p keeps that degree iff one of them survives."""
+    tops = []
+    for s in shifts:
+        row = [exponent_at(m, s) for m in keys]
+        top = max(row)
+        tops.append([m for m, e in zip(keys, row) if e == top])
+    return tops
+
+
+def image(terms: list, lm: int, tops: list, r: int, p: int):
+    """The terms (m, a, b) of a + b*theta times m, a and b reduced mod p,
+    under theta -> r; None when the image loses the leading monomial lm or,
+    with all its `top_monomials`, the degree in some variable."""
+    out = {m: c for m, a, b in terms if (c := (a + b * r) % p)}
+    return out if lm in out and all(any(m in out for m in ms) for ms in tops) else None
+
+
+def theta_parts(images: list, roots: list, p: int) -> dict:
+    """The residues (h0, h1) of h = h0 + h1*theta mod p, monomial by
+    monomial, from its images under theta -> r for each of the roots: one
+    image at theta -> 0, or two at distinct roots r1, r2."""
+    if len(roots) == 1:
+        return {e: (c, 0) for e, c in images[0].items()}
+    (h1, h2), (r1, r2) = images, roots
+    inv_diff = pow(r1 - r2, -1, p)
+    parts = {}
+    for e in h1.keys() | h2.keys():
+        c1, c2 = h1.get(e, 0), h2.get(e, 0)
+        b = (c1 - c2) * inv_diff % p
+        parts[e] = ((c1 - b * r1) % p, b)
+    return parts
+
+
+def chinese_remainder(residues: dict, modulus: int, parts: dict, p: int) -> dict:
+    """The pairs mod modulus*p that are `residues` mod modulus and `parts`
+    mod p, monomial by monomial (an absent monomial is (0, 0))."""
+    inv = pow(modulus, -1, p)
+    return {
+        e: tuple(x + modulus * ((y - x) * inv % p)
+                 for x, y in zip(residues.get(e, (0, 0)), parts.get(e, (0, 0))))
+        for e in residues.keys() | parts.keys()
+    }
+
+
+def reconstruct(residues: dict, modulus: int):
+    """The rational pairs with these residues mod modulus, zero pairs left
+    out, or None when some component has no rational reconstruction."""
+    out = {}
+    for e, pair in residues.items():
+        a, b = (rational_reconstruction(x, modulus) for x in pair)
+        if a is None or b is None:
+            return None
+        if a or b:
+            out[e] = (a, b)
+    return out
+
+
 def trim(a: list) -> list:
     while a and not a[-1]:
         a.pop()
@@ -236,6 +301,68 @@ def divides(h: dict, f: dict, p: int) -> bool:
             else:
                 rest.pop(k, None)
     return True
+
+
+def _residue(c, p: int, r):
+    """The image in F_p of a ground element: a rational over Q (r None), a
+    pair (a, b) under theta -> r over Q(theta); None when p divides a
+    denominator."""
+    if r is None:
+        return None if c.denominator % p == 0 else fraction_mod(c, p)
+    a, b = c
+    if a.denominator % p == 0 or b.denominator % p == 0:
+        return None
+    return (fraction_mod(a, p) + fraction_mod(b, p) * r) % p
+
+
+def _images_at_one(ground: dict, v: int, w: int, p: int, r):
+    """One scan of a ground map in the variables at shifts v and w: its
+    images mod p at w = 1 (in v) and at v = 1 (in w), dense.  None when p
+    divides a denominator."""
+    at_w, at_v = {}, {}  # exponent of v, resp. w -> coefficient sum
+    for m, c in ground.items():
+        if c.__class__ is not int:
+            c = _residue(c, p, r)
+            if c is None:
+                return None
+        i, j = exponent_at(m, v), exponent_at(m, w)
+        at_w[i] = at_w.get(i, 0) + c
+        at_v[j] = at_v.get(j, 0) + c
+    return (
+        [at_w.get(i, 0) % p for i in range(max(at_w) + 1)],
+        [at_v.get(j, 0) % p for j in range(max(at_v) + 1)],
+    )
+
+
+def certified_coprime(f: dict, g: dict, v: int, w: int, theta=None) -> bool:
+    """True when images modulo one prime prove two nonzero polynomials in
+    the variables at shifts v and w, packed, coprime; False when they
+    cannot.
+
+    Over Q the prime is the first one.  Over Q(theta), `theta` holds the
+    (u, v) of theta^2 = u*theta + v, and the prime is the first split one,
+    with theta sent to its first root r.
+    f and g are coprime when every image keeps its input's degree, f(v, 1)
+    and g(v, 1) are coprime in F_p[v], and f(1, w) and g(1, w) in F_p[w]:
+    a common factor h with deg_v h >= 1 keeps its leading coefficient in v
+    at w = 1 whenever f does (Gauss's lemma at p, as in Brown, JACM 1971),
+    so it would leave a factor of positive degree in both images; likewise
+    in w.  So h is constant.  Each image is a dense list, one entry per
+    degree: callers take the cheap exits (a constant input, no shared
+    variable) first, as Brown's evaluations are dense in every variable."""
+    if theta is None:
+        p, r = nth_prime(0), None
+    else:
+        p, r, _ = next(split_primes(*theta))
+    images = []
+    for ground in (f, g):
+        scan = _images_at_one(ground, v, w, p, r)
+        # a zero top entry: that image lost its input's degree
+        if scan is None or not (scan[0][-1] and scan[1][-1]):
+            return False
+        images.append(scan)
+    (fv, fw), (gv, gw) = images
+    return len(gcd(fv, gv, p)) == 1 and len(gcd(fw, gw, p)) == 1
 
 
 def brown_gcd(a: dict, b: dict, p: int, shifts) -> dict:

@@ -82,27 +82,33 @@ def neg(f: dict) -> dict:
     return {e: (-a, -b) for e, (a, b) in f.items()}
 
 
-def mul(f: dict, g: dict, u, v) -> dict:
-    """f * g.  Each exponent collects its rational part, theta part and
-    theta^2 part; theta^2 = u*theta + v is reduced once per exponent."""
-    if len(f) > len(g):  # the shorter operand on the outside
-        f, g = g, f
+def sum_of_products(terms, u, v) -> dict:
+    """The sum of k * f * g over the (k, f, g) triples, k a nonzero int, f
+    and g nonzero ground maps.  Each exponent collects its rational part,
+    theta part and theta^2 part over every product; theta^2 = u*theta + v
+    is reduced once per exponent, and components are normalised once."""
     acc = {}
-    for e1, (a1, b1) in f.items():
-        for e2, (a2, b2) in g.items():
-            have = acc.get(e := e1 + e2)
-            if b1:
-                if have is None:
-                    acc[e] = [a1 * a2, a1 * b2 + b1 * a2, b1 * b2]
+    get = acc.get
+    for k, f, g in terms:
+        if len(f) > len(g):  # the shorter operand on the outside
+            f, g = g, f
+        for e1, (a1, b1) in f.items():
+            if k != 1:
+                a1, b1 = k * a1, k * b1
+            for e2, (a2, b2) in g.items():
+                have = get(e := e1 + e2)
+                if b1:
+                    if have is None:
+                        acc[e] = [a1 * a2, a1 * b2 + b1 * a2, b1 * b2]
+                    else:
+                        have[0] += a1 * a2
+                        have[1] += a1 * b2 + b1 * a2
+                        have[2] += b1 * b2
+                elif have is None:
+                    acc[e] = [a1 * a2, a1 * b2, 0]
                 else:
                     have[0] += a1 * a2
-                    have[1] += a1 * b2 + b1 * a2
-                    have[2] += b1 * b2
-            elif have is None:
-                acc[e] = [a1 * a2, a1 * b2, 0]
-            else:
-                have[0] += a1 * a2
-                have[1] += a1 * b2
+                    have[1] += a1 * b2
     out = {}
     for e, (a, b, w) in acc.items():
         if w:

@@ -17,12 +17,16 @@ Algorithms
 * division: a one-term divisor costs one guarded subtraction a term; a
   longer one runs trial division from the leading term, the `max` of the
   packed keys.
-* gcd: monomial content is pulled out first.  Then one modular gcd in
-  any number of variables, over Q and Q(theta) alike: Brown's evaluation
-  and interpolation mod p (`modular`, on the same packed keys) with
-  Euclid in the shared variable in the most terms; Chinese remaindering
-  and rational reconstruction; confirmed by trial division.  The tests
-  keep the subresultant remainder sequence as its oracle.
+* products: `sum_of_products` adds the k*f*g of a whole closed form into
+  one ground map and normalises once; `*` is its one-term case.
+* gcd: monomial content is pulled out first.  In two variables, coprime
+  images at w = 1 and at v = 1 mod one prime then certify the most common
+  answer, 1.  Otherwise one modular gcd in any number of variables, over
+  Q and Q(theta) alike: Brown's evaluation and interpolation mod p
+  (`modular`, on the same packed keys) with Euclid in the shared variable
+  in the most terms; Chinese remaindering and rational reconstruction;
+  confirmed by trial division.  The tests keep the subresultant remainder
+  sequence as its oracle.
 * powers: binomial theorem for one or two terms, squaring for more.
 * determinant: the 3x3 of the inflection divisor in closed form; the
   tests keep cofactor expansion as its oracle.
@@ -238,35 +242,17 @@ class MPoly:
         return MPoly._raw({e: -c for e, c in self._ground.items()}, self.spec)
 
     def __mul__(self, other):
+        if isinstance(other, MPoly):
+            return sum_of_products([(1, self, other)])
+        if not isinstance(other, (int, Fraction, FieldScalar)):
+            return NotImplemented
         spec = self.spec
-        if not isinstance(other, MPoly):
-            if not isinstance(other, (int, Fraction, FieldScalar)):
-                return NotImplemented
-            s = _as_coefficient(other, spec)
-            if not s:
-                return MPoly.zero(spec)
-            if spec.is_quadratic:
-                return MPoly._raw(pairs.scale(self._ground, s, spec.u, spec.v), spec)
-            return MPoly._raw({e: _normal(c * s) for e, c in self._ground.items()}, spec)
-        if other.spec is not spec:
-            self._check(other)
-        left, right = self._ground, other._ground
-        if not left or not right:
+        s = _as_coefficient(other, spec)
+        if not s:
             return MPoly.zero(spec)
-        bounded(monomial_degree(max(left)) + monomial_degree(max(right)))
         if spec.is_quadratic:
-            return MPoly._raw(pairs.mul(left, right, spec.u, spec.v), spec)
-        if len(left) > len(right):  # the shorter operand on the outside
-            left, right = right, left
-        out = {}
-        get = out.get
-        for e1, c1 in left.items():
-            for e2, c2 in right.items():
-                have = get(e := e1 + e2)
-                out[e] = c1 * c2 if have is None else have + c1 * c2
-        return MPoly._raw(
-            {e: c if c.__class__ is int else _normal(c) for e, c in out.items() if c}, spec
-        )
+            return MPoly._raw(pairs.scale(self._ground, s, spec.u, spec.v), spec)
+        return MPoly._raw({e: _normal(c * s) for e, c in self._ground.items()}, spec)
 
     __rmul__ = __mul__
 
@@ -402,6 +388,36 @@ class MPoly:
 
     def __repr__(self):
         return "MPoly(%s)" % (self,)
+
+
+def sum_of_products(terms) -> MPoly:
+    """The sum of k * f * g over a nonempty list of (k, f, g) triples, k an
+    int and f, g polynomials over the field of the first f.  Every product
+    adds into one ground map, normalised once; each raises as f * g does."""
+    first = terms[0][1]
+    spec, operands = first.spec, []
+    for k, f, g in terms:
+        first._check(f)
+        first._check(g)
+        left, right = f._ground, g._ground
+        if left and right:
+            bounded(monomial_degree(max(left)) + monomial_degree(max(right)))
+            if k:
+                operands.append((k, left, right))
+    if spec.is_quadratic:
+        return MPoly._raw(pairs.sum_of_products(operands, spec.u, spec.v), spec)
+    out = {}
+    get = out.get
+    for k, left, right in operands:
+        if len(left) > len(right):  # the shorter operand on the outside
+            left, right = right, left
+        for e1, c1 in left.items():
+            if k != 1:
+                c1 = k * c1
+            for e2, c2 in right.items():
+                have = get(e := e1 + e2)
+                out[e] = c1 * c2 if have is None else have + c1 * c2
+    return MPoly._raw({e: c if c.__class__ is int else _normal(c) for e, c in out.items() if c}, spec)
 
 
 # -- rendering ------------------------------------------------------------------
@@ -566,10 +582,6 @@ def _gcd_modular(f: MPoly, g: MPoly, variables) -> MPoly:
 
     spec = f.spec
     shifts = [SHIFT[i] for i in variables]
-
-    def degrees(keys):  # the degree in each of `variables`
-        return [max([exponent_at(m, s) for m in keys]) for s in shifts]
-
     denominator = 1
     inputs = []
     for poly in (f, g):
@@ -580,18 +592,11 @@ def _gcd_modular(f: MPoly, g: MPoly, variables) -> MPoly:
             terms = [(m, c, 0) for m, c in ground]
         for _, a, b in terms:
             denominator = math.lcm(denominator, a.denominator, b.denominator)
-        inputs.append((terms, (max(poly._ground), degrees(poly._ground))))
-    if any(b for terms, _ in inputs for *_, b in terms):
+        inputs.append((terms, max(poly._ground), modular.top_monomials(poly._ground, shifts)))
+    if any(b for terms, _, _ in inputs for *_, b in terms):
         primes = modular.split_primes(spec.u, spec.v)
     else:  # one image per prime, at theta -> 0
         primes = ((p, 0) for p in modular.primes())
-
-    def image(terms, shape, r, p):
-        """One input under theta -> r, or None when the image loses the
-        leading monomial or the degree in some variable."""
-        lm, degree = shape
-        out = {m: c for m, a, b in terms if (c := (a + b * r) % p)}
-        return out if lm in out and degrees(out) == degree else None
 
     best = math.inf  # leading monomial of the images kept, none yet
     modulus, residues, tested = 1, {}, None
@@ -599,8 +604,8 @@ def _gcd_modular(f: MPoly, g: MPoly, variables) -> MPoly:
         if denominator % p == 0:
             continue
         reduced = [([(m, modular.fraction_mod(a, p), modular.fraction_mod(b, p) if b else 0)
-                     for m, a, b in terms], shape) for terms, shape in inputs]
-        images = [[image(terms, shape, r, p) for terms, shape in reduced] for r in roots]
+                     for m, a, b in terms], lm, tops) for terms, lm, tops in inputs]
+        images = [[modular.image(*one, r, p) for one in reduced] for r in roots]
         if any(terms is None for pair in images for terms in pair):
             continue
         gcds = []
@@ -616,32 +621,11 @@ def _gcd_modular(f: MPoly, g: MPoly, variables) -> MPoly:
             continue
         if lm < best:
             best, modulus, residues = lm, 1, {}
-        if len(roots) == 1:
-            solved = {e: (c, 0) for e, c in gcds[0][1].items()}
-        else:
-            h1, h2 = gcds[0][1], gcds[1][1]
-            inv_diff = pow(roots[0] - roots[1], -1, p)
-            solved = {}
-            for e in h1.keys() | h2.keys():
-                c1, c2 = h1.get(e, 0), h2.get(e, 0)
-                b = (c1 - c2) * inv_diff % p
-                solved[e] = ((c1 - b * roots[0]) % p, b)
-        inv_modulus = pow(modulus, -1, p)
-        for e in residues.keys() | solved.keys():
-            old, new = residues.get(e, (0, 0)), solved.get(e, (0, 0))
-            residues[e] = tuple(
-                x + modulus * ((y - x) * inv_modulus % p) for x, y in zip(old, new)
-            )
+        residues = modular.chinese_remainder(
+            residues, modulus, modular.theta_parts([h for _, h in gcds], roots, p), p
+        )
         modulus *= p
-        candidate = {}
-        for e, (a, b) in residues.items():
-            a = modular.rational_reconstruction(a, modulus)
-            b = modular.rational_reconstruction(b, modulus)
-            if a is None or b is None:
-                candidate = None
-                break
-            if a or b:
-                candidate[e] = (a, b)
+        candidate = modular.reconstruct(residues, modulus)
         if candidate is None or candidate == tested:
             continue
         tested = candidate
@@ -668,13 +652,22 @@ def _gcd_raw(f: MPoly, g: MPoly) -> MPoly:
         return mono
     if f._ground == g._ground:  # the cheap win first
         return mono * f
+    # most pairs left here are coprime: in two variables, certify that
+    # first, by images no denser than the engine's evaluations
+    names = sorted(names_f | names_g)
+    if len(names) == 2:
+        from . import modular
+        v, w = (SHIFT[VARIABLE_INDEX[name]] for name in names)
+        theta = (spec.u, spec.v) if spec.is_quadratic else None
+        if modular.certified_coprime(f._ground, g._ground, v, w, theta):
+            return mono
     # Euclid runs in the shared variable appearing in the most terms
     def frequency(name):
         s = SHIFT[VARIABLE_INDEX[name]]
         return sum(1 for m in (*f._ground, *g._ground) if exponent_at(m, s))
 
     first = max(sorted(shared), key=frequency)
-    rest = sorted(VARIABLE_INDEX[name] for name in names_f | names_g if name != first)
+    rest = sorted(VARIABLE_INDEX[name] for name in names if name != first)
     return mono * _gcd_modular(f, g, (VARIABLE_INDEX[first], *rest))
 
 
@@ -716,19 +709,21 @@ def determinant(rows) -> MPoly:
     """Determinant of a 3x3 matrix of polynomials, given as its three rows,
     expanded along the first row."""
     (a, b, c), (d, e, f), (g, h, i) = rows
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    return sum_of_products([
+        (1, a, sum_of_products([(1, e, i), (-1, f, h)])),
+        (-1, b, sum_of_products([(1, d, i), (-1, f, g)])),
+        (1, c, sum_of_products([(1, d, h), (-1, e, g)])),
+    ])
 
 
 def cubic_discriminant(a0: MPoly, a1: MPoly, a2: MPoly, a3: MPoly) -> MPoly:
     """Discriminant of the slope cubic a0*s^3 + a1*s^2 + a2*s + a3, even
     in (a1, a3): a1^2 a2^2 - 4 a0 a2^3 - 4 a1^3 a3 - 27 a0^2 a3^2 + 18 a0 a1 a2 a3."""
-    a12 = a1 * a2
-    a03 = a0 * a3
-    return (
-        a12 * (a12 + 18 * a03)
-        - 27 * (a03 * a03)
-        - 4 * (a0 * (a2 * a2 * a2) + a1 * a1 * a1 * a3)
-    )
+    a12, a03 = a1 * a2, a0 * a3
+    return sum_of_products([
+        (1, a12, a12), (18, a12, a03), (-27, a03, a03),
+        (-4, a0 * a2, a2 * a2), (-4, a1 * a1, a1 * a3),
+    ])
 
 
 def cubic_resultant(a0: MPoly, a1: MPoly, a2: MPoly, a3: MPoly) -> MPoly:

@@ -44,6 +44,7 @@ from .poly import (
     determinant,
     exact_divide,
     poly_gcd,
+    sum_of_products,
     try_exact_divide,
 )
 from .monomials import UNIT, bounded, monomial_degree
@@ -309,6 +310,9 @@ def _curvature_fraction(web: CubicWebEquation):
     c0..c4 is the derivative row and s, q, p are the Hessian coefficients
     of the slope cubic.  The determinant algorithm's 5x5 determinants are
     alpha_i = a0 * beta_i, and its numerator over R^2 = a0^2 D^2 is a0^2 M.
+    Each of s, q, p, beta1, beta2 and M, and each bracket in them, is one
+    `sum_of_products` call: its products add into one ground map, which is
+    normalised once.
     """
     u, v = web.base_vars
     a0, a1, a2, a3 = web.a0, web.a1, web.a2, web.a3
@@ -320,24 +324,26 @@ def _curvature_fraction(web: CubicWebEquation):
     c2 = a1.derivative(u) + a2.derivative(v)
     c3 = a2.derivative(u) + a3.derivative(v)
     c4 = a3.derivative(u)
-    s = 3 * (a0 * a2) - a1 * a1
-    q = 9 * (a0 * a3) - a1 * a2
-    p = 3 * (a1 * a3) - a2 * a2
-    beta1 = (
-        a3 * (q * c1 - 2 * (p * c0 + s * c2))
-        - (a0 * p - a2 * s) * c3
-        + 2 * ((a0 * q - a1 * s) * c4)
-    )
-    beta2 = (
-        (a3 * s - a1 * p) * c1
-        - 2 * ((a3 * q - a2 * p) * c0)
-        + a0 * (2 * (p * c2 + s * c4) - q * c3)
-    )
-    numerator = (
-        beta2 * disc.derivative(u)
-        + beta1 * disc.derivative(v)
-        - disc * (beta2.derivative(u) + beta1.derivative(v))
-    )
+    s = sum_of_products([(3, a0, a2), (-1, a1, a1)])
+    q = sum_of_products([(9, a0, a3), (-1, a1, a2)])
+    p = sum_of_products([(3, a1, a3), (-1, a2, a2)])
+    # beta1 = a3 (q c1 - 2 p c0 - 2 s c2) + (a2 s - a0 p) c3 + 2 (a0 q - a1 s) c4
+    beta1 = sum_of_products([
+        (1, a3, sum_of_products([(1, q, c1), (-2, p, c0), (-2, s, c2)])),
+        (1, c3, sum_of_products([(1, a2, s), (-1, a0, p)])),
+        (2, c4, sum_of_products([(1, a0, q), (-1, a1, s)])),
+    ])
+    # beta2 = (a3 s - a1 p) c1 - 2 (a3 q - a2 p) c0 + a0 (2 p c2 + 2 s c4 - q c3)
+    beta2 = sum_of_products([
+        (1, c1, sum_of_products([(1, a3, s), (-1, a1, p)])),
+        (-2, c0, sum_of_products([(1, a3, q), (-1, a2, p)])),
+        (1, a0, sum_of_products([(2, p, c2), (2, s, c4), (-1, q, c3)])),
+    ])
+    numerator = sum_of_products([
+        (1, beta2, disc.derivative(u)),
+        (1, beta1, disc.derivative(v)),
+        (-1, disc, beta2.derivative(u) + beta1.derivative(v)),
+    ])
     return numerator, disc
 
 

@@ -11,9 +11,9 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from webflat import RATIONALS, FieldScalar, MPoly  # noqa: E402
+from webflat import RATIONALS, FieldScalar, MPoly, quadratic_field  # noqa: E402
 from webflat.cli import parse_field, parse_poly, run_line  # noqa: E402
-from webflat.errors import DegreeExceeded  # noqa: E402
+from webflat.errors import DegreeExceeded, FieldMismatch  # noqa: E402
 import webflat.poly as poly_module  # noqa: E402
 from webflat.monomials import (  # noqa: E402
     BOUND,
@@ -305,6 +305,54 @@ def test_products_and_powers_past_the_bound(spec):
     assert (big * MPoly.one(spec)).terms == big.terms
     with pytest.raises(DegreeExceeded):
         big * x * x
+
+
+# -- the sum-of-products kernel -----------------------------------------------------
+
+KERNEL_SPECS = SPECS + (quadratic_field(Fraction(1, 3), Fraction(5, 2)),)
+_operands = st.lists(st.tuples(_small, _coefficients), max_size=5)  # empty: zero
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(st.sampled_from(KERNEL_SPECS),
+       st.lists(st.tuples(st.integers(-3, 3), _operands, _operands), min_size=1, max_size=4),
+       st.booleans())
+def test_sum_of_products_matches_tuple_reference(spec, triples, cancel):
+    """Zero operands, k = 0 and negative k, Fraction and theta parts, and
+    with `cancel` the first product again with -k, so that it cancels."""
+    terms = [(k, _build(spec, a), _build(spec, b)) for k, a, b in triples]
+    if cancel:
+        k, f, g = terms[0]
+        terms.append((-k, g, f))
+    want = {}
+    for k, f, g in terms:
+        want = _ref_add(want, {e: c * k for e, c in _ref_mul(f.terms, g.terms, spec).items()})
+    got = poly_module.sum_of_products(terms)
+    assert got.terms == want
+    assert_ground(got)
+    _, f, g = terms[0]
+    one = poly_module.sum_of_products([(1, f, g)])
+    assert one == f * g and one.terms == _ref_mul(f.terms, g.terms, spec)
+
+
+@pytest.mark.parametrize("spec", KERNEL_SPECS, ids=["Q", "Q(theta)", "fractions"])
+def test_sum_of_products_raises_as_products_do(spec):
+    """The degree bound is checked per product and is exact, whatever k is
+    and whatever the other products are; a zero operand is never checked,
+    as for `*`.  Operands over another field raise FieldMismatch."""
+    sop = poly_module.sum_of_products
+    x, y = MPoly.variable("x", spec), MPoly.variable("y", spec)
+    top = x ** (BOUND - 2)
+    assert sop([(2, top, x), (-1, y, y)]).leading_monomial() == (BOUND - 1, 0, 0, 0, 0, 0)
+    for k in (1, -2, 0):
+        with pytest.raises(DegreeExceeded):
+            sop([(1, x, y), (k, top, x * y)])
+    assert sop([(3, top * x, MPoly.zero(spec)), (1, x, y)]) == x * y
+    other = RATIONALS if spec.is_quadratic else GOLDEN
+    for terms in ([(1, x, MPoly.variable("x", other))],
+                  [(1, x, y), (1, MPoly.one(other), MPoly.one(other))]):
+        with pytest.raises(FieldMismatch):
+            sop(terms)
 
 
 def test_parser_degree_bound_is_exact():

@@ -23,8 +23,8 @@ from webflat import (
 )
 import webflat.modular as modular
 import webflat.poly as poly_module
-from webflat.cli import parse_field, parse_poly
-from webflat.monomials import SHIFT, UNIT, VARIABLES, pack
+from webflat.cli import parse_field, parse_poly, run_line
+from webflat.monomials import BOUND, SHIFT, UNIT, VARIABLES, pack
 from webflat.poly import VARIABLE_INDEX, determinant
 from webflat.errors import (
     DivisionByZero,
@@ -320,20 +320,31 @@ def _recording(monkeypatch, calls):
 
 @pytest.mark.parametrize("field", ("rationals",) + MODULAR_FIELDS)
 def test_modular_gcd_matches_subresultant_oracle(monkeypatch, subresultant_gcd, field):
+    """`poly_gcd`, which answers most coprime pairs by the certificate, and
+    the engine itself on every pair with Euclid in either variable, so that
+    Brown's coprime exit stays checked against the oracle too."""
     pairs = _rational_gcd_pairs() if field == "rationals" else _modular_gcd_pairs(field)
+    engine_gcd = poly_module._gcd_modular  # called directly, not recorded
     calls = []
     with monkeypatch.context() as patch:
         _recording(patch, calls)
         budget = _budget(patch, 100)
-        fast = []
+        fast, engine = [], []
         for f, g in pairs:
             budget.clear()  # at most 15 calls a pair here
             fast.append(poly_gcd(f, g))
+            present = sorted(VARIABLE_INDEX[name] for name in f.variables() | g.variables())
+            for order in (present, present[::-1]):
+                budget.clear()
+                engine.append(engine_gcd(f, g, tuple(order)))
     # the swapped copies run the oracle in the other recursion variable
-    assert fast == [subresultant_gcd(f, g, "x") for f, g in pairs]
+    oracle = [subresultant_gcd(f, g, "x") for f, g in pairs]
+    assert fast == oracle
+    assert engine == [d for d in oracle for _ in range(2)]
+    assert any(d.is_one() for d in oracle)
     if field == "rationals":
         assert fast == [subresultant_gcd(f, g, "y") for f, g in pairs]
-    # the engine answered every call, with Euclid in either variable
+    # poly_gcd reached the engine too, which answered, with Euclid in either variable
     assert calls and all(ok for _, ok in calls)
     assert {v[0] for v, _ in calls} >= {VARIABLE_INDEX["x"], VARIABLE_INDEX["y"]}
 
@@ -407,6 +418,137 @@ def test_modular_gcd_refuses_wrong_candidate(monkeypatch, subresultant_gcd, fiel
     assert divisions[0] is False and divisions[-2:] == [True, True]
     assert calls and all(ok for _, ok in calls)
     assert d == h.monic() == subresultant_gcd(f, g, "x")
+
+
+# -- the coprime-first certificate in two variables ------------------------------
+
+CERTIFICATE_FIELDS = ("rationals", "t^2=t+1", "t^2=t-1")
+
+
+def _certified(f, g):
+    """`modular.certified_coprime` of f and g in (v, w) = (x, y)."""
+    spec = f.spec
+    theta = (spec.u, spec.v) if spec.is_quadratic else None
+    return modular.certified_coprime(f._ground, g._ground, SHIFT[0], SHIFT[1], theta)
+
+
+def _certificate_prime(spec):
+    return next(modular.split_primes(spec.u, spec.v))[0] if spec.is_quadratic else modular.nth_prime(0)
+
+
+def _recording_certificate(monkeypatch, seen):
+    """Record the answer of every call of the certificate."""
+    inner = modular.certified_coprime
+
+    def recording(*args):
+        seen.append(inner(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(modular, "certified_coprime", recording)
+
+
+@pytest.mark.parametrize("field", CERTIFICATE_FIELDS)
+def test_certificate_proves_coprime_pairs_with_monomial_contents(monkeypatch, field):
+    """Seeded coprime pairs times monomials on both sides, in both variables
+    and of unequal exponents: `poly_gcd` shifts the monomials out, the
+    certificate proves the rest coprime, and the engine is never reached."""
+    spec = RATIONALS if field == "rationals" else parse_field(field)
+    rng = random.Random(1971)
+    pairs = []
+    while len(pairs) < 8:
+        a, b = (random_poly(rng, ("x", "y"), 3, 4, spec, nonzero=True, quadratic=True)
+                for _ in range(2))
+        fx, fy, gx, gy = (rng.randint(1, 3) for _ in range(4))
+        f = MPoly.monomial((fx, fy, 0, 0, 0, 0), 1, spec) * a
+        g = MPoly.monomial((gx, gy, 0, 0, 0, 0), 1, spec) * b
+        want = subresultant_oracle(f, g, "x")
+        if (len(want.terms) == 1 and (fx, fy) != (gx, gy)  # a monomial gcd
+                and {"x", "y"} == a.variables() == b.variables()
+                and all(poly_module._monomial_content(p._ground) == 0 for p in (a, b))):
+            pairs.append((f, g, want))
+            assert _certified(a, b) and _certified(b, a)
+    calls, seen = [], []
+    with monkeypatch.context() as patch:
+        _recording(patch, calls)
+        _recording_certificate(patch, seen)
+        for f, g, want in pairs:
+            assert poly_gcd(f, g) == want
+    assert not calls and seen == [True] * len(pairs)
+
+
+@pytest.mark.parametrize("field", CERTIFICATE_FIELDS)
+def test_certificate_refuses_images_that_lose_degree_or_share_a_factor(monkeypatch, field):
+    spec = RATIONALS if field == "rationals" else parse_field(field)
+    x, y, one = MPoly.variable("x", spec), MPoly.variable("y", spec), MPoly.one(spec)
+    h = (x - one) * (y - one) + one  # 1 at x = 1 and at y = 1
+    cases = [
+        # images at 1 coprime, but each has lost its input's degree: gcd h
+        (h * (x + y + 3 * one), h * (x + 2 * y + 5 * one), h),
+        # both images at y = 1 are x: refused, though the gcd is 1
+        (x + y - one, x + (y - one) ** 2, one),
+    ]
+    for f, g, want in cases:
+        calls, seen = [], []
+        with monkeypatch.context() as patch:
+            _recording(patch, calls)
+            _recording_certificate(patch, seen)
+            assert poly_gcd(f, g) == want.monic() == subresultant_oracle(f, g, "x")
+        assert seen == [False] and calls and all(ok for _, ok in calls)
+    # x with x + (y - 1)^2: both images at y = 1 are x, so the certificate
+    # refuses and the engine finds 1; poly_gcd shifts x out to 1 first
+    f, g = x, x + (y - one) ** 2
+    assert not _certified(f, g) and not _certified(g, f)
+    assert poly_module._gcd_modular(f, g, (0, 1)).is_one()
+    assert poly_gcd(f, g).is_one()
+
+
+@pytest.mark.parametrize("field", CERTIFICATE_FIELDS)
+def test_certificate_refuses_a_denominator_divisible_by_its_prime(field):
+    spec = RATIONALS if field == "rationals" else parse_field(field)
+    g = P("x - y + 2", spec)
+    for d in (3, _certificate_prime(spec)):
+        f = P("x*y + 1", spec) + MPoly.constant(Fraction(1, d), spec) * P("y^2", spec)
+        assert _certified(f, g) == _certified(g, f) == (d == 3)
+        assert poly_gcd(f, g).is_one() and subresultant_oracle(f, g, "x").is_one()
+
+
+def test_certificate_is_passed_by_in_one_and_in_three_variables(monkeypatch):
+    seen = []
+    one_variable = [(P("x^2 - 1"), P("x^3 - 1")), (P("y^2 + 2*y"), P("3*y + 5"))]
+    three_variables = [(P("(x + y + z)*(x - z)"), P("(x + y + z)*(y + 1)")),
+                       (P("x*y + z"), P("x - y*z + 2"))]
+    with monkeypatch.context() as patch:
+        _recording_certificate(patch, seen)
+        for f, g in one_variable + three_variables:
+            assert poly_gcd(f, g) == subresultant_oracle(f, g)
+        assert not seen
+        assert poly_gcd(P("x*y + 1"), P("x - y")).is_one()
+        assert seen == [True]
+
+
+def test_cheap_exits_come_before_the_certificate(monkeypatch):
+    """The certificate's images are dense in the degrees, so a constant
+    input after the monomial gcd is shifted out, or no shared variable,
+    answers first: these finish at once without it or the engine."""
+    big, high = "x^%d" % (BOUND - 2), "x^%d" % (BOUND - 4)
+
+    def refuse(*args):
+        raise AssertionError("reached the certificate or the engine")
+
+    cases = [
+        (P(big + " - 1"), P("y"), P("1")),
+        (P(big + " - 1"), P("y - 1"), P("1")),
+        (P(high + "*y + 1"), P("x*y"), P("1")),
+        (P(high + "*y^2 + y"), P("x*y"), P("y")),
+    ]
+    with monkeypatch.context() as patch:
+        patch.setattr(modular, "certified_coprime", refuse)
+        patch.setattr(poly_module, "_gcd_modular", refuse)
+        for f, g, want in cases:
+            assert poly_gcd(f, g) == poly_gcd(g, f) == want
+        out, err, code = run_line(["sing", "--vf", big + " - 1 ; y", "--at", "0, 0"])
+    assert (out, code) == ("", 2)
+    assert err == "error: NotSingular: the saturated field does not vanish at (0, 0)"
 
 
 def _unlucky_prime_cases(spec):

@@ -1,5 +1,6 @@
-"""Checks on the package source itself: the error contract and the size of
-the largest module."""
+"""Checks on the package source itself: the error contract, the size of
+the largest module, the owner of the monomial layout, and the modules that
+must import no layer above them."""
 
 import ast
 import builtins
@@ -82,3 +83,28 @@ def test_monomial_layout_is_defined_only_in_monomials():
     assert set(owners) == LAYOUT | LAYOUT_FUNCTIONS, owners
     assert all(files == {"monomials.py"} for files in owners.values()), owners
     assert readers == {"monomials.py"}, readers
+
+
+LEAF_MODULES = ("modular.py", "pairs.py", "monomials.py")
+LAYERS = {"poly", "field", "webs", "singular", "cli"}
+
+
+def test_leaf_modules_import_no_layer():
+    """`modular`, `pairs` and `monomials` work on ground maps and packed
+    monomials and know nothing of `MPoly`: they import none of the layer
+    modules, so the lazily loaded `modular` adds nothing to start-up."""
+    found = []
+    for name in LEAF_MODULES:
+        path = PACKAGE / name
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):  # `from . import poly` names it last
+                modules = [node.module or ""] + [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                continue
+            for module in modules:
+                if LAYERS & set(module.split(".")):
+                    found.append("%s:%d imports %s" % (name, node.lineno, module))
+    assert not found, found
