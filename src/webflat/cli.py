@@ -146,9 +146,9 @@ def _tokenize(src: str):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and src[j].isdigit():
+            while j < n and src[j].isdecimal():
                 j += 1
             tokens.append(_Token("uint", src[i:j], i))
             i = j
@@ -601,17 +601,10 @@ def execute(cmd: Command) -> str:
 def run_line(argv):
     """One command line -> (stdout text, stderr text, exit code)."""
     try:
-        cmd = build_command(argv)
-    except (UsageError, ParseError) as err:
-        return "", "error: %s: %s" % (type(err).__name__, err), 1
-    except DomainError as err:  # mathematically invalid operands
-        return "", "error: %s: %s" % (type(err).__name__, err), 2
-    try:
-        return execute(cmd), "", 0
-    except DomainError as err:
-        return "", "error: %s: %s" % (type(err).__name__, err), 2
-    except WebflatError as err:  # parse errors surfacing from payload use
-        return "", "error: %s: %s" % (type(err).__name__, err), 1
+        return execute(build_command(argv)), "", 0
+    except WebflatError as err:  # mathematically invalid operands exit 2
+        code = 2 if isinstance(err, DomainError) else 1
+        return "", "error: %s: %s" % (type(err).__name__, err), code
 
 
 def run_batch(path: str):

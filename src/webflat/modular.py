@@ -4,15 +4,17 @@ Word-size primes and their square roots, rational reconstruction, and
 polynomials over F_p.  A univariate polynomial is a dense coefficient
 list, lowest degree first, with no trailing zero, [] being zero.  A
 polynomial in F_p[v_1, ..., v_k] is a dict from packed monomials to
-nonzero residues; `brown_gcd` takes the gcd of two of them by Brown's
-evaluation and interpolation (JACM 1971), one variable at a time down to
-Euclid's algorithm, and the engine's images, Chinese remaindering and
-rational reconstruction are here too.  `certified_coprime` comes first
-for two variables: from ground maps over Q or Q(theta) it proves, with
-two univariate images per input at one prime, that most pairs left once
-their monomial gcd is shifted out are coprime.  Nothing here knows about
-`MPoly`, and nothing here imports `poly`, `field`, `webs`, `singular` or
-`cli`, so this module loads only with the first gcd.
+nonzero residues.  `image` is the one map into it from a ground map over
+Q or Q(theta), and `brown_gcd` takes the gcd of two such polynomials by
+Brown's evaluation and interpolation (JACM 1971), one variable at a time
+down to Euclid's algorithm; the engine's degree check, Chinese
+remaindering and rational reconstruction are here too.
+`certified_coprime` comes first for two variables: from the images of two
+ground maps at one prime it proves, with two univariate images per input,
+that most pairs left once their monomial gcd is shifted out are coprime.
+Nothing here knows about `MPoly`, and nothing here imports `poly`,
+`field`, `webs`, `singular` or `cli`, so this module loads only with the
+first gcd.
 """
 
 from __future__ import annotations
@@ -142,12 +144,32 @@ def top_monomials(keys, shifts) -> list:
     return tops
 
 
-def image(terms: list, lm: int, tops: list, r: int, p: int):
-    """The terms (m, a, b) of a + b*theta times m, a and b reduced mod p,
-    under theta -> r; None when the image loses the leading monomial lm or,
-    with all its `top_monomials`, the degree in some variable."""
-    out = {m: c for m, a, b in terms if (c := (a + b * r) % p)}
-    return out if lm in out and all(any(m in out for m in ms) for ms in tops) else None
+def image(ground: dict, r, p: int):
+    """The image in F_p of a ground map: its coefficients reduced mod p, a
+    rational over Q (r None), a pair (a, b) under theta -> r over Q(theta),
+    zero residues left out.  None when p divides a denominator."""
+    out = {}
+    for m, c in ground.items():
+        c, b = (c, 0) if r is None else c
+        if c.__class__ is not int:
+            if not c.denominator % p:
+                return None
+            c = c.numerator * pow(c.denominator, -1, p)
+        if b:
+            if b.__class__ is not int:
+                if not b.denominator % p:
+                    return None
+                b = b.numerator * pow(b.denominator, -1, p)
+            c += b * r
+        if c := c % p:
+            out[m] = c
+    return out
+
+
+def keeps_degrees(image: dict, lm: int, tops: list) -> bool:
+    """Whether an image keeps its input's leading monomial lm and, with one
+    of its `top_monomials`, the degree in every variable."""
+    return lm in image and all(any(m in image for m in ms) for ms in tops)
 
 
 def theta_parts(images: list, roots: list, p: int) -> dict:
@@ -303,37 +325,6 @@ def divides(h: dict, f: dict, p: int) -> bool:
     return True
 
 
-def _residue(c, p: int, r):
-    """The image in F_p of a ground element: a rational over Q (r None), a
-    pair (a, b) under theta -> r over Q(theta); None when p divides a
-    denominator."""
-    if r is None:
-        return None if c.denominator % p == 0 else fraction_mod(c, p)
-    a, b = c
-    if a.denominator % p == 0 or b.denominator % p == 0:
-        return None
-    return (fraction_mod(a, p) + fraction_mod(b, p) * r) % p
-
-
-def _images_at_one(ground: dict, v: int, w: int, p: int, r):
-    """One scan of a ground map in the variables at shifts v and w: its
-    images mod p at w = 1 (in v) and at v = 1 (in w), dense.  None when p
-    divides a denominator."""
-    at_w, at_v = {}, {}  # exponent of v, resp. w -> coefficient sum
-    for m, c in ground.items():
-        if c.__class__ is not int:
-            c = _residue(c, p, r)
-            if c is None:
-                return None
-        i, j = exponent_at(m, v), exponent_at(m, w)
-        at_w[i] = at_w.get(i, 0) + c
-        at_v[j] = at_v.get(j, 0) + c
-    return (
-        [at_w.get(i, 0) % p for i in range(max(at_w) + 1)],
-        [at_v.get(j, 0) % p for j in range(max(at_v) + 1)],
-    )
-
-
 def certified_coprime(f: dict, g: dict, v: int, w: int, theta=None) -> bool:
     """True when images modulo one prime prove two nonzero polynomials in
     the variables at shifts v and w, packed, coprime; False when they
@@ -354,14 +345,23 @@ def certified_coprime(f: dict, g: dict, v: int, w: int, theta=None) -> bool:
         p, r = nth_prime(0), None
     else:
         p, r, _ = next(split_primes(*theta))
-    images = []
+    dense = []
     for ground in (f, g):
-        scan = _images_at_one(ground, v, w, p, r)
-        # a zero top entry: that image lost its input's degree
-        if scan is None or not (scan[0][-1] and scan[1][-1]):
+        reduced = image(ground, r, p)
+        # a residue left out could hide a lost degree: such inputs go on
+        if reduced is None or len(reduced) < len(ground):
             return False
-        images.append(scan)
-    (fv, fw), (gv, gw) = images
+        at_w, at_v = {}, {}  # exponent of v, resp. w -> coefficient sum
+        for m, c in reduced.items():
+            i, j = exponent_at(m, v), exponent_at(m, w)
+            at_w[i] = at_w.get(i, 0) + c
+            at_v[j] = at_v.get(j, 0) + c
+        for sums in (at_w, at_v):
+            row = [sums.get(e, 0) % p for e in range(max(sums) + 1)]
+            if not row[-1]:  # that image lost its input's degree
+                return False
+            dense.append(row)
+    fv, fw, gv, gw = dense
     return len(gcd(fv, gv, p)) == 1 and len(gcd(fw, gw, p)) == 1
 
 

@@ -7,8 +7,10 @@ otherwise, as over Q.  The element algebra (`product`, `norm`, `inverse`,
 packed exponent vectors to nonzero pairs: one int per monomial, laid out in
 `monomials`, so that the sum of two is their product and int order is grlex
 order.  Every loop here reduces theta^2 inline and normalises components as
-it stores them, so no `FieldScalar` is built per term.  Nothing here knows
-about `MPoly` or `FieldScalar`.
+it stores them, so no `FieldScalar` is built per term.  Apart from trial
+division, ground maps are multiplied in `sum_of_products` alone: `divided`
+multiplies by the conjugate through it, and `poly` negates, scales and
+substitutes through it.  Nothing here knows about `MPoly` or `FieldScalar`.
 """
 
 from __future__ import annotations
@@ -78,10 +80,6 @@ def add(out: dict, g: dict, sign: int = 1) -> dict:
     return out
 
 
-def neg(f: dict) -> dict:
-    return {e: (-a, -b) for e, (a, b) in f.items()}
-
-
 def sum_of_products(terms, u, v) -> dict:
     """The sum of k * f * g over the (k, f, g) triples, k a nonzero int, f
     and g nonzero ground maps.  Each exponent collects its rational part,
@@ -123,25 +121,13 @@ def sum_of_products(terms, u, v) -> dict:
     return out
 
 
-def scale(f: dict, s: tuple, u, v) -> dict:
-    """f times the nonzero pair s."""
-    c, d = s
-    if not d:
-        return {e: (normal(a * c), normal(b * c)) for e, (a, b) in f.items()}
-    dv, du = d * v, d * u
-    return {
-        e: (normal(a * c + b * dv), normal(a * d + b * (c + du)))
-        for e, (a, b) in f.items()
-    }
-
-
 def divided(f: dict, s: tuple, u, v) -> dict:
     """f divided by the nonzero pair s.  An irrational s = a + b*theta
     multiplies every term by its conjugate (a + b*u) - b*theta, then each
     component is divided once by the rational norm a^2 + a*b*u - b^2*v."""
     c, d = s
     if d:
-        f = scale(f, (c + d * u, -d), u, v)
+        f = sum_of_products([(1, f, {0: (c + d * u, -d)})], u, v)
         c = norm(s, u, v)
     n, m = c.denominator, c.numerator  # dividing by c multiplies by n / m
     return {e: (quotient(a, n, m), b and quotient(b, n, m)) for e, (a, b) in f.items()}

@@ -18,15 +18,16 @@ Algorithms
   longer one runs trial division from the leading term, the `max` of the
   packed keys.
 * products: `sum_of_products` adds the k*f*g of a whole closed form into
-  one ground map and normalises once; `*` is its one-term case.
+  one ground map and normalises once.  `*`, a scalar multiple, `-f` and
+  `substitute` are calls of it; `+` and `-` keep their faster own loop.
 * gcd: monomial content is pulled out first.  In two variables, coprime
   images at w = 1 and at v = 1 mod one prime then certify the most common
   answer, 1.  Otherwise one modular gcd in any number of variables, over
   Q and Q(theta) alike: Brown's evaluation and interpolation mod p
   (`modular`, on the same packed keys) with Euclid in the shared variable
   in the most terms; Chinese remaindering and rational reconstruction;
-  confirmed by trial division.  The tests keep the subresultant remainder
-  sequence as its oracle.
+  confirmed by trial division.  Both reduce mod p by `modular.image`.
+  The tests keep the subresultant remainder sequence as its oracle.
 * powers: binomial theorem for one or two terms, squaring for more.
 * determinant: the 3x3 of the inflection divisor in closed form; the
   tests keep cofactor expansion as its oracle.
@@ -237,22 +238,14 @@ class MPoly:
         return MPoly._raw(add(dict(self._ground), other._ground, sign), self.spec)
 
     def __neg__(self):
-        if self.spec.is_quadratic:
-            return MPoly._raw(pairs.neg(self._ground), self.spec)
-        return MPoly._raw({e: -c for e, c in self._ground.items()}, self.spec)
+        return sum_of_products([(-1, self, MPoly.one(self.spec))])
 
     def __mul__(self, other):
-        if isinstance(other, MPoly):
-            return sum_of_products([(1, self, other)])
-        if not isinstance(other, (int, Fraction, FieldScalar)):
+        if isinstance(other, (int, Fraction, FieldScalar)):
+            other = MPoly.constant(other, self.spec)
+        elif not isinstance(other, MPoly):
             return NotImplemented
-        spec = self.spec
-        s = _as_coefficient(other, spec)
-        if not s:
-            return MPoly.zero(spec)
-        if spec.is_quadratic:
-            return MPoly._raw(pairs.scale(self._ground, s, spec.u, spec.v), spec)
-        return MPoly._raw({e: _normal(c * s) for e, c in self._ground.items()}, spec)
+        return sum_of_products([(1, self, other)])
 
     __rmul__ = __mul__
 
@@ -315,39 +308,43 @@ class MPoly:
 
         All images are read against the original polynomial, so
         {p: x, x: -p} swaps rather than chains.  Each image is raised only
-        to the powers the polynomial has, each from the one below it, and
-        the image of every term is added into one running sum.
+        to the powers the polynomial has, each from the one below it.  The
+        terms are grouped by their bound exponents, and one
+        `sum_of_products` call adds every group's free part times its
+        product of image powers.
         """
         if not bindings:
             return self
+        spec = self.spec
         images = {}
         for name, image in bindings.items():
             if not isinstance(image, MPoly):
-                image = MPoly.constant(image, self.spec)
+                image = MPoly.constant(image, spec)
             else:
                 self._check(image)
             images[VARIABLE_INDEX[name]] = image
-        powers = {}
-        for i, image in images.items():
-            have = powers[i] = {0: None}
-            below = 0
-            for e in sorted({exponent_at(m, SHIFT[i]) for m in self._ground} - {0}):
-                step = image ** (e - below)
-                have[e] = step if have[below] is None else have[below] * step
-                below = e
-        add = pairs.add if self.spec.is_quadratic else _add
-        total = {}
+        if not self._ground:  # the kernel takes a nonempty list
+            return self
+        groups = {}  # the bound exponents -> the free part of the terms with them
         for m, coeff in self._ground.items():
-            factors = []
-            for i in images:
-                if e := exponent_at(m, SHIFT[i]):
-                    m -= e * UNIT[i]
-                    factors.append(powers[i][e])
-            term = MPoly._raw({m: coeff}, self.spec)
-            for factor in factors:
-                term = term * factor
-            add(total, term._ground)
-        return MPoly._raw(total, self.spec)
+            key = tuple([exponent_at(m, SHIFT[i]) for i in images])
+            for i, e in zip(images, key):
+                m -= e * UNIT[i]
+            groups.setdefault(key, {})[m] = coeff
+        powers = []  # for each bound variable, exponent -> power of its image
+        for j, image in enumerate(images.values()):
+            have, below = {}, 0
+            for e in sorted({key[j] for key in groups} - {0}):
+                step = image ** (e - below)
+                have[e] = have[below] * step if below else step
+                below = e
+            powers.append(have)
+        operands = []
+        for key, free in groups.items():
+            factors = [have[e] for have, e in zip(powers, key) if e]
+            product = functools.reduce(MPoly.__mul__, factors) if factors else MPoly.one(spec)
+            operands.append((1, MPoly._raw(free, spec), product))
+        return sum_of_products(operands)
 
     def coefficients_in(self, var: str) -> dict:
         """View as univariate in `var`: maps each degree to an MPoly free
@@ -582,31 +579,20 @@ def _gcd_modular(f: MPoly, g: MPoly, variables) -> MPoly:
 
     spec = f.spec
     shifts = [SHIFT[i] for i in variables]
-    denominator = 1
-    inputs = []
-    for poly in (f, g):
-        ground = poly._ground.items()
-        if spec.is_quadratic:  # (m, a, b) for each term c*m, c = a + b*theta
-            terms = [(m, a, b) for m, (a, b) in ground]
-        else:
-            terms = [(m, c, 0) for m, c in ground]
-        for _, a, b in terms:
-            denominator = math.lcm(denominator, a.denominator, b.denominator)
-        inputs.append((terms, max(poly._ground), modular.top_monomials(poly._ground, shifts)))
-    if any(b for terms, _, _ in inputs for *_, b in terms):
+    grounds = (f._ground, g._ground)
+    kept = [(max(ground), modular.top_monomials(ground, shifts)) for ground in grounds]
+    if spec.is_quadratic and any(b for ground in grounds for _, b in ground.values()):
         primes = modular.split_primes(spec.u, spec.v)
-    else:  # one image per prime, at theta -> 0
-        primes = ((p, 0) for p in modular.primes())
+    else:  # one image per prime, with theta (if any) sent to 0
+        r = 0 if spec.is_quadratic else None
+        primes = ((p, r) for p in modular.primes())
 
     best = math.inf  # leading monomial of the images kept, none yet
     modulus, residues, tested = 1, {}, None
     for p, *roots in primes:
-        if denominator % p == 0:
-            continue
-        reduced = [([(m, modular.fraction_mod(a, p), modular.fraction_mod(b, p) if b else 0)
-                     for m, a, b in terms], lm, tops) for terms, lm, tops in inputs]
-        images = [[modular.image(*one, r, p) for one in reduced] for r in roots]
-        if any(terms is None for pair in images for terms in pair):
+        images = [[modular.image(ground, r, p) for ground in grounds] for r in roots]
+        if not all(h is not None and modular.keeps_degrees(h, *k)
+                   for pair in images for h, k in zip(pair, kept)):
             continue
         gcds = []
         for fr, gr in images:

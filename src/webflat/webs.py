@@ -264,8 +264,7 @@ def legendre_transform(vf: AffineVectorField) -> CubicWebEquation:
     x = MPoly.variable("x", spec)
     p = MPoly.variable("p", spec)
     q = MPoly.variable("q", spec)
-    line = p * x + q
-    dual = vf.b.substitute({"y": line}) - p * vf.a.substitute({"y": line})
+    dual = (vf.b - p * vf.a).substitute({"y": p * x + q})  # p is not bound
     web = CubicWebEquation.from_polynomial(dual, "x", ("p", "q"))
     if web.cubic_discriminant().is_zero():  # a0 is not zero at x-degree 3
         raise DegenerateWeb("dual equation has identically zero discriminant")

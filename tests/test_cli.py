@@ -428,7 +428,7 @@ def test_domain_errors_exit_2():
 def test_batch_survives_invalid_operands(tmp_path, capsys):
     batch = tmp_path / "jobs.txt"
     batch.write_text(
-        'flat --vf "z ; y"\neta "0 ; 1 ; x" -1\ndiscriminant --web "p^3 - p"\n'
+        'flat --vf "z ; y"\neta "0 ; 1 ; x" -1\nflat --vf "x^² ; y"\ndiscriminant --web "p^3 - p"\n'
         'gauss --vf "x^3 ; y^3 - z^3 ; 0" --at 0,0,0\n'
     )
     code = main(["--batch", str(batch)])
@@ -436,6 +436,7 @@ def test_batch_survives_invalid_operands(tmp_path, capsys):
     assert code == 2
     assert captured.out.splitlines() == ["-4"]
     assert "InvariantViolated" in captured.err
+    assert "error: ParseError: unexpected character '²' at offset 2" in captured.err
     assert captured.err.count("DegenerateParameter") == 2
     assert "Traceback" not in captured.err
     # an unbalanced quote fails its own line only

@@ -23,7 +23,8 @@ from webflat.cli import VERBS, run_line  # noqa: E402
 _COEFFICIENTS = ("1", "-1", "2", "-3", "1/2", "t", "(1 - t)")
 _SCALARS = ("0", "0", "1", "-1", "2", "1/2", "t", "1 - t")
 _FIELDS = (None, None, "t^2=t+1", "t^2=t-1")
-_JUNK = ("", " ", "x +", "(x", "x)", "1/0", "x^y", "x^-1", "2x", "xx", "@", "é", "#", "1e3", ";", ",")
+_JUNK = ("", " ", "x +", "(x", "x)", "1/0", "x^y", "x^-1", "2x", "xx", "@", "é", "#", "1e3", ";", ",",
+         "x^²", "4²")
 
 
 @st.composite
@@ -110,9 +111,7 @@ def _command_lines(draw):
     return argv
 
 
-@settings(derandomize=True, deadline=None, max_examples=300)
-@given(_command_lines())
-def test_every_command_line_keeps_the_error_contract(argv):
+def _assert_contract(argv):
     out, err, code = run_line(argv)
     assert code in (0, 1, 2), argv
     if code:
@@ -124,3 +123,16 @@ def test_every_command_line_keeps_the_error_contract(argv):
     else:
         assert out and err == "", argv
     assert run_line(argv) == (out, err, code), argv
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_command_lines())
+def test_every_command_line_keeps_the_error_contract(argv):
+    _assert_contract(argv)
+
+
+@pytest.mark.parametrize("junk", _JUNK)
+def test_junk_in_a_polynomial_keeps_the_error_contract(junk):
+    """Each junk string inside a polynomial, where the tokenizer reads it:
+    a superscript digit is no digit to int()."""
+    _assert_contract(["flat", "--vf", junk + " ; y"])

@@ -243,6 +243,14 @@ def test_kernels_match_tuple_reference(spec, a, b, h, n):
         "exact divide": (try_exact_divide(f * g, g), tf),
         "monic": (f.monic(), {e: c * f.leading_coefficient().inverse() for e, c in tf.items()}),
     }
+    for s in (g.leading_coefficient(), 3, Fraction(-2, 7), 0):
+        want = {e: c * s for e, c in tf.items() if c * s}
+        checks["f * %r" % (s,)], checks["%r * f" % (s,)] = (f * s, want), (s * f, want)
+    other = next(o for o in KERNEL_SPECS if o != spec)
+    with pytest.raises(FieldMismatch):
+        f * FieldScalar(2, 0, other)
+    with pytest.raises(FieldMismatch):
+        FieldScalar(2, 0, other) * f
     for i, name in enumerate(VARIABLES):
         checks["derivative " + name] = (f.derivative(name), _ref_derivative(tf, i))
         checks["substitute " + name] = (f.substitute({name: h}), _ref_substitute(tf, i, th, spec))

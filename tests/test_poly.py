@@ -500,6 +500,12 @@ def test_certificate_refuses_images_that_lose_degree_or_share_a_factor(monkeypat
     assert not _certified(f, g) and not _certified(g, f)
     assert poly_module._gcd_modular(f, g, (0, 1)).is_one()
     assert poly_gcd(f, g).is_one()
+    # h = 1 mod the prime, so the images of f and g are coprime though they
+    # lost the degree that h carries: the terms divisible by it are left out
+    h = MPoly.constant(_certificate_prime(spec), spec) * x * y + one
+    f, g = h * (x + y + 3 * one), h * (x + 2 * y + 5 * one)
+    assert not _certified(f, g) and not _certified(g, f)
+    assert poly_gcd(f, g) == h.monic() == subresultant_oracle(f, g, "x")
 
 
 @pytest.mark.parametrize("field", CERTIFICATE_FIELDS)
@@ -510,6 +516,74 @@ def test_certificate_refuses_a_denominator_divisible_by_its_prime(field):
         f = P("x*y + 1", spec) + MPoly.constant(Fraction(1, d), spec) * P("y^2", spec)
         assert _certified(f, g) == _certified(g, f) == (d == 3)
         assert poly_gcd(f, g).is_one() and subresultant_oracle(f, g, "x").is_one()
+
+
+def _residue(c, p):
+    """A rational mod p, by Fraction arithmetic alone."""
+    return Fraction(c).numerator * pow(Fraction(c).denominator, -1, p) % p
+
+
+@pytest.mark.parametrize("field", CERTIFICATE_FIELDS)
+def test_image_is_the_coefficientwise_residue(field):
+    """`modular.image`, the one reduction of the certificate and the engine,
+    is (a + b*r) mod p term by term with zero residues left out, over Q and
+    over Q(theta) with rational-only and with theta coefficients; it is None
+    exactly when p divides a denominator, of a or of b."""
+    spec = RATIONALS if field == "rationals" else parse_field(field)
+    first = _certificate_prime(spec)
+    r = next(modular.split_primes(spec.u, spec.v))[1] if spec.is_quadratic else None
+    rng = random.Random(1971)
+    seen = set()
+    for quadratic in (False, True) if spec.is_quadratic else (False,):
+        for d in (1, 5, 7, first):
+            f = random_poly(rng, ("x", "y"), 3, 6, spec, nonzero=True, quadratic=quadratic)
+            extra = FieldScalar(0, Fraction(1, d), spec) if quadratic else FieldScalar(Fraction(1, d), 0, spec)
+            # and a term whose residue is zero at the first prime
+            f = f + MPoly.monomial((5, 0, 0, 0, 0, 0), extra, spec) + P("%d*y^5" % first, spec)
+            for p in (first, 5, 7):
+                got = modular.image(f._ground, r, p)
+                if any(part.denominator % p == 0 for c in f.terms.values() for part in (c.a, c.b)):
+                    assert got is None
+                    seen.add("refused")
+                    continue
+                want = {}
+                for e, c in f.terms.items():
+                    if residue := (_residue(c.a, p) + _residue(c.b, p) * (r or 0)) % p:
+                        want[pack(e)] = residue
+                assert got == want
+                seen.add("kept")
+    assert seen == {"kept", "refused"}
+
+
+@pytest.mark.parametrize("field", ("rationals", "t^2=t+1"))
+def test_modular_gcd_skips_a_prime_dividing_a_denominator(monkeypatch, field):
+    """A coefficient with the first prime in its denominator, in its theta
+    part over Q(theta): `_gcd_modular` starts at the next prime and still
+    gives the oracle's gcd."""
+    spec = RATIONALS if field == "rationals" else parse_field(field)
+    if spec.is_quadratic:
+        usable = (p for p, *_ in modular.split_primes(spec.u, spec.v))
+        h = P("x^2*y - t*y + 2", spec)
+    else:
+        usable = modular.primes()
+        h = P("x^2*y - 3*y + 2", spec)
+    first, second = next(usable), next(usable)
+    c = FieldScalar(0, Fraction(1, first), spec) if spec.is_quadratic else Fraction(1, first)
+    f = h * (P("x + y + 1", spec) + MPoly.monomial((0, 2, 0, 0, 0, 0), c, spec))
+    g = h * P("x - y", spec)
+    assert modular.image(f._ground, 0 if spec.is_quadratic else None, first) is None
+    primes = []
+    inner = modular.brown_gcd
+
+    def recording(a, b, p, shifts):
+        primes.append(p)
+        return inner(a, b, p, shifts)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(modular, "brown_gcd", recording)
+        d = poly_module._gcd_modular(f, g, (VARIABLE_INDEX["x"], VARIABLE_INDEX["y"]))
+    assert first not in primes and primes[0] == second
+    assert d == h.monic() == subresultant_oracle(f, g, "x")
 
 
 def test_certificate_is_passed_by_in_one_and_in_three_variables(monkeypatch):
