@@ -33,7 +33,7 @@ from .errors import (
 )
 from .field import RATIONALS, FieldScalar, FieldSpec
 from .monomials import BOUND
-from .poly import MPoly, render_poly
+from .poly import MAX_PARSE_BITS, MAX_PARSE_PAIRS, MPoly, _power_bits, render_poly
 from .singular import classify_singularity, verify_classification
 from .webs import (
     AffineVectorField,
@@ -55,43 +55,6 @@ from .webs import (
 # -- lexer / parser -----------------------------------------------------------
 
 _VAR_NAMES = set("xyzpqt")
-
-# The parser refuses a product or a power whose expansion would multiply
-# more than this many pairs of terms, before it expands it.  A product of
-# polynomials with m and n terms multiplies m*n pairs; a power is charged
-# its last squaring, each half bounded by the C(n+j-1, j) monomials a j-th
-# power of n terms can have.  So the terms the program itself renders, as
-# p^14*q^4 or (1 - t)*p^7, always pass, while (x+1)^2000 (about 10^6 pairs)
-# and (x+y+1)^400 (about 4*10^8) are refused at once.  The corpora's inputs
-# need at most 6 pairs (tests/test_corpus.py); at the bound the densest
-# expansion, (x+y+z+p+q+1)^10, has 3003 terms.
-MAX_PARSE_PAIRS = 2**16
-
-# It also refuses a literal or a power whose coefficients would pass this
-# many bits, before it converts or computes them.  A literal of d digits is
-# charged d / 0.3 bits, so no uint token of more than 1229 digits reaches
-# int().  A power f^e is charged e times the bits of f's coefficient 1-norm
-# and of its common denominator, theta counting as max(1, |u| + |v|):
-# nothing for a monomial with coefficient 1 or -1, e bits for (x+1)^e, and
-# 400,000 for 3^200000, which is refused.  The corpora's coefficients stay
-# under 27 bits, inputs and outputs alike (tests/test_corpus.py).
-MAX_PARSE_BITS = 2**12
-
-
-def _ceil_log2(value) -> int:
-    """ceil(log2(value)) for a rational value >= 1, and 0 below 1."""
-    return (math.ceil(value) - 1).bit_length() if value > 1 else 0
-
-
-def _power_bits(base: MPoly, exponent: int) -> int:
-    spec = base.spec
-    kappa = max(1, abs(spec.u) + abs(spec.v)) if spec.is_quadratic else 0
-    norm, den = 0, 1
-    ground = base._ground.values()
-    for a, b in ground if spec.is_quadratic else ((c, 0) for c in ground):
-        norm += abs(a) + abs(b) * kappa
-        den = math.lcm(den, a.denominator, b.denominator)
-    return exponent * (_ceil_log2(norm * den) + _ceil_log2(den))
 
 
 def _check_bits(bits: int, what: str, token: "_Token"):
@@ -321,12 +284,10 @@ def parse_point(text: str, spec: FieldSpec | None, arity: int):
     return tuple(parse_scalar(part.strip(), spec) for part in parts)
 
 
-def parse_components(text: str, spec: FieldSpec | None, counts) -> list:
+def parse_components(text: str, spec: FieldSpec | None, count: int) -> list:
     parts = [part.strip() for part in text.split(";")]
-    if len(parts) not in counts:
-        raise UsageError(
-            "expected %s ';'-separated components" % " or ".join(map(str, counts))
-        )
+    if len(parts) != count:
+        raise UsageError("expected %d ';'-separated components" % count)
     return [parse_poly(part, spec) for part in parts]
 
 
@@ -381,10 +342,10 @@ class _Operands:
         return self.flags[flag]
 
     def affine(self) -> AffineVectorField:
-        return AffineVectorField(*parse_components(self.need("--vf"), self.spec, (2,)))
+        return AffineVectorField(*parse_components(self.need("--vf"), self.spec, 2))
 
     def homogeneous(self) -> HomogeneousVectorField:
-        return HomogeneousVectorField(*parse_components(self.need("--vf"), self.spec, (3,)))
+        return HomogeneousVectorField(*parse_components(self.need("--vf"), self.spec, 3))
 
     def web(self, text) -> CubicWebEquation:
         return CubicWebEquation.from_polynomial(parse_poly(text, self.spec), "p", ("x", "y"))
@@ -405,7 +366,7 @@ def _build_discriminant(ops):
 def _build_eta(ops):
     if len(ops.positionals) != 2:
         raise UsageError('usage: webflat eta "h1 ; h2 ; h3" <a>')
-    h1, h2, h3 = parse_components(ops.positionals[0], ops.spec, (3,))
+    h1, h2, h3 = parse_components(ops.positionals[0], ops.spec, 3)
     try:
         order = int(ops.positionals[1])
     except ValueError:

@@ -7,17 +7,15 @@ otherwise, as over Q.  The element algebra (`product`, `norm`, `inverse`,
 packed exponent vectors to nonzero pairs: one int per monomial, laid out in
 `monomials`, so that the sum of two is their product and int order is grlex
 order.  Every loop here reduces theta^2 inline and normalises components as
-it stores them, so no `FieldScalar` is built per term.  Apart from trial
-division, ground maps are multiplied in `sum_of_products` alone: `divided`
-multiplies by the conjugate through it, and `poly` negates, scales and
-substitutes through it.  Nothing here knows about `MPoly` or `FieldScalar`.
+it stores them, so no `FieldScalar` is built per term.  Ground maps are
+multiplied in `sum_of_products` alone: `divided` multiplies by the
+conjugate through it, and `poly` scales, substitutes and trial-divides
+through it.  Nothing here knows about `MPoly` or `FieldScalar`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-from .monomials import monomial_quotient
 
 
 def normal(c):
@@ -132,41 +130,3 @@ def divided(f: dict, s: tuple, u, v) -> dict:
     n, m = c.denominator, c.numerator  # dividing by c multiplies by n / m
     return {e: (quotient(a, n, m), b and quotient(b, n, m)) for e, (a, b) in f.items()}
 
-
-def try_exact_divide(f: dict, g: dict, u, v):
-    """f / g for a nonzero g when the division is exact, else None, by trial
-    division with guarded subtraction."""
-    lm_g = max(g)
-    inv_a, inv_b = inverse(g[lm_g], u, v)
-    out = {}
-    rest = dict(f)
-    while rest:
-        lm_r = max(rest)
-        q = monomial_quotient(lm_r, lm_g)
-        if q is None:
-            return None
-        a, b = rest[lm_r]
-        if inv_b or b:
-            bw = b * inv_b
-            a, b = a * inv_a + bw * v, a * inv_b + b * inv_a + bw * u
-        else:
-            a = a * inv_a
-        a, b = normal(a), normal(b)
-        out[q] = (a, b)
-        for e2, (a2, b2) in g.items():
-            e = q + e2
-            if b and b2:
-                bw = b * b2
-                pa, pb = a * a2 + bw * v, a * b2 + b * a2 + bw * u
-            else:
-                pa, pb = a * a2, a * b2 + b * a2
-            have = rest.get(e)
-            if have is None:
-                rest[e] = (-pa, -pb)
-            else:
-                pa, pb = have[0] - pa, have[1] - pb
-                if pa or pb:
-                    rest[e] = (pa, pb)
-                else:
-                    del rest[e]
-    return out

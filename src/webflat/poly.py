@@ -15,11 +15,12 @@ Exponent vectors are packed ints in grlex order, laid out in `monomials`.
 Algorithms
 ----------
 * division: a one-term divisor costs one guarded subtraction a term; a
-  longer one runs trial division from the leading term, the `max` of the
-  packed keys.
+  longer one, over Q and Q(theta) alike, runs trial division from the
+  leading term, the `max` of the packed keys: `_products` multiplies each
+  quotient term by the divisor and `_add` takes that off the remainder.
 * products: `sum_of_products` adds the k*f*g of a whole closed form into
-  one ground map and normalises once.  `*`, a scalar multiple, `-f` and
-  `substitute` are calls of it; `+` and `-` keep their faster own loop.
+  one ground map and normalises once.  `*`, a scalar multiple and
+  `substitute` are calls of it; `+`, `-` and `-f` run through `_add`.
 * gcd: monomial content is pulled out first.  In two variables, coprime
   images at w = 1 and at v = 1 mod one prime then certify the most common
   answer, 1.  Otherwise one modular gcd in any number of variables, over
@@ -113,6 +114,45 @@ def _divided(ground: dict, lc, spec: FieldSpec) -> dict:
         return pairs.divided(ground, lc, spec.u, spec.v)
     n, d = lc.denominator, lc.numerator
     return {e: pairs.quotient(c, n, d) for e, c in ground.items()}
+
+
+# The parser in `cli` refuses a product or a power whose expansion would
+# multiply more than this many pairs of terms, before it expands it, and
+# `singular` a translate of more terms or charged more than MAX_PARSE_BITS.
+# A product of polynomials with m and n terms multiplies m*n pairs; a power
+# is charged its last squaring, each half bounded by the C(n+j-1, j)
+# monomials a j-th power of n terms can have.  So the terms the program
+# itself renders, as p^14*q^4 or (1 - t)*p^7, always pass, while (x+1)^2000
+# (about 10^6 pairs) and (x+y+1)^400 (about 4*10^8) are refused at once.  The
+# corpora's inputs need at most 6 pairs (tests/test_corpus.py); at the bound
+# the densest expansion, (x+y+z+p+q+1)^10, has 3003 terms.
+MAX_PARSE_PAIRS = 2**16
+
+# It also refuses a literal or a power whose coefficients would pass this
+# many bits, before it converts or computes them.  A literal of d digits is
+# charged d / 0.3 bits, so no uint token of more than 1229 digits reaches
+# int().  A power f^e is charged e times the bits of f's coefficient 1-norm
+# and of its common denominator, theta counting as max(1, |u| + |v|):
+# nothing for a monomial with coefficient 1 or -1, e bits for (x+1)^e, and
+# 400,000 for 3^200000, which is refused.  The corpora's coefficients stay
+# under 27 bits, inputs and outputs alike (tests/test_corpus.py).
+MAX_PARSE_BITS = 2**12
+
+
+def _ceil_log2(value) -> int:
+    """ceil(log2(value)) for a rational value >= 1, and 0 below 1."""
+    return (math.ceil(value) - 1).bit_length() if value > 1 else 0
+
+
+def _power_bits(base: MPoly, exponent: int) -> int:
+    spec = base.spec
+    kappa = max(1, abs(spec.u) + abs(spec.v)) if spec.is_quadratic else 0
+    norm, den = 0, 1
+    ground = base._ground.values()
+    for a, b in ground if spec.is_quadratic else ((c, 0) for c in ground):
+        norm += abs(a) + abs(b) * kappa
+        den = math.lcm(den, a.denominator, b.denominator)
+    return exponent * (_ceil_log2(norm * den) + _ceil_log2(den))
 
 
 class MPoly:
@@ -238,7 +278,7 @@ class MPoly:
         return MPoly._raw(add(dict(self._ground), other._ground, sign), self.spec)
 
     def __neg__(self):
-        return sum_of_products([(-1, self, MPoly.one(self.spec))])
+        return MPoly.zero(self.spec) - self
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, FieldScalar)):
@@ -391,8 +431,7 @@ def sum_of_products(terms) -> MPoly:
     """The sum of k * f * g over a nonempty list of (k, f, g) triples, k an
     int and f, g polynomials over the field of the first f.  Every product
     adds into one ground map, normalised once; each raises as f * g does."""
-    first = terms[0][1]
-    spec, operands = first.spec, []
+    first, operands = terms[0][1], []
     for k, f, g in terms:
         first._check(f)
         first._check(g)
@@ -401,8 +440,13 @@ def sum_of_products(terms) -> MPoly:
             bounded(monomial_degree(max(left)) + monomial_degree(max(right)))
             if k:
                 operands.append((k, left, right))
+    return MPoly._raw(_products(operands, first.spec), first.spec)
+
+
+def _products(operands, spec: FieldSpec) -> dict:
+    """`sum_of_products` on ground maps over spec, k != 0 and f, g nonzero."""
     if spec.is_quadratic:
-        return MPoly._raw(pairs.sum_of_products(operands, spec.u, spec.v), spec)
+        return pairs.sum_of_products(operands, spec.u, spec.v)
     out = {}
     get = out.get
     for k, left, right in operands:
@@ -414,7 +458,7 @@ def sum_of_products(terms) -> MPoly:
             for e2, c2 in right.items():
                 have = get(e := e1 + e2)
                 out[e] = c1 * c2 if have is None else have + c1 * c2
-    return MPoly._raw({e: c if c.__class__ is int else _normal(c) for e, c in out.items() if c}, spec)
+    return {e: c if c.__class__ is int else _normal(c) for e, c in out.items() if c}
 
 
 # -- rendering ------------------------------------------------------------------
@@ -482,27 +526,17 @@ def try_exact_divide(f: MPoly, g: MPoly):
                 return None
             quotient[d] = c
         return MPoly._raw(quotient if lc in _ONES else _divided(quotient, lc, spec), spec)
-    if spec.is_quadratic:
-        ground = pairs.try_exact_divide(f._ground, divisor, spec.u, spec.v)
-        return None if ground is None else MPoly._raw(ground, spec)
-    lm_g = max(divisor)
-    lc_g_inv = _normal(Fraction(1, divisor[lm_g]))
-    quotient = {}
-    rest = dict(f._ground)
-    while rest:
-        lm_r = max(rest)
-        q = monomial_quotient(lm_r, lm_g)
+    add = pairs.add if spec.is_quadratic else _add
+    lm = max(divisor)
+    lc, quotient, rest = divisor[lm], {}, dict(f._ground)
+    while rest:  # trial division from the leading term
+        top = max(rest)
+        q = monomial_quotient(top, lm)
         if q is None:
             return None
-        coeff = quotient[q] = _normal(rest[lm_r] * lc_g_inv)
-        for e2, c2 in divisor.items():
-            have = rest.get(e := q + e2)
-            if have is None:
-                rest[e] = -(coeff * c2)
-            elif total := have - coeff * c2:
-                rest[e] = total
-            else:
-                del rest[e]
+        step = _divided({q: rest[top]}, lc, spec)
+        quotient.update(step)
+        add(rest, _products([(1, step, divisor)], spec), -1)
     return MPoly._raw(quotient, spec)
 
 

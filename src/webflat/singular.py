@@ -14,10 +14,11 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import DegenerateParameter, NotSingular
+from .errors import DegenerateParameter, DegreeExceeded, NotSingular
 from .field import FieldScalar, field_sqrt
-from .poly import MPoly, exact_divide, poly_gcd, squarefree_part
-from .monomials import monomial_degree
+from .poly import MAX_PARSE_BITS, MAX_PARSE_PAIRS, MPoly, _power_bits, exact_divide
+from .poly import poly_gcd, squarefree_part
+from .monomials import monomial_degree, unpack
 from .webs import AffineVectorField, homogenize, inflection_divisor, is_flat
 
 TAU_INFINITE = math.inf
@@ -43,15 +44,36 @@ def saturate(vf: AffineVectorField):
 
 
 def _translate(f: MPoly, x0, y0) -> MPoly:
-    spec = f.spec
-    bindings = {}
-    x0 = x0 if isinstance(x0, FieldScalar) else FieldScalar(x0, 0, spec)
-    y0 = y0 if isinstance(y0, FieldScalar) else FieldScalar(y0, 0, spec)
-    if not x0.is_zero():
-        bindings["x"] = MPoly.variable("x", spec) + MPoly.constant(x0, spec)
-    if not y0.is_zero():
-        bindings["y"] = MPoly.variable("y", spec) + MPoly.constant(y0, spec)
-    return f.substitute(bindings) if bindings else f
+    """f(x + x0, y + y0), refused unexpanded past MAX_PARSE_PAIRS terms, or
+    past MAX_PARSE_BITS bits charged to its powers as the parser charges."""
+    spec, bindings = f.spec, {}
+    for name, value in (("x", x0), ("y", y0)):
+        if not (shift := MPoly.constant(value, spec)).is_zero():
+            bindings[name] = MPoly.variable(name, spec) + shift
+    if not bindings:
+        return f
+    terms = _translate_terms(f, bindings)
+    bits = sum(_power_bits(image, f.degree_in(name)) for name, image in bindings.items())
+    if terms > MAX_PARSE_PAIRS or bits > MAX_PARSE_BITS:
+        raise DegreeExceeded(
+            "the translate to (%s, %s) has %d terms and is charged %d bits, past the bounds %d "
+            "and %d" % (x0, y0, terms, bits, MAX_PARSE_PAIRS, MAX_PARSE_BITS))
+    return f.substitute(bindings)
+
+
+def _translate_terms(f: MPoly, bindings) -> int:
+    """The terms of f's translate, f in x and y, but for cancellation: per
+    exponent of a variable left in place, a staircase in the bound ones."""
+    moved, stairs, count = ("x" in bindings, "y" in bindings), {}, 0
+    for m in f._ground:
+        free, corner = zip(*[(0, e) if bound else (e, 0) for bound, e in zip(moved, unpack(m))])
+        stairs.setdefault(free, []).append(corner)
+    for corners in stairs.values():  # the columns right of i, of height high + 1
+        high, right = -1, 0
+        for i, j in sorted(corners, reverse=True) + [(-1, 0)]:
+            count += (right - i) * (high + 1)
+            high, right = max(high, j), i
+    return count
 
 
 def _order(f: MPoly):

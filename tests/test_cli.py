@@ -380,6 +380,43 @@ def test_sing_at_a_regular_point_of_a_huge_degree_field(monkeypatch):
     assert err == "error: NotSingular: the saturated field does not vanish at (1, 0)"
 
 
+def test_sing_refuses_a_translate_past_the_parse_bounds(monkeypatch):
+    """A translate past MAX_PARSE_PAIRS terms or MAX_PARSE_BITS charged bits
+    is refused before it is expanded; one just inside both is expanded."""
+    inside = [
+        (["x^4096 - 1 ; y", "1, 0"], "(1, 0)"),  # charged exactly MAX_PARSE_BITS
+        (["x^255*y^255 - 1 ; y - 1", "1, 1"], "(1, 1)"),  # exactly MAX_PARSE_PAIRS terms
+        (["x^4000*y^40 - y^40 + x - 1 ; y", "1, 0"], "(1, 0)"),  # y stays: 4001 + 2 terms
+    ]
+    for (vf, at), point in inside:
+        out, err, code = run_line(["sing", "--vf", vf, "--at", at])
+        assert (err, code) == ("", 0), vf
+        assert out.startswith("point: %s\nnu: 1\n" % point), vf
+    assert 4096 == MAX_PARSE_BITS and 256 * 256 == MAX_PARSE_PAIRS
+
+    def refuse(self, bindings):
+        raise AssertionError("a translate was expanded")
+
+    monkeypatch.setattr(MPoly, "substitute", refuse)
+    past = [
+        ("x^100000000 - 1 ; y", "1,0", 100000001, 100000000),
+        ("x^4097 - 1 ; y", "1,0", 4098, 4097),
+        ("x^256*y^255 - 1 ; y - 1", "1,1", 65792, 511),
+        # x^a*y^b with a + b <= 402 and a <= 400
+        ("(y - 1)^2*(x + y)^400 ; x - 1", "1, 1", 403 * 404 // 2 - 3, 802),
+        ("(x^4000 - 1)*(%s) + x - 1 ; y" % " + ".join("y^%d" % k for k in range(1, 18)), "1,0",
+         17 * 4001 + 2, 4000),  # y stays
+    ]
+    for vf, at, terms, bits in past:
+        out, err, code = run_line(["sing", "--vf", vf, "--at", at])
+        assert (out, code) == ("", 2), vf
+        point = "(%s)" % ", ".join(part.strip() for part in at.split(","))
+        assert err == (
+            "error: DegreeExceeded: the translate to %s has %d terms and is charged %d bits, "
+            "past the bounds 65536 and 4096" % (point, terms, bits)
+        ), vf
+
+
 def test_high_degree_field_is_refused_before_the_legendre_expansion(monkeypatch):
     """The dual x-degree is read off the field, the total degree or one
     less for a radial top, so (p*x + q)^200000 is never expanded."""

@@ -1,6 +1,7 @@
 """Packed exponent vectors: the layout, the order, the guard bits and the
 degree bound, and every polynomial kernel against a reference that works
-on the tuple-keyed `terms` map alone, over Q and over t^2 = t + 1."""
+on the tuple-keyed `terms` map alone, over Q and over t^2 = t + 1, and for
+the kernels also over t^2 = t/3 + 5/2."""
 
 import itertools
 import random
@@ -35,6 +36,8 @@ from helpers import assert_ground  # noqa: E402
 
 GOLDEN = parse_field("t^2=t+1")
 SPECS = (RATIONALS, GOLDEN)
+# t^2 = t/3 + 5/2: a norm is a Fraction unless u or v is one
+KERNEL_SPECS = SPECS + (quadratic_field(Fraction(1, 3), Fraction(5, 2)),)
 
 
 def _grlex_key(exponent):
@@ -228,8 +231,8 @@ def _build(spec, terms):
     return MPoly(out, spec)
 
 
-@settings(derandomize=True, deadline=None, max_examples=80)
-@given(st.sampled_from(SPECS), _term_lists, _term_lists, _term_lists, st.integers(0, 4))
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(st.sampled_from(KERNEL_SPECS), _term_lists, _term_lists, _term_lists, st.integers(0, 4))
 def test_kernels_match_tuple_reference(spec, a, b, h, n):
     f, g, h = (_build(spec, terms) for terms in (a, b, h))
     assume(not (f.is_zero() or g.is_zero() or h.is_zero()))
@@ -317,7 +320,6 @@ def test_products_and_powers_past_the_bound(spec):
 
 # -- the sum-of-products kernel -----------------------------------------------------
 
-KERNEL_SPECS = SPECS + (quadratic_field(Fraction(1, 3), Fraction(5, 2)),)
 _operands = st.lists(st.tuples(_small, _coefficients), max_size=5)  # empty: zero
 
 

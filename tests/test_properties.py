@@ -29,7 +29,6 @@ from webflat import (  # noqa: E402
     quadratic_field,
     web_curvature,
 )
-import webflat.cli as cli  # noqa: E402
 from webflat.cli import parse_field, parse_poly  # noqa: E402
 from webflat.errors import DegreeExceeded, DegreeTooLow  # noqa: E402
 import webflat.poly as poly_module  # noqa: E402
@@ -351,7 +350,8 @@ def test_kernels_over_quadratic_fields_match_scalar_reference(field, a, b, h, s,
     kappa = max(1, abs(spec.u) + abs(spec.v))
     norm = sum(abs(c.a) + abs(c.b) * kappa for c in f.terms.values())
     den = math.lcm(1, *(x.denominator for c in f.terms.values() for x in (c.a, c.b)))
-    assert cli._power_bits(f, 3) == 3 * (cli._ceil_log2(norm * den) + cli._ceil_log2(den))
+    charge = poly_module._ceil_log2
+    assert poly_module._power_bits(f, 3) == 3 * (charge(norm * den) + charge(den))
 
 
 # -- FieldScalar against a Fraction-only reference ---------------------------------
