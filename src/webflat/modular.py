@@ -9,9 +9,9 @@ Q or Q(theta), and `brown_gcd` takes the gcd of two such polynomials by
 Brown's evaluation and interpolation (JACM 1971), one variable at a time
 down to Euclid's algorithm; the engine's degree check, Chinese
 remaindering and rational reconstruction are here too.
-`certified_coprime` comes first for two variables: from the images of two
-ground maps at one prime it proves, with two univariate images per input,
-that most pairs left once their monomial gcd is shifted out are coprime.
+`certified_coprime` comes first for two variables: from univariate images
+at two fixed points modulo one prime below 2**30, it proves that most pairs
+left once their monomial gcd is shifted out are coprime.
 Nothing here knows about `MPoly`, and nothing here imports `poly`,
 `field`, `webs`, `singular` or `cli`, so this module loads only with the
 first gcd.
@@ -90,6 +90,32 @@ def split_roots(u: Fraction, v: Fraction, p: int):
         return None
     s, w, half = sqrt_mod(d, p), fraction_mod(u, p), (p + 1) // 2
     return (w + s) * half % p, (w - s) * half % p
+
+
+POINT_W, POINT_V = 314159265, 271828182
+
+
+@functools.cache
+def certificate_prime(theta=None):
+    """(p, r) for `certified_coprime`: the largest prime p below 2**30 at
+    which theta^2 = u*theta + v splits, theta being (u, v), and r its first
+    root; over Q (theta None) the largest prime, and r None.  Its residues
+    are one-digit Python ints.  Cached: every certificate over a field uses it."""
+    p, roots = 2**30 + 1, None
+    while roots is None:
+        p -= 2
+        if is_prime(p):
+            roots = (None,) if theta is None else split_roots(*theta, p)
+    return p, roots[0]
+
+
+def powers(x: int, exponents, p: int) -> dict:
+    """x**e mod p for each of the exponents, stepping up through them."""
+    out, y, last = {}, 1, 0
+    for e in sorted(exponents):
+        y = y * pow(x, e - last, p) % p
+        out[e], last = y, e
+    return out
 
 
 def sqrt_mod(a: int, p: int) -> int:
@@ -330,33 +356,33 @@ def certified_coprime(f: dict, g: dict, v: int, w: int, theta=None) -> bool:
     the variables at shifts v and w, packed, coprime; False when they
     cannot.
 
-    Over Q the prime is the first one.  Over Q(theta), `theta` holds the
-    (u, v) of theta^2 = u*theta + v, and the prime is the first split one,
-    with theta sent to its first root r.
-    f and g are coprime when every image keeps its input's degree, f(v, 1)
-    and g(v, 1) are coprime in F_p[v], and f(1, w) and g(1, w) in F_p[w]:
+    The prime and theta's image are `certificate_prime(theta)`; the points
+    are w = a = POINT_W and v = b = POINT_V, as at small integers
+    structured inputs often lose a degree or share a factor.
+    f and g are coprime when every image keeps its input's degree, f(v, a)
+    and g(v, a) are coprime in F_p[v], and f(b, w) and g(b, w) in F_p[w]:
     a common factor h with deg_v h >= 1 keeps its leading coefficient in v
-    at w = 1 whenever f does (Gauss's lemma at p, as in Brown, JACM 1971),
+    at w = a whenever f does (Gauss's lemma at p, as in Brown, JACM 1971),
     so it would leave a factor of positive degree in both images; likewise
-    in w.  So h is constant.  Each image is a dense list, one entry per
-    degree: callers take the cheap exits (a constant input, no shared
-    variable) first, as Brown's evaluations are dense in every variable."""
-    if theta is None:
-        p, r = nth_prime(0), None
-    else:
-        p, r, _ = next(split_primes(*theta))
+    in w.  So h is constant, at any points.  Each image is a dense list,
+    one entry per degree: callers take the cheap exits (a constant input,
+    no shared variable) first, as Brown's evaluations are dense in every
+    variable."""
+    p, r = certificate_prime(theta)
     dense = []
     for ground in (f, g):
         reduced = image(ground, r, p)
         # a residue left out could hide a lost degree: such inputs go on
         if reduced is None or len(reduced) < len(ground):
             return False
-        at_w, at_v = {}, {}  # exponent of v, resp. w -> coefficient sum
-        for m, c in reduced.items():
-            i, j = exponent_at(m, v), exponent_at(m, w)
-            at_w[i] = at_w.get(i, 0) + c
-            at_v[j] = at_v.get(j, 0) + c
-        for sums in (at_w, at_v):
+        terms = [(exponent_at(m, v), exponent_at(m, w), c) for m, c in reduced.items()]
+        at_a = powers(POINT_W, {j for _, j, _ in terms}, p)
+        at_b = powers(POINT_V, {i for i, _, _ in terms}, p)
+        in_v, in_w = {}, {}  # f(v, a) and f(b, w): exponent -> coefficient
+        for i, j, c in terms:
+            in_v[i] = in_v.get(i, 0) + c * at_a[j]
+            in_w[j] = in_w.get(j, 0) + c * at_b[i]
+        for sums in (in_v, in_w):
             row = [sums.get(e, 0) % p for e in range(max(sums) + 1)]
             if not row[-1]:  # that image lost its input's degree
                 return False

@@ -22,8 +22,8 @@ Algorithms
   one ground map and normalises once.  `*`, a scalar multiple and
   `substitute` are calls of it; `+`, `-` and `-f` run through `_add`.
 * gcd: monomial content is pulled out first.  In two variables, coprime
-  images at w = 1 and at v = 1 mod one prime then certify the most common
-  answer, 1.  Otherwise one modular gcd in any number of variables, over
+  images at fixed points w = a and v = b, mod one prime below 2^30, then
+  certify the most common answer, 1.  Otherwise one modular gcd in any number of variables, over
   Q and Q(theta) alike: Brown's evaluation and interpolation mod p
   (`modular`, on the same packed keys) with Euclid in the shared variable
   in the most terms; Chinese remaindering and rational reconstruction;

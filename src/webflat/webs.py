@@ -40,7 +40,6 @@ from .poly import (
     MPoly,
     RatFn,
     cubic_discriminant,
-    cubic_resultant,
     determinant,
     exact_divide,
     poly_gcd,
@@ -180,7 +179,7 @@ class CubicWebEquation:
 
     def discriminant(self) -> MPoly:
         """R = Res(F, dF/ds) = -a0 * D, the slope resultant."""
-        return cubic_resultant(self.a0, self.a1, self.a2, self.a3)
+        return -(self.a0 * self.cubic_discriminant())
 
     @property
     def spec(self):

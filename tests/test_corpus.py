@@ -93,6 +93,41 @@ def test_traced_replay_keeps_output_and_gcd_counts(workload, monkeypatch):
         assert metrics["field.mul.calls"] == metrics["field.add.calls"] == 0
 
 
+# per-pass calls of the two-variable coprime certificate (how many it
+# certified) and of the modular engine, whose two-variable calls are then
+# left only for pairs with a common factor
+CERTIFICATE_CALLS = {
+    "curvature-q": {"certificate": 41, "certified": 36, "engine": 6},
+    "curvature-qtheta": {"certificate": 15, "certified": 12, "engine": 5},
+}
+
+
+@pytest.mark.parametrize("workload", sorted(CERTIFICATE_CALLS))
+def test_certificate_answers_most_coprime_pairs(workload, monkeypatch):
+    import webflat.modular as modular
+    import webflat.poly as poly
+
+    seen, engine = [], []
+    certificate, gcd_modular = modular.certified_coprime, poly._gcd_modular
+
+    def certifying(*args):
+        seen.append(certificate(*args))
+        return seen[-1]
+
+    def recording(f, g, variables):
+        h = gcd_modular(f, g, variables)
+        engine.append((len(variables), h.total_degree()))
+        return h
+
+    monkeypatch.setattr(modular, "certified_coprime", certifying)
+    monkeypatch.setattr(poly, "_gcd_modular", recording)
+    failed = [entry["argv"] for entry in _lines(workload) if not _line_ok(entry)]
+    assert not failed, failed
+    counts = {"certificate": len(seen), "certified": sum(seen), "engine": len(engine)}
+    assert counts == CERTIFICATE_CALLS[workload]
+    assert all(degree > 0 for k, degree in engine if k == 2)
+
+
 def _record_bits(monkeypatch):
     """The bits the parser charges literals and powers, as it checks them."""
     charged = []

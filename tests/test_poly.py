@@ -425,15 +425,17 @@ def test_modular_gcd_refuses_wrong_candidate(monkeypatch, subresultant_gcd, fiel
 CERTIFICATE_FIELDS = ("rationals", "t^2=t+1", "t^2=t-1")
 
 
+def _theta(spec):
+    return (spec.u, spec.v) if spec.is_quadratic else None
+
+
 def _certified(f, g):
     """`modular.certified_coprime` of f and g in (v, w) = (x, y)."""
-    spec = f.spec
-    theta = (spec.u, spec.v) if spec.is_quadratic else None
-    return modular.certified_coprime(f._ground, g._ground, SHIFT[0], SHIFT[1], theta)
+    return modular.certified_coprime(f._ground, g._ground, SHIFT[0], SHIFT[1], _theta(f.spec))
 
 
 def _certificate_prime(spec):
-    return next(modular.split_primes(spec.u, spec.v))[0] if spec.is_quadratic else modular.nth_prime(0)
+    return modular.certificate_prime(_theta(spec))[0]
 
 
 def _recording_certificate(monkeypatch, seen):
@@ -478,14 +480,18 @@ def test_certificate_proves_coprime_pairs_with_monomial_contents(monkeypatch, fi
 
 @pytest.mark.parametrize("field", CERTIFICATE_FIELDS)
 def test_certificate_refuses_images_that_lose_degree_or_share_a_factor(monkeypatch, field):
+    """The certificate takes the images at y = a and at x = b, with
+    (a, b) = (POINT_W, POINT_V): inputs built to lose a degree or share a
+    factor there are refused, and the engine finds the oracle's gcd."""
     spec = RATIONALS if field == "rationals" else parse_field(field)
     x, y, one = MPoly.variable("x", spec), MPoly.variable("y", spec), MPoly.one(spec)
-    h = (x - one) * (y - one) + one  # 1 at x = 1 and at y = 1
+    a, b = (MPoly.constant(c, spec) for c in (modular.POINT_W, modular.POINT_V))
+    h = (x - b) * (y - a) + one  # 1 at x = b and at y = a
     cases = [
-        # images at 1 coprime, but each has lost its input's degree: gcd h
+        # images at the points coprime, but each has lost its input's degree: gcd h
         (h * (x + y + 3 * one), h * (x + 2 * y + 5 * one), h),
-        # both images at y = 1 are x: refused, though the gcd is 1
-        (x + y - one, x + (y - one) ** 2, one),
+        # both images at y = a are x: refused, though the gcd is 1
+        (x + y - a, x + (y - a) ** 2, one),
     ]
     for f, g, want in cases:
         calls, seen = [], []
@@ -494,9 +500,11 @@ def test_certificate_refuses_images_that_lose_degree_or_share_a_factor(monkeypat
             _recording_certificate(patch, seen)
             assert poly_gcd(f, g) == want.monic() == subresultant_oracle(f, g, "x")
         assert seen == [False] and calls and all(ok for _, ok in calls)
-    # x with x + (y - 1)^2: both images at y = 1 are x, so the certificate
+    # the pair that point 1 refused is certified at these points
+    assert _certified(x + y - one, x + (y - one) ** 2)
+    # x with x + (y - a)^2: both images at y = a are x, so the certificate
     # refuses and the engine finds 1; poly_gcd shifts x out to 1 first
-    f, g = x, x + (y - one) ** 2
+    f, g = x, x + (y - a) ** 2
     assert not _certified(f, g) and not _certified(g, f)
     assert poly_module._gcd_modular(f, g, (0, 1)).is_one()
     assert poly_gcd(f, g).is_one()
@@ -509,13 +517,45 @@ def test_certificate_refuses_images_that_lose_degree_or_share_a_factor(monkeypat
 
 
 @pytest.mark.parametrize("field", CERTIFICATE_FIELDS)
-def test_certificate_refuses_a_denominator_divisible_by_its_prime(field):
+def test_certificate_refuses_a_denominator_divisible_by_its_prime(monkeypatch, field):
     spec = RATIONALS if field == "rationals" else parse_field(field)
     g = P("x - y + 2", spec)
     for d in (3, _certificate_prime(spec)):
         f = P("x*y + 1", spec) + MPoly.constant(Fraction(1, d), spec) * P("y^2", spec)
         assert _certified(f, g) == _certified(g, f) == (d == 3)
-        assert poly_gcd(f, g).is_one() and subresultant_oracle(f, g, "x").is_one()
+        calls = []
+        with monkeypatch.context() as patch:
+            _recording(patch, calls)
+            assert poly_gcd(f, g).is_one() and subresultant_oracle(f, g, "x").is_one()
+        assert bool(calls) == (d != 3) and all(ok for _, ok in calls)
+
+
+def test_certificate_prime_is_cached_below_two_to_the_thirty(monkeypatch):
+    """One prime below 2**30, over Q and, split, over both golden fields;
+    after the first lookup a certificate runs no primality test."""
+    p, r = modular.certificate_prime(None)
+    assert r is None and modular.is_prime(p) and p < 2**30
+    for field in ("t^2=t+1", "t^2=t-1"):
+        spec = parse_field(field)
+        q, r = modular.certificate_prime(_theta(spec))
+        assert modular.is_prime(q) and q < 2**30
+        roots = modular.split_roots(spec.u, spec.v, q)
+        assert roots is not None and r == roots[0] != roots[1]
+        assert (r * r - modular.fraction_mod(spec.u, q) * r - modular.fraction_mod(spec.v, q)) % q == 0
+    tests, inner = [], modular.is_prime
+
+    def counting(n):
+        tests.append(n)
+        return inner(n)
+
+    f, g = P("x*y + 1", spec), P("x - t*y + 2", spec)
+    assert _certified(f, g)
+    with monkeypatch.context() as patch:
+        patch.setattr(modular, "is_prime", counting)
+        assert _certified(f, g)
+        assert not tests
+        assert modular.certificate_prime.__wrapped__(_theta(spec)) == (q, r)  # uncached
+        assert tests
 
 
 def _residue(c, p):
@@ -530,8 +570,7 @@ def test_image_is_the_coefficientwise_residue(field):
     over Q(theta) with rational-only and with theta coefficients; it is None
     exactly when p divides a denominator, of a or of b."""
     spec = RATIONALS if field == "rationals" else parse_field(field)
-    first = _certificate_prime(spec)
-    r = next(modular.split_primes(spec.u, spec.v))[1] if spec.is_quadratic else None
+    first, r = modular.certificate_prime(_theta(spec))
     rng = random.Random(1971)
     seen = set()
     for quadratic in (False, True) if spec.is_quadratic else (False,):
