@@ -328,16 +328,21 @@ def _split_flags(argv):
 
 class _Operands:
     """The flags and positional operands of one command line, parsed on
-    demand over its field."""
+    demand over its field.  `read` holds the flags looked up so far."""
 
     def __init__(self, verb, flags, positionals, spec):
         self.verb = verb
         self.flags = flags
         self.positionals = positionals
         self.spec = spec
+        self.read = {"--field", "--format"}
+
+    def get(self, flag):
+        self.read.add(flag)
+        return self.flags.get(flag)
 
     def need(self, flag):
-        if flag not in self.flags:
+        if self.get(flag) is None:
             raise UsageError("verb %s needs %s" % (self.verb, flag))
         return self.flags[flag]
 
@@ -355,12 +360,13 @@ class _Operands:
 
 
 def _build_curvature(ops):
-    along = ops.flags.get("--along")
+    along = ops.get("--along")
     return ops.web(ops.need("--web")), None if along is None else parse_poly(along, ops.spec)
 
 
 def _build_discriminant(ops):
-    return (ops.web(ops.flags["--web"]) if "--web" in ops.flags else ops.affine(),)
+    web = ops.get("--web")
+    return (ops.affine() if web is None else ops.web(web),)
 
 
 def _build_eta(ops):
@@ -545,9 +551,13 @@ def build_command(argv) -> Command:
     if fmt not in ("text", "json"):
         raise UsageError("--format must be text or json")
     entry = VERBS[verb]
-    payload = entry.build(_Operands(verb, flags, positionals[1:], spec))
+    ops = _Operands(verb, flags, positionals[1:], spec)
+    payload = entry.build(ops)
     if positionals[1:] and not entry.positional:
         raise UsageError("verb %s takes no positional operands" % verb)
+    unread = [flag for flag in flags if flag not in ops.read]
+    if unread:
+        raise UsageError("verb %s would ignore %s" % (verb, unread[0]))
     return Command(verb=verb, payload=payload, field_text=field_text, format=fmt)
 
 

@@ -1,4 +1,4 @@
-"""Arithmetic modulo a prime for the modular gcd over Q and Q(theta).
+"""The modular gcd over Q and Q(theta), and arithmetic modulo a prime.
 
 Word-size primes and their square roots, rational reconstruction, and
 polynomials over F_p.  A univariate polynomial is a dense coefficient
@@ -7,14 +7,12 @@ polynomial in F_p[v_1, ..., v_k] is a dict from packed monomials to
 nonzero residues.  `image` is the one map into it from a ground map over
 Q or Q(theta), and `brown_gcd` takes the gcd of two such polynomials by
 Brown's evaluation and interpolation (JACM 1971), one variable at a time
-down to Euclid's algorithm; the engine's degree check, Chinese
-remaindering and rational reconstruction are here too.
+down to Euclid's algorithm.  Callers have two entries.  `field_gcd`, the
+engine, runs it over primes and returns the monic gcd as a ground map.
 `certified_coprime` comes first for two variables: from univariate images
 at two fixed points modulo one prime below 2**30, it proves that most pairs
-left once their monomial gcd is shifted out are coprime.
-Nothing here knows about `MPoly`, and nothing here imports `poly`,
-`field`, `webs`, `singular` or `cli`, so this module loads only with the
-first gcd.
+left once their monomial gcd is shifted out are coprime.  Nothing here
+knows `MPoly` or imports a layer module, so it loads with the first gcd.
 """
 
 from __future__ import annotations
@@ -25,6 +23,7 @@ import math
 from fractions import Fraction
 
 from .monomials import exponent_at, monomial_quotient, unit
+from .pairs import normal
 
 
 def is_prime(n: int) -> bool:
@@ -159,17 +158,6 @@ def rational_reconstruction(x: int, m: int):
     return Fraction(r1, s1)
 
 
-def top_monomials(keys, shifts) -> list:
-    """For each variable at `shifts`, the keys at the top degree in it: an
-    image mod p keeps that degree iff one of them survives."""
-    tops = []
-    for s in shifts:
-        row = [exponent_at(m, s) for m in keys]
-        top = max(row)
-        tops.append([m for m, e in zip(keys, row) if e == top])
-    return tops
-
-
 def image(ground: dict, r, p: int):
     """The image in F_p of a ground map: its coefficients reduced mod p, a
     rational over Q (r None), a pair (a, b) under theta -> r over Q(theta),
@@ -189,52 +177,6 @@ def image(ground: dict, r, p: int):
             c += b * r
         if c := c % p:
             out[m] = c
-    return out
-
-
-def keeps_degrees(image: dict, lm: int, tops: list) -> bool:
-    """Whether an image keeps its input's leading monomial lm and, with one
-    of its `top_monomials`, the degree in every variable."""
-    return lm in image and all(any(m in image for m in ms) for ms in tops)
-
-
-def theta_parts(images: list, roots: list, p: int) -> dict:
-    """The residues (h0, h1) of h = h0 + h1*theta mod p, monomial by
-    monomial, from its images under theta -> r for each of the roots: one
-    image at theta -> 0, or two at distinct roots r1, r2."""
-    if len(roots) == 1:
-        return {e: (c, 0) for e, c in images[0].items()}
-    (h1, h2), (r1, r2) = images, roots
-    inv_diff = pow(r1 - r2, -1, p)
-    parts = {}
-    for e in h1.keys() | h2.keys():
-        c1, c2 = h1.get(e, 0), h2.get(e, 0)
-        b = (c1 - c2) * inv_diff % p
-        parts[e] = ((c1 - b * r1) % p, b)
-    return parts
-
-
-def chinese_remainder(residues: dict, modulus: int, parts: dict, p: int) -> dict:
-    """The pairs mod modulus*p that are `residues` mod modulus and `parts`
-    mod p, monomial by monomial (an absent monomial is (0, 0))."""
-    inv = pow(modulus, -1, p)
-    return {
-        e: tuple(x + modulus * ((y - x) * inv % p)
-                 for x, y in zip(residues.get(e, (0, 0)), parts.get(e, (0, 0))))
-        for e in residues.keys() | parts.keys()
-    }
-
-
-def reconstruct(residues: dict, modulus: int):
-    """The rational pairs with these residues mod modulus, zero pairs left
-    out, or None when some component has no rational reconstruction."""
-    out = {}
-    for e, pair in residues.items():
-        a, b = (rational_reconstruction(x, modulus) for x in pair)
-        if a is None or b is None:
-            return None
-        if a or b:
-            out[e] = (a, b)
     return out
 
 
@@ -452,3 +394,114 @@ def brown_gcd(a: dict, b: dict, p: int, shifts) -> dict:
         candidate = join(h, s)
         if divides(candidate, join(a, s), p) and divides(candidate, join(b, s), p):
             return join({m: multiply(row, common, p) for m, row in h.items()}, s)
+
+
+# -- the modular gcd over Q and Q(theta) -------------------------------------
+#
+# Every gcd is taken modulo word-size primes.  When no input coefficient
+# carries theta (always so over Q), theta plays no part: a prime serves when
+# it divides no input denominator, and maps the inputs into
+# F_p[v_1, ..., v_k] once.  When some coefficient carries theta, only primes
+# that split in Q(theta) serve, in the style of Langemyr and McCallum
+# (J. Symb. Comp. 1989): for such a prime p, u^2 + 4v is a nonzero square
+# mod p, so theta has two images r1 != r2 in F_p, and each maps the inputs
+# into F_p[v_1, ..., v_k].  There the gcd comes from Brown's dense
+# evaluation and interpolation (JACM 1971, `brown_gcd`), one variable at a
+# time down to univariate Euclid, and is confirmed by trial division mod p.
+# Made monic at its grlex leading monomial, the images of the monic gcd
+# h0 + h1*theta give h0 and h1 mod p (with no theta, the one image is h0
+# and h1 = 0); the primes are combined by the Chinese remainder theorem and
+# rational reconstruction.  The result is exact:
+#
+# * a prime is used only when it divides no denominator (of the inputs, and
+#   of u or v when theta occurs) and keeps the leading monomial and the
+#   degree in every variable of both inputs under every image.  By Gauss's
+#   lemma at each prime above p, the monic gcd then maps to a monic divisor
+#   of the image gcd with the same leading monomial.  So an image gcd whose
+#   leading monomial is grlex-larger than another prime's marks an unlucky
+#   prime, and a constant one proves that the gcd is 1;
+# * a candidate is accepted as soon as it divides both inputs over the
+#   field.  It then divides the gcd, and its leading monomial, that of an
+#   image gcd, is at least the gcd's, so it is the gcd.
+#
+# So the loop over primes ends only with a certified candidate, and it
+# always ends: only finitely many primes are unlucky, every other usable
+# prime adds a correct residue of the monic gcd, and once the modulus
+# passes twice the square of the largest numerator and denominator among
+# the gcd's coefficients, rational reconstruction returns the gcd itself,
+# which divides both inputs.  The parser bounds the inputs' size; a cap on
+# the number of primes could only turn valid gcds into errors.
+
+
+def field_gcd(f: dict, g: dict, shifts, theta, divides_both) -> dict:
+    """The monic gcd of two nonzero ground maps over Q (theta None) or
+    Q(theta), theta = (u, v), in the variables at `shifts` (every variable
+    either one has), as a ground map of that field.  `divides_both(h)` tells
+    whether a candidate ground map h divides both inputs over the field;
+    it sees each candidate once.  `brown_gcd` runs Euclid in the first
+    variable and evaluates the last one first."""
+    grounds = (f, g)
+    # each input's leading monomial and, for each variable, its keys at the
+    # top degree in it: an image keeps that degree iff one of them survives
+    kept = []
+    for ground in grounds:
+        tops = []
+        for s in shifts:
+            row = [exponent_at(m, s) for m in ground]
+            top = max(row)
+            tops.append([m for m, e in zip(ground, row) if e == top])
+        kept.append((max(ground), tops))
+    if theta is not None and any(b for ground in grounds for _, b in ground.values()):
+        usable = split_primes(*theta)
+    else:  # one image per prime, with theta (if any) sent to 0
+        r = None if theta is None else 0
+        usable = ((p, r) for p in primes())
+
+    best = math.inf  # leading monomial of the images kept, none yet
+    modulus, residues, tested = 1, {}, None
+    for p, *roots in usable:
+        images = [[image(ground, r, p) for ground in grounds] for r in roots]
+        if not all(h is not None and lm in h and all(any(m in h for m in ms) for ms in tops)
+                   for pair in images for h, (lm, tops) in zip(pair, kept)):
+            continue
+        gcds = []
+        for fr, gr in images:
+            h = brown_gcd(fr, gr, p, shifts)
+            lm = max(h)
+            if not lm:
+                return {0: 1 if theta is None else (1, 0)}
+            inv = pow(h[lm], -1, p)
+            gcds.append((lm, {e: c * inv % p for e, c in h.items()}))
+        lm = gcds[0][0]
+        if any(other != lm for other, _ in gcds) or lm > best:
+            continue
+        if lm < best:
+            best, modulus, residues = lm, 1, {}
+        # (h0, h1) mod p, monomial by monomial, from the images at the roots
+        if len(roots) == 1:
+            parts = {e: (c, 0) for e, c in gcds[0][1].items()}
+        else:  # h0 + h1*r at each of the two roots r
+            (_, h1), (_, h2), (r1, r2) = *gcds, roots
+            inv, parts = pow(r1 - r2, -1, p), {}
+            for e in h1.keys() | h2.keys():
+                b = (h1.get(e, 0) - h2.get(e, 0)) * inv % p
+                parts[e] = ((h1.get(e, 0) - b * r1) % p, b)
+        # Chinese remaindering mod modulus * p (an absent monomial is (0, 0))
+        inv = pow(modulus, -1, p)
+        residues = {
+            e: tuple(x + modulus * ((y - x) * inv % p)
+                     for x, y in zip(residues.get(e, (0, 0)), parts.get(e, (0, 0))))
+            for e in residues.keys() | parts.keys()
+        }
+        modulus *= p
+        candidate = {}
+        for e, pair in residues.items():
+            a, b = (rational_reconstruction(x, modulus) for x in pair)
+            if a is None or b is None:
+                break
+            if a or b:
+                candidate[e] = normal(a) if theta is None else (normal(a), normal(b))
+        else:  # every residue reconstructed
+            if candidate != tested and divides_both(candidate):
+                return candidate
+            tested = candidate

@@ -21,14 +21,13 @@ Algorithms
 * products: `sum_of_products` adds the k*f*g of a whole closed form into
   one ground map and normalises once.  `*`, a scalar multiple and
   `substitute` are calls of it; `+`, `-` and `-f` run through `_add`.
-* gcd: monomial content is pulled out first.  In two variables, coprime
-  images at fixed points w = a and v = b, mod one prime below 2^30, then
-  certify the most common answer, 1.  Otherwise one modular gcd in any number of variables, over
-  Q and Q(theta) alike: Brown's evaluation and interpolation mod p
-  (`modular`, on the same packed keys) with Euclid in the shared variable
-  in the most terms; Chinese remaindering and rational reconstruction;
-  confirmed by trial division.  Both reduce mod p by `modular.image`.
-  The tests keep the subresultant remainder sequence as its oracle.
+* gcd: monomial content is pulled out first and put back as a key shift.
+  In two variables, images at fixed points w = a and v = b, mod one prime
+  below 2^30, then certify the most common answer, 1
+  (`modular.certified_coprime`).  Otherwise `modular.field_gcd`, one
+  modular gcd in any number of variables over Q and Q(theta) alike,
+  trial-divides its candidates over the field by `try_exact_divide`.  The
+  tests keep the subresultant remainder sequence as its oracle.
 * powers: binomial theorem for one or two terms, squaring for more.
 * determinant: the 3x3 of the inflection divisor in closed form; the
   tests keep cofactor expansion as its oracle.
@@ -567,102 +566,35 @@ def _shift_down(f: MPoly, shift: int) -> MPoly:
     return MPoly._raw({m - shift: c for m, c in f._ground.items()}, f.spec) if shift else f
 
 
-# -- modular gcd over Q and Q(theta) -----------------------------------------
-#
-# Every gcd is taken modulo word-size primes.  When no input coefficient
-# carries theta (always so over Q), theta plays no part: a prime serves when
-# it divides no input denominator, and maps the inputs into
-# F_p[v_1, ..., v_k] once.  When some coefficient carries theta, only primes
-# that split in Q(theta) serve, in the style of Langemyr and McCallum
-# (J. Symb. Comp. 1989): for such a prime p, u^2 + 4v is a nonzero square
-# mod p, so theta has two images r1 != r2 in F_p, and each maps the inputs
-# into F_p[v_1, ..., v_k].  There the gcd comes from Brown's dense
-# evaluation and interpolation (JACM 1971, `modular.brown_gcd`), one
-# variable at a time down to univariate Euclid, and is confirmed by trial
-# division mod p.  Made monic at its grlex leading monomial, the images of
-# the monic gcd h0 + h1*theta give h0 and h1 mod p (with no theta, the one
-# image is h0 and h1 = 0); the primes are combined by the Chinese remainder
-# theorem and rational reconstruction.  The result is exact:
-#
-# * a prime is used only when it divides no denominator (of the inputs, and
-#   of u or v when theta occurs) and keeps the leading monomial and the
-#   degree in every variable of both inputs under every image.  By Gauss's
-#   lemma at each prime above p, the monic gcd then maps to a monic divisor
-#   of the image gcd with the same leading monomial.  So an image gcd whose
-#   leading monomial is grlex-larger than another prime's marks an unlucky
-#   prime, and a constant one proves that the gcd is 1;
-# * a candidate is accepted as soon as it divides both inputs over the
-#   field.  It then divides the gcd, and its leading monomial, that of an
-#   image gcd, is at least the gcd's, so it is the gcd.
-#
-# So the loop over primes ends only with a certified candidate, and it
-# always ends: only finitely many primes are unlucky, every other usable
-# prime adds a correct residue of the monic gcd, and once the modulus
-# passes twice the square of the largest numerator and denominator among
-# the gcd's coefficients, rational reconstruction returns the gcd itself,
-# which divides both inputs.  The parser bounds the inputs' size; a cap on
-# the number of primes could only turn valid gcds into errors.
+def _shift_up(f: MPoly, shift: int) -> MPoly:
+    """f times the packed monomial shift, with no kernel call."""
+    return MPoly._raw({m + shift: c for m, c in f._ground.items()}, f.spec) if shift else f
 
 
 def _gcd_modular(f: MPoly, g: MPoly, variables) -> MPoly:
     """gcd of two polynomials over Q or Q(theta) in the variables
     VARIABLES[i], i in `variables` (every variable either one has), made
-    monic.  `modular.brown_gcd` runs Euclid in the first of them and
+    monic.  `modular.field_gcd` runs Euclid in the first of them and
     evaluates the last one first."""
     from . import modular  # on first use: one-line invocations mostly take no gcd
 
     spec = f.spec
     shifts = [SHIFT[i] for i in variables]
-    grounds = (f._ground, g._ground)
-    kept = [(max(ground), modular.top_monomials(ground, shifts)) for ground in grounds]
-    if spec.is_quadratic and any(b for ground in grounds for _, b in ground.values()):
-        primes = modular.split_primes(spec.u, spec.v)
-    else:  # one image per prime, with theta (if any) sent to 0
-        r = 0 if spec.is_quadratic else None
-        primes = ((p, r) for p in modular.primes())
+    theta = (spec.u, spec.v) if spec.is_quadratic else None
 
-    best = math.inf  # leading monomial of the images kept, none yet
-    modulus, residues, tested = 1, {}, None
-    for p, *roots in primes:
-        images = [[modular.image(ground, r, p) for ground in grounds] for r in roots]
-        if not all(h is not None and modular.keeps_degrees(h, *k)
-                   for pair in images for h, k in zip(pair, kept)):
-            continue
-        gcds = []
-        for fr, gr in images:
-            h = modular.brown_gcd(fr, gr, p, shifts)
-            lm = max(h)
-            if not lm:
-                return MPoly.one(spec)
-            inv = pow(h[lm], -1, p)
-            gcds.append((lm, {e: c * inv % p for e, c in h.items()}))
-        lm = gcds[0][0]
-        if any(other != lm for other, _ in gcds) or lm > best:
-            continue
-        if lm < best:
-            best, modulus, residues = lm, 1, {}
-        residues = modular.chinese_remainder(
-            residues, modulus, modular.theta_parts([h for _, h in gcds], roots, p), p
-        )
-        modulus *= p
-        candidate = modular.reconstruct(residues, modulus)
-        if candidate is None or candidate == tested:
-            continue
-        tested = candidate
-        if spec.is_quadratic:
-            h = {m: (_normal(a), _normal(b)) for m, (a, b) in candidate.items()}
-        else:
-            h = {m: _normal(a) for m, (a, b) in candidate.items()}
+    def divides_both(h):
         h = MPoly._raw(h, spec)
-        if try_exact_divide(f, h) is not None and try_exact_divide(g, h) is not None:
-            return h
+        return try_exact_divide(f, h) is not None and try_exact_divide(g, h) is not None
+
+    return MPoly._raw(modular.field_gcd(f._ground, g._ground, shifts, theta, divides_both), spec)
 
 
 def _gcd_raw(f: MPoly, g: MPoly) -> MPoly:
     """gcd of two nonzero polynomials, up to a scalar unit."""
     spec = f.spec
     shift_f, shift_g = _monomial_content(f._ground), _monomial_content(g._ground)
-    mono = MPoly._raw({_monomial_content((shift_f, shift_g)): _as_coefficient(1, spec)}, spec)
+    shift = _monomial_content((shift_f, shift_g))
+    mono = MPoly._raw({shift: _as_coefficient(1, spec)}, spec)
     f, g = _shift_down(f, shift_f), _shift_down(g, shift_g)
     if f.is_constant() or g.is_constant():
         return mono
@@ -671,7 +603,7 @@ def _gcd_raw(f: MPoly, g: MPoly) -> MPoly:
     if not shared:
         return mono
     if f._ground == g._ground:  # the cheap win first
-        return mono * f
+        return _shift_up(f, shift)
     # most pairs left here are coprime: in two variables, certify that
     # first, by images no denser than the engine's evaluations
     names = sorted(names_f | names_g)
@@ -688,7 +620,7 @@ def _gcd_raw(f: MPoly, g: MPoly) -> MPoly:
 
     first = max(sorted(shared), key=frequency)
     rest = sorted(VARIABLE_INDEX[name] for name in names if name != first)
-    return mono * _gcd_modular(f, g, (VARIABLE_INDEX[first], *rest))
+    return _shift_up(_gcd_modular(f, g, (VARIABLE_INDEX[first], *rest)), shift)
 
 
 def poly_gcd(f: MPoly, g: MPoly) -> MPoly:

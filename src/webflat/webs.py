@@ -482,9 +482,11 @@ def gauss_map_point(hvf: HomogeneousVectorField, pt: ProjectivePoint) -> Project
 
 
 def holomorphic_along(form: CurvatureForm, g: MPoly) -> bool:
-    """True iff no factor of g divides the reduced curvature denominator."""
+    """True iff no factor of g, a curve in the form's chart, divides the
+    reduced curvature denominator."""
     if g.is_zero():
         raise ZeroPolynomial("holomorphy along the zero curve")
+    _require_vars(g, form.chart, "curve")
     return poly_gcd(form.coeff.den, g).is_constant()
 
 

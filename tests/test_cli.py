@@ -327,6 +327,23 @@ def test_every_verb_output_pinned(capsys, argv, text, json_text, fmt):
     assert capsys.readouterr().out == (text if fmt == "text" else json_text)
 
 
+# a value for each verb flag; each golden line reads exactly the flags it has
+FLAG_VALUES = {"--vf": "x ; y", "--web": "p^3 - x", "--at": "0,0", "--along": "x"}
+
+
+@pytest.mark.parametrize("argv", [c[0] for c in VERB_GOLDEN], ids=[c[0][0] for c in VERB_GOLDEN])
+def test_a_flag_the_verb_would_ignore_is_a_usage_error(argv):
+    """Every known flag a verb does not read, before or after the others:
+    `discriminant --web` does not read --vf, nor `curvature` --at."""
+    verb = argv[0]
+    unread = [flag for flag in FLAG_VALUES if flag not in argv]
+    assert unread and run_line(argv)[2] == 0
+    for flag in unread:
+        message = "error: UsageError: verb %s would ignore %s" % (verb, flag)
+        for line in (argv + [flag, FLAG_VALUES[flag]], [verb, flag, FLAG_VALUES[flag]] + argv[1:]):
+            assert run_line(line) == ("", message, 1), line
+
+
 # -- exit code taxonomy -----------------------------------------------------------
 
 
@@ -452,6 +469,7 @@ def test_domain_errors_exit_2():
         (["inflection", "--vf", "x ; x + x^2 ; 0"], "NonHomogeneous"),
         (["eta", "y ; 0 ; 1", "1"], "InvariantViolated"),
         (["flat", "--vf", "z ; y"], "InvariantViolated"),
+        (["curvature", "--web", "p^3 - x*p + y^3", "--along", "p"], "InvariantViolated"),
         (["eta", "0 ; 1 ; x", "-1"], "DegenerateParameter"),
         (["gauss", "--vf", "x^3 ; y^3 - z^3 ; 0", "--at", "0,0,0"], "DegenerateParameter"),
     ]

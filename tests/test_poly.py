@@ -928,6 +928,58 @@ def test_modular_trivariate_gcd_skips_unlucky_points(monkeypatch):
     assert images[1] > images[0]
 
 
+@pytest.mark.parametrize("field", ("rationals", "t^2=t+1"))
+def test_field_gcd_contract(field):
+    """`modular.field_gcd` answers a coprime pair without the division test,
+    shows that test each candidate once, and returns the monic gcd in the
+    field's ground format: ints and Fractions, in pairs over Q(theta)."""
+    spec = RATIONALS if field == "rationals" else parse_field(field)
+    theta, seen = _theta(spec), []
+    if spec.is_quadratic:
+        (p, *_), (p2, *_) = itertools.islice(modular.split_primes(spec.u, spec.v), 2)
+        h = P("3*x^2*y - t*y + 2", spec)
+    else:
+        p, p2 = itertools.islice(modular.primes(), 2)
+        h = P("3*x^2*y - 5*y + 2", spec)
+
+    def field_gcd(f, g):
+        def divides_both(candidate):
+            seen.append(candidate)
+            candidate = MPoly._raw(candidate, spec)
+            return divides(candidate, f) and divides(candidate, g)
+
+        return modular.field_gcd(f._ground, g._ground, SHIFT[:2], theta, divides_both)
+
+    one = (1, 0) if spec.is_quadratic else 1
+    assert field_gcd(P("x*y + 1", spec), P("x - y", spec)) == {0: one}
+    assert not seen
+    # cofactors that agree mod p and mod p2: the candidate h*(x + y) of p
+    # is refused and comes again from p*p2 untested, and the third prime's
+    # h is accepted
+    got = field_gcd(h * P("x + y + %d" % (p * p2), spec), h * P("x + y", spec))
+    assert seen == [(h * P("x + y", spec)).monic()._ground, h.monic()._ground]
+    assert got == seen[-1]
+    assert {type(c) for c in got.values()} == ({tuple} if spec.is_quadratic else {int, Fraction})
+    assert_ground(MPoly._raw(got, spec))
+
+
+def test_gcd_puts_back_its_monomial_content_without_the_kernel(monkeypatch):
+    """The monomial gcd shifted out goes back on as a shift of the keys, so
+    an equal pair and an engine gcd make no kernel product."""
+    f = P("x^2 + 3*y + 1")
+    cases = [(f, f, f), (X * Y * f, X * X * f, X * f), (f * (X - Y), f * (X + Y), f)]
+    calls, inner = [], poly_module.sum_of_products
+
+    def counting(terms):
+        calls.append(terms)
+        return inner(terms)
+
+    monkeypatch.setattr(poly_module, "sum_of_products", counting)
+    for a, b, want in cases:
+        assert poly_gcd(a, b) == want
+    assert not calls
+
+
 def test_exact_divide_errors():
     with pytest.raises(DivisionByZero):
         exact_divide(X, MPoly.zero())

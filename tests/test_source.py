@@ -1,6 +1,6 @@
 """Checks on the package source itself: the error contract, the size of
-the largest module, the owner of the monomial layout, and the modules that
-must import no layer above them."""
+the largest module, the owner of the monomial layout, the modules that
+must import no layer above them, and what `poly` names of `modular`."""
 
 import ast
 import builtins
@@ -108,3 +108,18 @@ def test_leaf_modules_import_no_layer():
                 if LAYERS & set(module.split(".")):
                     found.append("%s:%d imports %s" % (name, node.lineno, module))
     assert not found, found
+
+
+def test_poly_names_only_the_two_entries_of_modular():
+    """The modular gcd has one owner: `poly` names `modular.certified_coprime`
+    and the engine's entry `modular.field_gcd`, and nothing else there."""
+    tree = ast.parse((PACKAGE / "poly.py").read_text(encoding="utf-8"))
+    named, imports = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id == "modular":
+                named.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module and "modular" in node.module:
+            imports.append(node.lineno)
+    assert named == {"certified_coprime", "field_gcd"}, named
+    assert not imports, imports

@@ -531,6 +531,18 @@ def test_holomorphic_along_zero_curve_rejected():
         holomorphic_along(form, MPoly.zero())
 
 
+def test_holomorphic_along_refuses_a_curve_outside_the_chart():
+    """The curve lives in the form's chart: (p, q) for a dual curvature,
+    (x, y) for a web's, whose slope variable p is no curve there."""
+    dual = dual_curvature(GOLDEN_VF)
+    web = web_curvature(CubicWebEquation.from_polynomial(P("p^3 - x*p + y^3"), "p", ("x", "y")))
+    for form, curve, chart in ((dual, "x", "p, q"), (dual, "q + z", "p, q"), (web, "p", "x, y")):
+        with pytest.raises(InvariantViolated) as err:
+            holomorphic_along(form, P(curve))
+        assert str(err.value).startswith("curve may only involve %s" % chart)
+    assert holomorphic_along(web, P("y"))
+
+
 # -- eta criterion ------------------------------------------------------------------------------------------
 
 
