@@ -17,6 +17,7 @@ components separated by ';'.  Exit codes: 0 ok, 1 parse/usage error,
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from fractions import Fraction
@@ -31,9 +32,20 @@ from .errors import (
     UsageError,
     WebflatError,
 )
+from . import pairs
 from .field import RATIONALS, FieldScalar, FieldSpec
-from .monomials import BOUND
-from .poly import MAX_PARSE_BITS, MAX_PARSE_PAIRS, MPoly, _power_bits, render_poly
+from .monomials import BOUND, UNIT, monomial_degree
+from .pairs import normal
+from .poly import (
+    MAX_PARSE_BITS,
+    MAX_PARSE_PAIRS,
+    VARIABLE_INDEX,
+    MPoly,
+    _add,
+    _power_bits,
+    _products,
+    render_poly,
+)
 from .singular import classify_singularity, verify_classification
 from .webs import (
     AffineVectorField,
@@ -91,6 +103,11 @@ def _check_degree(degree: int, what: str, token: "_Token"):
         )
 
 
+def _degree(ground: dict) -> int:
+    """The total degree of a ground map; -1 for zero, as `MPoly.total_degree`."""
+    return monomial_degree(max(ground)) if ground else -1
+
+
 class _Token:
     __slots__ = ("kind", "text", "offset")
 
@@ -134,15 +151,31 @@ def _tokenize(src: str):
 
 
 class _Parser:
-    """Recursive-descent parser producing an MPoly over the chosen field."""
+    """Recursive-descent parser producing an MPoly over the chosen field.
+
+    Every value is a ground map the parser owns, in `poly`'s format.  An
+    atom is one term: a variable, a rational or theta.  `+` and `-` add
+    each term into the first term's map in place, and unary minus adds
+    the operand into an empty map.  A product of two one-term maps is one
+    key sum and one coefficient product; only a product with a factor of
+    two or more terms goes through the kernel (`_products`), and a power
+    through `MPoly.__pow__`.  The pair, bit and degree bounds are charged
+    at the `*`, `^` and literal tokens, on the sizes of the operands.
+    """
 
     def __init__(self, src: str, spec: FieldSpec | None, theta_is_variable=False):
         self.src = src
-        self.spec = spec or RATIONALS
-        self.have_field = spec is not None and spec.is_quadratic
+        self.spec = spec = spec or RATIONALS
+        self.have_field = spec.is_quadratic
         self.theta_is_variable = theta_is_variable
         self.tokens = _tokenize(src)
         self.pos = 0
+        if spec.is_quadratic:
+            self.add, self.one = pairs.add, (1, 0)
+            self.times = functools.partial(pairs.product, u=spec.u, v=spec.v)
+        else:
+            self.add, self.one = _add, 1
+            self.times = lambda c, d: normal(c * d)
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -169,46 +202,56 @@ class _Parser:
                 token.offset,
                 ("+", "-", "*", "^", "end"),
             )
-        return result
+        return MPoly._raw(result, self.spec)
 
-    def expr(self) -> MPoly:
+    def expr(self) -> dict:
         value = self.term()
         while self.peek().kind in ("+", "-"):
-            op = self.take().kind
-            rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
+            sign = 1 if self.take().kind == "+" else -1
+            self.add(value, self.term(), sign)
         return value
 
-    def term(self) -> MPoly:
+    def term(self) -> dict:
         value = self.factor()
         while self.peek().kind == "*":
             token = self.take()
             rhs = self.factor()
-            _check_pairs(len(value._ground) * len(rhs._ground), token)
-            _check_degree(value.total_degree() + rhs.total_degree(), "product", token)
-            value = value * rhs
+            _check_pairs(len(value) * len(rhs), token)
+            _check_degree(_degree(value) + _degree(rhs), "product", token)
+            if len(value) == 1 == len(rhs):
+                [(m, c)], [(n, d)] = value.items(), rhs.items()
+                value = {m + n: self.times(c, d)}
+            else:
+                value = _products([(1, value, rhs)], self.spec)
         return value
 
-    def factor(self) -> MPoly:
+    def factor(self) -> dict:
         base = self.base()
         if self.peek().kind == "^":
             token = self.take()
             exponent = self.uint(self.expect("uint"))
+            base = MPoly._raw(base, self.spec)
             _check_pairs(_power_pairs(len(base._ground), exponent), token)
             _check_bits(_power_bits(base, exponent), "power", token)
             _check_degree(base.total_degree() * exponent, "power", token)
-            return base ** exponent
+            return (base ** exponent)._ground
         return base
 
     def uint(self, token: _Token) -> int:
         _check_bits(len(token.text) * 10 // 3, "literal", token)
         return int(token.text)
 
-    def base(self) -> MPoly:
+    def constant(self, c) -> dict:
+        """The ground map of a rational c."""
+        if not c:
+            return {}
+        return {0: (c, 0) if self.spec.is_quadratic else c}
+
+    def base(self) -> dict:
         token = self.peek()
         if token.kind == "-":
             self.take()
-            return -self.factor()
+            return self.add({}, self.factor(), -1)
         if token.kind == "(":
             self.take()
             inner = self.expr()
@@ -222,8 +265,8 @@ class _Parser:
                         "symbol t at offset %d needs --field" % token.offset,
                         token.offset,
                     )
-                return MPoly.constant(FieldScalar.theta(self.spec), self.spec)
-            return MPoly.variable(token.text, self.spec)
+                return {0: (0, 1)}
+            return {UNIT[VARIABLE_INDEX[token.text]]: self.one}
         if token.kind == "uint":
             self.take()
             numerator = self.uint(token)
@@ -235,10 +278,8 @@ class _Parser:
                     raise ParseError(
                         "zero denominator at offset %d" % token.offset, token.offset, ("uint",)
                     )
-                return MPoly.constant(
-                    FieldScalar(Fraction(numerator, denominator), 0, self.spec), self.spec
-                )
-            return MPoly.constant(numerator, self.spec)
+                return self.constant(normal(Fraction(numerator, denominator)))
+            return self.constant(numerator)
         raise ParseError(
             "expected a value at offset %d" % token.offset,
             token.offset,

@@ -12,10 +12,12 @@ The central objects:
 `web_curvature` reads the curvature off as one fraction over D^2, D the
 slope cubic's discriminant, from the cubic's Hessian coefficients and the
 coefficient derivatives, with no determinant.  `dual_curvature` runs the same
-algorithm on the Legendre web of a vector field (`legendre_transform`,
-the substitution y -> p*x + q), with the slope read as dq/dp = -x, in
-the dual coordinates (p, q) where p is the line slope and q the
-intercept; `is_flat` stops at that fraction's unreduced numerator.
+algorithm on the Legendre web of a vector field, with the slope read as
+dq/dp = -x, in the dual coordinates (p, q) where p is the line slope and
+q the intercept; `is_flat` stops at that fraction's unreduced numerator.
+`legendre_transform` expands B(x, p*x + q) - p*A(x, p*x + q) term by
+term into the four x-degree coefficients, with no polynomial product, and
+builds the slope cubic in s = -x from the same sums.
 """
 
 from __future__ import annotations
@@ -46,7 +48,8 @@ from .poly import (
     sum_of_products,
     try_exact_divide,
 )
-from .monomials import UNIT, bounded, monomial_degree
+from .monomials import SHIFT, UNIT, bounded, exponent_at, monomial_degree
+from .pairs import normal
 
 
 def _require_vars(f: MPoly, allowed, label):
@@ -134,10 +137,11 @@ class CubicWebEquation:
     (p, q) chart); a0..a3 are the coefficients of slope^3 .. slope^0 and
     involve only the two base variables.  A degenerate equation (slope
     resultant identically zero) can be represented -- querying its
-    discriminant is legitimate -- but refuses curvature.
+    discriminant is legitimate -- but refuses curvature.  A Legendre web
+    keeps its dual web in `_dual` (`legendre_transform`).
     """
 
-    __slots__ = ("slope_var", "base_vars", "a0", "a1", "a2", "a3", "_cubic_discriminant")
+    __slots__ = ("slope_var", "base_vars", "a0", "a1", "a2", "a3", "_cubic_discriminant", "_dual")
 
     def __init__(self, slope_var: str, base_vars, a0, a1, a2, a3):
         if slope_var in base_vars:
@@ -155,6 +159,7 @@ class CubicWebEquation:
         self.a2 = a2
         self.a3 = a3
         self._cubic_discriminant = None
+        self._dual = None
 
     @classmethod
     def from_polynomial(cls, f: MPoly, slope_var: str, base_vars) -> "CubicWebEquation":
@@ -243,13 +248,19 @@ class EtaWebSpec:
 def legendre_transform(vf: AffineVectorField) -> CubicWebEquation:
     """Dual web of the foliation, as a cubic in x over the chart (p, q).
 
-    Substituting y = p*x + q into B - p*A produces the equation of the
-    dual web; its x-degree is the number of tangencies with a generic
-    line, which must be exactly 3 here.  It is read off the field before
-    anything is expanded.  For d the total degree, the x^d coefficient is
+    The dual web's equation is B(x, p*x + q) - p*A(x, p*x + q); its
+    x-degree is the number of tangencies with a generic line, which must
+    be exactly 3 here.  It is read off the field before anything is
+    expanded.  For d the total degree, the x^d coefficient is
     B_d(1, p) - p*A_d(1, p); it vanishes exactly when the top homogeneous
     part is radial, x*B_d = y*A_d = x*y*H, and then the x^(d-1)
     coefficient has the term q*H(1, p), so the degree is d - 1.
+
+    The equation is then expanded term by term: c*x^i*y^j in B gives
+    C(j, l)*c at x^(i+l)*p^l*q^(j-l) for l = 0..j, and in A the same times
+    -p.  Each x-degree sums its contributions and is normalised once.  The
+    web keeps the dual web of `_dual_web` beside it, normalised from the
+    same sums.
     """
     d = max(vf.a.total_degree(), vf.b.total_degree())
     x_b_top = {m + UNIT[0]: c for m, c in vf.b._ground.items() if monomial_degree(m) == d}
@@ -260,13 +271,40 @@ def legendre_transform(vf: AffineVectorField) -> CubicWebEquation:
     if degree < 3:
         raise DegreeTooLow("dual equation has x-degree %d < 3" % degree)
     spec = vf.spec
-    x = MPoly.variable("x", spec)
-    p = MPoly.variable("p", spec)
-    q = MPoly.variable("q", spec)
-    dual = (vf.b - p * vf.a).substitute({"y": p * x + q})  # p is not bound
-    web = CubicWebEquation.from_polynomial(dual, "x", ("p", "q"))
-    if web.cubic_discriminant().is_zero():  # a0 is not zero at x-degree 3
+    quadratic = spec.is_quadratic
+    p, q = UNIT[3], UNIT[4]
+    sums = [{} for _ in range(d + 1)]  # x-degree -> monomial in (p, q) -> sum
+    for ground, shift, sign in ((vf.b._ground, 0, 1), (vf.a._ground, p, -1)):
+        for m, c in ground.items():
+            i, j = exponent_at(m, SHIFT[0]), exponent_at(m, SHIFT[1])
+            for l in range(j + 1):
+                k, row, e = sign * math.comb(j, l), sums[i + l], l * p + (j - l) * q + shift
+                if quadratic:
+                    a, b = row.get(e, (0, 0))
+                    row[e] = (a + k * c[0], b + k * c[1])
+                else:
+                    row[e] = row.get(e, 0) + k * c
+
+    def coefficient(x_degree, sign=1):
+        """The x^x_degree coefficient times sign, a ground map normalised
+        once; the x^d sums of a radial top cancel and are never read."""
+        if quadratic:
+            terms = {e: (normal(sign * a), normal(sign * b))
+                     for e, (a, b) in sums[x_degree].items() if a or b}
+        else:
+            terms = {e: normal(sign * c) for e, c in sums[x_degree].items() if c}
+        return MPoly._raw(terms, spec)
+
+    a0, a1, a2, a3 = map(coefficient, (3, 2, 1, 0))
+    web = CubicWebEquation("x", ("p", "q"), a0, a1, a2, a3)
+    disc = web.cubic_discriminant()
+    if disc.is_zero():  # a0 is not zero at x-degree 3
         raise DegenerateWeb("dual equation has identically zero discriminant")
+    # the same web as a slope cubic in s = -x, checked with this one
+    dual = web._dual = object.__new__(CubicWebEquation)
+    dual.slope_var, dual.base_vars, dual._dual = web.slope_var, web.base_vars, None
+    dual.a0, dual.a1, dual.a2, dual.a3 = a0, coefficient(2, -1), a2, coefficient(0, -1)
+    dual._cubic_discriminant = disc  # D is even in (a1, a3) jointly
     return web
 
 
@@ -349,14 +387,10 @@ def _dual_web(vf: AffineVectorField) -> CubicWebEquation:
     """The dual web as a slope cubic over the chart (p, q).
 
     The Legendre web is a cubic in x whose slope is dq/dp = -x.  With
-    x = -s it is, up to sign, the slope cubic a0*s^3 - a1*s^2 + a2*s - a3.
+    x = -s it is, up to sign, the slope cubic a0*s^3 - a1*s^2 + a2*s - a3,
+    which `legendre_transform` builds beside it.
     """
-    legendre = legendre_transform(vf)
-    a0, a1, a2, a3 = legendre.a0, legendre.a1, legendre.a2, legendre.a3
-    web = CubicWebEquation("x", legendre.base_vars, a0, -a1, a2, -a3)
-    # D is even in (a1, a3) jointly: reuse the Legendre web's
-    web._cubic_discriminant = legendre.cubic_discriminant()
-    return web
+    return legendre_transform(vf)._dual
 
 
 def dual_curvature(vf: AffineVectorField) -> CurvatureForm:

@@ -419,3 +419,69 @@ def eta_criterion_reduced(web_spec) -> bool:
     outer = RatFn(num.derivative("x") * den - num * den.derivative("x"), den * den)
     y_power = MPoly.variable("y", num.spec) ** web_spec.a
     return outer.num.is_zero() or divides(y_power, outer.num)
+
+
+# -- the parser's kernel route ---------------------------------------------------
+#
+# An expression tree follows the CLI grammar: ("expr", term, [(op, term)]),
+# ("term", [factor]), ("factor", base, exponent or None), and a base
+# ("var", name), ("rational", numerator, denominator or None),
+# ("paren", expr) or ("neg", factor).
+
+
+def tree_text(node) -> str:
+    """The CLI text of an expression tree."""
+    kind = node[0]
+    if kind == "expr":
+        return tree_text(node[1]) + "".join(" %s %s" % (op, tree_text(t)) for op, t in node[2])
+    if kind == "term":
+        return "*".join(map(tree_text, node[1]))
+    if kind == "factor":
+        base = tree_text(node[1])
+        return base if node[2] is None else "%s^%d" % (base, node[2])
+    if kind == "var":
+        return node[1]
+    if kind == "rational":
+        return str(node[1]) if node[2] is None else "%d/%d" % node[1:]
+    if kind == "paren":
+        return "(%s)" % tree_text(node[1])
+    return "-" + tree_text(node[1])
+
+
+def tree_value(node, spec) -> MPoly:
+    """The tree evaluated the way the parser once did it: every atom an
+    MPoly and every operator an MPoly `+`, `-`, `*` or `**`."""
+    kind = node[0]
+    if kind == "expr":
+        value = tree_value(node[1], spec)
+        for op, term in node[2]:
+            rhs = tree_value(term, spec)
+            value = value + rhs if op == "+" else value - rhs
+        return value
+    if kind == "term":
+        value = tree_value(node[1][0], spec)
+        for factor in node[1][1:]:
+            value = value * tree_value(factor, spec)
+        return value
+    if kind == "factor":
+        base = tree_value(node[1], spec)
+        return base if node[2] is None else base ** node[2]
+    if kind == "var":
+        if node[1] == "t":
+            return MPoly.constant(FieldScalar.theta(spec), spec)
+        return MPoly.variable(node[1], spec)
+    if kind == "rational":
+        return MPoly.constant(Fraction(node[1], node[2] or 1), spec)
+    if kind == "paren":
+        return tree_value(node[1], spec)
+    return -tree_value(node[1], spec)
+
+
+def legendre_split(vf):
+    """(a0, a1, a2, a3), the x^3 .. x^0 coefficients of
+    (B - p*A)(x, p*x + q), by substitution."""
+    spec = vf.spec
+    x, p, q = (MPoly.variable(name, spec) for name in "xpq")
+    dual = (vf.b - p * vf.a).substitute({"y": p * x + q})
+    assert dual.degree_in("x") == 3
+    return tuple(dual.coefficient("x", k) for k in (3, 2, 1, 0))

@@ -199,3 +199,55 @@ def test_corpus_outputs_parse_back_to_themselves(monkeypatch):
     # 8-digit literals are charged 26 bits, far under the bit bound
     assert max(poly.total_degree() for poly in printed) > 16
     assert max(bits) == 26 and 26 * 100 < cli.MAX_PARSE_BITS
+
+
+def _counting(monkeypatch, owner, name):
+    """Wrap owner.name so that every call is appended to the returned list."""
+    calls, inner = [], getattr(owner, name)
+
+    def counting(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_expressions_without_parentheses_parse_without_the_kernel(monkeypatch):
+    """A term of atoms is one key and one coefficient, and `+` adds into
+    one map, so a corpus line with no parenthesis in its operands builds its
+    command with no kernel product."""
+    import webflat.poly as poly
+
+    calls = _counting(monkeypatch, poly, "sum_of_products")
+    calls += _counting(monkeypatch, cli, "_products")
+    checked = 0
+    for workload in WORKLOADS:
+        for entry in _lines(workload):
+            if any("(" in arg for arg in entry["argv"]):
+                continue
+            try:
+                cli.build_command(entry["argv"])
+            except errors.WebflatError:
+                pass
+            assert not calls, entry["argv"]
+            checked += 1
+    assert checked == 598
+
+
+def test_a_dual_curvature_line_builds_one_web_and_substitutes_nothing(monkeypatch):
+    """The Legendre web is expanded term by term and the slope cubic in
+    s = -x is built beside it: a dual-curvature line validates one
+    CubicWebEquation and calls no `MPoly.substitute`."""
+    from webflat.poly import MPoly
+    from webflat.webs import CubicWebEquation
+
+    substituted = _counting(monkeypatch, MPoly, "substitute")
+    built = _counting(monkeypatch, CubicWebEquation, "__init__")
+    lines = [entry for workload in TRACED_GCD_CALLS for entry in _lines(workload)
+             if entry["argv"][0] == "dual-curvature" and entry["exit"] == 0]
+    assert len(lines) == 42
+    for entry in lines:
+        del built[:]
+        assert _line_ok(entry), entry["argv"]
+        assert len(built) == 1 and not substituted, entry["argv"]

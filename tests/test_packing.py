@@ -32,7 +32,7 @@ from webflat.monomials import (  # noqa: E402
 )
 from webflat.poly import render_poly, try_exact_divide  # noqa: E402
 
-from helpers import assert_ground  # noqa: E402
+from helpers import assert_ground, tree_text, tree_value  # noqa: E402
 
 GOLDEN = parse_field("t^2=t+1")
 SPECS = (RATIONALS, GOLDEN)
@@ -374,3 +374,41 @@ def test_parser_degree_bound_is_exact():
         out, err, code = run_line(["curvature", "--web", "p^3 + %s*p + x" % src])
         assert (out, code) == ("", 2), src
         assert err.startswith("error: DegreeExceeded: "), err
+
+
+# -- the parser against the kernel route --------------------------------------------
+
+
+def _factors(bases):
+    # the grammar reads -f^e as -(f^e), so a negated base takes no power
+    return st.builds(lambda base, e: ("factor", base, None if base[0] == "neg" else e),
+                     bases, st.none() | st.integers(0, 3))
+
+
+def _exprs(bases):
+    terms = st.builds(lambda factors: ("term", factors),
+                      st.lists(_factors(bases), min_size=1, max_size=3))
+    return st.builds(lambda first, rest: ("expr", first, rest),
+                     terms, st.lists(st.tuples(st.sampled_from("+-"), terms), max_size=3))
+
+
+def _trees(names):
+    atoms = (st.tuples(st.just("var"), st.sampled_from(names))
+             | st.tuples(st.just("rational"), st.integers(0, 9), st.none() | st.integers(1, 4)))
+    bases = st.recursive(atoms, lambda inner: st.tuples(st.just("paren"), _exprs(inner))
+                         | st.tuples(st.just("neg"), _factors(inner)), max_leaves=4)
+    return _exprs(bases)
+
+
+_TREES = {False: _trees("xyzpq"), True: _trees("xyzpqt")}  # by whether t is theta
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.sampled_from(KERNEL_SPECS), st.data())
+def test_parser_matches_the_kernel_route(spec, data):
+    """Atoms, products, sums, powers, parentheses and unary minus parse to
+    the polynomial that MPoly's own operators give for the same tree."""
+    tree = data.draw(_TREES[spec.is_quadratic])
+    got = parse_poly(tree_text(tree), spec if spec.is_quadratic else None)
+    assert got == tree_value(tree, spec), tree_text(tree)
+    assert_ground(got)

@@ -32,14 +32,15 @@ from webflat import (  # noqa: E402
 from webflat.cli import parse_field, parse_poly  # noqa: E402
 from webflat.errors import DegreeExceeded, DegreeTooLow  # noqa: E402
 import webflat.poly as poly_module  # noqa: E402
-from webflat.poly import render_poly, try_exact_divide  # noqa: E402
-from webflat.webs import _curvature_fraction  # noqa: E402
+from webflat.poly import cubic_discriminant, render_poly, try_exact_divide  # noqa: E402
+from webflat.webs import _curvature_fraction, _dual_web  # noqa: E402
 
 from floatkw import embed, evaluate_float  # noqa: E402
 from helpers import (  # noqa: E402
     assert_ground,
     brute_force_power,
     determinant_curvature_fraction,
+    legendre_split,
     subresultant_oracle,
 )
 
@@ -212,6 +213,49 @@ def test_dual_degree_matches_the_expanded_dual(field, d, radial, top_a, top_b, l
     except (DegreeExceeded, DegreeTooLow) as err:
         degree = int(re.fullmatch(r"dual equation has x-degree (\d+) [<>] 3", str(err)).group(1))
     assert degree == expanded
+
+
+_lower_terms = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(-3, 3), st.integers(1, 2),
+              st.integers(-1, 1)),
+    max_size=5,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.sampled_from((None, "t^2=t+1")), st.booleans(), _top_terms, _top_terms,
+       _lower_terms, _lower_terms)
+def test_legendre_expansion_matches_the_substitution(field, radial, top_a, top_b, low_a, low_b):
+    """`legendre_transform`'s a0..a3 are the x-degree parts of
+    (B - p*A)(x, p*x + q) by substitution, for fields of degree 3 and radial
+    fields of degree 4; `_dual_web` is (a0, -a1, a2, -a3) with the same D."""
+    spec = parse_field(field) if field else RATIONALS
+    x, y = MPoly.variable("x", spec), MPoly.variable("y", spec)
+    d = 4 if radial else 3
+    low_a, low_b = (_poly(spec, [t for t in terms if t[0] + t[1] < d]) for terms in (low_a, low_b))
+    if radial:
+        h = _homogeneous(spec, 3, top_a)
+        a, b = x * h + low_a, y * h + low_b
+    else:
+        a, b = _homogeneous(spec, 3, top_a) + low_a, _homogeneous(spec, 3, top_b) + low_b
+    assume(not (a.is_zero() and b.is_zero()))
+    vf = AffineVectorField(a, b)
+    try:
+        web = legendre_transform(vf)
+    except (DegreeExceeded, DegreeTooLow):  # a top form that vanished or is radial
+        assume(False)
+    except DegenerateWeb:
+        assert cubic_discriminant(*legendre_split(vf)).is_zero()
+        return
+    want = legendre_split(vf)
+    assert (web.slope_var, web.base_vars) == ("x", ("p", "q"))
+    assert (web.a0, web.a1, web.a2, web.a3) == want
+    for coeff in (web.a0, web.a1, web.a2, web.a3):
+        assert_ground(coeff)
+    dual = _dual_web(vf)
+    assert (dual.slope_var, dual.base_vars) == ("x", ("p", "q"))
+    assert (dual.a0, dual.a1, dual.a2, dual.a3) == (want[0], -want[1], want[2], -want[3])
+    assert dual.cubic_discriminant() == cubic_discriminant(*want) == web.cubic_discriminant()
 
 
 # -- polynomial kernels over Q against a FieldScalar-valued reference ----------------

@@ -1,5 +1,5 @@
 """Checks on the package source itself: the error contract, the size of
-the largest module, the owner of the monomial layout, the modules that
+every module, the owner of the monomial layout, the modules that
 must import no layer above them, and what `poly` names of `modular`."""
 
 import ast
@@ -45,6 +45,13 @@ def test_poly_module_stays_at_or_under_950_lines():
     with open(PACKAGE / "poly.py", "rb") as handle:
         lines = handle.read().count(b"\n")
     assert lines <= 950, lines
+
+
+def test_every_module_stays_at_or_under_950_lines():
+    """The same budget for every module of the package, as whichever is
+    largest sets the compile peak."""
+    sizes = {path.name: path.read_bytes().count(b"\n") for path in PACKAGE.glob("*.py")}
+    assert sizes and all(lines <= 950 for lines in sizes.values()), sizes
 
 
 LAYOUT = {"WIDTH", "BOUND", "MASK", "TOP", "SHIFT", "UNIT", "GUARDS"}
