@@ -17,7 +17,6 @@ components separated by ';'.  Exit codes: 0 ok, 1 parse/usage error,
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from fractions import Fraction
@@ -32,18 +31,18 @@ from .errors import (
     UsageError,
     WebflatError,
 )
-from . import pairs
 from .field import RATIONALS, FieldScalar, FieldSpec
-from .monomials import BOUND, UNIT, monomial_degree
+from .monomials import BOUND, UNIT
 from .pairs import normal
 from .poly import (
     MAX_PARSE_BITS,
     MAX_PARSE_PAIRS,
     VARIABLE_INDEX,
     MPoly,
-    _add,
     _power_bits,
     _products,
+    ground_arithmetic,
+    ground_degree,
     render_poly,
 )
 from .singular import classify_singularity, verify_classification
@@ -103,11 +102,6 @@ def _check_degree(degree: int, what: str, token: "_Token"):
         )
 
 
-def _degree(ground: dict) -> int:
-    """The total degree of a ground map; -1 for zero, as `MPoly.total_degree`."""
-    return monomial_degree(max(ground)) if ground else -1
-
-
 class _Token:
     __slots__ = ("kind", "text", "offset")
 
@@ -165,17 +159,11 @@ class _Parser:
 
     def __init__(self, src: str, spec: FieldSpec | None, theta_is_variable=False):
         self.src = src
-        self.spec = spec = spec or RATIONALS
-        self.have_field = spec.is_quadratic
+        self.spec = spec or RATIONALS
         self.theta_is_variable = theta_is_variable
         self.tokens = _tokenize(src)
         self.pos = 0
-        if spec.is_quadratic:
-            self.add, self.one = pairs.add, (1, 0)
-            self.times = functools.partial(pairs.product, u=spec.u, v=spec.v)
-        else:
-            self.add, self.one = _add, 1
-            self.times = lambda c, d: normal(c * d)
+        self.one, self.times, self.add = ground_arithmetic(self.spec)
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -217,7 +205,7 @@ class _Parser:
             token = self.take()
             rhs = self.factor()
             _check_pairs(len(value) * len(rhs), token)
-            _check_degree(_degree(value) + _degree(rhs), "product", token)
+            _check_degree(ground_degree(value) + ground_degree(rhs), "product", token)
             if len(value) == 1 == len(rhs):
                 [(m, c)], [(n, d)] = value.items(), rhs.items()
                 value = {m + n: self.times(c, d)}
@@ -260,7 +248,7 @@ class _Parser:
         if token.kind == "var":
             self.take()
             if token.text == "t" and not self.theta_is_variable:
-                if not self.have_field:
+                if not self.spec.is_quadratic:
                     raise ThetaWithoutField(
                         "symbol t at offset %d needs --field" % token.offset,
                         token.offset,

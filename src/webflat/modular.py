@@ -5,17 +5,14 @@ polynomials over F_p.  A univariate polynomial is a dense coefficient
 list, lowest degree first, with no trailing zero, [] being zero.  A
 polynomial in F_p[v_1, ..., v_k] is a dict from packed monomials to
 nonzero residues.  `image` is the one map into it from a ground map over
-Q or Q(theta); over Q(theta) it reduces both parts of each coefficient
-(`pair_residues`) and then reads off theta's image (`at_root`), and the
-engine reduces once per prime for both roots of theta.  `brown_gcd` takes
-the gcd of two such polynomials by Brown's evaluation and interpolation
-(JACM 1971), one variable at a time down to Euclid's algorithm.  Callers
-have two entries.  `field_gcd`, the engine, runs it over primes and
-returns the monic gcd as a ground map.  `certified_coprime` comes first
-for two variables: from univariate images at two fixed points modulo one
-prime below 2**30, it proves that most pairs left once their monomial gcd
-is shifted out are coprime.  Nothing here knows `MPoly` or imports a
-layer module, so it loads with the first gcd.
+Q or Q(theta), and `brown_gcd` takes the gcd of two such polynomials by
+Brown's evaluation and interpolation (JACM 1971), one variable at a time
+down to Euclid's algorithm.  Callers have two entries.  `field_gcd`, the
+engine, runs it over primes and returns the monic gcd as a ground map.
+`certified_coprime` comes first for two variables: from univariate images
+at two fixed points modulo one prime below 2**30, it proves that most pairs
+left once their monomial gcd is shifted out are coprime.  Nothing here
+knows `MPoly` or imports a layer module, so it loads with the first gcd.
 """
 
 from __future__ import annotations
@@ -165,42 +162,22 @@ def image(ground: dict, r, p: int):
     """The image in F_p of a ground map: its coefficients reduced mod p, a
     rational over Q (r None), a pair (a, b) under theta -> r over Q(theta),
     zero residues left out.  None when p divides a denominator."""
-    if r is not None:
-        reduced = pair_residues(ground, p)
-        return None if reduced is None else at_root(reduced, r, p)
     out = {}
     for m, c in ground.items():
+        c, b = (c, 0) if r is None else c
         if c.__class__ is not int:
             if not c.denominator % p:
                 return None
             c = c.numerator * pow(c.denominator, -1, p)
+        if b:
+            if b.__class__ is not int:
+                if not b.denominator % p:
+                    return None
+                b = b.numerator * pow(b.denominator, -1, p)
+            c += b * r
         if c := c % p:
             out[m] = c
     return out
-
-
-def pair_residues(ground: dict, p: int):
-    """A ground map over Q(theta) with both parts of each coefficient
-    reduced mod p, theta kept: a map to pairs of residues, which may both
-    be zero.  None when p divides a denominator."""
-    out = {}
-    for m, (a, b) in ground.items():
-        if a.__class__ is not int:
-            if not a.denominator % p:
-                return None
-            a = a.numerator * pow(a.denominator, -1, p)
-        if b.__class__ is not int:
-            if not b.denominator % p:
-                return None
-            b = b.numerator * pow(b.denominator, -1, p)
-        out[m] = (a % p, b % p)
-    return out
-
-
-def at_root(reduced: dict, r: int, p: int) -> dict:
-    """The image under theta -> r of a map from `pair_residues`, zero
-    residues left out."""
-    return {m: c for m, (a, b) in reduced.items() if (c := (a + b * r) % p)}
 
 
 def trim(a: list) -> list:
@@ -483,11 +460,7 @@ def field_gcd(f: dict, g: dict, shifts, theta, divides_both) -> dict:
     best = math.inf  # leading monomial of the images kept, none yet
     modulus, residues, tested = 1, {}, None
     for p, *roots in usable:
-        if len(roots) == 1:
-            images = [[image(ground, roots[0], p) for ground in grounds]]
-        else:  # each coefficient reduced once, then read off at both roots
-            reduced = [pair_residues(ground, p) for ground in grounds]
-            images = [[None if h is None else at_root(h, r, p) for h in reduced] for r in roots]
+        images = [[image(ground, r, p) for ground in grounds] for r in roots]
         if not all(h is not None and lm in h and all(any(m in h for m in ms) for ms in tops)
                    for pair in images for h, (lm, tops) in zip(pair, kept)):
             continue

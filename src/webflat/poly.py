@@ -107,6 +107,20 @@ def _add(out: dict, g: dict, sign: int = 1) -> dict:
     return out
 
 
+def ground_arithmetic(spec: FieldSpec):
+    """(one, times, add) for the ground maps of spec: the coefficient 1,
+    the product of two nonzero coefficients, and `_add` over Q or
+    `pairs.add` over Q(theta)."""
+    if spec.is_quadratic:
+        return (1, 0), functools.partial(pairs.product, u=spec.u, v=spec.v), pairs.add
+    return 1, lambda c, d: _normal(c * d), _add
+
+
+def ground_degree(ground: dict) -> int:
+    """The total degree of a ground map; -1 for the zero map."""
+    return monomial_degree(max(ground)) if ground else -1
+
+
 def _divided(ground: dict, lc, spec: FieldSpec) -> dict:
     """A ground map divided by a nonzero ground element."""
     if spec.is_quadratic:
@@ -226,7 +240,7 @@ class MPoly:
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        return monomial_degree(max(self._ground)) if self._ground else -1
+        return ground_degree(self._ground)
 
     def degree_in(self, var: str) -> int:
         """Degree in one variable; -1 for the zero polynomial."""
@@ -303,10 +317,7 @@ class MPoly:
             half = self ** (n >> 1)
             return half * half * self if n & 1 else half * half
         # two terms: the binomial theorem, C(n, k) a^k b^(n-k) at k*m1 + (n-k)*m2
-        if spec.is_quadratic:
-            one, times = (1, 0), functools.partial(pairs.product, u=spec.u, v=spec.v)
-        else:
-            one, times = 1, lambda c, d: _normal(c * d)
+        one, times, _ = ground_arithmetic(spec)
         (m1, a), (m2, b) = ground.items()
         powers_b = [one]
         for _ in range(n):

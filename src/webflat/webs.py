@@ -16,8 +16,7 @@ algorithm on the Legendre web of a vector field, with the slope read as
 dq/dp = -x, in the dual coordinates (p, q) where p is the line slope and
 q the intercept; `is_flat` stops at that fraction's unreduced numerator.
 `legendre_transform` expands B(x, p*x + q) - p*A(x, p*x + q) term by
-term into the four x-degree coefficients, with no polynomial product, and
-builds the slope cubic in s = -x from the same sums.
+term into the four x-degree coefficients, with no polynomial product.
 """
 
 from __future__ import annotations
@@ -137,11 +136,10 @@ class CubicWebEquation:
     (p, q) chart); a0..a3 are the coefficients of slope^3 .. slope^0 and
     involve only the two base variables.  A degenerate equation (slope
     resultant identically zero) can be represented -- querying its
-    discriminant is legitimate -- but refuses curvature.  A Legendre web
-    keeps its dual web in `_dual` (`legendre_transform`).
+    discriminant is legitimate -- but refuses curvature.
     """
 
-    __slots__ = ("slope_var", "base_vars", "a0", "a1", "a2", "a3", "_cubic_discriminant", "_dual")
+    __slots__ = ("slope_var", "base_vars", "a0", "a1", "a2", "a3", "_cubic_discriminant")
 
     def __init__(self, slope_var: str, base_vars, a0, a1, a2, a3):
         if slope_var in base_vars:
@@ -159,7 +157,6 @@ class CubicWebEquation:
         self.a2 = a2
         self.a3 = a3
         self._cubic_discriminant = None
-        self._dual = None
 
     @classmethod
     def from_polynomial(cls, f: MPoly, slope_var: str, base_vars) -> "CubicWebEquation":
@@ -258,9 +255,7 @@ def legendre_transform(vf: AffineVectorField) -> CubicWebEquation:
 
     The equation is then expanded term by term: c*x^i*y^j in B gives
     C(j, l)*c at x^(i+l)*p^l*q^(j-l) for l = 0..j, and in A the same times
-    -p.  Each x-degree sums its contributions and is normalised once.  The
-    web keeps the dual web of `_dual_web` beside it, normalised from the
-    same sums.
+    -p.  Each x-degree sums its contributions and is normalised once.
     """
     d = max(vf.a.total_degree(), vf.b.total_degree())
     x_b_top = {m + UNIT[0]: c for m, c in vf.b._ground.items() if monomial_degree(m) == d}
@@ -285,26 +280,18 @@ def legendre_transform(vf: AffineVectorField) -> CubicWebEquation:
                 else:
                     row[e] = row.get(e, 0) + k * c
 
-    def coefficient(x_degree, sign=1):
-        """The x^x_degree coefficient times sign, a ground map normalised
-        once; the x^d sums of a radial top cancel and are never read."""
+    def coefficient(x_degree):
+        """The x^x_degree coefficient, a ground map normalised once; the
+        x^d sums of a radial top cancel and are never read."""
         if quadratic:
-            terms = {e: (normal(sign * a), normal(sign * b))
-                     for e, (a, b) in sums[x_degree].items() if a or b}
+            terms = {e: (normal(a), normal(b)) for e, (a, b) in sums[x_degree].items() if a or b}
         else:
-            terms = {e: normal(sign * c) for e, c in sums[x_degree].items() if c}
+            terms = {e: normal(c) for e, c in sums[x_degree].items() if c}
         return MPoly._raw(terms, spec)
 
-    a0, a1, a2, a3 = map(coefficient, (3, 2, 1, 0))
-    web = CubicWebEquation("x", ("p", "q"), a0, a1, a2, a3)
-    disc = web.cubic_discriminant()
-    if disc.is_zero():  # a0 is not zero at x-degree 3
+    web = CubicWebEquation("x", ("p", "q"), *map(coefficient, (3, 2, 1, 0)))
+    if web.cubic_discriminant().is_zero():  # a0 is not zero at x-degree 3
         raise DegenerateWeb("dual equation has identically zero discriminant")
-    # the same web as a slope cubic in s = -x, checked with this one
-    dual = web._dual = object.__new__(CubicWebEquation)
-    dual.slope_var, dual.base_vars, dual._dual = web.slope_var, web.base_vars, None
-    dual.a0, dual.a1, dual.a2, dual.a3 = a0, coefficient(2, -1), a2, coefficient(0, -1)
-    dual._cubic_discriminant = disc  # D is even in (a1, a3) jointly
     return web
 
 
@@ -387,10 +374,14 @@ def _dual_web(vf: AffineVectorField) -> CubicWebEquation:
     """The dual web as a slope cubic over the chart (p, q).
 
     The Legendre web is a cubic in x whose slope is dq/dp = -x.  With
-    x = -s it is, up to sign, the slope cubic a0*s^3 - a1*s^2 + a2*s - a3,
-    which `legendre_transform` builds beside it.
+    x = -s it is, up to sign, the slope cubic a0*s^3 - a1*s^2 + a2*s - a3.
     """
-    return legendre_transform(vf)._dual
+    legendre = legendre_transform(vf)
+    a0, a1, a2, a3 = legendre.a0, legendre.a1, legendre.a2, legendre.a3
+    web = CubicWebEquation("x", legendre.base_vars, a0, -a1, a2, -a3)
+    # D is even in (a1, a3) jointly: reuse the Legendre web's
+    web._cubic_discriminant = legendre.cubic_discriminant()
+    return web
 
 
 def dual_curvature(vf: AffineVectorField) -> CurvatureForm:

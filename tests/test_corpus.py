@@ -235,19 +235,20 @@ def test_expressions_without_parentheses_parse_without_the_kernel(monkeypatch):
     assert checked == 598
 
 
-def test_a_dual_curvature_line_builds_one_web_and_substitutes_nothing(monkeypatch):
-    """The Legendre web is expanded term by term and the slope cubic in
-    s = -x is built beside it: a dual-curvature line validates one
-    CubicWebEquation and calls no `MPoly.substitute`."""
+def test_a_dual_curvature_line_expands_the_legendre_web_without_substituting(monkeypatch):
+    """The Legendre web is expanded term by term: a dual-curvature line
+    calls `legendre_transform` once, and neither `MPoly.substitute` nor
+    `CubicWebEquation.from_polynomial`."""
+    from webflat import webs
     from webflat.poly import MPoly
-    from webflat.webs import CubicWebEquation
 
     substituted = _counting(monkeypatch, MPoly, "substitute")
-    built = _counting(monkeypatch, CubicWebEquation, "__init__")
+    split = _counting(monkeypatch, webs.CubicWebEquation, "from_polynomial")
+    transformed = _counting(monkeypatch, webs, "legendre_transform")
     lines = [entry for workload in TRACED_GCD_CALLS for entry in _lines(workload)
              if entry["argv"][0] == "dual-curvature" and entry["exit"] == 0]
     assert len(lines) == 42
     for entry in lines:
-        del built[:]
+        del transformed[:]
         assert _line_ok(entry), entry["argv"]
-        assert len(built) == 1 and not substituted, entry["argv"]
+        assert len(transformed) == 1 and not substituted and not split, entry["argv"]

@@ -625,31 +625,6 @@ def test_modular_gcd_skips_a_prime_dividing_a_denominator(monkeypatch, field):
     assert d == h.monic() == subresultant_oracle(f, g, "x")
 
 
-@pytest.mark.parametrize("field", ("t^2=t+1", "t^2=-1"))
-def test_engine_reduces_each_theta_input_once_per_split_prime(monkeypatch, field):
-    """Over Q(theta) the engine reduces each input's coefficients once per
-    split prime and reads off both roots' images from that one reduction:
-    two reductions a prime for a gcd of two inputs, where one image per
-    root made four."""
-    spec = parse_field(field)
-    h = P("x*y - t*z + 1/3", spec)
-    f, g = h * P("x + t*y + 2", spec), h * P("y - 1/5*z + t", spec)
-    reductions = []
-    for name in ("image", "pair_residues"):
-        inner = getattr(modular, name)
-
-        def recording(ground, *args, inner=inner):
-            reductions.append((id(ground), args[-1]))
-            return inner(ground, *args)
-
-        monkeypatch.setattr(modular, name, recording)
-    assert poly_gcd(f, g) == h.monic()
-    primes = {p for _, p in reductions}
-    assert primes
-    assert sorted(reductions) == sorted({(id(f._ground), p) for p in primes}
-                                        | {(id(g._ground), p) for p in primes})
-
-
 def test_certificate_is_passed_by_in_one_and_in_three_variables(monkeypatch):
     seen = []
     one_variable = [(P("x^2 - 1"), P("x^3 - 1")), (P("y^2 + 2*y"), P("3*y + 5"))]
