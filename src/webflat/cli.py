@@ -31,17 +31,15 @@ from .errors import (
     UsageError,
     WebflatError,
 )
+from . import ground
 from .field import RATIONALS, FieldScalar, FieldSpec
 from .monomials import BOUND, UNIT
-from .pairs import normal
 from .poly import (
     MAX_PARSE_BITS,
     MAX_PARSE_PAIRS,
     VARIABLE_INDEX,
     MPoly,
     _power_bits,
-    _products,
-    ground_arithmetic,
     ground_degree,
     render_poly,
 )
@@ -147,14 +145,16 @@ def _tokenize(src: str):
 class _Parser:
     """Recursive-descent parser producing an MPoly over the chosen field.
 
-    Every value is a ground map the parser owns, in `poly`'s format.  An
-    atom is one term: a variable, a rational or theta.  `+` and `-` add
-    each term into the first term's map in place, and unary minus adds
-    the operand into an empty map.  A product of two one-term maps is one
-    key sum and one coefficient product; only a product with a factor of
-    two or more terms goes through the kernel (`_products`), and a power
-    through `MPoly.__pow__`.  The pair, bit and degree bounds are charged
-    at the `*`, `^` and literal tokens, on the sizes of the operands.
+    Every value is a ground map the parser owns, built by `ground` over the
+    field's `theta`.  An atom is one term: a variable, a rational or theta.
+    `+` and `-` add each term into the first term's map in place, and unary
+    minus adds the operand into an empty map.  A product of one-term maps
+    is one key sum and one coefficient product, and a power of one a key
+    multiple and a coefficient power.  Only a product with a factor of two
+    or more terms goes through the kernel (`ground.sum_of_products`), and
+    only such a power through `MPoly.__pow__`.  The pair, bit and degree
+    bounds are charged at the `*`, `^` and literal tokens, on the sizes of
+    the operands.
     """
 
     def __init__(self, src: str, spec: FieldSpec | None, theta_is_variable=False):
@@ -163,7 +163,8 @@ class _Parser:
         self.theta_is_variable = theta_is_variable
         self.tokens = _tokenize(src)
         self.pos = 0
-        self.one, self.times, self.add = ground_arithmetic(self.spec)
+        self.theta = self.spec.theta
+        self.one = ground.element(1, 0, self.theta)
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -196,7 +197,7 @@ class _Parser:
         value = self.term()
         while self.peek().kind in ("+", "-"):
             sign = 1 if self.take().kind == "+" else -1
-            self.add(value, self.term(), sign)
+            ground.add(value, self.term(), sign, self.theta)
         return value
 
     def term(self) -> dict:
@@ -208,9 +209,9 @@ class _Parser:
             _check_degree(ground_degree(value) + ground_degree(rhs), "product", token)
             if len(value) == 1 == len(rhs):
                 [(m, c)], [(n, d)] = value.items(), rhs.items()
-                value = {m + n: self.times(c, d)}
+                value = {m + n: ground.product(c, d, self.theta)}
             else:
-                value = _products([(1, value, rhs)], self.spec)
+                value = ground.sum_of_products([(1, value, rhs)], self.theta)
         return value
 
     def factor(self) -> dict:
@@ -218,28 +219,25 @@ class _Parser:
         if self.peek().kind == "^":
             token = self.take()
             exponent = self.uint(self.expect("uint"))
-            base = MPoly._raw(base, self.spec)
-            _check_pairs(_power_pairs(len(base._ground), exponent), token)
-            _check_bits(_power_bits(base, exponent), "power", token)
-            _check_degree(base.total_degree() * exponent, "power", token)
-            return (base ** exponent)._ground
+            poly = MPoly._raw(base, self.spec)
+            _check_pairs(_power_pairs(len(base), exponent), token)
+            _check_bits(_power_bits(poly, exponent), "power", token)
+            _check_degree(ground_degree(base) * exponent, "power", token)
+            if len(base) != 1 or not exponent:
+                return (poly ** exponent)._ground
+            [(m, c)] = base.items()
+            return {exponent * m: ground.power(c, exponent, self.theta)}
         return base
 
     def uint(self, token: _Token) -> int:
         _check_bits(len(token.text) * 10 // 3, "literal", token)
         return int(token.text)
 
-    def constant(self, c) -> dict:
-        """The ground map of a rational c."""
-        if not c:
-            return {}
-        return {0: (c, 0) if self.spec.is_quadratic else c}
-
     def base(self) -> dict:
         token = self.peek()
         if token.kind == "-":
             self.take()
-            return self.add({}, self.factor(), -1)
+            return ground.add({}, self.factor(), -1, self.theta)
         if token.kind == "(":
             self.take()
             inner = self.expr()
@@ -248,16 +246,16 @@ class _Parser:
         if token.kind == "var":
             self.take()
             if token.text == "t" and not self.theta_is_variable:
-                if not self.spec.is_quadratic:
+                if self.theta is None:
                     raise ThetaWithoutField(
                         "symbol t at offset %d needs --field" % token.offset,
                         token.offset,
                     )
-                return {0: (0, 1)}
+                return {0: ground.element(0, 1, self.theta)}
             return {UNIT[VARIABLE_INDEX[token.text]]: self.one}
         if token.kind == "uint":
             self.take()
-            numerator = self.uint(token)
+            c = self.uint(token)
             if self.peek().kind == "/":
                 self.take()
                 token = self.expect("uint")
@@ -266,8 +264,8 @@ class _Parser:
                     raise ParseError(
                         "zero denominator at offset %d" % token.offset, token.offset, ("uint",)
                     )
-                return self.constant(normal(Fraction(numerator, denominator)))
-            return self.constant(numerator)
+                c = Fraction(c, denominator)
+            return {0: ground.element(c, 0, self.theta)} if c else {}
         raise ParseError(
             "expected a value at offset %d" % token.offset,
             token.offset,

@@ -5,8 +5,9 @@ each an `int` when integral and a stdlib `Fraction` otherwise (as are `u`
 and `v`), and `theta` is a fixed root of `theta^2 = u*theta + v`.  The
 minimal polynomial lives in a `FieldSpec`; construction rejects reducible
 ones (u^2 + 4v a rational square), so every nonzero element has an inverse.
-A product, inverse, power or norm with a theta part is computed by the pair
-algebra of `pairs`, the one the polynomial kernels use.
+A product, inverse, power or norm with a theta part is computed by
+`ground`, the arithmetic the polynomial kernels use, on the scalar's
+ground element (`_element`, `_of`).
 
 Scalars are immutable and every operation is pure, so values can be
 shared freely across threads.
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from . import pairs
+from . import ground
 from .errors import DivisionByZero, FieldMismatch, InvalidField, NotQuadratic, ReadOnlyAttribute
 
 
@@ -42,9 +43,11 @@ def _rational_sqrt(q: int | Fraction) -> Fraction | None:
 
 class FieldSpec:
     """Ambient coefficient field: `rationals`, or `quadratic` with
-    theta^2 = u*theta + v.  Read-only; equal specs hash alike."""
+    theta^2 = u*theta + v.  Read-only; equal specs hash alike.  `theta`,
+    derived from them, names the field to every function of `ground`: None
+    over Q and the pair (u, v) over Q(theta)."""
 
-    __slots__ = ("kind", "u", "v")
+    __slots__ = ("kind", "u", "v", "theta")
 
     def __init__(self, kind: str, u=None, v=None):
         if kind == "rationals":
@@ -59,6 +62,7 @@ class FieldSpec:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
+        object.__setattr__(self, "theta", None if kind == "rationals" else (u, v))
 
     def __setattr__(self, name, value):
         raise ReadOnlyAttribute("cannot assign to field %r of a FieldSpec" % (name,))
@@ -125,6 +129,15 @@ class FieldScalar:
         scalar.spec = spec
         return scalar
 
+    @classmethod
+    def _of(cls, c, spec: FieldSpec) -> "FieldScalar":
+        """Internal: the scalar of a ground element of spec."""
+        return cls._fast(*ground.parts(c), spec)
+
+    def _element(self):
+        """Internal: the ground element of the scalar."""
+        return ground.element(self.a, self.b, self.spec.theta)
+
     def _coerce(self, other) -> "FieldScalar":
         if isinstance(other, FieldScalar):
             if other.spec is not self.spec and other.spec != self.spec:
@@ -163,16 +176,16 @@ class FieldScalar:
         spec = self.spec
         if self.b == 0 and other.b == 0:
             return FieldScalar._fast(self.a * other.a, 0, spec)
-        c = pairs.product((self.a, self.b), (other.a, other.b), spec.u, spec.v)
-        return FieldScalar._fast(*c, spec)
+        return FieldScalar._of(ground.product(self._element(), other._element(), spec.theta), spec)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldScalar":
         if self.is_zero():
             raise DivisionByZero("zero has no inverse")
-        spec = self.spec
-        return FieldScalar._fast(*pairs.inverse((self.a, self.b), spec.u, spec.v), spec)
+        theta = self.spec.theta
+        one = {0: ground.element(1, 0, theta)}
+        return FieldScalar._of(ground.divided(one, self._element(), theta)[0], self.spec)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -189,9 +202,7 @@ class FieldScalar:
         spec = self.spec
         if exponent == 0:
             return FieldScalar(1, 0, spec)
-        if self.b == 0:
-            return FieldScalar._fast(self.a**exponent, 0, spec)
-        return FieldScalar._fast(*pairs.power((self.a, self.b), exponent, spec.u, spec.v), spec)
+        return FieldScalar._of(ground.power(self._element(), exponent, spec.theta), spec)
 
     # -- field-specific maps --------------------------------------------
 
@@ -206,7 +217,7 @@ class FieldScalar:
         """self * conjugate(self), as a rational: a^2 + a*b*u - b^2*v."""
         if not self.spec.is_quadratic:
             raise NotQuadratic("norm needs a quadratic field")
-        return pairs.norm((self.a, self.b), self.spec.u, self.spec.v)
+        return ground.norm(self._element(), self.spec.theta)
 
     # -- predicates ------------------------------------------------------
 

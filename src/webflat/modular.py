@@ -22,8 +22,8 @@ import itertools
 import math
 from fractions import Fraction
 
+from .ground import element, parts
 from .monomials import exponent_at, monomial_quotient, unit
-from .pairs import normal
 
 
 def is_prime(n: int) -> bool:
@@ -164,7 +164,7 @@ def image(ground: dict, r, p: int):
     zero residues left out.  None when p divides a denominator."""
     out = {}
     for m, c in ground.items():
-        c, b = (c, 0) if r is None else c
+        c, b = parts(c)
         if c.__class__ is not int:
             if not c.denominator % p:
                 return None
@@ -451,7 +451,7 @@ def field_gcd(f: dict, g: dict, shifts, theta, divides_both) -> dict:
             top = max(row)
             tops.append([m for m, e in zip(ground, row) if e == top])
         kept.append((max(ground), tops))
-    if theta is not None and any(b for ground in grounds for _, b in ground.values()):
+    if theta is not None and any(parts(c)[1] for ground in grounds for c in ground.values()):
         usable = split_primes(*theta)
     else:  # one image per prime, with theta (if any) sent to 0
         r = None if theta is None else 0
@@ -469,7 +469,7 @@ def field_gcd(f: dict, g: dict, shifts, theta, divides_both) -> dict:
             h = brown_gcd(fr, gr, p, shifts)
             lm = max(h)
             if not lm:
-                return {0: 1 if theta is None else (1, 0)}
+                return {0: element(1, 0, theta)}
             inv = pow(h[lm], -1, p)
             gcds.append((lm, {e: c * inv % p for e, c in h.items()}))
         lm = gcds[0][0]
@@ -479,19 +479,19 @@ def field_gcd(f: dict, g: dict, shifts, theta, divides_both) -> dict:
             best, modulus, residues = lm, 1, {}
         # (h0, h1) mod p, monomial by monomial, from the images at the roots
         if len(roots) == 1:
-            parts = {e: (c, 0) for e, c in gcds[0][1].items()}
+            mod_p = {e: (c, 0) for e, c in gcds[0][1].items()}
         else:  # h0 + h1*r at each of the two roots r
             (_, h1), (_, h2), (r1, r2) = *gcds, roots
-            inv, parts = pow(r1 - r2, -1, p), {}
+            inv, mod_p = pow(r1 - r2, -1, p), {}
             for e in h1.keys() | h2.keys():
                 b = (h1.get(e, 0) - h2.get(e, 0)) * inv % p
-                parts[e] = ((h1.get(e, 0) - b * r1) % p, b)
+                mod_p[e] = ((h1.get(e, 0) - b * r1) % p, b)
         # Chinese remaindering mod modulus * p (an absent monomial is (0, 0))
         inv = pow(modulus, -1, p)
         residues = {
             e: tuple(x + modulus * ((y - x) * inv % p)
-                     for x, y in zip(residues.get(e, (0, 0)), parts.get(e, (0, 0))))
-            for e in residues.keys() | parts.keys()
+                     for x, y in zip(residues.get(e, (0, 0)), mod_p.get(e, (0, 0))))
+            for e in residues.keys() | mod_p.keys()
         }
         modulus *= p
         candidate = {}
@@ -500,7 +500,7 @@ def field_gcd(f: dict, g: dict, shifts, theta, divides_both) -> dict:
             if a is None or b is None:
                 break
             if a or b:
-                candidate[e] = normal(a) if theta is None else (normal(a), normal(b))
+                candidate[e] = element(a, b, theta)
         else:  # every residue reconstructed
             if candidate != tested and divides_both(candidate):
                 return candidate

@@ -3,24 +3,25 @@
 Representation
 --------------
 A polynomial is a map, its ground map, from packed exponent vectors to
-nonzero ground elements: over Q a bare `int` when integral and a `Fraction`
-otherwise, over Q(theta) a pair (a, b) for a + b*theta with components of
-the same kind.  Each kernel tests the field once per call; the pair loops
-live in `pairs`.  No inverse is ever a float.  `FieldScalar` is the public
-coefficient type: values enter through `_as_coefficient` and leave as
-`FieldScalar`s.  The variables are fixed, (x, y, z, p, q, t), and the zero
-polynomial is the empty map, so equal polynomials have equal ground maps.
-Exponent vectors are packed ints in grlex order, laid out in `monomials`.
+nonzero ground elements of its field.  Their format and every loop over
+them belong to `ground`, which each kernel calls with the field's
+`spec.theta`; nothing here reads a coefficient's format.  No inverse is
+ever a float.  `FieldScalar` is the public coefficient type: values enter
+through `_as_coefficient` and leave as `FieldScalar`s.  The variables are
+fixed, (x, y, z, p, q, t), and the zero polynomial is the empty map, so
+equal polynomials have equal ground maps.  Exponent vectors are packed
+ints in grlex order, laid out in `monomials`.
 
 Algorithms
 ----------
 * division: a one-term divisor costs one guarded subtraction a term; a
   longer one, over Q and Q(theta) alike, runs trial division from the
-  leading term, the `max` of the packed keys: `_products` multiplies each
-  quotient term by the divisor and `_add` takes that off the remainder.
+  leading term, the `max` of the packed keys: `ground.sum_of_products`
+  multiplies each quotient term by the divisor and `ground.add` takes
+  that off the remainder.
 * products: `sum_of_products` adds the k*f*g of a whole closed form into
   one ground map and normalises once.  `*`, a scalar multiple and
-  `substitute` are calls of it; `+`, `-` and `-f` run through `_add`.
+  `substitute` are calls of it; `+`, `-` and `-f` run through `ground.add`.
 * gcd: monomial content is pulled out first and put back as a key shift.
   In two variables, images at fixed points w = a and v = b, mod one prime
   below 2^30, then certify the most common answer, 1
@@ -55,7 +56,7 @@ from .errors import (
     NotConstant,
     ZeroPolynomial,
 )
-from . import pairs
+from . import ground
 from .field import RATIONALS, FieldScalar, FieldSpec, _component
 from .monomials import (
     SHIFT,
@@ -68,10 +69,8 @@ from .monomials import (
     pack,
     unpack,
 )
-from .pairs import normal as _normal
 
 VARIABLE_INDEX = {name: i for i, name in enumerate(VARIABLES)}
-_ONES = (1, (1, 0))  # the ground element 1 over Q and over Q(theta)
 
 
 def _as_coefficient(value, spec: FieldSpec):
@@ -83,50 +82,12 @@ def _as_coefficient(value, spec: FieldSpec):
         a, b = value.a, value.b
     else:
         a, b = _component(value), 0
-    return ((a, b) if a or b else 0) if spec.is_quadratic else a
+    return ground.element(a, b, spec.theta) if a or b else 0
 
 
-def _as_scalar(c, spec: FieldSpec) -> FieldScalar:
-    """A ground element of spec, or a FieldScalar, as a FieldScalar."""
-    if c.__class__ is tuple:
-        return FieldScalar._fast(c[0], c[1], spec)
-    return c if c.__class__ is FieldScalar else FieldScalar._fast(c, 0, spec)
-
-
-def _add(out: dict, g: dict, sign: int = 1) -> dict:
-    """Add sign * g into the ground map out over Q, sign 1 or -1, and
-    return out; `pairs.add` is its twin over Q(theta)."""
-    for e, coeff in g.items():
-        have = out.get(e)
-        if have is None:
-            out[e] = coeff if sign == 1 else -coeff
-        elif t := have + coeff if sign == 1 else have - coeff:
-            out[e] = _normal(t)
-        else:
-            del out[e]
-    return out
-
-
-def ground_arithmetic(spec: FieldSpec):
-    """(one, times, add) for the ground maps of spec: the coefficient 1,
-    the product of two nonzero coefficients, and `_add` over Q or
-    `pairs.add` over Q(theta)."""
-    if spec.is_quadratic:
-        return (1, 0), functools.partial(pairs.product, u=spec.u, v=spec.v), pairs.add
-    return 1, lambda c, d: _normal(c * d), _add
-
-
-def ground_degree(ground: dict) -> int:
+def ground_degree(terms: dict) -> int:
     """The total degree of a ground map; -1 for the zero map."""
-    return monomial_degree(max(ground)) if ground else -1
-
-
-def _divided(ground: dict, lc, spec: FieldSpec) -> dict:
-    """A ground map divided by a nonzero ground element."""
-    if spec.is_quadratic:
-        return pairs.divided(ground, lc, spec.u, spec.v)
-    n, d = lc.denominator, lc.numerator
-    return {e: pairs.quotient(c, n, d) for e, c in ground.items()}
+    return monomial_degree(max(terms)) if terms else -1
 
 
 # The parser in `cli` refuses a product or a power whose expansion would
@@ -151,21 +112,32 @@ MAX_PARSE_PAIRS = 2**16
 # under 27 bits, inputs and outputs alike (tests/test_corpus.py).
 MAX_PARSE_BITS = 2**12
 
+# `MPoly.evaluate_scalar` charges each term the powers of the point's values
+# it would compute, as a power is charged above, and refuses a term charged
+# past this many bits before it computes any.  It lies just above the 14,284
+# bits of a 4300-digit int, the longest the interpreter prints by default, so
+# a term past it could only reach the output if the terms cancelled.
+MAX_EVALUATION_BITS = 2**14
+
 
 def _ceil_log2(value) -> int:
     """ceil(log2(value)) for a rational value >= 1, and 0 below 1."""
     return (math.ceil(value) - 1).bit_length() if value > 1 else 0
 
 
-def _power_bits(base: MPoly, exponent: int) -> int:
-    spec = base.spec
-    kappa = max(1, abs(spec.u) + abs(spec.v)) if spec.is_quadratic else 0
+def _coefficient_bits(coefficients, theta) -> int:
+    """The bits a power charges per unit of its exponent: those of the
+    coefficients' 1-norm and of their common denominator."""
+    kappa = 0 if theta is None else max(1, abs(theta[0]) + abs(theta[1]))
     norm, den = 0, 1
-    ground = base._ground.values()
-    for a, b in ground if spec.is_quadratic else ((c, 0) for c in ground):
+    for a, b in map(ground.parts, coefficients):
         norm += abs(a) + abs(b) * kappa
         den = math.lcm(den, a.denominator, b.denominator)
-    return exponent * (_ceil_log2(norm * den) + _ceil_log2(den))
+    return _ceil_log2(norm * den) + _ceil_log2(den)
+
+
+def _power_bits(base: MPoly, exponent: int) -> int:
+    return exponent * _coefficient_bits(base._ground.values(), base.spec.theta)
 
 
 class MPoly:
@@ -198,7 +170,7 @@ class MPoly:
         """The term map from exponent 6-tuples to FieldScalars, a fresh view
         of the ground map over either field."""
         spec = self.spec
-        return {unpack(m): _as_scalar(c, spec) for m, c in self._ground.items()}
+        return {unpack(m): FieldScalar._of(c, spec) for m, c in self._ground.items()}
 
     @classmethod
     def zero(cls, spec: FieldSpec = RATIONALS) -> "MPoly":
@@ -231,12 +203,12 @@ class MPoly:
         return not self._ground or (len(self._ground) == 1 and 0 in self._ground)
 
     def is_one(self) -> bool:
-        return len(self._ground) == 1 and self._ground.get(0) in _ONES
+        return len(self._ground) == 1 and self._ground.get(0) in ground.ONES
 
     def constant_value(self) -> FieldScalar:
         if not self.is_constant():
             raise NotConstant("polynomial is not constant")
-        return _as_scalar(self._ground.get(0, 0), self.spec)
+        return FieldScalar._of(self._ground.get(0, 0), self.spec)
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -261,14 +233,14 @@ class MPoly:
     def leading_coefficient(self) -> FieldScalar:
         if not self._ground:
             raise ZeroPolynomial("zero polynomial has no leading monomial")
-        return _as_scalar(self._ground[max(self._ground)], self.spec)
+        return FieldScalar._of(self._ground[max(self._ground)], self.spec)
 
     def monic(self) -> "MPoly":
         """Divide by the leading coefficient (zero stays zero)."""
         if not self._ground:
             return self
         lc = self._ground[max(self._ground)]
-        return self if lc in _ONES else MPoly._raw(_divided(self._ground, lc, self.spec), self.spec)
+        return MPoly._raw(ground.divided(self._ground, lc, self.spec.theta), self.spec)
 
     # -- ring operations ---------------------------------------------------
 
@@ -287,8 +259,8 @@ class MPoly:
         if not isinstance(other, MPoly):
             return NotImplemented
         self._check(other)
-        add = pairs.add if self.spec.is_quadratic else _add
-        return MPoly._raw(add(dict(self._ground), other._ground, sign), self.spec)
+        spec = self.spec
+        return MPoly._raw(ground.add(dict(self._ground), other._ground, sign, spec.theta), spec)
 
     def __neg__(self):
         return MPoly.zero(self.spec) - self
@@ -305,30 +277,30 @@ class MPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise NegativePower("negative polynomial power")
-        ground, spec = self._ground, self.spec
-        if n < 2 or not ground:
+        terms, spec = self._ground, self.spec
+        if n < 2 or not terms:
             return self if n else MPoly.one(spec)
-        bounded(monomial_degree(max(ground)) * n)
-        if len(ground) == 1:
-            [(m, c)] = ground.items()
-            c = pairs.power(c, n, spec.u, spec.v) if spec.is_quadratic else c**n
-            return MPoly._raw({n * m: c}, spec)
-        if len(ground) > 2:  # by squaring
+        bounded(monomial_degree(max(terms)) * n)
+        theta = spec.theta
+        if len(terms) == 1:
+            [(m, c)] = terms.items()
+            return MPoly._raw({n * m: ground.power(c, n, theta)}, spec)
+        if len(terms) > 2:  # by squaring
             half = self ** (n >> 1)
             return half * half * self if n & 1 else half * half
         # two terms: the binomial theorem, C(n, k) a^k b^(n-k) at k*m1 + (n-k)*m2
-        one, times, _ = ground_arithmetic(spec)
-        (m1, a), (m2, b) = ground.items()
+        (m1, a), (m2, b) = terms.items()
+        one = ground.element(1, 0, theta)
         powers_b = [one]
         for _ in range(n):
-            powers_b.append(times(powers_b[-1], b))
-        out, a_k, binomial = {}, one, 1
+            powers_b.append(ground.product(powers_b[-1], b, theta))
+        out, a_k, binomial = [], one, 1
         for k in range(n + 1):
-            scale = (binomial, 0) if spec.is_quadratic else binomial
-            out[k * m1 + (n - k) * m2] = times(scale, times(a_k, powers_b[n - k]))
-            a_k = times(a_k, a)
+            c = ground.product(a_k, powers_b[n - k], theta)
+            out.append((k * m1 + (n - k) * m2, binomial, c))
+            a_k = ground.product(a_k, a, theta)
             binomial = binomial * (n - k) // (k + 1)
-        return MPoly._raw(out, spec)
+        return MPoly._raw(ground.scaled(out, theta), spec)
 
     def __eq__(self, other):
         if not isinstance(other, MPoly):
@@ -344,12 +316,8 @@ class MPoly:
         """Formal partial derivative with respect to one variable."""
         i = VARIABLE_INDEX[var]
         s, unit = SHIFT[i], UNIT[i]
-        scaled = [(m - unit, k, c) for m, c in self._ground.items() if (k := exponent_at(m, s))]
-        if self.spec.is_quadratic:
-            out = {m: (_normal(a * k), _normal(b * k)) for m, k, (a, b) in scaled}
-        else:
-            out = {m: _normal(c * k) for m, k, c in scaled}
-        return MPoly._raw(out, self.spec)
+        terms = [(m - unit, k, c) for m, c in self._ground.items() if (k := exponent_at(m, s))]
+        return MPoly._raw(ground.scaled(terms, self.spec.theta), self.spec)
 
     # -- substitution --------------------------------------------------------
 
@@ -414,21 +382,29 @@ class MPoly:
     # -- evaluation ------------------------------------------------------------
 
     def evaluate_scalar(self, point: dict) -> FieldScalar:
-        """Exact evaluation at a point given as {variable: FieldScalar}."""
-        spec = self.spec
-        # over Q(theta) the arithmetic runs on FieldScalars, over Q on rationals
-        scalar = (lambda c: _as_scalar(c, spec)) if spec.is_quadratic else (lambda c: c)
-        values = {VARIABLE_INDEX[n]: scalar(_as_coefficient(x, spec)) for n, x in point.items()}
-        total = 0
+        """Exact evaluation at a point given as {variable: FieldScalar}.
+
+        Each term is charged, for each of its variables, the exponent times
+        the bits the parser charges per power of that variable's value.  A
+        term charged past MAX_EVALUATION_BITS raises DegreeExceeded before
+        its powers are computed, even where the terms would cancel.
+        """
+        spec, theta, total = self.spec, self.spec.theta, {}
+        values = {VARIABLE_INDEX[n]: _as_coefficient(x, spec) for n, x in point.items()}
+        charges = {i: _coefficient_bits((c,), theta) for i, c in values.items()}
         for m, coeff in self._ground.items():
-            term = scalar(coeff)
-            for i, e in enumerate(unpack(m)):
-                if e:
-                    if i not in values:
-                        raise MissingValue("no value supplied for %s" % VARIABLES[i])
-                    term = term * values[i] ** e
-            total = total + term
-        return _as_scalar(total, self.spec)
+            powers = [(i, e) for i, e in enumerate(unpack(m)) if e]
+            for i, _ in powers:
+                if i not in values:
+                    raise MissingValue("no value supplied for %s" % VARIABLES[i])
+            if (bits := sum(e * charges[i] for i, e in powers)) > MAX_EVALUATION_BITS:
+                raise DegreeExceeded("a term evaluated at the point is charged %d bits, past "
+                                     "the bound %d" % (bits, MAX_EVALUATION_BITS))
+            if all(values[i] for i, _ in powers):  # else a value is 0, and so is the term
+                for i, e in powers:
+                    coeff = ground.product(coeff, ground.power(values[i], e, theta), theta)
+                ground.add(total, {0: coeff}, 1, theta)
+        return FieldScalar._of(total.get(0, 0), spec)
 
     def __str__(self):
         return render_poly(self)
@@ -450,25 +426,7 @@ def sum_of_products(terms) -> MPoly:
             bounded(monomial_degree(max(left)) + monomial_degree(max(right)))
             if k:
                 operands.append((k, left, right))
-    return MPoly._raw(_products(operands, first.spec), first.spec)
-
-
-def _products(operands, spec: FieldSpec) -> dict:
-    """`sum_of_products` on ground maps over spec, k != 0 and f, g nonzero."""
-    if spec.is_quadratic:
-        return pairs.sum_of_products(operands, spec.u, spec.v)
-    out = {}
-    get = out.get
-    for k, left, right in operands:
-        if len(left) > len(right):  # the shorter operand on the outside
-            left, right = right, left
-        for e1, c1 in left.items():
-            if k != 1:
-                c1 = k * c1
-            for e2, c2 in right.items():
-                have = get(e := e1 + e2)
-                out[e] = c1 * c2 if have is None else have + c1 * c2
-    return {e: c if c.__class__ is int else _normal(c) for e, c in out.items() if c}
+    return MPoly._raw(ground.sum_of_products(operands, first.spec.theta), first.spec)
 
 
 # -- rendering ------------------------------------------------------------------
@@ -488,20 +446,19 @@ def render_poly(f: MPoly) -> str:
     coefficient past Python's limit on the digits of an int's text raises
     DegreeExceeded.
     """
-    ground = f._ground
-    if not ground:
+    terms = f._ground
+    if not terms:
         return "0"
     chunks = []
     try:
-        for m in sorted(ground, reverse=True):
-            coeff = ground[m]
+        for m in sorted(terms, reverse=True):
+            a, b = ground.parts(terms[m])
             mono = _render_monomial(m)
-            if coeff.__class__ is tuple:
-                coeff = _as_scalar(coeff, f.spec) if coeff[1] else coeff[0]
-            if coeff.__class__ is FieldScalar:
+            if b:
+                coeff = FieldScalar._fast(a, b, f.spec)
                 chunks += " + ", "(%s)" % (coeff,) if not mono else "(%s)*%s" % (coeff, mono)
                 continue
-            text = str(coeff)
+            text = str(a)
             if text[0] == "-":
                 chunks.append(" - ")
                 text = text[1:]
@@ -526,7 +483,7 @@ def try_exact_divide(f: MPoly, g: MPoly):
     if f.is_zero():
         return MPoly.zero(f.spec)
     f._check(g)
-    spec, divisor = f.spec, g._ground
+    spec, theta, divisor = f.spec, f.spec.theta, g._ground
     if len(divisor) == 1:  # one guarded subtraction a term
         [(m, lc)] = divisor.items()
         quotient = {}
@@ -535,8 +492,7 @@ def try_exact_divide(f: MPoly, g: MPoly):
             if d is None:
                 return None
             quotient[d] = c
-        return MPoly._raw(quotient if lc in _ONES else _divided(quotient, lc, spec), spec)
-    add = pairs.add if spec.is_quadratic else _add
+        return MPoly._raw(ground.divided(quotient, lc, theta), spec)
     lm = max(divisor)
     lc, quotient, rest = divisor[lm], {}, dict(f._ground)
     while rest:  # trial division from the leading term
@@ -544,9 +500,9 @@ def try_exact_divide(f: MPoly, g: MPoly):
         q = monomial_quotient(top, lm)
         if q is None:
             return None
-        step = _divided({q: rest[top]}, lc, spec)
+        step = ground.divided({q: rest[top]}, lc, theta)
         quotient.update(step)
-        add(rest, _products([(1, step, divisor)], spec), -1)
+        ground.add(rest, ground.sum_of_products([(1, step, divisor)], theta), -1, theta)
     return MPoly._raw(quotient, spec)
 
 
@@ -591,13 +547,13 @@ def _gcd_modular(f: MPoly, g: MPoly, variables) -> MPoly:
 
     spec = f.spec
     shifts = [SHIFT[i] for i in variables]
-    theta = (spec.u, spec.v) if spec.is_quadratic else None
 
     def divides_both(h):
         h = MPoly._raw(h, spec)
         return try_exact_divide(f, h) is not None and try_exact_divide(g, h) is not None
 
-    return MPoly._raw(modular.field_gcd(f._ground, g._ground, shifts, theta, divides_both), spec)
+    found = modular.field_gcd(f._ground, g._ground, shifts, spec.theta, divides_both)
+    return MPoly._raw(found, spec)
 
 
 def _gcd_raw(f: MPoly, g: MPoly) -> MPoly:
@@ -605,7 +561,7 @@ def _gcd_raw(f: MPoly, g: MPoly) -> MPoly:
     spec = f.spec
     shift_f, shift_g = _monomial_content(f._ground), _monomial_content(g._ground)
     shift = _monomial_content((shift_f, shift_g))
-    mono = MPoly._raw({shift: _as_coefficient(1, spec)}, spec)
+    mono = MPoly._raw({shift: ground.element(1, 0, spec.theta)}, spec)
     f, g = _shift_down(f, shift_f), _shift_down(g, shift_g)
     if f.is_constant() or g.is_constant():
         return mono
@@ -621,8 +577,7 @@ def _gcd_raw(f: MPoly, g: MPoly) -> MPoly:
     if len(names) == 2:
         from . import modular
         v, w = (SHIFT[VARIABLE_INDEX[name]] for name in names)
-        theta = (spec.u, spec.v) if spec.is_quadratic else None
-        if modular.certified_coprime(f._ground, g._ground, v, w, theta):
+        if modular.certified_coprime(f._ground, g._ground, v, w, spec.theta):
             return mono
     # Euclid runs in the shared variable appearing in the most terms
     def frequency(name):
@@ -700,11 +655,8 @@ def cubic_resultant(a0: MPoly, a1: MPoly, a2: MPoly, a3: MPoly) -> MPoly:
 
 def _monic_denominator(num: MPoly, den: MPoly):
     """num and den, both divided by the leading coefficient of den."""
-    lc = den._ground[max(den._ground)]
-    if lc in _ONES:
-        return num, den
-    spec = den.spec
-    return tuple(MPoly._raw(_divided(f._ground, lc, spec), spec) for f in (num, den))
+    lc, spec = den._ground[max(den._ground)], den.spec
+    return tuple(MPoly._raw(ground.divided(f._ground, lc, spec.theta), spec) for f in (num, den))
 
 
 class RatFn:

@@ -16,7 +16,8 @@ algorithm on the Legendre web of a vector field, with the slope read as
 dq/dp = -x, in the dual coordinates (p, q) where p is the line slope and
 q the intercept; `is_flat` stops at that fraction's unreduced numerator.
 `legendre_transform` expands B(x, p*x + q) - p*A(x, p*x + q) term by
-term into the four x-degree coefficients, with no polynomial product.
+term into the four x-degree coefficients, each one `ground.sum_of_products`
+call over the one-term contributions, with no `MPoly` product.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .errors import (
     ZeroField,
     ZeroPolynomial,
 )
+from . import ground
 from .field import FieldScalar
 from .poly import (
     MPoly,
@@ -48,7 +50,6 @@ from .poly import (
     try_exact_divide,
 )
 from .monomials import SHIFT, UNIT, bounded, exponent_at, monomial_degree
-from .pairs import normal
 
 
 def _require_vars(f: MPoly, allowed, label):
@@ -255,7 +256,8 @@ def legendre_transform(vf: AffineVectorField) -> CubicWebEquation:
 
     The equation is then expanded term by term: c*x^i*y^j in B gives
     C(j, l)*c at x^(i+l)*p^l*q^(j-l) for l = 0..j, and in A the same times
-    -p.  Each x-degree sums its contributions and is normalised once.
+    -p.  Each x-degree sums its contributions in one `ground.sum_of_products`
+    call, which normalises once.
     """
     d = max(vf.a.total_degree(), vf.b.total_degree())
     x_b_top = {m + UNIT[0]: c for m, c in vf.b._ground.items() if monomial_degree(m) == d}
@@ -266,28 +268,20 @@ def legendre_transform(vf: AffineVectorField) -> CubicWebEquation:
     if degree < 3:
         raise DegreeTooLow("dual equation has x-degree %d < 3" % degree)
     spec = vf.spec
-    quadratic = spec.is_quadratic
+    theta = spec.theta
     p, q = UNIT[3], UNIT[4]
-    sums = [{} for _ in range(d + 1)]  # x-degree -> monomial in (p, q) -> sum
-    for ground, shift, sign in ((vf.b._ground, 0, 1), (vf.a._ground, p, -1)):
-        for m, c in ground.items():
+    one = {0: ground.element(1, 0, theta)}
+    rows = [[] for _ in range(d + 1)]  # x-degree -> its (k, {monomial: c}, 1) triples
+    for terms, shift, sign in ((vf.b._ground, 0, 1), (vf.a._ground, p, -1)):
+        for m, c in terms.items():
             i, j = exponent_at(m, SHIFT[0]), exponent_at(m, SHIFT[1])
             for l in range(j + 1):
-                k, row, e = sign * math.comb(j, l), sums[i + l], l * p + (j - l) * q + shift
-                if quadratic:
-                    a, b = row.get(e, (0, 0))
-                    row[e] = (a + k * c[0], b + k * c[1])
-                else:
-                    row[e] = row.get(e, 0) + k * c
+                rows[i + l].append((sign * math.comb(j, l), {l * p + (j - l) * q + shift: c}, one))
 
     def coefficient(x_degree):
-        """The x^x_degree coefficient, a ground map normalised once; the
-        x^d sums of a radial top cancel and are never read."""
-        if quadratic:
-            terms = {e: (normal(a), normal(b)) for e, (a, b) in sums[x_degree].items() if a or b}
-        else:
-            terms = {e: normal(c) for e, c in sums[x_degree].items() if c}
-        return MPoly._raw(terms, spec)
+        """The x^x_degree coefficient, one sum normalised once; the x^d
+        sums of a radial top cancel and are never read."""
+        return MPoly._raw(ground.sum_of_products(rows[x_degree], theta), spec)
 
     web = CubicWebEquation("x", ("p", "q"), *map(coefficient, (3, 2, 1, 0)))
     if web.cubic_discriminant().is_zero():  # a0 is not zero at x-degree 3

@@ -8,6 +8,7 @@ import random
 import shlex
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,7 @@ from webflat.errors import (
     UnknownVariable,
     UsageError,
 )
-from webflat.poly import render_poly
+from webflat.poly import MAX_EVALUATION_BITS, render_poly
 from webflat.webs import AffineVectorField, _dual_web
 
 from helpers import determinant_curvature_fraction, random_poly
@@ -432,6 +433,30 @@ def test_sing_refuses_a_translate_past_the_parse_bounds(monkeypatch):
             "error: DegreeExceeded: the translate to %s has %d terms and is charged %d bits, "
             "past the bounds 65536 and 4096" % (point, terms, bits)
         ), vf
+
+
+def test_point_evaluation_refuses_a_term_past_its_bit_bound():
+    """A term evaluated at a point is charged, per variable, the exponent
+    times the bits of the variable's value, and refused past
+    MAX_EVALUATION_BITS before its powers are computed, even where the
+    terms cancel; terms charged exactly the bound are computed."""
+    past = [
+        ["gauss", "--vf", "x^100000000 ; y^100000000 ; z^100000000", "--at", "3,2,1"],
+        ["sing", "--vf", "x^100000000 - 3^7 ; y", "--at", "3,0"],
+        ["gauss", "--vf", "x^16385 - y^16385 ; z^16385 ; z^16385", "--at", "2,2,1"],
+    ]
+    for argv, bits in zip(past, (2 * 10**8, 2 * 10**8, 2**14 + 1)):
+        start = time.perf_counter()
+        out, err, code = run_line(argv)
+        assert time.perf_counter() - start < 1, argv
+        assert (out, code) == ("", 2), argv
+        assert err == (
+            "error: DegreeExceeded: a term evaluated at the point is charged %d bits, "
+            "past the bound 16384" % bits
+        ), argv
+    inside = ["gauss", "--vf", "x^16384 - y^16384 ; z^16384 ; z^16384", "--at", "2,2,1"]
+    assert run_line(inside) == ("(-1 : 2 : -2)", "", 0)
+    assert MAX_EVALUATION_BITS == 2**14
 
 
 def test_high_degree_field_is_refused_before_the_legendre_expansion(monkeypatch):

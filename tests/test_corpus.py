@@ -214,13 +214,16 @@ def _counting(monkeypatch, owner, name):
 
 
 def test_expressions_without_parentheses_parse_without_the_kernel(monkeypatch):
-    """A term of atoms is one key and one coefficient, and `+` adds into
-    one map, so a corpus line with no parenthesis in its operands builds its
-    command with no kernel product."""
+    """A term of atoms is one key and one coefficient, a power of one is
+    one key multiple and one coefficient power, and `+` adds into one map,
+    so a corpus line with no parenthesis in its operands builds its command
+    with no kernel product and no `MPoly.__pow__`."""
+    import webflat.ground as ground
     import webflat.poly as poly
 
     products = _counting(monkeypatch, poly, "sum_of_products")
-    ground_products = _counting(monkeypatch, cli, "_products")
+    ground_products = _counting(monkeypatch, ground, "sum_of_products")
+    powers = _counting(monkeypatch, poly.MPoly, "__pow__")
     checked = 0
     for workload in WORKLOADS:
         for entry in _lines(workload):
@@ -230,7 +233,7 @@ def test_expressions_without_parentheses_parse_without_the_kernel(monkeypatch):
                 cli.build_command(entry["argv"])
             except errors.WebflatError:
                 pass
-            assert not products and not ground_products, entry["argv"]
+            assert not products and not ground_products and not powers, entry["argv"]
             checked += 1
     assert checked == 598
 

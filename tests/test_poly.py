@@ -29,6 +29,7 @@ from webflat.poly import VARIABLE_INDEX, determinant
 from webflat.errors import (
     DivisionByZero,
     FieldMismatch,
+    MissingValue,
     ZeroPolynomial,
 )
 
@@ -1269,6 +1270,23 @@ def test_scalars_leave_the_kernel_as_field_scalars(spec):
     assert type(value.a) is int and type(constant.a) is int
     theta = (1 + math.sqrt(5)) / 2 if spec.is_quadratic else None
     assert evaluate_float(f, {"x": 2.0, "y": 0.5}, theta) == pytest.approx(-1)
+
+
+@pytest.mark.parametrize("spec", GROUND_FIELDS, ids=["Q", "Q(theta)"])
+def test_evaluation_needs_a_value_for_every_variable(spec):
+    """A variable of the polynomial that the point lacks raises
+    MissingValue, also in a term whose other variable is 0 there."""
+    f = parse_poly("x*y + 2*z - 1", spec)
+    zero, two = FieldScalar(0, 0, spec), FieldScalar(2, 0, spec)
+    for point in ({"x": zero, "y": two}, {"x": zero, "z": two}, {"y": zero, "z": zero}, {}):
+        with pytest.raises(MissingValue):
+            f.evaluate_scalar(point)
+    assert f.evaluate_scalar({"x": zero, "y": two, "z": two, "p": two}) == 3
+    if spec.is_quadratic:  # t^2 = t + 1
+        t = FieldScalar.theta(spec)
+        assert f.evaluate_scalar({"x": t, "y": t, "z": zero}) == FieldScalar(0, 1, spec)
+        with pytest.raises(MissingValue):
+            f.evaluate_scalar({"x": t, "y": zero})
 
 
 def test_terms_and_rendering_agree_across_fields():

@@ -1,6 +1,7 @@
 """Checks on the package source itself: the error contract, the size of
-every module, the owner of the monomial layout, the modules that
-must import no layer above them, and what `poly` names of `modular`."""
+every module, the owners of the monomial layout and of the coefficient
+format, the modules that must import no layer above them, and what `poly`
+names of `modular`."""
 
 import ast
 import builtins
@@ -92,12 +93,56 @@ def test_monomial_layout_is_defined_only_in_monomials():
     assert readers == {"monomials.py"}, readers
 
 
-LEAF_MODULES = ("modular.py", "pairs.py", "monomials.py")
+def _coefficient_constant(node) -> bool:
+    """A tuple display of two int constants, each 0 or 1, not both 0: the
+    1 or the theta of Q(theta) written out as a pair, such as (1, 0)."""
+    if not (isinstance(node, ast.Tuple) and len(node.elts) == 2):
+        return False
+    values = [e.value if isinstance(e, ast.Constant) else None for e in node.elts]
+    return all(type(v) is int and v in (0, 1) for v in values) and any(values)
+
+
+def _tests_for_tuple(node) -> bool:
+    """`x.__class__ is tuple` (or `is not`), or `isinstance(x, tuple)`."""
+    if isinstance(node, ast.Compare):
+        return (isinstance(node.left, ast.Attribute) and node.left.attr == "__class__"
+                and any(isinstance(c, ast.Name) and c.id == "tuple" for c in node.comparators))
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        return (node.func.id == "isinstance" and len(node.args) == 2
+                and any(isinstance(n, ast.Name) and n.id == "tuple" for n in ast.walk(node.args[1])))
+    return False
+
+
+def test_coefficient_format_has_one_owner():
+    """The coefficient format has one owner, as the monomial layout does:
+    only ground.py tells a Q(theta) element from a rational by its class or
+    writes one out as a constant pair such as (1, 0) or (0, 1); the others
+    go through `ground.element`, `ground.parts` and `ground.ONES`.  They
+    name their field by `FieldSpec.theta`, and `FieldSpec.is_quadratic` is
+    read in field.py alone."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        unpacked = {id(node.value) for node in ast.walk(tree)  # as in `norm, den = 0, 1`
+                    if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Tuple)}
+        for node in ast.walk(tree):
+            if id(node) in unpacked:
+                continue
+            if isinstance(node, ast.Attribute) and node.attr == "is_quadratic":
+                if path.name != "field.py":
+                    found.append("%s:%d reads is_quadratic" % (path.name, node.lineno))
+            elif _coefficient_constant(node) or _tests_for_tuple(node):
+                if path.name != "ground.py":
+                    found.append("%s:%d reads or writes the format" % (path.name, node.lineno))
+    assert (PACKAGE / "ground.py").is_file() and not found, found
+
+
+LEAF_MODULES = ("modular.py", "ground.py", "monomials.py")
 LAYERS = {"poly", "field", "webs", "singular", "cli"}
 
 
 def test_leaf_modules_import_no_layer():
-    """`modular`, `pairs` and `monomials` work on ground maps and packed
+    """`modular`, `ground` and `monomials` work on ground maps and packed
     monomials and know nothing of `MPoly`: they import none of the layer
     modules, so the lazily loaded `modular` adds nothing to start-up."""
     found = []
