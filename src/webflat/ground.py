@@ -69,11 +69,17 @@ def power(c, n: int, theta):
 
 
 def scaled(terms, theta) -> dict:
-    """The ground map {m: k*c} of (m, k, c) triples with distinct m, k a
-    nonzero int and c a nonzero element."""
+    """The ground map summing k*c at m over (m, k, c) triples, k a nonzero
+    int, c a nonzero element and m repeated or not; normalised once."""
+    acc = {}
     if theta is None:
-        return {m: normal(k * c) for m, k, c in terms}
-    return {m: (normal(k * a), normal(k * b)) for m, k, (a, b) in terms}
+        for m, k, c in terms:
+            acc[m] = k * c + acc[m] if m in acc else k * c
+        return {m: normal(c) for m, c in acc.items() if c}
+    for m, k, (a, b) in terms:
+        a, b = k * a, k * b
+        acc[m] = (a + acc[m][0], b + acc[m][1]) if m in acc else (a, b)
+    return {m: (normal(a), normal(b)) for m, (a, b) in acc.items() if a or b}
 
 
 def add(out: dict, g: dict, sign: int, theta) -> dict:

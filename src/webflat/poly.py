@@ -384,10 +384,10 @@ class MPoly:
     def evaluate_scalar(self, point: dict) -> FieldScalar:
         """Exact evaluation at a point given as {variable: FieldScalar}.
 
-        Each term is charged, for each of its variables, the exponent times
-        the bits the parser charges per power of that variable's value.  A
-        term charged past MAX_EVALUATION_BITS raises DegreeExceeded before
-        its powers are computed, even where the terms would cancel.
+        A term with a variable at 0 is skipped; any other is charged, per
+        variable, the exponent times the parser's bits per power of its
+        value, and past MAX_EVALUATION_BITS raises DegreeExceeded before its
+        powers are computed, even where the terms would cancel.
         """
         spec, theta, total = self.spec, self.spec.theta, {}
         values = {VARIABLE_INDEX[n]: _as_coefficient(x, spec) for n, x in point.items()}
@@ -397,13 +397,14 @@ class MPoly:
             for i, _ in powers:
                 if i not in values:
                     raise MissingValue("no value supplied for %s" % VARIABLES[i])
+            if not all(values[i] for i, _ in powers):
+                continue
             if (bits := sum(e * charges[i] for i, e in powers)) > MAX_EVALUATION_BITS:
                 raise DegreeExceeded("a term evaluated at the point is charged %d bits, past "
                                      "the bound %d" % (bits, MAX_EVALUATION_BITS))
-            if all(values[i] for i, _ in powers):  # else a value is 0, and so is the term
-                for i, e in powers:
-                    coeff = ground.product(coeff, ground.power(values[i], e, theta), theta)
-                ground.add(total, {0: coeff}, 1, theta)
+            for i, e in powers:
+                coeff = ground.product(coeff, ground.power(values[i], e, theta), theta)
+            ground.add(total, {0: coeff}, 1, theta)
         return FieldScalar._of(total.get(0, 0), spec)
 
     def __str__(self):

@@ -256,8 +256,8 @@ def legendre_transform(vf: AffineVectorField) -> CubicWebEquation:
 
     The equation is then expanded term by term: c*x^i*y^j in B gives
     C(j, l)*c at x^(i+l)*p^l*q^(j-l) for l = 0..j, and in A the same times
-    -p.  Each x-degree sums its contributions in one `ground.sum_of_products`
-    call, which normalises once.
+    -p.  Each x-degree sums its contributions in one `ground.scaled`, which
+    normalises once.
     """
     d = max(vf.a.total_degree(), vf.b.total_degree())
     x_b_top = {m + UNIT[0]: c for m, c in vf.b._ground.items() if monomial_degree(m) == d}
@@ -267,23 +267,17 @@ def legendre_transform(vf: AffineVectorField) -> CubicWebEquation:
         raise DegreeExceeded("dual equation has x-degree %d > 3" % degree)
     if degree < 3:
         raise DegreeTooLow("dual equation has x-degree %d < 3" % degree)
-    spec = vf.spec
-    theta = spec.theta
+    spec, theta = vf.spec, vf.spec.theta
     p, q = UNIT[3], UNIT[4]
-    one = {0: ground.element(1, 0, theta)}
-    rows = [[] for _ in range(d + 1)]  # x-degree -> its (k, {monomial: c}, 1) triples
+    rows = [[] for _ in range(d + 1)]  # x-degree -> its (monomial, k, c) triples
     for terms, shift, sign in ((vf.b._ground, 0, 1), (vf.a._ground, p, -1)):
         for m, c in terms.items():
             i, j = exponent_at(m, SHIFT[0]), exponent_at(m, SHIFT[1])
             for l in range(j + 1):
-                rows[i + l].append((sign * math.comb(j, l), {l * p + (j - l) * q + shift: c}, one))
-
-    def coefficient(x_degree):
-        """The x^x_degree coefficient, one sum normalised once; the x^d
-        sums of a radial top cancel and are never read."""
-        return MPoly._raw(ground.sum_of_products(rows[x_degree], theta), spec)
-
-    web = CubicWebEquation("x", ("p", "q"), *map(coefficient, (3, 2, 1, 0)))
+                rows[i + l].append((l * p + (j - l) * q + shift, sign * math.comb(j, l), c))
+    # each coefficient normalised once; the x^d sums of a radial top cancel and are never read
+    coefficients = (MPoly._raw(ground.scaled(rows[k], theta), spec) for k in (3, 2, 1, 0))
+    web = CubicWebEquation("x", ("p", "q"), *coefficients)
     if web.cubic_discriminant().is_zero():  # a0 is not zero at x-degree 3
         raise DegenerateWeb("dual equation has identically zero discriminant")
     return web

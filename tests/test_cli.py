@@ -16,6 +16,7 @@ import pytest
 import webflat
 from webflat import FieldScalar, MPoly, RatFn, quadratic_field
 import webflat.cli as cli
+import webflat.ground as ground
 import webflat.modular as modular
 from webflat.cli import MAX_PARSE_BITS, MAX_PARSE_PAIRS, main, parse_field, parse_poly, run_line
 from webflat.errors import (
@@ -439,7 +440,8 @@ def test_point_evaluation_refuses_a_term_past_its_bit_bound():
     """A term evaluated at a point is charged, per variable, the exponent
     times the bits of the variable's value, and refused past
     MAX_EVALUATION_BITS before its powers are computed, even where the
-    terms cancel; terms charged exactly the bound are computed."""
+    terms cancel; terms charged exactly the bound are computed, and a term
+    with a variable at 0 is skipped uncharged."""
     past = [
         ["gauss", "--vf", "x^100000000 ; y^100000000 ; z^100000000", "--at", "3,2,1"],
         ["sing", "--vf", "x^100000000 - 3^7 ; y", "--at", "3,0"],
@@ -456,6 +458,8 @@ def test_point_evaluation_refuses_a_term_past_its_bit_bound():
         ), argv
     inside = ["gauss", "--vf", "x^16384 - y^16384 ; z^16384 ; z^16384", "--at", "2,2,1"]
     assert run_line(inside) == ("(-1 : 2 : -2)", "", 0)
+    zero = ["gauss", "--vf", "x^16385*z ; y^16386 ; z^16386", "--at", "3,1,0"]
+    assert run_line(zero) == ("(0 : 0 : -1)", "", 0)
     assert MAX_EVALUATION_BITS == 2**14
 
 
@@ -649,6 +653,42 @@ def test_parse_bit_bound_is_exact(monkeypatch):
         parse_poly("t^4097", spec)
     with pytest.raises(UsageError):
         parse_field("t^2=3^5000")
+
+
+def _bounded_ground_powers(monkeypatch):
+    """Make `ground.power` fail if its exponent times the element's bits,
+    counted as `_bounded_coefficients` counts them, passes the bound."""
+    power = ground.power
+
+    def bounded_power(c, n, theta):
+        parts = c if isinstance(c, tuple) else (c,)
+        bits = max((abs(x.numerator) - 1).bit_length() + (x.denominator - 1).bit_length() for x in parts)
+        assert n * bits <= MAX_PARSE_BITS
+        return power(c, n, theta)
+
+    monkeypatch.setattr(ground, "power", bounded_power)
+
+
+def test_parse_refuses_one_term_powers_past_bit_bound_before_computing(monkeypatch):
+    """The parser raises a power of one term with `ground.power`, not
+    `MPoly.__pow__`; that power too is charged, and refused past the bound,
+    before it is computed."""
+    _bounded_ground_powers(monkeypatch)
+    for argv in OVER_BITS:
+        out, err, code = run_line(argv)
+        assert (out, code) == ("", 2), argv
+        assert err.startswith("error: DegreeExceeded: "), argv
+    assert parse_poly("2^4096") == MPoly.constant(2**4096)
+    assert parse_poly("3^2048") == MPoly.constant(3**2048)
+    assert parse_poly("(1/2*x)^4096") == MPoly.monomial((4096, 0, 0, 0, 0, 0), Fraction(1, 2**4096))
+    assert parse_poly("(-x)^100001") == -MPoly.monomial((100001, 0, 0, 0, 0, 0), 1)
+    for text in ("2^4097", "3^2049", "(1/2*x)^4097"):
+        with pytest.raises(DegreeExceeded):
+            parse_poly(text)
+    spec = parse_field("t^2=t+1")
+    assert parse_poly("t^4096", spec) == parse_poly("t^2048", spec) ** 2
+    with pytest.raises(DegreeExceeded):
+        parse_poly("t^4097", spec)
 
 
 def test_batch_runs_past_over_bound_lines(tmp_path, capsys, monkeypatch):
