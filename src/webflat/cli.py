@@ -17,7 +17,6 @@ components separated by ';'.  Exit codes: 0 ok, 1 parse/usage error,
 
 from __future__ import annotations
 
-import math
 import sys
 from fractions import Fraction
 from typing import Callable, NamedTuple
@@ -32,17 +31,10 @@ from .errors import (
     WebflatError,
 )
 from . import ground
+from .bounds import MAX_PARSE_BITS, MAX_PARSE_PAIRS, charge, coefficient_bits, power_pairs
 from .field import RATIONALS, FieldScalar, FieldSpec
 from .monomials import BOUND, UNIT
-from .poly import (
-    MAX_PARSE_BITS,
-    MAX_PARSE_PAIRS,
-    VARIABLE_INDEX,
-    MPoly,
-    _power_bits,
-    ground_degree,
-    render_poly,
-)
+from .poly import VARIABLE_INDEX, MPoly, ground_degree, render_poly
 from .singular import classify_singularity, verify_classification
 from .webs import (
     AffineVectorField,
@@ -64,40 +56,9 @@ from .webs import (
 # -- lexer / parser -----------------------------------------------------------
 
 _VAR_NAMES = set("xyzpqt")
-
-
-def _check_bits(bits: int, what: str, token: "_Token"):
-    if bits > MAX_PARSE_BITS:
-        raise DegreeExceeded(
-            "%s at offset %d is charged %d bits, past the parser's bound %d"
-            % (what, token.offset, bits, MAX_PARSE_BITS)
-        )
-
-
-def _power_pairs(terms: int, exponent: int) -> int:
-    if terms < 2:  # a monomial or zero
-        return terms
-    half = exponent // 2
-    return math.comb(terms + half - 1, half) * math.comb(
-        terms + exponent - half - 1, exponent - half
-    )
-
-
-def _check_pairs(pairs: int, token: "_Token"):
-    if pairs > MAX_PARSE_PAIRS:
-        raise DegreeExceeded(
-            "expansion at offset %d multiplies %d term pairs, past the parser's bound %d"
-            % (token.offset, pairs, MAX_PARSE_PAIRS)
-        )
-
-
-def _check_degree(degree: int, what: str, token: "_Token"):
-    """Every exponent and total degree stays below monomials.BOUND."""
-    if degree >= BOUND:
-        raise DegreeExceeded(
-            "%s at offset %d has total degree %d, past the bound %d"
-            % (what, token.offset, degree, BOUND - 1)
-        )
+_PAIRS = "expansion at offset %d multiplies %d term pairs, past the parser's bound %d"
+_BITS = "%s at offset %d is charged %d bits, past the parser's bound %d"
+_DEGREE = "%s at offset %d has total degree %d, past the bound %d"
 
 
 class _Token:
@@ -152,9 +113,9 @@ class _Parser:
     is one key sum and one coefficient product, and a power of one a key
     multiple and a coefficient power.  Only a product with a factor of two
     or more terms goes through the kernel (`ground.sum_of_products`), and
-    only such a power through `MPoly.__pow__`.  The pair, bit and degree
-    bounds are charged at the `*`, `^` and literal tokens, on the sizes of
-    the operands.
+    only such a power through `MPoly.__pow__`.  Each `*`, `^` and literal
+    token is charged by `bounds` before its work is done, from the sizes and
+    coefficients of its operands, and refused with `_PAIRS`, `_BITS` or `_DEGREE`.
     """
 
     def __init__(self, src: str, spec: FieldSpec | None, theta_is_variable=False):
@@ -203,10 +164,10 @@ class _Parser:
     def term(self) -> dict:
         value = self.factor()
         while self.peek().kind == "*":
-            token = self.take()
+            at = self.take().offset
             rhs = self.factor()
-            _check_pairs(len(value) * len(rhs), token)
-            _check_degree(ground_degree(value) + ground_degree(rhs), "product", token)
+            charge(len(value) * len(rhs), MAX_PARSE_PAIRS, _PAIRS, at)
+            charge(ground_degree(value) + ground_degree(rhs), BOUND - 1, _DEGREE, "product", at)
             if len(value) == 1 == len(rhs):
                 [(m, c)], [(n, d)] = value.items(), rhs.items()
                 value = {m + n: ground.product(c, d, self.theta)}
@@ -217,20 +178,20 @@ class _Parser:
     def factor(self) -> dict:
         base = self.base()
         if self.peek().kind == "^":
-            token = self.take()
+            at = self.take().offset
             exponent = self.uint(self.expect("uint"))
-            poly = MPoly._raw(base, self.spec)
-            _check_pairs(_power_pairs(len(base), exponent), token)
-            _check_bits(_power_bits(poly, exponent), "power", token)
-            _check_degree(ground_degree(base) * exponent, "power", token)
+            charge(power_pairs(len(base), exponent), MAX_PARSE_PAIRS, _PAIRS, at)
+            bits = exponent * coefficient_bits(base.values(), self.theta)
+            charge(bits, MAX_PARSE_BITS, _BITS, "power", at)
+            charge(ground_degree(base) * exponent, BOUND - 1, _DEGREE, "power", at)
             if len(base) != 1 or not exponent:
-                return (poly ** exponent)._ground
+                return (MPoly._raw(base, self.spec) ** exponent)._ground
             [(m, c)] = base.items()
             return {exponent * m: ground.power(c, exponent, self.theta)}
         return base
 
     def uint(self, token: _Token) -> int:
-        _check_bits(len(token.text) * 10 // 3, "literal", token)
+        charge(len(token.text) * 10 // 3, MAX_PARSE_BITS, _BITS, "literal", token.offset)
         return int(token.text)
 
     def base(self) -> dict:

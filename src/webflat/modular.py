@@ -11,8 +11,8 @@ down to Euclid's algorithm.  Callers have two entries.  `field_gcd`, the
 engine, runs it over primes and returns the monic gcd as a ground map.
 `certified_coprime` comes first for two variables: from univariate images
 at two fixed points modulo one prime below 2**30, it proves that most pairs
-left once their monomial gcd is shifted out are coprime.  Nothing here
-knows `MPoly` or imports a layer module, so it loads with the first gcd.
+left once their monomial gcd is shifted out are coprime.  Each entry
+charges its dense images to `bounds` first.  Nothing here knows `MPoly`.
 """
 
 from __future__ import annotations
@@ -22,8 +22,11 @@ import itertools
 import math
 from fractions import Fraction
 
+from .bounds import MAX_DENSE_CELLS, charge
 from .ground import element, parts
 from .monomials import exponent_at, monomial_quotient, unit
+
+_DENSE = "the modular gcd would build a dense image of %d cells, past the bound %d"
 
 
 def is_prime(n: int) -> bool:
@@ -307,11 +310,11 @@ def certified_coprime(f: dict, g: dict, v: int, w: int, theta=None) -> bool:
     at w = a whenever f does (Gauss's lemma at p, as in Brown, JACM 1971),
     so it would leave a factor of positive degree in both images; likewise
     in w.  So h is constant, at any points.  Each image is a dense list,
-    one entry per degree: callers take the cheap exits (a constant input,
-    no shared variable) first, as Brown's evaluations are dense in every
-    variable."""
+    one entry per degree, charged first: callers take the cheap exits (a
+    constant input, no shared variable) first, as Brown's evaluations are
+    dense in every variable."""
     p, r = certificate_prime(theta)
-    dense = []
+    sums = []  # f(v, a), f(b, w), g(v, a), g(b, w): exponent -> coefficient
     for ground in (f, g):
         reduced = image(ground, r, p)
         # a residue left out could hide a lost degree: such inputs go on
@@ -320,16 +323,15 @@ def certified_coprime(f: dict, g: dict, v: int, w: int, theta=None) -> bool:
         terms = [(exponent_at(m, v), exponent_at(m, w), c) for m, c in reduced.items()]
         at_a = powers(POINT_W, {j for _, j, _ in terms}, p)
         at_b = powers(POINT_V, {i for i, _, _ in terms}, p)
-        in_v, in_w = {}, {}  # f(v, a) and f(b, w): exponent -> coefficient
+        in_v, in_w = {}, {}
         for i, j, c in terms:
             in_v[i] = in_v.get(i, 0) + c * at_a[j]
             in_w[j] = in_w.get(j, 0) + c * at_b[i]
-        for sums in (in_v, in_w):
-            row = [sums.get(e, 0) % p for e in range(max(sums) + 1)]
-            if not row[-1]:  # that image lost its input's degree
-                return False
-            dense.append(row)
-    fv, fw, gv, gw = dense
+        sums += in_v, in_w
+    charge(max(map(max, sums)) + 1, MAX_DENSE_CELLS, _DENSE)  # the longest row
+    fv, fw, gv, gw = [[row.get(e, 0) % p for e in range(max(row) + 1)] for row in sums]
+    if not (fv[-1] and fw[-1] and gv[-1] and gw[-1]):  # an image lost its input's degree
+        return False
     return len(gcd(fv, gv, p)) == 1 and len(gcd(fw, gw, p)) == 1
 
 
@@ -429,8 +431,8 @@ def brown_gcd(a: dict, b: dict, p: int, shifts) -> dict:
 # prime adds a correct residue of the monic gcd, and once the modulus
 # passes twice the square of the largest numerator and denominator among
 # the gcd's coefficients, rational reconstruction returns the gcd itself,
-# which divides both inputs.  The parser bounds the inputs' size; a cap on
-# the number of primes could only turn valid gcds into errors.
+# which divides both inputs.  `bounds` caps the inputs' size and dense
+# images; a cap on the number of primes could only turn valid gcds into errors.
 
 
 def field_gcd(f: dict, g: dict, shifts, theta, divides_both) -> dict:
@@ -443,14 +445,17 @@ def field_gcd(f: dict, g: dict, shifts, theta, divides_both) -> dict:
     grounds = (f, g)
     # each input's leading monomial and, for each variable, its keys at the
     # top degree in it: an image keeps that degree iff one of them survives
-    kept = []
+    kept, cells = [], 0
     for ground in grounds:
-        tops = []
+        tops, grid = [], 1
         for s in shifts:
             row = [exponent_at(m, s) for m in ground]
             top = max(row)
             tops.append([m for m, e in zip(ground, row) if e == top])
+            grid *= top + 1
         kept.append((max(ground), tops))
+        cells = max(cells, grid)
+    charge(cells, MAX_DENSE_CELLS, _DENSE)  # the grid Brown's evaluations fill
     if theta is not None and any(parts(c)[1] for ground in grounds for c in ground.values()):
         usable = split_primes(*theta)
     else:  # one image per prime, with theta (if any) sent to 0

@@ -30,6 +30,7 @@ Algorithms
   trial-divides its candidates over the field by `try_exact_divide`.  The
   tests keep the subresultant remainder sequence as its oracle.
 * powers: binomial theorem for one or two terms, squaring for more.
+* bounds: `evaluate_scalar` charges each term through `bounds` first.
 * determinant: the 3x3 of the inflection divisor in closed form; the
   tests keep cofactor expansion as its oracle.
 * `cubic_resultant` is Res(f, f') = -a0 * `cubic_discriminant` of the
@@ -42,7 +43,6 @@ Everything is immutable and pure.
 from __future__ import annotations
 
 import functools
-import math
 import sys
 from fractions import Fraction
 
@@ -57,6 +57,7 @@ from .errors import (
     ZeroPolynomial,
 )
 from . import ground
+from .bounds import MAX_EVALUATION_BITS, charge, coefficient_bits
 from .field import RATIONALS, FieldScalar, FieldSpec, _component
 from .monomials import (
     SHIFT,
@@ -88,56 +89,6 @@ def _as_coefficient(value, spec: FieldSpec):
 def ground_degree(terms: dict) -> int:
     """The total degree of a ground map; -1 for the zero map."""
     return monomial_degree(max(terms)) if terms else -1
-
-
-# The parser in `cli` refuses a product or a power whose expansion would
-# multiply more than this many pairs of terms, before it expands it, and
-# `singular` a translate of more terms or charged more than MAX_PARSE_BITS.
-# A product of polynomials with m and n terms multiplies m*n pairs; a power
-# is charged its last squaring, each half bounded by the C(n+j-1, j)
-# monomials a j-th power of n terms can have.  So the terms the program
-# itself renders, as p^14*q^4 or (1 - t)*p^7, always pass, while (x+1)^2000
-# (about 10^6 pairs) and (x+y+1)^400 (about 4*10^8) are refused at once.  The
-# corpora's inputs need at most 6 pairs (tests/test_corpus.py); at the bound
-# the densest expansion, (x+y+z+p+q+1)^10, has 3003 terms.
-MAX_PARSE_PAIRS = 2**16
-
-# It also refuses a literal or a power whose coefficients would pass this
-# many bits, before it converts or computes them.  A literal of d digits is
-# charged d / 0.3 bits, so no uint token of more than 1229 digits reaches
-# int().  A power f^e is charged e times the bits of f's coefficient 1-norm
-# and of its common denominator, theta counting as max(1, |u| + |v|):
-# nothing for a monomial with coefficient 1 or -1, e bits for (x+1)^e, and
-# 400,000 for 3^200000, which is refused.  The corpora's coefficients stay
-# under 27 bits, inputs and outputs alike (tests/test_corpus.py).
-MAX_PARSE_BITS = 2**12
-
-# `MPoly.evaluate_scalar` charges each term the powers of the point's values
-# it would compute, as a power is charged above, and refuses a term charged
-# past this many bits before it computes any.  It lies just above the 14,284
-# bits of a 4300-digit int, the longest the interpreter prints by default, so
-# a term past it could only reach the output if the terms cancelled.
-MAX_EVALUATION_BITS = 2**14
-
-
-def _ceil_log2(value) -> int:
-    """ceil(log2(value)) for a rational value >= 1, and 0 below 1."""
-    return (math.ceil(value) - 1).bit_length() if value > 1 else 0
-
-
-def _coefficient_bits(coefficients, theta) -> int:
-    """The bits a power charges per unit of its exponent: those of the
-    coefficients' 1-norm and of their common denominator."""
-    kappa = 0 if theta is None else max(1, abs(theta[0]) + abs(theta[1]))
-    norm, den = 0, 1
-    for a, b in map(ground.parts, coefficients):
-        norm += abs(a) + abs(b) * kappa
-        den = math.lcm(den, a.denominator, b.denominator)
-    return _ceil_log2(norm * den) + _ceil_log2(den)
-
-
-def _power_bits(base: MPoly, exponent: int) -> int:
-    return exponent * _coefficient_bits(base._ground.values(), base.spec.theta)
 
 
 class MPoly:
@@ -384,14 +335,14 @@ class MPoly:
     def evaluate_scalar(self, point: dict) -> FieldScalar:
         """Exact evaluation at a point given as {variable: FieldScalar}.
 
-        A term with a variable at 0 is skipped; any other is charged, per
-        variable, the exponent times the parser's bits per power of its
-        value, and past MAX_EVALUATION_BITS raises DegreeExceeded before its
-        powers are computed, even where the terms would cancel.
+        A term with a variable at 0 is skipped; any other is charged by
+        `bounds`, per variable, the exponent times the parser's bits per power
+        of its value, and refused past MAX_EVALUATION_BITS before its powers
+        are computed, even where the terms would cancel.
         """
         spec, theta, total = self.spec, self.spec.theta, {}
         values = {VARIABLE_INDEX[n]: _as_coefficient(x, spec) for n, x in point.items()}
-        charges = {i: _coefficient_bits((c,), theta) for i, c in values.items()}
+        charges = {i: coefficient_bits((c,), theta) for i, c in values.items()}
         for m, coeff in self._ground.items():
             powers = [(i, e) for i, e in enumerate(unpack(m)) if e]
             for i, _ in powers:
@@ -399,9 +350,8 @@ class MPoly:
                     raise MissingValue("no value supplied for %s" % VARIABLES[i])
             if not all(values[i] for i, _ in powers):
                 continue
-            if (bits := sum(e * charges[i] for i, e in powers)) > MAX_EVALUATION_BITS:
-                raise DegreeExceeded("a term evaluated at the point is charged %d bits, past "
-                                     "the bound %d" % (bits, MAX_EVALUATION_BITS))
+            charge(sum(e * charges[i] for i, e in powers), MAX_EVALUATION_BITS,
+                   "a term evaluated at the point is charged %d bits, past the bound %d")
             for i, e in powers:
                 coeff = ground.product(coeff, ground.power(values[i], e, theta), theta)
             ground.add(total, {0: coeff}, 1, theta)

@@ -14,11 +14,11 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import DegenerateParameter, DegreeExceeded, NotSingular
+from .bounds import charge_translate
+from .errors import DegenerateParameter, NotSingular
 from .field import FieldScalar, field_sqrt
-from .poly import MAX_PARSE_BITS, MAX_PARSE_PAIRS, MPoly, _power_bits, exact_divide
-from .poly import poly_gcd, squarefree_part
-from .monomials import monomial_degree, unpack
+from .poly import MPoly, exact_divide, poly_gcd, squarefree_part
+from .monomials import monomial_degree
 from .webs import AffineVectorField, homogenize, inflection_divisor, is_flat
 
 TAU_INFINITE = math.inf
@@ -44,36 +44,16 @@ def saturate(vf: AffineVectorField):
 
 
 def _translate(f: MPoly, x0, y0) -> MPoly:
-    """f(x + x0, y + y0), refused unexpanded past MAX_PARSE_PAIRS terms, or
-    past MAX_PARSE_BITS bits charged to its powers as the parser charges."""
+    """f(x + x0, y + y0), refused unexpanded by `bounds.charge_translate`."""
     spec, bindings = f.spec, {}
     for name, value in (("x", x0), ("y", y0)):
         if not (shift := MPoly.constant(value, spec)).is_zero():
             bindings[name] = MPoly.variable(name, spec) + shift
     if not bindings:
         return f
-    terms = _translate_terms(f, bindings)
-    bits = sum(_power_bits(image, f.degree_in(name)) for name, image in bindings.items())
-    if terms > MAX_PARSE_PAIRS or bits > MAX_PARSE_BITS:
-        raise DegreeExceeded(
-            "the translate to (%s, %s) has %d terms and is charged %d bits, past the bounds %d "
-            "and %d" % (x0, y0, terms, bits, MAX_PARSE_PAIRS, MAX_PARSE_BITS))
+    images = {"xy".index(name): image._ground for name, image in bindings.items()}
+    charge_translate(f._ground, images, spec.theta, x0, y0)
     return f.substitute(bindings)
-
-
-def _translate_terms(f: MPoly, bindings) -> int:
-    """The terms of f's translate, f in x and y, but for cancellation: per
-    exponent of a variable left in place, a staircase in the bound ones."""
-    moved, stairs, count = ("x" in bindings, "y" in bindings), {}, 0
-    for m in f._ground:
-        free, corner = zip(*[(0, e) if bound else (e, 0) for bound, e in zip(moved, unpack(m))])
-        stairs.setdefault(free, []).append(corner)
-    for corners in stairs.values():  # the columns right of i, of height high + 1
-        high, right = -1, 0
-        for i, j in sorted(corners, reverse=True) + [(-1, 0)]:
-            count += (right - i) * (high + 1)
-            high, right = max(high, j), i
-    return count
 
 
 def _order(f: MPoly):
@@ -105,12 +85,12 @@ def _nu(local) -> int:
     return min(o for o in map(_order, local) if o is not None)
 
 
-def _tau(local, nu):
+def _tau(local):
     a, b = local
     x = MPoly.variable("x", a.spec)
     y = MPoly.variable("y", a.spec)
-    top = max(a.total_degree(), b.total_degree())
-    for k in range(nu, top + 1):
+    # the degrees of terms, from nu up: one with no term leaves x*b_k - y*a_k zero
+    for k in sorted({monomial_degree(m) for m in (*a._ground, *b._ground)}):
         if not (x * _jet(b, k) - y * _jet(a, k)).is_zero():
             return k
     return TAU_INFINITE
@@ -130,7 +110,7 @@ def classify_singularity(vf: AffineVectorField, pt) -> SingularityReport:
     if local is None:
         raise NotSingular("the saturated field does not vanish at (%s, %s)" % tuple(pt))
     nu = _nu(local)
-    t = _tau(local, nu)
+    t = _tau(local)
     radial = nu == 1 and t >= 2
     return SingularityReport(
         point=tuple(pt),

@@ -26,7 +26,8 @@ from webflat.errors import (
     UnknownVariable,
     UsageError,
 )
-from webflat.poly import MAX_EVALUATION_BITS, render_poly
+from webflat.bounds import MAX_DENSE_CELLS, MAX_EVALUATION_BITS
+from webflat.poly import poly_gcd, render_poly
 from webflat.webs import AffineVectorField, _dual_web
 
 from helpers import determinant_curvature_fraction, random_poly
@@ -399,6 +400,15 @@ def test_sing_at_a_regular_point_of_a_huge_degree_field(monkeypatch):
     assert err == "error: NotSingular: the saturated field does not vanish at (1, 0)"
 
 
+def test_sing_reads_tau_off_the_degrees_present():
+    """tau is the first degree from nu whose jets are not radial, and only a
+    degree with a term can be one, so a huge gap costs nothing."""
+    start = time.perf_counter()
+    out = run_ok(["sing", "--vf", "x ; y + x^100000000", "--at", "0, 0"])
+    assert out == "point: (0, 0)\nnu: 1\ntau: 100000000\nradial: true\nspecial: true"
+    assert time.perf_counter() - start < 1
+
+
 def test_sing_refuses_a_translate_past_the_parse_bounds(monkeypatch):
     """A translate past MAX_PARSE_PAIRS terms or MAX_PARSE_BITS charged bits
     is refused before it is expanded; one just inside both is expanded."""
@@ -461,6 +471,56 @@ def test_point_evaluation_refuses_a_term_past_its_bit_bound():
     zero = ["gauss", "--vf", "x^16385*z ; y^16386 ; z^16386", "--at", "3,1,0"]
     assert run_line(zero) == ("(0 : 0 : -1)", "", 0)
     assert MAX_EVALUATION_BITS == 2**14
+
+
+DENSE_CHILD = """
+import json, resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))  # no row of 2*10^8 entries fits
+import webflat.modular as modular
+from webflat.cli import run_line
+
+def dense(*args):
+    raise AssertionError("a dense gcd step ran")
+
+modular.split = modular.gcd = dense  # the engine's first image, the certificate's Euclid
+start = time.perf_counter()
+result = run_line(sys.argv[1:])
+print(json.dumps([result, time.perf_counter() - start]))
+"""
+
+
+def _dense_refusal(argv):
+    """run_line(argv) in a child whose dense gcd steps fail and whose address
+    space holds no dense image of the refused size: (result, seconds)."""
+    src = os.path.dirname(os.path.dirname(webflat.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", DENSE_CHILD, *argv], capture_output=True,
+                          text=True, timeout=60, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    result, seconds = json.loads(proc.stdout)
+    return tuple(result), seconds
+
+
+def test_modular_gcd_charges_its_dense_images_before_building_them():
+    """Each entry of the modular gcd charges its largest dense image to
+    MAX_DENSE_CELLS before it builds any: the certificate its longest row, a
+    row of 2*10^8 + 1 entries here, which ran out of memory unbounded; the
+    engine an input's grid over all its variables, three here."""
+    web = "p^3 - x*p + y^%d"  # the certificate's rows in y are 2N + 1 long
+    result, seconds = _dense_refusal(["curvature", "--web", web % 10**8])
+    assert result == ("", "error: DegreeExceeded: the modular gcd would build a dense image "
+                          "of 200000001 cells, past the bound 65536", 2)
+    assert seconds < 1
+    assert run_line(["curvature", "--web", web % 32768]) == ("", "error: DegreeExceeded: the "
+        "modular gcd would build a dense image of 65537 cells, past the bound 65536", 2)
+    out, err, code = run_line(["curvature", "--web", web % 32767])  # a row of 65535
+    assert (err, code) == ("", 0) and out.startswith("numerator: -4294836224/27*x^2*y^98299 + ")
+    common = parse_poly("x + y + z + 1")
+    g = common * parse_poly("x^2 + y^2 + z + 5")
+    inside = common * parse_poly("x^14*y^14*z^254 + 3")  # a grid of 16 * 16 * 256 cells
+    assert poly_gcd(inside, g) == common and 16 * 16 * 256 == MAX_DENSE_CELLS
+    with pytest.raises(DegreeExceeded, match="dense image of 69632 cells, past the bound 65536"):
+        poly_gcd(common * parse_poly("x^15*y^14*z^254 + 3"), g)
 
 
 def test_high_degree_field_is_refused_before_the_legendre_expansion(monkeypatch):
@@ -653,6 +713,29 @@ def test_parse_bit_bound_is_exact(monkeypatch):
         parse_poly("t^4097", spec)
     with pytest.raises(UsageError):
         parse_field("t^2=3^5000")
+
+
+PARSER_REFUSALS = [  # (--vf, message): each bound at each token that charges it
+    ("(x+1)^255*(x+1)^256 ; y",
+     "expansion at offset 9 multiplies 65792 term pairs, past the parser's bound 65536"),
+    ("(x+y+1)^400 ; y",
+     "expansion at offset 7 multiplies 412130601 term pairs, past the parser's bound 65536"),
+    ("%s*x ; y" % ("9" * 1230),
+     "literal at offset 0 is charged 4100 bits, past the parser's bound 4096"),
+    ("x^3 + 3^2049*y ; y", "power at offset 7 is charged 4098 bits, past the parser's bound 4096"),
+    ("x^2147483647*y ; y",
+     "product at offset 12 has total degree 2147483648, past the bound 2147483647"),
+    ("(x*y)^1073741824 ; y",
+     "power at offset 5 has total degree 2147483648, past the bound 2147483647"),
+]
+
+
+@pytest.mark.parametrize("vf, message", PARSER_REFUSALS,
+                         ids=["pairs*", "pairs^", "bits-literal", "bits^", "degree*", "degree^"])
+def test_parser_refusals_keep_their_full_text(vf, message):
+    """The whole stderr of each parser refusal, with its token's offset and
+    its numbers, not a prefix of it."""
+    assert run_line(["flat", "--vf", vf]) == ("", "error: DegreeExceeded: " + message, 2)
 
 
 def _bounded_ground_powers(monkeypatch):

@@ -4,10 +4,10 @@ Each command line starts well formed for its verb: small polynomials, some
 with theta, with and without --field, text or json.  Up to two mutations
 then drop a word, put junk characters in place of one, add an unknown,
 duplicate or known flag, add a component or a coordinate, or change the
-verb.  Whatever the line, `run_line` returns exit code 0, 1 or 2; a nonzero
-exit prints nothing on stdout and names a `WebflatError` subclass on
-stderr, a `DomainError` exactly when the code is 2; and a second run gives
-the same bytes.
+verb; or one operand gains a monomial power up to 2^31 - 1.  Whatever the
+line, `run_line` returns exit code 0, 1 or 2; a nonzero exit prints nothing
+on stdout and names a `WebflatError` subclass on stderr, a `DomainError`
+exactly when the code is 2; and a second run gives the same bytes.
 """
 
 import re
@@ -129,6 +129,40 @@ def _assert_contract(argv):
 @given(_command_lines())
 def test_every_command_line_keeps_the_error_contract(argv):
     _assert_contract(argv)
+
+
+# near the monomial layout's bound, past every dense bound, and anywhere below
+_EXPONENT = st.one_of(st.integers(0, 2**31 - 1), st.sampled_from((10**8, 2**31 - 2, 2**31 - 1)))
+
+
+@st.composite
+def _huge_power_lines(draw, verb):
+    """A well-formed line of the verb, one of whose operands (a component or
+    a coordinate) gains a monomial power with an exponent up to 2^31 - 1."""
+    argv = [verb] + draw(_WELL_FORMED[verb])
+    operands = [i for i in range(1, len(argv) - (verb == "eta")) if argv[i][:2] != "--"]
+    if "t" in "".join(argv[1:]):  # so that most lines get past the parser
+        argv += ["--field", draw(st.sampled_from(_FIELDS[2:]))]
+    i = draw(st.sampled_from(operands))  # a component, a coordinate or nu; not eta's order
+    parts = re.split("([;,])", argv[i])
+    j = 2 * draw(st.integers(0, len(parts) // 2))
+    power = "%s^%d" % (draw(st.sampled_from("xyzp2")), draw(_EXPONENT))
+    parts[j] = draw(st.sampled_from(("(%s)*%s", "%s + %s", "%s - 3*%s"))) % (parts[j], power)
+    argv[i] = "".join(parts)
+    return argv
+
+
+@pytest.mark.parametrize("verb", VERBS)
+def test_monomial_powers_up_to_the_layout_bound_keep_the_error_contract(verb):
+    """High powers reach every verb: each line ends in an answer or a named
+    error, never a traceback, a MemoryError or a hang."""
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(_huge_power_lines(verb))
+    def check(argv):
+        _assert_contract(argv)
+
+    check()
 
 
 @pytest.mark.parametrize("junk", _JUNK)

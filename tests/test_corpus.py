@@ -128,28 +128,28 @@ def test_certificate_answers_most_coprime_pairs(workload, monkeypatch):
     assert all(degree > 0 for k, degree in engine if k == 2)
 
 
-def _record_bits(monkeypatch):
-    """The bits the parser charges literals and powers, as it checks them."""
+def _record_charges(monkeypatch, message):
+    """The amounts the parser charges with one of its refusal messages, as
+    it charges them."""
     charged = []
-    check = cli._check_bits
+    check = cli.charge
 
-    def recording(bits, what, token):
-        charged.append(bits)
-        check(bits, what, token)
+    def recording(amount, bound, text, *where):
+        if text == message:
+            charged.append(amount)
+        check(amount, bound, text, *where)
 
-    monkeypatch.setattr(cli, "_check_bits", recording)
+    monkeypatch.setattr(cli, "charge", recording)
     return charged
 
 
+def _record_bits(monkeypatch):
+    """The bits the parser charges literals and powers, as it checks them."""
+    return _record_charges(monkeypatch, cli._BITS)
+
+
 def test_corpus_inputs_parse_within_the_pair_bound(monkeypatch):
-    charged = []
-    check = cli._check_pairs
-
-    def recording(pairs, token):
-        charged.append(pairs)
-        check(pairs, token)
-
-    monkeypatch.setattr(cli, "_check_pairs", recording)
+    charged = _record_charges(monkeypatch, cli._PAIRS)
     bits = _record_bits(monkeypatch)
     for workload in WORKLOADS:
         for entry in _lines(workload):

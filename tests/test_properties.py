@@ -31,6 +31,7 @@ from webflat import (  # noqa: E402
 )
 from webflat.cli import parse_field, parse_poly  # noqa: E402
 from webflat.errors import DegreeExceeded, DegreeTooLow  # noqa: E402
+import webflat.bounds as bounds  # noqa: E402
 import webflat.poly as poly_module  # noqa: E402
 from webflat.poly import cubic_discriminant, render_poly, try_exact_divide  # noqa: E402
 from webflat.webs import _curvature_fraction, _dual_web  # noqa: E402
@@ -394,8 +395,9 @@ def test_kernels_over_quadratic_fields_match_scalar_reference(field, a, b, h, s,
     kappa = max(1, abs(spec.u) + abs(spec.v))
     norm = sum(abs(c.a) + abs(c.b) * kappa for c in f.terms.values())
     den = math.lcm(1, *(x.denominator for c in f.terms.values() for x in (c.a, c.b)))
-    charge = poly_module._ceil_log2
-    assert poly_module._power_bits(f, 3) == 3 * (charge(norm * den) + charge(den))
+    charge = bounds.ceil_log2
+    assert 3 * bounds.coefficient_bits(f._ground.values(), spec.theta) == 3 * (
+        charge(norm * den) + charge(den))
 
 
 # -- FieldScalar against a Fraction-only reference ---------------------------------

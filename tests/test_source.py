@@ -1,7 +1,7 @@
 """Checks on the package source itself: the error contract, the size of
-every module, the owners of the monomial layout and of the coefficient
-format, the modules that must import no layer above them, and what `poly`
-names of `modular`."""
+every module, the owners of the monomial layout, of the coefficient
+format and of the work bounds, the modules that must import no layer
+above them, and what `poly` names of `modular`."""
 
 import ast
 import builtins
@@ -137,14 +137,15 @@ def test_coefficient_format_has_one_owner():
     assert (PACKAGE / "ground.py").is_file() and not found, found
 
 
-LEAF_MODULES = ("modular.py", "ground.py", "monomials.py")
+LEAF_MODULES = ("modular.py", "ground.py", "monomials.py", "bounds.py")
 LAYERS = {"poly", "field", "webs", "singular", "cli"}
 
 
 def test_leaf_modules_import_no_layer():
-    """`modular`, `ground` and `monomials` work on ground maps and packed
-    monomials and know nothing of `MPoly`: they import none of the layer
-    modules, so the lazily loaded `modular` adds nothing to start-up."""
+    """`modular`, `ground`, `monomials` and `bounds` work on ground maps and
+    packed monomials and know nothing of `MPoly`: they import none of the
+    layer modules, so the lazily loaded `modular` adds nothing to start-up
+    and can charge its work through `bounds`."""
     found = []
     for name in LEAF_MODULES:
         path = PACKAGE / name
@@ -175,3 +176,37 @@ def test_poly_names_only_the_two_entries_of_modular():
             imports.append(node.lineno)
     assert named == {"certified_coprime", "field_gcd"}, named
     assert not imports, imports
+
+
+CHARGE_FUNCTIONS = {"charge", "charge_translate", "ceil_log2", "coefficient_bits", "power_pairs"}
+CHARGING = ("cli.py", "poly.py", "singular.py", "modular.py")
+
+
+def test_work_bounds_have_one_owner():
+    """The work bounds have one owner, as the layout and the format do: every
+    `MAX_*` bound is assigned, compared and charged against, and every
+    function of the charge arithmetic defined, in bounds.py alone.  The
+    modules that charge import no private name from one another: they call
+    `bounds`."""
+    owners, found = {}, []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for name in (n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)):
+                    if name.lstrip("_").startswith("MAX_"):
+                        owners.setdefault(name, set()).add(path.name)
+            elif isinstance(node, ast.FunctionDef) and node.name.lstrip("_") in CHARGE_FUNCTIONS:
+                owners.setdefault(node.name, set()).add(path.name)
+            elif isinstance(node, ast.Compare) and path.name != "bounds.py":
+                if any(isinstance(n, ast.Name) and n.id.startswith("MAX_") for n in ast.walk(node)):
+                    found.append("%s:%d compares a bound" % (path.name, node.lineno))
+            elif isinstance(node, ast.ImportFrom) and path.name in CHARGING:
+                if (node.module or "") in {name[:-3] for name in CHARGING}:
+                    private = [a.name for a in node.names if a.name.startswith("_")]
+                    found += ["%s:%d imports %s" % (path.name, node.lineno, n) for n in private]
+    bounds = {"MAX_PARSE_PAIRS", "MAX_PARSE_BITS", "MAX_EVALUATION_BITS", "MAX_DENSE_CELLS"}
+    assert set(owners) == bounds | CHARGE_FUNCTIONS, owners
+    assert all(files == {"bounds.py"} for files in owners.values()), owners
+    assert not found, found
