@@ -396,8 +396,7 @@ def test_kernels_over_quadratic_fields_match_scalar_reference(field, a, b, h, s,
     norm = sum(abs(c.a) + abs(c.b) * kappa for c in f.terms.values())
     den = math.lcm(1, *(x.denominator for c in f.terms.values() for x in (c.a, c.b)))
     charge = bounds.ceil_log2
-    assert 3 * bounds.coefficient_bits(f._ground.values(), spec.theta) == 3 * (
-        charge(norm * den) + charge(den))
+    assert bounds.coefficient_bits(f._ground.values(), spec.theta) == charge(norm * den) + charge(den)
 
 
 # -- FieldScalar against a Fraction-only reference ---------------------------------
