@@ -310,9 +310,9 @@ def certified_coprime(f: dict, g: dict, v: int, w: int, theta=None) -> bool:
     at w = a whenever f does (Gauss's lemma at p, as in Brown, JACM 1971),
     so it would leave a factor of positive degree in both images; likewise
     in w.  So h is constant, at any points.  Each image is a dense list,
-    one entry per degree, charged first: callers take the cheap exits (a
-    constant input, no shared variable) first, as Brown's evaluations are
-    dense in every variable."""
+    one entry per degree, charged before it is built; callers take the
+    cheap exits (a constant input, no shared variable) first, as Brown's
+    evaluations are dense in every variable."""
     p, r = certificate_prime(theta)
     sums = []  # f(v, a), f(b, w), g(v, a), g(b, w): exponent -> coefficient
     for ground in (f, g):

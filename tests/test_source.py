@@ -184,10 +184,9 @@ CHARGING = ("cli.py", "poly.py", "singular.py", "modular.py")
 
 def test_work_bounds_have_one_owner():
     """The work bounds have one owner, as the layout and the format do: every
-    `MAX_*` bound is assigned, compared and charged against, and every
-    function of the charge arithmetic defined, in bounds.py alone.  The
-    modules that charge import no private name from one another: they call
-    `bounds`."""
+    `MAX_*` bound is assigned and compared, and every function of the charge
+    arithmetic defined, in bounds.py alone.  The modules that charge import
+    no private name from one another: they call `bounds`."""
     owners, found = {}, []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
