@@ -489,27 +489,24 @@ print(json.dumps([result, time.perf_counter() - start]))
 """
 
 
-def _dense_refusal(argv):
-    """run_line(argv) in a child whose dense gcd steps fail and whose address
-    space holds no dense image of the refused size: (result, seconds)."""
-    src = os.path.dirname(os.path.dirname(webflat.__file__))
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-c", DENSE_CHILD, *argv], capture_output=True,
-                          text=True, timeout=60, env={**os.environ, "PYTHONPATH": path})
-    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
-    result, seconds = json.loads(proc.stdout)
-    return tuple(result), seconds
-
-
 def test_modular_gcd_charges_its_dense_images_before_building_them():
     """Each entry of the modular gcd charges its largest dense image to
     MAX_DENSE_CELLS before it builds any: the certificate its longest row, a
-    row of 2*10^8 + 1 entries here, which ran out of memory unbounded; the
-    engine an input's grid over all its variables, three here."""
+    row of 2*10^8 + 1 entries here, which would not fit in memory, so the
+    line runs in a child whose dense gcd steps fail and whose address space
+    is capped; the engine an input's grid over all its variables, three
+    here."""
+    pytest.importorskip("resource")
     web = "p^3 - x*p + y^%d"  # the certificate's rows in y are 2N + 1 long
-    result, seconds = _dense_refusal(["curvature", "--web", web % 10**8])
-    assert result == ("", "error: DegreeExceeded: the modular gcd would build a dense image "
-                          "of 200000001 cells, past the bound 65536", 2)
+    src = os.path.dirname(os.path.dirname(webflat.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", DENSE_CHILD, "curvature", "--web", web % 10**8],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    result, seconds = json.loads(proc.stdout)
+    assert result == ["", "error: DegreeExceeded: the modular gcd would build a dense image "
+                          "of 200000001 cells, past the bound 65536", 2]
     assert seconds < 1
     assert run_line(["curvature", "--web", web % 32768]) == ("", "error: DegreeExceeded: the "
         "modular gcd would build a dense image of 65537 cells, past the bound 65536", 2)
