@@ -9,13 +9,16 @@ function takes `theta`: None over Q, (u, v) over Q(theta).  `element`
 builds an element, `parts` reads one back as (a, b), and `ONES` holds the
 1 of either field.  Each arithmetic entry keeps its Q loop next to its
 Q(theta) twin, which reduces theta^2 inline, so no `FieldScalar` is built
-per term.  Ground maps are multiplied in `sum_of_products` alone.  Nothing
-here knows about `MPoly` or `FieldScalar`.
+per term.  Ground maps are multiplied in `sum_of_products` alone, and
+divided exactly in `exact_quotient` alone.  Nothing here knows about
+`MPoly` or `FieldScalar`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from .monomials import monomial_quotient
 
 ONES = (1, (1, 0))  # the element 1 over Q and over Q(theta)
 
@@ -178,3 +181,30 @@ def divided(f: dict, s, theta) -> dict:
         c = norm(s, theta)
     n, m = c.denominator, c.numerator
     return {e: (quotient(a, n, m), b and quotient(b, n, m)) for e, (a, b) in f.items()}
+
+
+def exact_quotient(f: dict, g: dict, theta):
+    """f / g for ground maps f and g, g nonzero, when the division is exact,
+    else None.  A one-term divisor costs one guarded subtraction a term; a
+    longer one runs trial division from the leading key, the `max` of the
+    remainder: each quotient term times g comes off the remainder."""
+    if len(g) == 1:
+        [(m, lc)] = g.items()
+        quotient = {}
+        for e, c in f.items():
+            d = monomial_quotient(e, m)
+            if d is None:
+                return None
+            quotient[d] = c
+        return divided(quotient, lc, theta)
+    lm = max(g)
+    lc, quotient, rest = g[lm], {}, dict(f)
+    while rest:
+        top = max(rest)
+        q = monomial_quotient(top, lm)
+        if q is None:
+            return None
+        step = divided({q: rest[top]}, lc, theta)
+        quotient.update(step)
+        add(rest, sum_of_products([(1, step, g)], theta), -1, theta)
+    return quotient

@@ -1,4 +1,4 @@
-"""The modular gcd over Q and Q(theta), and arithmetic modulo a prime.
+"""The gcd over Q and Q(theta), and arithmetic modulo a prime.
 
 Word-size primes and their square roots, rational reconstruction, and
 polynomials over F_p.  A univariate polynomial is a dense coefficient
@@ -7,12 +7,14 @@ polynomial in F_p[v_1, ..., v_k] is a dict from packed monomials to
 nonzero residues.  `image` is the one map into it from a ground map over
 Q or Q(theta), and `brown_gcd` takes the gcd of two such polynomials by
 Brown's evaluation and interpolation (JACM 1971), one variable at a time
-down to Euclid's algorithm.  Callers have two entries.  `field_gcd`, the
-engine, runs it over primes and returns the monic gcd as a ground map.
-`certified_coprime` comes first for two variables: from univariate images
-at two fixed points modulo one prime below 2**30, it proves that most pairs
-left once their monomial gcd is shifted out are coprime.  Each entry
-charges its dense images to `bounds` first.  Nothing here knows `MPoly`.
+down to Euclid's algorithm.  `field_gcd` is the one gcd entry: ground maps
+in, the monic gcd out as a ground map.  It shifts out the monomial
+content, takes the cheap exits, and tries `certified_coprime` for two
+variables: from univariate images at two fixed points modulo one prime
+below 2**30, that proves most pairs left coprime.  Otherwise it picks
+Euclid's variable for `_engine`, which runs `brown_gcd` over primes and
+trial-divides each candidate over the field by `ground.exact_quotient`.
+Each dense image is charged to `bounds` first.  Nothing here knows `MPoly`.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ import math
 from fractions import Fraction
 
 from .bounds import MAX_DENSE_CELLS, charge
-from .ground import element, parts
-from .monomials import exponent_at, monomial_quotient, unit
+from .ground import divided, element, exact_quotient, parts
+from .monomials import SHIFT, UNIT, exponent_at, monomial_quotient, unit
 
 _DENSE = "the modular gcd would build a dense image of %d cells, past the bound %d"
 
@@ -310,7 +312,7 @@ def certified_coprime(f: dict, g: dict, v: int, w: int, theta=None) -> bool:
     at w = a whenever f does (Gauss's lemma at p, as in Brown, JACM 1971),
     so it would leave a factor of positive degree in both images; likewise
     in w.  So h is constant, at any points.  Each image is a dense list,
-    one entry per degree, charged before it is built; callers take the
+    one entry per degree, charged before it is built; `field_gcd` takes the
     cheap exits (a constant input, no shared variable) first, as Brown's
     evaluations are dense in every variable."""
     p, r = certificate_prime(theta)
@@ -435,13 +437,13 @@ def brown_gcd(a: dict, b: dict, p: int, shifts) -> dict:
 # images; a cap on the number of primes could only turn valid gcds into errors.
 
 
-def field_gcd(f: dict, g: dict, shifts, theta, divides_both) -> dict:
+def _engine(f: dict, g: dict, shifts, theta) -> dict:
     """The monic gcd of two nonzero ground maps over Q (theta None) or
     Q(theta), theta = (u, v), in the variables at `shifts` (every variable
-    either one has), as a ground map of that field.  `divides_both(h)` tells
-    whether a candidate ground map h divides both inputs over the field;
-    it sees each candidate once.  `brown_gcd` runs Euclid in the first
-    variable and evaluates the last one first."""
+    either one has), as a ground map of that field, by the loop over primes
+    above.  Each candidate is trial-divided into both inputs over the field
+    once.  `brown_gcd` runs Euclid in the first variable and evaluates the
+    last one first."""
     grounds = (f, g)
     # each input's leading monomial and, for each variable, its keys at the
     # top degree in it: an image keeps that degree iff one of them survives
@@ -507,6 +509,63 @@ def field_gcd(f: dict, g: dict, shifts, theta, divides_both) -> dict:
             if a or b:
                 candidate[e] = element(a, b, theta)
         else:  # every residue reconstructed
-            if candidate != tested and divides_both(candidate):
+            if candidate != tested and all(
+                    exact_quotient(h, candidate, theta) is not None for h in grounds):
                 return candidate
             tested = candidate
+
+
+def monomial_content(monomials) -> int:
+    """The gcd of packed monomials, packed.  Only the fields of the
+    variables of one monomial are read: any other field has minimum 0."""
+    if 0 in monomials:
+        return 0
+    first = next(iter(monomials))
+    return sum(min([exponent_at(m, s) for m in monomials]) * u
+               for s, u in zip(SHIFT, UNIT) if exponent_at(first, s))
+
+
+def shifted(f: dict, shift: int) -> dict:
+    """The ground map f with every key moved by the packed monomial shift,
+    f times it, or f divided by it when negative and dividing every term."""
+    return {m + shift: c for m, c in f.items()} if shift else f
+
+
+def variables(f: dict) -> list:
+    """The shifts of the variables a ground map has, in layout order."""
+    present = 0
+    for m in f:
+        present |= m
+    return [s for s in SHIFT if exponent_at(present, s)]
+
+
+def field_gcd(f: dict, g: dict, theta) -> dict:
+    """The monic gcd of two nonzero ground maps over Q (theta None) or
+    Q(theta), theta = (u, v), as a ground map of that field: the one gcd
+    entry, which makes every decision.  The monomial content goes out
+    first and back on as a key shift.  A constant input, no shared
+    variable or an equal pair answers at once.  Most pairs left in two
+    variables are coprime, so `certified_coprime` tries that first, as
+    its images are no denser than the engine's evaluations.  Otherwise
+    `_engine` runs Euclid in the shared variable in the most terms."""
+    shift_f, shift_g = monomial_content(f), monomial_content(g)
+    shift = monomial_content((shift_f, shift_g))
+    mono = {shift: element(1, 0, theta)}
+    f, g = shifted(f, -shift_f), shifted(g, -shift_g)
+    if len(f) == 1 or len(g) == 1:  # a constant, once its content is out
+        return mono
+    in_f, in_g = variables(f), variables(g)
+    shared = [s for s in in_f if s in in_g]
+    if not shared:
+        return mono
+    if f == g:
+        return shifted(divided(f, f[max(f)], theta), shift)
+    names = [s for s in SHIFT if s in in_f or s in in_g]
+    if len(names) == 2 and certified_coprime(f, g, *names, theta):
+        return mono
+
+    def frequency(s):
+        return sum(1 for m in (*f, *g) if exponent_at(m, s))
+
+    first = max(shared, key=frequency)
+    return shifted(_engine(f, g, [first, *(s for s in names if s != first)], theta), shift)

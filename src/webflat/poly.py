@@ -14,21 +14,13 @@ ints in grlex order, laid out in `monomials`.
 
 Algorithms
 ----------
-* division: a one-term divisor costs one guarded subtraction a term; a
-  longer one, over Q and Q(theta) alike, runs trial division from the
-  leading term, the `max` of the packed keys: `ground.sum_of_products`
-  multiplies each quotient term by the divisor and `ground.add` takes
-  that off the remainder.
+* division: `ground.exact_quotient`, over Q and Q(theta) alike.
 * products: `sum_of_products` adds the k*f*g of a whole closed form into
   one ground map and normalises once.  `*`, a scalar multiple and
   `substitute` are calls of it; `+`, `-` and `-f` run through `ground.add`.
-* gcd: monomial content is pulled out first and put back as a key shift.
-  In two variables, images at fixed points w = a and v = b, mod one prime
-  below 2^30, then certify the most common answer, 1
-  (`modular.certified_coprime`).  Otherwise `modular.field_gcd`, one
-  modular gcd in any number of variables over Q and Q(theta) alike,
-  trial-divides its candidates over the field by `try_exact_divide`.  The
-  tests keep the subresultant remainder sequence as its oracle.
+* gcd: `modular.field_gcd`, which makes every gcd decision over Q and
+  Q(theta) alike; `poly_gcd` adds only the zero cases.  The tests keep the
+  subresultant remainder sequence as its oracle.
 * powers: binomial theorem for one or two terms, squaring for more.
 * bounds: `evaluate_scalar` charges each term through `bounds` first.
 * determinant: the 3x3 of the inflection divisor in closed form; the
@@ -66,7 +58,6 @@ from .monomials import (
     bounded,
     exponent_at,
     monomial_degree,
-    monomial_quotient,
     pack,
     unpack,
 )
@@ -434,27 +425,8 @@ def try_exact_divide(f: MPoly, g: MPoly):
     if f.is_zero():
         return MPoly.zero(f.spec)
     f._check(g)
-    spec, theta, divisor = f.spec, f.spec.theta, g._ground
-    if len(divisor) == 1:  # one guarded subtraction a term
-        [(m, lc)] = divisor.items()
-        quotient = {}
-        for e, c in f._ground.items():
-            d = monomial_quotient(e, m)
-            if d is None:
-                return None
-            quotient[d] = c
-        return MPoly._raw(ground.divided(quotient, lc, theta), spec)
-    lm = max(divisor)
-    lc, quotient, rest = divisor[lm], {}, dict(f._ground)
-    while rest:  # trial division from the leading term
-        top = max(rest)
-        q = monomial_quotient(top, lm)
-        if q is None:
-            return None
-        step = ground.divided({q: rest[top]}, lc, theta)
-        quotient.update(step)
-        ground.add(rest, ground.sum_of_products([(1, step, divisor)], theta), -1, theta)
-    return MPoly._raw(quotient, spec)
+    quotient = ground.exact_quotient(f._ground, g._ground, f.spec.theta)
+    return None if quotient is None else MPoly._raw(quotient, f.spec)
 
 
 def exact_divide(f: MPoly, g: MPoly) -> MPoly:
@@ -469,77 +441,6 @@ def divides(g: MPoly, f: MPoly) -> bool:
     return try_exact_divide(f, g) is not None
 
 
-def _monomial_content(monomials) -> int:
-    """The gcd of packed monomials, packed.  Only the fields of the
-    variables of one monomial are read: any other field has minimum 0."""
-    if 0 in monomials:
-        return 0
-    first = next(iter(monomials))
-    return sum(min([exponent_at(m, s) for m in monomials]) * u
-               for s, u in zip(SHIFT, UNIT) if exponent_at(first, s))
-
-
-def _shift_down(f: MPoly, shift: int) -> MPoly:
-    """f divided by the packed monomial shift, which divides every term."""
-    return MPoly._raw({m - shift: c for m, c in f._ground.items()}, f.spec) if shift else f
-
-
-def _shift_up(f: MPoly, shift: int) -> MPoly:
-    """f times the packed monomial shift, with no kernel call."""
-    return MPoly._raw({m + shift: c for m, c in f._ground.items()}, f.spec) if shift else f
-
-
-def _gcd_modular(f: MPoly, g: MPoly, variables) -> MPoly:
-    """gcd of two polynomials over Q or Q(theta) in the variables
-    VARIABLES[i], i in `variables` (every variable either one has), made
-    monic.  `modular.field_gcd` runs Euclid in the first of them and
-    evaluates the last one first."""
-    from . import modular  # on first use: one-line invocations mostly take no gcd
-
-    spec = f.spec
-    shifts = [SHIFT[i] for i in variables]
-
-    def divides_both(h):
-        h = MPoly._raw(h, spec)
-        return try_exact_divide(f, h) is not None and try_exact_divide(g, h) is not None
-
-    found = modular.field_gcd(f._ground, g._ground, shifts, spec.theta, divides_both)
-    return MPoly._raw(found, spec)
-
-
-def _gcd_raw(f: MPoly, g: MPoly) -> MPoly:
-    """gcd of two nonzero polynomials, up to a scalar unit."""
-    spec = f.spec
-    shift_f, shift_g = _monomial_content(f._ground), _monomial_content(g._ground)
-    shift = _monomial_content((shift_f, shift_g))
-    mono = MPoly._raw({shift: ground.element(1, 0, spec.theta)}, spec)
-    f, g = _shift_down(f, shift_f), _shift_down(g, shift_g)
-    if f.is_constant() or g.is_constant():
-        return mono
-    names_f, names_g = f.variables(), g.variables()
-    shared = names_f & names_g
-    if not shared:
-        return mono
-    if f._ground == g._ground:  # the cheap win first
-        return _shift_up(f, shift)
-    # most pairs left here are coprime: in two variables, certify that
-    # first, by images no denser than the engine's evaluations
-    names = sorted(names_f | names_g)
-    if len(names) == 2:
-        from . import modular
-        v, w = (SHIFT[VARIABLE_INDEX[name]] for name in names)
-        if modular.certified_coprime(f._ground, g._ground, v, w, spec.theta):
-            return mono
-    # Euclid runs in the shared variable appearing in the most terms
-    def frequency(name):
-        s = SHIFT[VARIABLE_INDEX[name]]
-        return sum(1 for m in (*f._ground, *g._ground) if exponent_at(m, s))
-
-    first = max(sorted(shared), key=frequency)
-    rest = sorted(VARIABLE_INDEX[name] for name in names if name != first)
-    return _shift_up(_gcd_modular(f, g, (VARIABLE_INDEX[first], *rest)), shift)
-
-
 def poly_gcd(f: MPoly, g: MPoly) -> MPoly:
     """Greatest common divisor, normalized monic under the monomial order.
 
@@ -550,7 +451,9 @@ def poly_gcd(f: MPoly, g: MPoly) -> MPoly:
     if g.is_zero():
         return f.monic()
     f._check(g)
-    return _gcd_raw(f, g).monic()
+    from . import modular  # on first use: one-line invocations mostly take no gcd
+
+    return MPoly._raw(modular.field_gcd(f._ground, g._ground, f.spec.theta), f.spec)
 
 
 def squarefree_part(f: MPoly) -> MPoly:

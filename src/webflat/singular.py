@@ -18,7 +18,7 @@ from .bounds import charge_translate
 from .errors import DegenerateParameter, NotSingular
 from .field import FieldScalar, field_sqrt
 from .poly import MPoly, exact_divide, poly_gcd, squarefree_part
-from .monomials import monomial_degree
+from .monomials import UNIT, monomial_degree
 from .webs import AffineVectorField, homogenize, inflection_divisor, is_flat
 
 TAU_INFINITE = math.inf
@@ -63,12 +63,6 @@ def _order(f: MPoly):
     return monomial_degree(min(f._ground))  # the grlex-least term
 
 
-def _jet(f: MPoly, k: int) -> MPoly:
-    return MPoly._raw(
-        {m: c for m, c in f._ground.items() if monomial_degree(m) == k}, f.spec
-    )
-
-
 def _local_parts(vf: AffineVectorField, pt):
     """The saturated field's components translated to pt, or None when one
     of them does not vanish there.  That is told by evaluation, before a
@@ -87,11 +81,12 @@ def _nu(local) -> int:
 
 def _tau(local):
     a, b = local
-    x = MPoly.variable("x", a.spec)
-    y = MPoly.variable("y", a.spec)
-    # the degrees of terms, from nu up: one with no term leaves x*b_k - y*a_k zero
+    # the degrees of terms, from nu up: one with no term leaves x*b_k = y*a_k.
+    # Both sides are maps of shifted keys, with no product and so no degree
+    # check: a jet at the degree bound still answers.
     for k in sorted({monomial_degree(m) for m in (*a._ground, *b._ground)}):
-        if not (x * _jet(b, k) - y * _jet(a, k)).is_zero():
+        x_b = {m + UNIT[0]: c for m, c in b._ground.items() if monomial_degree(m) == k}
+        if x_b != {m + UNIT[1]: c for m, c in a._ground.items() if monomial_degree(m) == k}:
             return k
     return TAU_INFINITE
 

@@ -14,10 +14,13 @@ from webflat import (
     divides,
     exact_divide,
     field_roots,
+    quadratic_field,
     tangent_cone,
 )
+import webflat.modular as modular
+from webflat.modular import _engine
 from webflat.errors import DomainError, NonHomogeneous
-from webflat.monomials import VARIABLES, monomial_degree, pack, unpack
+from webflat.monomials import SHIFT, VARIABLES, monomial_degree, pack, unpack
 from webflat.poly import VARIABLE_INDEX
 from webflat.singular import _univariate_coeffs
 
@@ -299,6 +302,30 @@ def subresultant_oracle(f, g, var=None):
     for e, c in _primitive(part, _content(part)).items():
         gcd = gcd + c * x ** e
     return (content * gcd).monic()
+
+
+def engine_gcd(f, g, order):
+    """The modular engine's monic gcd of f and g, MPolys in and out, in the
+    variables VARIABLES[i], i in `order` (every variable either one has):
+    Euclid runs in the first and the last is evaluated first.  The engine
+    is bound at import, so `record_engine` does not see these calls."""
+    found = _engine(f._ground, g._ground, [SHIFT[i] for i in order], f.spec.theta)
+    return MPoly._raw(found, f.spec)
+
+
+def record_engine(monkeypatch, record):
+    """Patch the modular engine to call record(order, gcd) after each call
+    it answers, with its variables' indices as `engine_gcd` takes them and
+    the gcd as an MPoly."""
+    inner = modular._engine
+
+    def recording(f, g, shifts, theta):
+        found = inner(f, g, shifts, theta)
+        spec = RATIONALS if theta is None else quadratic_field(*theta)
+        record(tuple(SHIFT.index(s) for s in shifts), MPoly._raw(found, spec))
+        return found
+
+    monkeypatch.setattr(modular, "_engine", recording)
 
 
 # -- library code that no verb runs, kept with the tests that pin it -----------

@@ -4,6 +4,7 @@ import builtins
 import hashlib
 import json
 import os
+import pathlib
 import random
 import shlex
 import subprocess
@@ -407,6 +408,39 @@ def test_sing_reads_tau_off_the_degrees_present():
     out = run_ok(["sing", "--vf", "x ; y + x^100000000", "--at", "0, 0"])
     assert out == "point: (0, 0)\nnu: 1\ntau: 100000000\nradial: true\nspecial: true"
     assert time.perf_counter() - start < 1
+
+
+def test_sing_reads_tau_at_the_degree_bound():
+    """A jet of total degree 2^31 - 1 is tested for radial with no product,
+    so x*b_k past the bound is never built, and tau is the bound.  A result
+    that would pass it, the tangent cone of x^(2^31 - 1) d/dx + y d/dy, is
+    still refused."""
+    assert run_line(["sing", "--vf", "x ; y + x^2147483647", "--at", "0,0"]) == (
+        "point: (0, 0)\nnu: 1\ntau: 2147483647\nradial: true\nspecial: true", "", 0)
+    assert run_line(["tangent-cone", "--vf", "x^2147483647 ; y"]) == (
+        "", "error: DegreeExceeded: total degree 2147483648 is past the bound 2147483647", 2)
+
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_cli_examples_answer_as_commented():
+    """Every line of the README's CLI example block but `--batch` exits 0,
+    and a line with a comment prints exactly that comment."""
+    text = README.read_text(encoding="utf-8")
+    block = next(b for b in text.split("```sh\n")[1:] if b.startswith("webflat "))
+    checked = []
+    for line in block.split("```")[0].splitlines():
+        command, _, comment = line.partition("#")
+        argv = shlex.split(command)[1:]
+        if "--batch" in argv:
+            continue
+        out, err, code = run_line(argv)
+        assert (err, code) == ("", 0), line
+        if comment:
+            assert out == comment.strip(), line
+            checked.append(out)
+    assert checked == ["flat: false", "-4", "(7 : -1 : -5)", "eta: false", "flat: true"]
 
 
 def test_sing_refuses_a_translate_past_the_parse_bounds(monkeypatch):

@@ -22,6 +22,8 @@ import webflat.errors as errors
 from webflat.cli import main
 from webflat.poly import render_poly
 
+from helpers import record_engine
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 CORPUS = PERFBENCH / "corpus"
 WORKLOADS = ("curvature-q", "curvature-qtheta", "cli-mixed", "cli-batch")
@@ -105,22 +107,16 @@ CERTIFICATE_CALLS = {
 @pytest.mark.parametrize("workload", sorted(CERTIFICATE_CALLS))
 def test_certificate_answers_most_coprime_pairs(workload, monkeypatch):
     import webflat.modular as modular
-    import webflat.poly as poly
 
     seen, engine = [], []
-    certificate, gcd_modular = modular.certified_coprime, poly._gcd_modular
+    certificate = modular.certified_coprime
 
     def certifying(*args):
         seen.append(certificate(*args))
         return seen[-1]
 
-    def recording(f, g, variables):
-        h = gcd_modular(f, g, variables)
-        engine.append((len(variables), h.total_degree()))
-        return h
-
     monkeypatch.setattr(modular, "certified_coprime", certifying)
-    monkeypatch.setattr(poly, "_gcd_modular", recording)
+    record_engine(monkeypatch, lambda variables, h: engine.append((len(variables), h.total_degree())))
     failed = [entry["argv"] for entry in _lines(workload) if not _line_ok(entry)]
     assert not failed, failed
     counts = {"certificate": len(seen), "certified": sum(seen), "engine": len(engine)}

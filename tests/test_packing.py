@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 from webflat import RATIONALS, FieldScalar, MPoly, quadratic_field  # noqa: E402
 from webflat.cli import parse_field, parse_poly, run_line  # noqa: E402
 from webflat.errors import DegreeExceeded, FieldMismatch  # noqa: E402
+import webflat.modular as modular  # noqa: E402
 import webflat.poly as poly_module  # noqa: E402
 from webflat.monomials import (  # noqa: E402
     BOUND,
@@ -139,7 +140,7 @@ def test_monomial_quotient_and_exponent_at(a, b):
 
 
 def test_monomial_content_reads_only_the_variables_that_occur():
-    """`_monomial_content` reads only the fields of one monomial's variables
+    """`modular.monomial_content` reads only the fields of one monomial's variables
     and still equals the version that takes the minimum of all six fields,
     on seeded sets of monomials in every subset of the variables."""
     rng = random.Random(1606)
@@ -153,7 +154,7 @@ def test_monomial_content_reads_only_the_variables_that_occur():
             monomials.add(pack(exponent))
         monomials = list(monomials)
         all_fields = sum(min(exponent_at(m, s) for m in monomials) * u for s, u in zip(SHIFT, UNIT))
-        assert poly_module._monomial_content(monomials) == all_fields, monomials
+        assert modular.monomial_content(monomials) == all_fields, monomials
 
 
 # -- every kernel against a tuple-keyed reference on `terms` ------------------------
@@ -273,8 +274,8 @@ def test_kernels_match_tuple_reference(spec, a, b, h, n):
     assert f.total_degree() == max(map(sum, tf))
     assert f.variables() == {VARIABLES[i] for e in tf for i in range(NVARS) if e[i]}
     content = tuple(min(e[i] for e in tf) for i in range(NVARS))
-    assert poly_module._monomial_content(f._ground) == pack(content)
-    assert poly_module._shift_down(f, pack(content)).terms == {
+    assert modular.monomial_content(f._ground) == pack(content)
+    assert MPoly._raw(modular.shifted(f._ground, -pack(content)), spec).terms == {
         tuple(a - b for a, b in zip(e, content)): c for e, c in tf.items()
     }
     # rendering: the terms in descending grlex order, each as it renders alone

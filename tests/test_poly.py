@@ -38,9 +38,11 @@ from helpers import (
     assert_ground,
     brute_force_power,
     cofactor_determinant,
+    engine_gcd,
     pseudo_remainder,
     random_poly,
     random_scalar,
+    record_engine,
     subresultant_oracle,
     sylvester_resultant,
 )
@@ -309,14 +311,7 @@ def _modular_gcd_pairs(field):
 def _recording(monkeypatch, calls):
     """Record the variables of every call of the modular engine, and that it
     answered with a polynomial."""
-    inner = poly_module._gcd_modular
-
-    def recording(f, g, variables):
-        h = inner(f, g, variables)
-        calls.append((variables, isinstance(h, MPoly)))
-        return h
-
-    monkeypatch.setattr(poly_module, "_gcd_modular", recording)
+    record_engine(monkeypatch, lambda variables, h: calls.append((variables, isinstance(h, MPoly))))
 
 
 @pytest.mark.parametrize("field", ("rationals",) + MODULAR_FIELDS)
@@ -325,7 +320,6 @@ def test_modular_gcd_matches_subresultant_oracle(monkeypatch, subresultant_gcd, 
     the engine itself on every pair with Euclid in either variable, so that
     Brown's coprime exit stays checked against the oracle too."""
     pairs = _rational_gcd_pairs() if field == "rationals" else _modular_gcd_pairs(field)
-    engine_gcd = poly_module._gcd_modular  # called directly, not recorded
     calls = []
     with monkeypatch.context() as patch:
         _recording(patch, calls)
@@ -375,7 +369,7 @@ def _trivariate_gcd_pairs(spec):
 
 @pytest.mark.parametrize("field", ("rationals", "t^2=t+1"))
 def test_trivariate_modular_gcd_in_every_variable_order(monkeypatch, field):
-    """`_gcd_modular` runs Euclid in the first variable and evaluates the
+    """The engine runs Euclid in the first variable and evaluates the
     last first, with grlex heads in between: every order of (x, y, z) gives
     the oracle's gcd."""
     spec = RATIONALS if field == "rationals" else parse_field(field)
@@ -387,7 +381,7 @@ def test_trivariate_modular_gcd_in_every_variable_order(monkeypatch, field):
             budget = _budget(patch, 2000)
             for (f, g), want in zip(pairs, oracle):
                 budget.clear()
-                assert poly_module._gcd_modular(f, g, order) == want, order
+                assert engine_gcd(f, g, order) == want, order
 
 @pytest.mark.parametrize("field", ("rationals", "t^2=t+1"))
 def test_modular_gcd_refuses_wrong_candidate(monkeypatch, subresultant_gcd, field):
@@ -396,7 +390,7 @@ def test_modular_gcd_refuses_wrong_candidate(monkeypatch, subresultant_gcd, fiel
     spec = RATIONALS if field == "rationals" else parse_field(field)
     h = parse_poly("x^2*y - 3*y + 2" if field == "rationals" else "x^2*y - t*y + 2", spec)
     f, g = h * parse_poly("x + y + 1", spec), h * parse_poly("x - y", spec)
-    reconstruct, divide = modular.rational_reconstruction, poly_module.try_exact_divide
+    reconstruct, divide = modular.rational_reconstruction, modular.exact_quotient
     answers, divisions = [], []
 
     def wrong_first(x, m):
@@ -404,14 +398,14 @@ def test_modular_gcd_refuses_wrong_candidate(monkeypatch, subresultant_gcd, fiel
         answers.append(q)
         return q + 1 if len(answers) == 1 else q
 
-    def recording(a, b):
-        quotient = divide(a, b)
+    def recording(a, b, theta):
+        quotient = divide(a, b, theta)
         divisions.append(quotient is not None)
         return quotient
 
     with monkeypatch.context() as patch:
         patch.setattr(modular, "rational_reconstruction", wrong_first)
-        patch.setattr(poly_module, "try_exact_divide", recording)
+        patch.setattr(modular, "exact_quotient", recording)
         calls = []
         _recording(patch, calls)
         d = poly_gcd(f, g)
@@ -467,7 +461,7 @@ def test_certificate_proves_coprime_pairs_with_monomial_contents(monkeypatch, fi
         want = subresultant_oracle(f, g, "x")
         if (len(want.terms) == 1 and (fx, fy) != (gx, gy)  # a monomial gcd
                 and {"x", "y"} == a.variables() == b.variables()
-                and all(poly_module._monomial_content(p._ground) == 0 for p in (a, b))):
+                and all(modular.monomial_content(p._ground) == 0 for p in (a, b))):
             pairs.append((f, g, want))
             assert _certified(a, b) and _certified(b, a)
     calls, seen = [], []
@@ -507,7 +501,7 @@ def test_certificate_refuses_images_that_lose_degree_or_share_a_factor(monkeypat
     # refuses and the engine finds 1; poly_gcd shifts x out to 1 first
     f, g = x, x + (y - a) ** 2
     assert not _certified(f, g) and not _certified(g, f)
-    assert poly_module._gcd_modular(f, g, (0, 1)).is_one()
+    assert engine_gcd(f, g, (0, 1)).is_one()
     assert poly_gcd(f, g).is_one()
     # h = 1 mod the prime, so the images of f and g are coprime though they
     # lost the degree that h carries: the terms divisible by it are left out
@@ -598,7 +592,7 @@ def test_image_is_the_coefficientwise_residue(field):
 @pytest.mark.parametrize("field", ("rationals", "t^2=t+1"))
 def test_modular_gcd_skips_a_prime_dividing_a_denominator(monkeypatch, field):
     """A coefficient with the first prime in its denominator, in its theta
-    part over Q(theta): `_gcd_modular` starts at the next prime and still
+    part over Q(theta): the engine starts at the next prime and still
     gives the oracle's gcd."""
     spec = RATIONALS if field == "rationals" else parse_field(field)
     if spec.is_quadratic:
@@ -621,7 +615,7 @@ def test_modular_gcd_skips_a_prime_dividing_a_denominator(monkeypatch, field):
 
     with monkeypatch.context() as patch:
         patch.setattr(modular, "brown_gcd", recording)
-        d = poly_module._gcd_modular(f, g, (VARIABLE_INDEX["x"], VARIABLE_INDEX["y"]))
+        d = engine_gcd(f, g, (VARIABLE_INDEX["x"], VARIABLE_INDEX["y"]))
     assert first not in primes and primes[0] == second
     assert d == h.monic() == subresultant_oracle(f, g, "x")
 
@@ -657,7 +651,7 @@ def test_cheap_exits_come_before_the_certificate(monkeypatch):
     ]
     with monkeypatch.context() as patch:
         patch.setattr(modular, "certified_coprime", refuse)
-        patch.setattr(poly_module, "_gcd_modular", refuse)
+        patch.setattr(modular, "_engine", refuse)
         for f, g, want in cases:
             assert poly_gcd(f, g) == poly_gcd(g, f) == want
         out, err, code = run_line(["sing", "--vf", big + " - 1 ; y", "--at", "0, 0"])
@@ -923,7 +917,7 @@ def test_modular_trivariate_gcd_skips_unlucky_points(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(modular, "brown_gcd", recording)
         _budget(patch, 200)
-        d = poly_module._gcd_modular(f, g, tuple(VARIABLE_INDEX[name] for name in "xyz"))
+        d = engine_gcd(f, g, tuple(VARIABLE_INDEX[name] for name in "xyz"))
     assert d == h.monic() == subresultant_oracle(f, g, "x")
     # the image at w = 2 has a larger leading monomial than the one at w = 1
     assert images[1] > images[0]
@@ -931,11 +925,14 @@ def test_modular_trivariate_gcd_skips_unlucky_points(monkeypatch):
 
 @pytest.mark.parametrize("field", ("rationals", "t^2=t+1"))
 def test_field_gcd_contract(field):
-    """`modular.field_gcd` answers a coprime pair without the division test,
-    shows that test each candidate once, and returns the monic gcd in the
-    field's ground format: ints and Fractions, in pairs over Q(theta)."""
+    """`modular.field_gcd`, and the engine behind it in (x, y), answer a
+    coprime pair without the division test, show that test each candidate
+    once, and return the monic gcd in the field's ground format: ints and
+    Fractions, in pairs over Q(theta).  The test is seen through the field
+    division, as each candidate is divided into the first input."""
     spec = RATIONALS if field == "rationals" else parse_field(field)
     theta, seen = _theta(spec), []
+    divide = modular.exact_quotient
     if spec.is_quadratic:
         (p, *_), (p2, *_) = itertools.islice(modular.split_primes(spec.u, spec.v), 2)
         h = P("3*x^2*y - t*y + 2", spec)
@@ -943,25 +940,32 @@ def test_field_gcd_contract(field):
         p, p2 = itertools.islice(modular.primes(), 2)
         h = P("3*x^2*y - 5*y + 2", spec)
 
-    def field_gcd(f, g):
-        def divides_both(candidate):
-            seen.append(candidate)
-            candidate = MPoly._raw(candidate, spec)
-            return divides(candidate, f) and divides(candidate, g)
+    def engine(f, g, theta):
+        return modular._engine(f, g, SHIFT[:2], theta)
 
-        return modular.field_gcd(f._ground, g._ground, SHIFT[:2], theta, divides_both)
+    for entry in (modular.field_gcd, engine):
+        def field_gcd(f, g):
+            def recording(a, candidate, theta):
+                if a == f._ground:
+                    seen.append(candidate)
+                return divide(a, candidate, theta)
 
-    one = (1, 0) if spec.is_quadratic else 1
-    assert field_gcd(P("x*y + 1", spec), P("x - y", spec)) == {0: one}
-    assert not seen
-    # cofactors that agree mod p and mod p2: the candidate h*(x + y) of p
-    # is refused and comes again from p*p2 untested, and the third prime's
-    # h is accepted
-    got = field_gcd(h * P("x + y + %d" % (p * p2), spec), h * P("x + y", spec))
-    assert seen == [(h * P("x + y", spec)).monic()._ground, h.monic()._ground]
-    assert got == seen[-1]
-    assert {type(c) for c in got.values()} == ({tuple} if spec.is_quadratic else {int, Fraction})
-    assert_ground(MPoly._raw(got, spec))
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(modular, "exact_quotient", recording)
+                return entry(f._ground, g._ground, theta)
+
+        seen.clear()
+        one = (1, 0) if spec.is_quadratic else 1
+        assert field_gcd(P("x*y + 1", spec), P("x - y", spec)) == {0: one}
+        assert not seen
+        # cofactors that agree mod p and mod p2: the candidate h*(x + y) of p
+        # is refused and comes again from p*p2 untested, and the third prime's
+        # h is accepted
+        got = field_gcd(h * P("x + y + %d" % (p * p2), spec), h * P("x + y", spec))
+        assert seen == [(h * P("x + y", spec)).monic()._ground, h.monic()._ground]
+        assert got == seen[-1]
+        assert {type(c) for c in got.values()} == ({tuple} if spec.is_quadratic else {int, Fraction})
+        assert_ground(MPoly._raw(got, spec))
 
 
 def test_gcd_puts_back_its_monomial_content_without_the_kernel(monkeypatch):
@@ -1234,7 +1238,7 @@ def test_ground_map_after_every_kernel(spec):
         "exact divide": poly_module.try_exact_divide(f * g, g),
         "determinant": determinant([[f, g, half], [g * 2, half, f], [half, f, g]]),
         "cubic resultant": cubic_resultant(Pf("1/2"), f, g, half),
-        "modular gcd": poly_module._gcd_modular(f * g, f * half, (x, y)),
+        "modular gcd": engine_gcd(f * g, f * half, (x, y)),
         "poly_gcd": poly_gcd(f * g, f * half),
         "ratfn num": ratfn.num,
         "ratfn den": ratfn.den,

@@ -1,7 +1,8 @@
 """Checks on the package source itself: the error contract, the size of
 every module, the owners of the monomial layout, of the coefficient
 format and of the work bounds, the modules that must import no layer
-above them, and what `poly` names of `modular`."""
+above them, what `poly` names of `modular`, and where exact division is
+written."""
 
 import ast
 import builtins
@@ -163,9 +164,9 @@ def test_leaf_modules_import_no_layer():
     assert not found, found
 
 
-def test_poly_names_only_the_two_entries_of_modular():
-    """The modular gcd has one owner: `poly` names `modular.certified_coprime`
-    and the engine's entry `modular.field_gcd`, and nothing else there."""
+def test_poly_names_only_field_gcd_of_modular():
+    """The gcd has one owner: `poly` names the one entry `modular.field_gcd`,
+    and nothing else there, so every gcd decision is made in `modular`."""
     tree = ast.parse((PACKAGE / "poly.py").read_text(encoding="utf-8"))
     named, imports = set(), []
     for node in ast.walk(tree):
@@ -174,8 +175,23 @@ def test_poly_names_only_the_two_entries_of_modular():
                 named.add(node.attr)
         elif isinstance(node, ast.ImportFrom) and node.module and "modular" in node.module:
             imports.append(node.lineno)
-    assert named == {"certified_coprime", "field_gcd"}, named
+    assert named == {"field_gcd"}, named
     assert not imports, imports
+
+
+def test_exact_division_is_written_once():
+    """Exact division over Q and Q(theta) is `ground.exact_quotient` alone:
+    `monomial_quotient`, defined in monomials.py, is named only there and
+    in the trial division mod p of modular.py, never in poly.py."""
+    naming = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Name) and node.id == "monomial_quotient"
+                    or isinstance(node, ast.Attribute) and node.attr == "monomial_quotient"
+                    or isinstance(node, ast.alias) and node.name == "monomial_quotient"):
+                naming.add(path.name)
+    assert naming == {"ground.py", "modular.py"}, naming
 
 
 CHARGE_FUNCTIONS = {"charge", "charge_translate", "ceil_log2", "coefficient_bits", "power_pairs"}

@@ -1,8 +1,8 @@
 """What a fresh interpreter loads.
 
 A one-line invocation leaves `dataclasses`, `inspect`, `json`, `shlex` and
-the modular gcd unloaded: `json` loads with the first `--format json`
-line, `webflat.modular` with the first gcd.  `import webflat` loads every
+the gcd unloaded: `json` loads with the first `--format json` line,
+`webflat.modular` with the first gcd, even one that takes a cheap exit.  `import webflat` loads every
 layer module, because callers (the benchmark's tracer among them) read the
 layers from `sys.modules` right after it.  Each case runs in its own
 interpreter, started with -S so that no site-packages hook loads a module
@@ -54,6 +54,7 @@ def test_the_setup_line_loads_none_of_the_lazy_modules():
     [
         (SETUP_LINE + ["--format", "json"], "json"),
         (["curvature", "--web", "(y - p*x)^3 + p^3*x - 1"], "webflat.modular"),
+        (["sing", "--vf", "x ; y", "--at", "0,0"], "webflat.modular"),  # a gcd's cheap exit
     ],
 )
 def test_a_lazy_module_loads_with_the_line_that_needs_it(argv, module):

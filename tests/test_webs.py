@@ -41,7 +41,6 @@ from webflat.errors import (
 )
 from webflat.cli import parse_field, parse_poly
 from webflat.singular import classification_field
-import webflat.poly as poly_module
 from webflat.webs import _curvature_fraction, _dual_web
 
 import floatkw
@@ -52,6 +51,7 @@ from helpers import (
     random_homogeneous,
     random_poly,
     random_poly_td,
+    record_engine,
     subresultant_oracle,
 )
 
@@ -342,11 +342,6 @@ def test_squarefree_inflection_divisor_in_three_variables(monkeypatch, field):
     line = P("x + 2*y - z" if field is None else "x + t*y - z", spec)
     rng = random.Random(2027)
     calls = []
-    inner = poly_module._gcd_modular
-
-    def recording(f, g, variables):
-        calls.append(len(variables))
-        return inner(f, g, variables)
 
     for degree in (1, 1, 2):
         infl = MPoly.zero(spec)
@@ -356,7 +351,7 @@ def test_squarefree_inflection_divisor_in_three_variables(monkeypatch, field):
         assert infl.variables() == {"x", "y", "z"}
         calls.clear()
         with monkeypatch.context() as patch:
-            patch.setattr(poly_module, "_gcd_modular", recording)
+            record_engine(patch, lambda variables, h: calls.append(len(variables)))
             part = squarefree_part(infl)
         assert calls and set(calls) == {3}
         repeated = infl
