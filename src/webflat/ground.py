@@ -9,9 +9,9 @@ function takes `theta`: None over Q, (u, v) over Q(theta).  `element`
 builds an element, `parts` reads one back as (a, b), and `ONES` holds the
 1 of either field.  Each arithmetic entry keeps its Q loop next to its
 Q(theta) twin, which reduces theta^2 inline, so no `FieldScalar` is built
-per term.  Ground maps are multiplied in `sum_of_products` alone, and
-divided exactly in `exact_quotient` alone.  Nothing here knows about
-`MPoly` or `FieldScalar`.
+per term.  Ground maps are multiplied in `sum_of_products` alone, and one
+is divided by another in `exact_quotient` alone.  Nothing here knows
+about `MPoly` or `FieldScalar`.
 """
 
 from __future__ import annotations
