@@ -21,6 +21,8 @@ Algorithms
 * gcd: `modular.field_gcd`, which makes every gcd decision over Q and
   Q(theta) alike; `poly_gcd` adds only the zero cases.  The tests keep the
   subresultant remainder sequence as its oracle.
+* substitution: Horner's scheme over the bound variables, one
+  `sum_of_products` call per coefficient split, each image power made once.
 * powers: binomial theorem for one or two terms, squaring for more.
 * bounds: `evaluate_scalar` charges each term through `bounds` first.
 * determinant: the 3x3 of the inflection divisor in closed form; the
@@ -266,45 +268,36 @@ class MPoly:
     def substitute(self, bindings: dict) -> "MPoly":
         """Replace every bound variable by its image, simultaneously.
 
-        All images are read against the original polynomial, so
-        {p: x, x: -p} swaps rather than chains.  Each image is raised only
-        to the powers the polynomial has, each from the one below it.  The
-        terms are grouped by their bound exponents, and one
-        `sum_of_products` call adds every group's free part times its
-        product of image powers.
+        Horner's scheme over the bound variables: split by the first one's
+        exponent, put the other images into each coefficient, and add each
+        coefficient times its image power in one `sum_of_products` call.
+        Each image power is made once, from the one below it, and shared by
+        every coefficient; the images themselves are never substituted
+        into, so {p: x, x: -p} swaps rather than chains.
         """
-        if not bindings:
-            return self
-        spec = self.spec
-        images = {}
+        spec, images = self.spec, []
         for name, image in bindings.items():
-            if not isinstance(image, MPoly):
-                image = MPoly.constant(image, spec)
-            else:
-                self._check(image)
-            images[VARIABLE_INDEX[name]] = image
-        if not self._ground:  # the kernel takes a nonempty list
-            return self
-        groups = {}  # the bound exponents -> the free part of the terms with them
-        for m, coeff in self._ground.items():
-            key = tuple([exponent_at(m, SHIFT[i]) for i in images])
-            for i, e in zip(images, key):
-                m -= e * UNIT[i]
-            groups.setdefault(key, {})[m] = coeff
-        powers = []  # for each bound variable, exponent -> power of its image
-        for j, image in enumerate(images.values()):
-            have, below = {}, 0
-            for e in sorted({key[j] for key in groups} - {0}):
-                step = image ** (e - below)
-                have[e] = have[below] * step if below else step
-                below = e
-            powers.append(have)
-        operands = []
-        for key, free in groups.items():
-            factors = [have[e] for have, e in zip(powers, key) if e]
-            product = functools.reduce(MPoly.__mul__, factors) if factors else MPoly.one(spec)
-            operands.append((1, MPoly._raw(free, spec), product))
-        return sum_of_products(operands)
+            image = image if isinstance(image, MPoly) else MPoly.constant(image, spec)
+            self._check(image)
+            images.append((name, image, {}))  # with its powers, by exponent
+
+        def into(f: MPoly, k: int) -> MPoly:
+            """f, free of the first k bound variables, with the rest put in."""
+            if k == len(images) or not f._ground:
+                return f
+            name, image, powers = images[k]
+            split = f.coefficients_in(name)
+            free = into(split.pop(0, MPoly.zero(spec)), k + 1)
+            operands = []
+            for e in sorted(split):
+                if e not in powers:
+                    below = max((b for b in powers if b < e), default=0)
+                    step = image ** (e - below)
+                    powers[e] = powers[below] * step if below else step
+                operands.append((1, into(split[e], k + 1), powers[e]))
+            return sum_of_products(operands) + free if operands else free
+
+        return into(self, 0)
 
     def coefficients_in(self, var: str) -> dict:
         """View as univariate in `var`: maps each degree to an MPoly free

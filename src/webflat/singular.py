@@ -18,8 +18,8 @@ from .bounds import charge_translate
 from .errors import DegenerateParameter, NotSingular
 from .field import FieldScalar, field_sqrt
 from .poly import MPoly, exact_divide, poly_gcd, squarefree_part
-from .monomials import UNIT, monomial_degree
-from .webs import AffineVectorField, homogenize, inflection_divisor, is_flat
+from .monomials import monomial_degree
+from .webs import AffineVectorField, homogenize, inflection_divisor, is_flat, radial_jet
 
 TAU_INFINITE = math.inf
 
@@ -81,12 +81,9 @@ def _nu(local) -> int:
 
 def _tau(local):
     a, b = local
-    # the degrees of terms, from nu up: one with no term leaves x*b_k = y*a_k.
-    # Both sides are maps of shifted keys, with no product and so no degree
-    # check: a jet at the degree bound still answers.
+    # the degrees of terms, from nu up: one with no term is radial
     for k in sorted({monomial_degree(m) for m in (*a._ground, *b._ground)}):
-        x_b = {m + UNIT[0]: c for m, c in b._ground.items() if monomial_degree(m) == k}
-        if x_b != {m + UNIT[1]: c for m, c in a._ground.items() if monomial_degree(m) == k}:
+        if not radial_jet(a, b, k):
             return k
     return TAU_INFINITE
 
@@ -261,5 +258,5 @@ def verify_classification(nu: FieldScalar) -> bool:
     """
     vf = classification_field(nu)
     inflection = inflection_divisor(homogenize(vf, 3))
-    reduced = exact_divide(inflection.monic(), squarefree_part(inflection)).is_constant()
+    reduced = squarefree_part(inflection) == inflection.monic()
     return reduced and is_flat(vf)

@@ -16,8 +16,8 @@ algorithm on the Legendre web of a vector field, with the slope read as
 dq/dp = -x, in the dual coordinates (p, q) where p is the line slope and
 q the intercept; `is_flat` stops at that fraction's unreduced numerator.
 `legendre_transform` expands B(x, p*x + q) - p*A(x, p*x + q) term by
-term into the four x-degree coefficients, each one `ground.sum_of_products`
-call over the one-term contributions, with no `MPoly` product.
+term into the four x-degree coefficients, each summed by one `ground.scaled`
+over the one-term contributions, with no `MPoly` product.
 """
 
 from __future__ import annotations
@@ -243,6 +243,15 @@ class EtaWebSpec:
 # -- Legendre transform ------------------------------------------------------
 
 
+def radial_jet(a: MPoly, b: MPoly, k: int) -> bool:
+    """Whether the degree-k parts A_k, B_k of A d/dx + B d/dy make a
+    multiple of the radial field, x*B_k = y*A_k.  Both sides are maps of
+    shifted keys, with no product and so no degree check: a jet at the
+    degree bound still answers."""
+    x_b = {m + UNIT[0]: c for m, c in b._ground.items() if monomial_degree(m) == k}
+    return x_b == {m + UNIT[1]: c for m, c in a._ground.items() if monomial_degree(m) == k}
+
+
 def legendre_transform(vf: AffineVectorField) -> CubicWebEquation:
     """Dual web of the foliation, as a cubic in x over the chart (p, q).
 
@@ -260,9 +269,7 @@ def legendre_transform(vf: AffineVectorField) -> CubicWebEquation:
     normalises once.
     """
     d = max(vf.a.total_degree(), vf.b.total_degree())
-    x_b_top = {m + UNIT[0]: c for m, c in vf.b._ground.items() if monomial_degree(m) == d}
-    y_a_top = {m + UNIT[1]: c for m, c in vf.a._ground.items() if monomial_degree(m) == d}
-    degree = d - 1 if x_b_top == y_a_top else d
+    degree = d - 1 if radial_jet(vf.a, vf.b, d) else d
     if degree > 3:
         raise DegreeExceeded("dual equation has x-degree %d > 3" % degree)
     if degree < 3:

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -17,6 +21,8 @@ from webflat import (
     quadratic_field,
     tangent_cone,
 )
+import webflat
+import webflat.ground as ground
 import webflat.modular as modular
 from webflat.modular import _engine
 from webflat.errors import DomainError, NonHomogeneous
@@ -326,6 +332,50 @@ def record_engine(monkeypatch, record):
         return found
 
     monkeypatch.setattr(modular, "_engine", recording)
+
+
+def count_kernel_pairs(monkeypatch) -> list:
+    """Patch the ground kernel, in every webflat module that binds it, to
+    append to the list returned, for each call, the term pairs it is
+    handed: len(f) * len(g) over its triples."""
+    pairs, inner = [], ground.sum_of_products
+
+    def counting(terms, theta):
+        terms = list(terms)
+        pairs.append(sum(len(f) * len(g) for _, f, g in terms))
+        return inner(terms, theta)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("webflat") and getattr(module, "sum_of_products", None) is inner:
+            monkeypatch.setattr(module, "sum_of_products", counting)
+    return pairs
+
+
+CAPPED_CHILD = """
+import json, resource, sys, time
+cap = int(sys.argv[1])
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from webflat.cli import run_line
+exec(sys.argv[2])
+start = time.perf_counter()
+result = run_line(sys.argv[3:])
+print(json.dumps([result, time.perf_counter() - start]))
+"""
+
+
+def run_capped(argv, cap=2**30, setup=""):
+    """`run_line(argv)` in a child interpreter whose address space is capped
+    at `cap` bytes, after it runs the code `setup`: the line's (stdout,
+    stderr, exit code) and its seconds.  A child that dies, say of a
+    MemoryError traceback, fails the calling test with its stderr."""
+    src = os.path.dirname(os.path.dirname(webflat.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", CAPPED_CHILD, str(cap), setup, *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    result, seconds = json.loads(proc.stdout)
+    return tuple(result), seconds
 
 
 # -- library code that no verb runs, kept with the tests that pin it -----------

@@ -31,7 +31,7 @@ from webflat.bounds import MAX_DENSE_CELLS, MAX_EVALUATION_BITS
 from webflat.poly import poly_gcd, render_poly
 from webflat.webs import AffineVectorField, _dual_web
 
-from helpers import determinant_curvature_fraction, random_poly
+from helpers import count_kernel_pairs, determinant_curvature_fraction, random_poly, run_capped
 
 EISENSTEIN = quadratic_field(1, -1)
 
@@ -507,19 +507,13 @@ def test_point_evaluation_refuses_a_term_past_its_bit_bound():
     assert MAX_EVALUATION_BITS == 2**14
 
 
-DENSE_CHILD = """
-import json, resource, sys, time
-resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))  # no row of 2*10^8 entries fits
+DENSE_STEPS_FAIL = """
 import webflat.modular as modular
-from webflat.cli import run_line
 
 def dense(*args):
     raise AssertionError("a dense gcd step ran")
 
 modular.split = modular.gcd = dense  # the engine's first image, the certificate's Euclid
-start = time.perf_counter()
-result = run_line(sys.argv[1:])
-print(json.dumps([result, time.perf_counter() - start]))
 """
 
 
@@ -532,15 +526,10 @@ def test_modular_gcd_charges_its_dense_images_before_building_them():
     here."""
     pytest.importorskip("resource")
     web = "p^3 - x*p + y^%d"  # the certificate's rows in y are 2N + 1 long
-    src = os.path.dirname(os.path.dirname(webflat.__file__))
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-c", DENSE_CHILD, "curvature", "--web", web % 10**8],
-                          capture_output=True, text=True, timeout=60,
-                          env={**os.environ, "PYTHONPATH": path})
-    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
-    result, seconds = json.loads(proc.stdout)
-    assert result == ["", "error: DegreeExceeded: the modular gcd would build a dense image "
-                          "of 200000001 cells, past the bound 65536", 2]
+    # no row of 2*10^8 entries fits under the cap
+    result, seconds = run_capped(["curvature", "--web", web % 10**8], setup=DENSE_STEPS_FAIL)
+    assert result == ("", "error: DegreeExceeded: the modular gcd would build a dense image "
+                          "of 200000001 cells, past the bound 65536", 2)
     assert seconds < 1
     assert run_line(["curvature", "--web", web % 32768]) == ("", "error: DegreeExceeded: the "
         "modular gcd would build a dense image of 65537 cells, past the bound 65536", 2)
@@ -552,6 +541,32 @@ def test_modular_gcd_charges_its_dense_images_before_building_them():
     assert poly_gcd(inside, g) == common and 16 * 16 * 256 == MAX_DENSE_CELLS
     with pytest.raises(DegreeExceeded, match="dense image of 69632 cells, past the bound 65536"):
         poly_gcd(common * parse_poly("x^15*y^14*z^254 + 3"), g)
+
+
+def test_sing_translates_dense_powers_under_a_gigabyte():
+    """The translate to (1, 1) of (x+1)^96*(y+1)^96 makes each image power
+    once and shares it across the coefficients, so the line answers in a
+    child capped at 1 GB; a product of image powers per term ran out of
+    memory there."""
+    pytest.importorskip("resource")
+    line = ["sing", "--vf", "(x+1)^96*(y+1)^96 - 2^192 ; y - 1", "--at", "1,1"]
+    result, seconds = run_capped(line)
+    assert result == ("point: (1, 1)\nnu: 1\ntau: 1\nradial: false\nspecial: false", "", 0)
+    assert seconds < 2
+
+
+def test_sing_translates_many_sparse_high_powers(monkeypatch):
+    """400 terms x^i*y^j, i and j drawn from [180, 256), translated to
+    (1, 1): the kernel is handed about 4.2 million term pairs, where a
+    product of image powers per term handed it 38 million."""
+    rng, exponents = random.Random(27), set()
+    while len(exponents) < 400:
+        exponents.add((rng.randrange(180, 256), rng.randrange(180, 256)))
+    field = " + ".join("x^%d*y^%d" % e for e in sorted(exponents)) + " - 400 ; y - 1"
+    pairs = count_kernel_pairs(monkeypatch)
+    assert run_line(["sing", "--vf", field, "--at", "1,1"]) == (
+        "point: (1, 1)\nnu: 1\ntau: 1\nradial: false\nspecial: false", "", 0)
+    assert sum(pairs) < 6_000_000
 
 
 def test_high_degree_field_is_refused_before_the_legendre_expansion(monkeypatch):

@@ -38,6 +38,7 @@ from helpers import (
     assert_ground,
     brute_force_power,
     cofactor_determinant,
+    count_kernel_pairs,
     engine_gcd,
     pseudo_remainder,
     random_poly,
@@ -184,6 +185,17 @@ def test_substitute_matches_term_by_term_reference(field):
     assert P("(x + y + z + p + 1)^12", spec).substitute({"x": P("x + 1", spec)}) == (
         P("(x + y + z + p + 2)^12", spec)
     )
+
+
+def test_substitute_makes_each_image_power_once(monkeypatch):
+    """Horner's scheme makes each image power once and shares it across
+    the coefficients, so this translate hands the kernel 287036 term
+    pairs, where a product of image powers per term handed it 9206077."""
+    f, want = P("(x + 1)^64*(y + 1)^64"), P("(x + 2)^64*(y + 2)^64")
+    bindings = {"x": P("x + 1"), "y": P("y + 1")}
+    pairs = count_kernel_pairs(monkeypatch)
+    assert f.substitute(bindings) == want
+    assert 0 < sum(pairs) < 350_000
 
 
 # -- gcd and divisibility -------------------------------------------------------
@@ -970,19 +982,23 @@ def test_field_gcd_contract(field):
 
 def test_gcd_puts_back_its_monomial_content_without_the_kernel(monkeypatch):
     """The monomial gcd shifted out goes back on as a shift of the keys, so
-    an equal pair and an engine gcd make no kernel product."""
+    an equal pair and an engine gcd make no kernel product but those of the
+    trial divisions that check the engine's candidates."""
     f = P("x^2 + 3*y + 1")
     cases = [(f, f, f), (X * Y * f, X * X * f, X * f), (f * (X - Y), f * (X + Y), f)]
-    calls, inner = [], poly_module.sum_of_products
+    pairs, checks, inner = count_kernel_pairs(monkeypatch), [], modular.exact_quotient
 
-    def counting(terms):
-        calls.append(terms)
-        return inner(terms)
+    def checking(f, g, theta):  # moves the products it makes from pairs to checks
+        before = len(pairs)
+        quotient = inner(f, g, theta)
+        checks.extend(pairs[before:])
+        del pairs[before:]
+        return quotient
 
-    monkeypatch.setattr(poly_module, "sum_of_products", counting)
+    monkeypatch.setattr(modular, "exact_quotient", checking)
     for a, b, want in cases:
         assert poly_gcd(a, b) == want
-    assert not calls
+    assert checks and not pairs
 
 
 def test_exact_divide_errors():
